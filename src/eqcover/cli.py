@@ -6,10 +6,11 @@ One executable, verb subcommands, stable exit codes:
   1  certificate violation (one machine-parseable witness line on stdout)
   2  malformed input or flags (message on stderr, nothing written)
   3  solver budget exhausted (best interval printed)
+  4  internal error: an unexpected exception, a bug rather than a bad
+     input (one "error: internal: ..." line on stderr)
 
 Outputs are byte-identical across runs: no timestamps, no machine info,
-no randomness.  ``--workers`` is accepted for compatibility with
-partitioned verification; results never depend on it.
+no randomness.
 """
 
 from __future__ import annotations
@@ -345,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["orientation", "elbow", "eyebrow", "equivalence"])
     p.add_argument("--graph", required=True)
     p.add_argument("--cover", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -427,6 +427,9 @@ def main(argv: Optional[list] = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, never a verdict on the input
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover

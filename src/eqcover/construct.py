@@ -27,7 +27,7 @@ from .orientations import (
     Orientation,
     Permutation,
     permutation_to_orientation,
-    pullback_orientation,
+    pullback_words,
 )
 from .verify import (
     incidence_signatures,
@@ -118,12 +118,16 @@ def analogue(lm: LineGraphMap, o: Orientation) -> EquivalenceSubgraph:
     induces a clique of L(G) since its edges share the tail vertex.
     """
     o.require_match(lm.host)
-    classes = []
-    for v in range(lm.host.n):
-        out = o.out_edges(lm.host, v)
-        if out:
-            classes.append(tuple(out))
-    return tuple(classes)
+    return _out_classes(lm.host, [b == 0 for b in o.direction])
+
+
+def _out_classes(host: Graph, out_of_low: Sequence[int]) -> EquivalenceSubgraph:
+    """The out-edge set of every vertex with out-degree >= 1, given per
+    edge whether it runs out of its low endpoint."""
+    out: List[List[int]] = [[] for _ in range(host.n)]
+    for e, ((u, v), low) in enumerate(zip(host.edges, out_of_low)):
+        out[u if low else v].append(e)
+    return tuple(tuple(edges) for edges in out if edges)
 
 
 def eq_cover_from_orientation_cover(
@@ -135,7 +139,10 @@ def eq_cover_from_orientation_cover(
     violation = verify_orientation_cover(lm.host, c)
     if violation is not None:
         raise InvalidCoverError(violation)
-    return EquivalenceCover(lm.line.n, [analogue(lm, o) for o in c.orientations])
+    return EquivalenceCover(
+        lm.line.n,
+        [_out_classes(lm.host, [(w >> i) & 1 for w in c.words]) for i in range(c.k)],
+    )
 
 
 def _class_direction_bits(
@@ -274,33 +281,20 @@ def elbow_double(g: Graph, base: OrientationCover) -> OrientationCover:
     violation = verify_elbow_cover(g, base)
     if violation is not None:
         raise InvalidCoverError(violation)
-    n = g.n
-    big = generate_family("complete", n * n)
-    # arrow matrix per base orientation: heads[i][a][c] iff a -> c
-    heads = []
-    for o in base.orientations:
-        mat = [[False] * n for _ in range(n)]
-        for e in range(g.m):
-            t, h = o.arrow(g, e)
-            mat[t][h] = True
-        heads.append(mat)
-    orientations = []
-    for i in range(base.k + 1):
-        mat = heads[i] if i < base.k else heads[0]
-        flip_second = i == base.k
-        bits = []
-        for x, y in big.edges:
-            a, b = divmod(x, n)
-            c, d = divmod(y, n)
-            if a != c:
-                out_of_x = mat[a][c]
-            elif flip_second:
-                out_of_x = mat[d][b]
-            else:
-                out_of_x = mat[b][d]
-            bits.append(0 if out_of_x else 1)
-        orientations.append(Orientation((big.n, big.m), bits))
-    return OrientationCover((big.n, big.m), orientations, "elbow")
+    n, k = g.n, base.k
+    # the extra orientation follows base orientation 0 across blocks and
+    # its reversal within a block
+    across = {e: w | (w & 1) << k for e, w in zip(g.edges, base.words)}
+    within = {e: w | (~w & 1) << k for e, w in zip(g.edges, base.words)}
+    # big edges (x, y), x < y, in index order: first the rest of x's
+    # block, then every vertex of each later block
+    words: List[int] = []
+    for a in range(n):
+        for b in range(n):
+            words.extend(within[b, d] for d in range(b + 1, n))
+            for c in range(a + 1, n):
+                words.extend([across[a, c]] * n)
+    return OrientationCover.from_words((n * n, len(words)), k + 1, words, "elbow")
 
 
 def restrict_cover_to_induced(
@@ -320,12 +314,9 @@ def restrict_cover_to_induced(
         if u in relabel and v in relabel
     ]
     sub = Graph(len(keep), [(u, v) for _, u, v in kept_edges])
-    orientations = []
-    for o in cover.orientations:
-        # normalized edges keep their endpoint order under monotone relabeling
-        bits = [o.direction[e] for e, _, _ in kept_edges]
-        orientations.append(Orientation((sub.n, sub.m), bits))
-    return sub, OrientationCover((sub.n, sub.m), orientations, cover.kind)
+    # normalized edges keep their endpoint order under monotone relabeling
+    words = [cover.words[e] for e, _, _ in kept_edges]
+    return sub, OrientationCover.from_words((sub.n, sub.m), cover.k, words, cover.kind)
 
 
 def elbow_cover_complete(n: int) -> OrientationCover:
@@ -358,8 +349,9 @@ def orientation_cover_from_elbow(g: Graph, c: OrientationCover) -> OrientationCo
     violation = verify_elbow_cover(g, c)
     if violation is not None:
         raise InvalidCoverError(violation)
-    orientations = list(c.orientations) + [o.reversed() for o in c.orientations]
-    return OrientationCover((g.n, g.m), orientations, "orientation")
+    full = (1 << c.k) - 1
+    words = [w | ((full ^ w) << c.k) for w in c.words]
+    return OrientationCover.from_words((g.n, g.m), 2 * c.k, words, "orientation")
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +363,30 @@ def bipartite_orientation_cover(g: Graph) -> OrientationCover:
     """Size-two covering of a bipartite graph: all of side A sources,
     then all of side B."""
     side = bipartition(g)  # NotBipartiteError carries an odd cycle
-    bits = [0 if side[u] == 0 else 1 for u, v in g.edges]
-    first = Orientation((g.n, g.m), bits)
-    return OrientationCover((g.n, g.m), [first, first.reversed()], "orientation")
+    # bit 0: side 0 sources; bit 1: side 1 sources
+    words = [1 if side[u] == 0 else 2 for u, v in g.edges]
+    return OrientationCover.from_words((g.n, g.m), 2, words, "orientation")
+
+
+def _resolve_coloring(
+    g: Graph, coloring: Optional[Coloring], greedy: bool, budget: Optional[Budget]
+) -> Coloring:
+    """The supplied proper coloring, densely relabeled; else the exact
+    solver's (or the greedy heuristic's when ``greedy`` is set)."""
+    if coloring is None:
+        if greedy:
+            coloring = greedy_coloring(g)
+        else:
+            result = exact_chromatic(g, budget)
+            if result.status != "exact":
+                raise ValueError(
+                    "chromatic search ran out of budget; pass greedy=True "
+                    "or supply a coloring"
+                )
+            coloring = result.witness
+    else:
+        coloring.require_proper(g)
+    return coloring.dense()
 
 
 def cover_via_coloring(
@@ -392,20 +405,7 @@ def cover_via_coloring(
     beyond.  With no coloring supplied, the exact solver provides one
     (or the greedy heuristic when ``greedy`` is set).
     """
-    if coloring is None:
-        if greedy:
-            coloring = greedy_coloring(g)
-        else:
-            result = exact_chromatic(g, budget)
-            if result.status != "exact":
-                raise ValueError(
-                    "chromatic search ran out of budget; pass greedy=True "
-                    "or supply a coloring"
-                )
-            coloring = result.witness
-    else:
-        coloring.require_proper(g)
-    dense = coloring.dense()
+    dense = _resolve_coloring(g, coloring, greedy, budget)
     c = dense.palette_size
     if c <= 2:
         return bipartite_orientation_cover(g)
@@ -418,10 +418,8 @@ def cover_via_coloring(
     else:
         base_g = generate_family("complete", c)
         base = orientation_cover_from_elbow(base_g, elbow_cover_complete(c))
-    pulled = [
-        pullback_orientation(g, base_g, dense.colors, o) for o in base.orientations
-    ]
-    return OrientationCover((g.n, g.m), pulled, "orientation")
+    words = pullback_words(g, base_g, dense.colors, base.words, base.k)
+    return OrientationCover.from_words((g.n, g.m), base.k, words, "orientation")
 
 
 def elbow_cover_via_coloring(
@@ -438,29 +436,14 @@ def elbow_cover_via_coloring(
     target edge, so their masks at the center coincide and cannot
     partition the index set.
     """
-    if coloring is None:
-        if greedy:
-            coloring = greedy_coloring(g)
-        else:
-            result = exact_chromatic(g, budget)
-            if result.status != "exact":
-                raise ValueError(
-                    "chromatic search ran out of budget; pass greedy=True "
-                    "or supply a coloring"
-                )
-            coloring = result.witness
-    else:
-        coloring.require_proper(g)
-    dense = coloring.dense()
+    dense = _resolve_coloring(g, coloring, greedy, budget)
     c = dense.palette_size
     if c <= 2:
         return bipartite_orientation_cover(g).with_kind("elbow")
     base_g = generate_family("complete", c)
     base = elbow_cover_complete(c)
-    pulled = [
-        pullback_orientation(g, base_g, dense.colors, o) for o in base.orientations
-    ]
-    return OrientationCover((g.n, g.m), pulled, kind="elbow")
+    words = pullback_words(g, base_g, dense.colors, base.words, base.k)
+    return OrientationCover.from_words((g.n, g.m), base.k, words, "elbow")
 
 
 def _representative_subsets(k: int, min_size: int = 0, max_size: Optional[int] = None) -> List[int]:
@@ -473,6 +456,22 @@ def _representative_subsets(k: int, min_size: int = 0, max_size: Optional[int] =
         for x in range(1 << k)
         if x & 1 and min_size <= bin(x).count("1") <= max_size
     ]
+
+
+def _sides(masks: Sequence[int], reps: Sequence[int], full: int) -> Tuple[int, ...]:
+    """Per representative X, 1 when the masks include the complement of
+    X; a vertex seeing both X and its complement cannot occur in a
+    verified covering."""
+    seen = set(masks)
+    sides = []
+    for x in reps:
+        on_comp = (full ^ x) in seen
+        assert not (on_comp and x in seen), (
+            "vertex sees a signature and its complement; "
+            "impossible for a verified covering"
+        )
+        sides.append(1 if on_comp else 0)  # untouched vertices default 0
+    return tuple(sides)
 
 
 def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:
@@ -497,26 +496,11 @@ def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:
         raise ValueError("a zero-orientation covering only colors edgeless graphs")
     sig = incidence_signatures(g, c)
     reps = _representative_subsets(k)
-    side_tuples = []
-    for v in range(g.n):
-        masks = [sig.mask(v, e) for e in g.incident(v)]
-        sides = []
-        for x in reps:
-            comp = sig.full ^ x
-            on_x = any(m == x for m in masks)
-            on_comp = any(m == comp for m in masks)
-            assert not (on_x and on_comp), (
-                "vertex sees a signature and its complement; "
-                "impossible for a verified elbow covering"
-            )
-            sides.append(1 if on_comp else 0)  # untouched vertices default 0
-        side_tuples.append(tuple(sides))
     palette: Dict[Tuple[int, ...], int] = {}
     colors = []
-    for t in side_tuples:
-        if t not in palette:
-            palette[t] = len(palette)
-        colors.append(palette[t])
+    for v in range(g.n):
+        key = _sides([sig.mask(v, e) for e in g.incident(v)], reps, sig.full)
+        colors.append(palette.setdefault(key, len(palette)))
     coloring = Coloring(colors)
     coloring.require_proper(g)
     return coloring
@@ -580,18 +564,8 @@ def coloring_from_orientation_cover(g: Graph, c: OrientationCover) -> Coloring:
             if v in reserved:
                 colors[orig] = reserved[v]
                 continue
-            masks = [sig.mask(v, e) for e in core.incident(v)]
-            sides = []
-            for x in reps:
-                comp = sig.full ^ x
-                on_x = any(m == x for m in masks)
-                on_comp = any(m == comp for m in masks)
-                assert not (on_x and on_comp)
-                sides.append(1 if on_comp else 0)
-            key = tuple(sides)
-            if key not in palette:
-                palette[key] = len(palette)
-            colors[orig] = k + palette[key]
+            key = _sides([sig.mask(v, e) for e in core.incident(v)], reps, sig.full)
+            colors[orig] = k + palette.setdefault(key, len(palette))
 
     for v in reversed(peeled):
         taken = {colors[u] for u in g.adjacency[v] if u in colors}

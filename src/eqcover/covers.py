@@ -28,12 +28,16 @@ class CoverFormatError(ValueError):
 class OrientationCover:
     """k orientations of one reference graph; kind is a label only.
 
+    Stored as one k-bit word per edge index, bit i set when orientation
+    i directs the edge out of its low endpoint; ``orientations`` is a
+    view derived from the words on first use.
+
     The kind tag records intent ('orientation' or 'elbow') for file
     round-trips; verifiers accept either tag, and a valid orientation
     covering is always a valid elbow covering.
     """
 
-    __slots__ = ("graph_shape", "orientations", "kind")
+    __slots__ = ("graph_shape", "k", "words", "kind", "_orientations")
 
     def __init__(
         self,
@@ -41,21 +45,50 @@ class OrientationCover:
         orientations: Sequence[Orientation],
         kind: str = "orientation",
     ):
-        if kind not in ("orientation", "elbow"):
-            raise ValueError(f"kind must be 'orientation' or 'elbow', got {kind!r}")
         shape = (int(graph_shape[0]), int(graph_shape[1]))
-        for o in orientations:
+        orientations = tuple(orientations)
+        words = [0] * shape[1]
+        for i, o in enumerate(orientations):
             if o.graph_shape != shape:
                 raise ShapeError(
                     f"orientation shape {o.graph_shape} != cover shape {shape}"
                 )
+            words = [w if d else w | 1 << i for w, d in zip(words, o.direction)]
+        if kind not in ("orientation", "elbow"):
+            raise ValueError(f"kind must be 'orientation' or 'elbow', got {kind!r}")
         self.graph_shape = shape
-        self.orientations: Tuple[Orientation, ...] = tuple(orientations)
+        self.k = len(orientations)
+        self.words: Tuple[int, ...] = tuple(words)
         self.kind = kind
+        self._orientations: Optional[Tuple[Orientation, ...]] = orientations
+
+    @classmethod
+    def from_words(
+        cls,
+        graph_shape: Tuple[int, int],
+        k: int,
+        words: Sequence[int],
+        kind: str = "orientation",
+    ) -> "OrientationCover":
+        """Build from per-edge words (bit i set: orientation i directs
+        the edge out of its low endpoint)."""
+        cover = cls(graph_shape, (), kind)
+        words = tuple(words)
+        if len(words) != cover.graph_shape[1]:
+            raise ShapeError(f"expected {cover.graph_shape[1]} words, got {len(words)}")
+        if k < 0 or (words and not (0 <= min(words) and max(words) >> k == 0)):
+            raise ValueError(f"words must lie in [0, 2^{k})")
+        cover.k, cover.words, cover._orientations = k, words, None
+        return cover
 
     @property
-    def k(self) -> int:
-        return len(self.orientations)
+    def orientations(self) -> Tuple[Orientation, ...]:
+        if self._orientations is None:
+            self._orientations = tuple(
+                Orientation(self.graph_shape, [0 if (w >> i) & 1 else 1 for w in self.words])
+                for i in range(self.k)
+            )
+        return self._orientations
 
     def require_match(self, g: Graph) -> None:
         if self.graph_shape != (g.n, g.m):
@@ -64,7 +97,7 @@ class OrientationCover:
             )
 
     def with_kind(self, kind: str) -> "OrientationCover":
-        return OrientationCover(self.graph_shape, self.orientations, kind)
+        return OrientationCover.from_words(self.graph_shape, self.k, self.words, kind)
 
     def __repr__(self) -> str:
         return f"OrientationCover(kind={self.kind}, k={self.k}, shape={self.graph_shape})"
@@ -291,17 +324,23 @@ class EquivalenceViolation(Violation):
 # ---------------------------------------------------------------------------
 
 
+def _arrow_lines(g: Graph) -> Tuple[List[str], List[str]]:
+    """Each edge's arrow line out of its low endpoint and out of its high one."""
+    return [f"{u} {v}" for u, v in g.edges], [f"{v} {u}" for u, v in g.edges]
+
+
 def write_cover_for(g: Graph, cover) -> str:
     """Serialize a cover against its reference graph."""
     lines: List[str] = []
     if isinstance(cover, OrientationCover):
         cover.require_match(g)
         lines.append(f"cover {cover.kind} {cover.k} {g.n} {g.m}")
-        for i, o in enumerate(cover.orientations, start=1):
-            lines.append(f"block {i}")
-            for e in range(g.m):
-                t, h = o.arrow(g, e)
-                lines.append(f"{t} {h}")
+        out_of_low, out_of_high = _arrow_lines(g)
+        for i in range(cover.k):
+            lines.append(f"block {i + 1}")
+            lines.extend(
+                [a if (w >> i) & 1 else b for a, b, w in zip(out_of_low, out_of_high, cover.words)]
+            )
     elif isinstance(cover, EyebrowCover):
         if cover.n != g.n:
             raise ShapeError(f"cover n={cover.n} does not match graph n={g.n}")
@@ -321,9 +360,9 @@ def write_cover_for(g: Graph, cover) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+def _significant_lines(raw: List[str]):
+    for lineno, line in enumerate(raw, start=1):
+        line = line.strip()
         if line and not line.startswith("#"):
             yield lineno, line
 
@@ -335,10 +374,12 @@ def parse_cover(text: str, g: Graph):
     according to the header kind.  Raises CoverFormatError with 1-based
     line numbers on malformed input.
     """
-    lines = list(_significant_lines(text))
-    if not lines:
+    raw = text.splitlines()
+    lines = _significant_lines(raw)
+    first = next(lines, None)
+    if first is None:
         raise CoverFormatError("missing 'cover <kind> <k> <n> <m>' header")
-    lineno, header = lines[0]
+    lineno, header = first
     parts = header.split()
     if len(parts) != 5 or parts[0] != "cover":
         raise CoverFormatError(f"line {lineno}: expected 'cover <kind> <k> <n> <m>'")
@@ -356,16 +397,40 @@ def parse_cover(text: str, g: Graph):
             f"line {lineno}: header shape ({n}, {m}) does not match graph "
             f"({g.n}, {g.m})"
         )
-    body = lines[1:]
     if kind in ("orientation", "elbow"):
-        return _parse_orientation_blocks(body, g, k, kind)
-    if kind == "eyebrow":
-        return _parse_eyebrow(body, g, k)
-    return _parse_equivalence(body, g, k)
+        words = _canonical_words(raw[lineno:], g, k)
+        if words is None:
+            words = _parse_orientation_blocks(list(lines), g, k)
+        return OrientationCover.from_words((g.n, g.m), k, words, kind)
+    body = list(lines)
+    return _parse_eyebrow(body, g, k) if kind == "eyebrow" else _parse_equivalence(body, g, k)
 
 
-def _parse_orientation_blocks(body, g: Graph, k: int, kind: str) -> OrientationCover:
-    orientations = []
+def _canonical_words(raw: List[str], g: Graph, k: int) -> Optional[List[int]]:
+    """Per-edge words of k blocks written as ``write_cover_for`` writes
+    them ("block <i>", then m arrows "t h", each edge once, nothing
+    else); None for any other text, left to the line-by-line reader."""
+    m = g.m
+    if len(raw) != k * (m + 1):
+        return None
+    out_of_low, out_of_high = _arrow_lines(g)
+    low_edge = {line: e for e, line in enumerate(out_of_low)}
+    edge_of = {line: e for e, line in enumerate(out_of_high)}
+    edge_of.update(low_edge)
+    words = [0] * m
+    for i in range(k):
+        block = raw[i * (m + 1) + 1 : (i + 1) * (m + 1)]
+        edges = list(map(edge_of.get, block))
+        if raw[i * (m + 1)] != f"block {i + 1}" or None in edges or len(set(edges)) != m:
+            return None
+        for e in map(low_edge.get, block):
+            if e is not None:
+                words[e] |= 1 << i
+    return words
+
+
+def _parse_orientation_blocks(body, g: Graph, k: int) -> List[int]:
+    words = [0] * g.m
     pos = 0
     for i in range(1, k + 1):
         if pos >= len(body):
@@ -374,7 +439,7 @@ def _parse_orientation_blocks(body, g: Graph, k: int, kind: str) -> OrientationC
         if line.split() != ["block", str(i)]:
             raise CoverFormatError(f"line {lineno}: expected 'block {i}'")
         pos += 1
-        bits: List[Optional[int]] = [None] * g.m
+        seen = bytearray(g.m)
         for _ in range(g.m):
             if pos >= len(body):
                 raise CoverFormatError(f"block {i}: expected {g.m} arrow lines")
@@ -392,16 +457,17 @@ def _parse_orientation_blocks(body, g: Graph, k: int, kind: str) -> OrientationC
                     f"line {lineno}: ({t}, {h}) is not an edge of the graph"
                 )
             e = g.index_of(t, h)
-            if bits[e] is not None:
+            if seen[e]:
                 raise CoverFormatError(
                     f"line {lineno}: edge ({min(t, h)}, {max(t, h)}) appears twice in block {i}"
                 )
-            bits[e] = 0 if t < h else 1
-        orientations.append(Orientation((g.n, g.m), bits))
+            seen[e] = 1
+            if t < h:
+                words[e] |= 1 << (i - 1)
     if pos != len(body):
         lineno, _ = body[pos]
         raise CoverFormatError(f"line {lineno}: trailing content after block {k}")
-    return OrientationCover((g.n, g.m), orientations, kind)
+    return words
 
 
 def _parse_eyebrow(body, g: Graph, k: int) -> EyebrowCover:
@@ -466,7 +532,7 @@ def write_coloring(coloring: Coloring) -> str:
 def parse_coloring(text: str, n: int) -> Coloring:
     colors: List[Optional[int]] = [None] * n
     count = 0
-    for lineno, line in _significant_lines(text):
+    for lineno, line in _significant_lines(text.splitlines()):
         parts = line.split()
         if len(parts) != 2:
             raise CoverFormatError(f"line {lineno}: expected '<v> <color>'")

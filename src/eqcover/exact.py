@@ -23,11 +23,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .covers import EquivalenceCover, EyebrowCover, OrientationCover
 from .graphs import Graph
-from .orientations import Coloring, Orientation, Permutation
+from .orientations import Coloring, Permutation
 
 
 class _OutOfBudget(Exception):
@@ -174,40 +174,28 @@ def _decide_words(
     return words if rec(0, (1 << max(k - 1, 0)) - 1) else None
 
 
-def _words_to_cover(g: Graph, k: int, words: Sequence[int], kind: str) -> OrientationCover:
-    orientations = []
-    for i in range(k):
-        bits = tuple(0 if (words[e] >> i) & 1 else 1 for e in range(g.m))
-        orientations.append(Orientation((g.n, g.m), bits))
-    return OrientationCover((g.n, g.m), orientations, kind)
+def _decide_cover(g: Graph, k: int, budget: Optional[Budget], kind: str) -> DecideResult:
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    budget = budget or Budget()
+    try:
+        words = _decide_words(g, k, budget, elbow=kind == "elbow")
+    except _OutOfBudget:
+        return DecideResult("timeout", None, budget.nodes)
+    if words is None:
+        return DecideResult("unsat", None, budget.nodes)
+    witness = OrientationCover.from_words((g.n, g.m), k, words, kind)
+    return DecideResult("sat", witness, budget.nodes)
 
 
 def decide_sigma(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult:
     """Is there an orientation covering of g with k orientations?"""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    budget = budget or Budget()
-    try:
-        words = _decide_words(g, k, budget, elbow=False)
-    except _OutOfBudget:
-        return DecideResult("timeout", None, budget.nodes)
-    if words is None:
-        return DecideResult("unsat", None, budget.nodes)
-    return DecideResult("sat", _words_to_cover(g, k, words, "orientation"), budget.nodes)
+    return _decide_cover(g, k, budget, "orientation")
 
 
 def decide_elb(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult:
     """Is there an elbow covering of g with k orientations?"""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    budget = budget or Budget()
-    try:
-        words = _decide_words(g, k, budget, elbow=True)
-    except _OutOfBudget:
-        return DecideResult("timeout", None, budget.nodes)
-    if words is None:
-        return DecideResult("unsat", None, budget.nodes)
-    return DecideResult("sat", _words_to_cover(g, k, words, "elbow"), budget.nodes)
+    return _decide_cover(g, k, budget, "elbow")
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +537,12 @@ def _greedy_matching_cover(g: Graph) -> EquivalenceCover:
     return EquivalenceCover(g.n, subgraphs)
 
 
-def _tournament_ranks(g: Graph, o: Orientation) -> Permutation:
-    """Topological order of an acyclic orientation of a complete graph
+def _tournament_ranks(g: Graph, cover: OrientationCover, i: int) -> Permutation:
+    """Topological order of orientation i of a complete graph, acyclic
     (unique: out-degrees are pairwise distinct)."""
     out = [0] * g.n
-    for e in range(g.m):
-        out[o.arrow(g, e)[0]] += 1
+    for (u, v), w in zip(g.edges, cover.words):
+        out[u if (w >> i) & 1 else v] += 1
     return Permutation([g.n - 1 - d for d in out])
 
 
@@ -579,7 +567,7 @@ def _upper_witness(g: Graph, invariant: str):
             g.n, [(a, b) for a in range(g.n) for b in range(a + 1, g.n)]
         )
         base = construct.elbow_cover_complete(g.n)
-        perms = [_tournament_ranks(complete, o) for o in base.orientations]
+        perms = [_tournament_ranks(complete, base, i) for i in range(base.k)]
         return EyebrowCover(g.n, perms)
     raise ValueError(f"unknown invariant {invariant!r}")
 

@@ -9,7 +9,7 @@ against a graph with a matching edge list.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .graphs import Graph
 
@@ -217,19 +217,21 @@ def permutation_to_orientation(g: Graph, p: Permutation) -> Orientation:
     return Orientation((g.n, g.m), bits)
 
 
-def pullback_orientation(
-    g: Graph, h: Graph, f: Sequence[int], o: Orientation
-) -> Orientation:
-    """Pull an orientation of h back along a homomorphism f: g -> h.
+def pullback_words(
+    g: Graph, h: Graph, f: Sequence[int], words: Sequence[int], k: int
+) -> List[int]:
+    """Pull per-edge k-bit words (bit i: orientation i directs the edge
+    out of its low endpoint) of h back along a homomorphism f: g -> h.
 
-    Edge uv of g points u -> v exactly when f(u)f(v) points f(u) -> f(v)
-    in o.  Raises HomomorphismError naming the first edge of g on which
-    f is not edge-preserving.
+    Edge uv of g takes the word of f(u)f(v), complemented when f(u) >
+    f(v): uv points u -> v exactly when f(u)f(v) points f(u) -> f(v).
+    Raises HomomorphismError naming the first edge of g on which f is
+    not edge-preserving.
     """
     if len(f) != g.n:
         raise ShapeError(f"vertex map has {len(f)} entries, graph has {g.n}")
-    o.require_match(h)
-    bits = []
+    full = (1 << k) - 1
+    out = []
     for u, v in g.edges:
         fu, fv = f[u], f[v]
         if fu == fv:
@@ -238,6 +240,16 @@ def pullback_orientation(
             raise HomomorphismError((u, v), "image vertex out of range")
         if not h.has_edge(fu, fv):
             raise HomomorphismError((u, v), f"({fu}, {fv}) is not an edge of the target")
-        tail, _ = o.arrow(h, h.index_of(fu, fv))
-        bits.append(0 if tail == fu else 1)
-    return Orientation((g.n, g.m), bits)
+        w = words[h.index_of(fu, fv)]
+        out.append(w if fu < fv else full ^ w)
+    return out
+
+
+def pullback_orientation(
+    g: Graph, h: Graph, f: Sequence[int], o: Orientation
+) -> Orientation:
+    """Pull an orientation of h back along a homomorphism f: g -> h
+    (see ``pullback_words``)."""
+    o.require_match(h)
+    words = pullback_words(g, h, f, [1 - b for b in o.direction], 1)
+    return Orientation((g.n, g.m), [1 - w for w in words])

@@ -3,9 +3,10 @@
 Everything here reduces to incidence signatures.  For a cover by k
 orientations and an incidence (v, e) of vertex v with edge e, the
 signature sig(v, e) is the k-bit mask of orientations directing e out
-of v.  By construction sig(u, uv) is the bitwise complement of
-sig(v, uv) within the k used bits.  The two covering properties become
-pair predicates on signatures at a shared vertex:
+of v.  The cover stores each edge's mask as seen from its low endpoint
+(its word); seen from the high endpoint the mask is the complement
+within the k used bits.  The two covering properties become pair
+predicates on signatures at a shared vertex:
 
   orientation covering:  sig(v, e) AND sig(v, f) != 0
         (some orientation directs both e and f out of v)
@@ -15,8 +16,15 @@ pair predicates on signatures at a shared vertex:
          when the masks partition, the 2-edge path through v is
          traversed as a directed path by every orientation)
 
-Pair enumeration is vectorized with numpy per vertex while k fits in a
-machine word; wider covers fall back to a plain loop over Python ints.
+Whether a vertex is bad depends only on which masks it sees and how
+often, so the check runs on the mask histogram, not on the pairs: one
+vectorised pass over the 2m incidences collects the masks present at
+each vertex and tests them against a 2^k x 2^k bad-pair table.  A
+vertex is bad when two of its masks form a bad pair, or one mask bad
+with itself is present twice.  Only at the first bad vertex does the
+row-major pair scan run, to pick the witness.  Covers with more than
+eight orientations, which would need a larger table, are scanned vertex
+by vertex instead.
 
 Verifiers return None for a valid cover and the lexicographically first
 Violation otherwise (smallest vertex, then smallest pair of edge
@@ -27,8 +35,8 @@ result status.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import List, Optional, Tuple
+from itertools import chain, combinations
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,20 +52,7 @@ from .covers import (
 from .graphs import Graph
 from .orientations import ShapeError
 
-_NUMPY_MAX_K = 62  # int64 bit masks; beyond this use Python integers
-
-
-def _out_of_low_words(g: Graph, cover: OrientationCover) -> List[int]:
-    """Per-edge mask of the orientations directing the edge out of its
-    low endpoint (direction bit 0)."""
-    words = [0] * g.m
-    for i, o in enumerate(cover.orientations):
-        bit = 1 << i
-        direction = o.direction
-        for e in range(g.m):
-            if direction[e] == 0:
-                words[e] |= bit
-    return words
+_TABLE_MAX_K = 8  # a 2^k x 2^k bad-pair table; wider covers are scanned
 
 
 class IncidenceSignature:
@@ -65,7 +60,7 @@ class IncidenceSignature:
 
     __slots__ = ("graph", "k", "full", "_words")
 
-    def __init__(self, graph: Graph, k: int, words: List[int]):
+    def __init__(self, graph: Graph, k: int, words: Sequence[int]):
         self.graph = graph
         self.k = k
         self.full = (1 << k) - 1
@@ -88,38 +83,60 @@ class IncidenceSignature:
 
 def incidence_signatures(g: Graph, cover: OrientationCover) -> IncidenceSignature:
     cover.require_match(g)
-    return IncidenceSignature(g, cover.k, _out_of_low_words(g, cover))
-
-
-def _viewed(sig: IncidenceSignature, v: int) -> List[int]:
-    g = sig.graph
-    return [sig.mask(v, e) for e in g.incident(v)]
+    return IncidenceSignature(g, cover.k, cover.words)
 
 
 def _first_bad_pair(viewed: List[int], full: int, elbow: bool) -> Optional[Tuple[int, int]]:
     """First (i, j), i < j, violating the pair predicate, row-major order."""
-    d = len(viewed)
-    if d < 2:
-        return None
-    if full.bit_length() <= _NUMPY_MAX_K:
-        s = np.asarray(viewed, dtype=np.int64)
-        both_empty = (s[:, None] & s[None, :]) == 0
-        if elbow:
-            bad = both_empty & ((s[:, None] | s[None, :]) == full)
-        else:
-            bad = both_empty
-        bad = np.triu(bad, k=1)
-        flat = bad.ravel()
-        pos = int(np.argmax(flat))
-        if not flat[pos]:
-            return None
-        return divmod(pos, d)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if viewed[i] & viewed[j] == 0 and (
-                not elbow or (viewed[i] | viewed[j]) == full
-            ):
-                return (i, j)
+    for i, j in combinations(range(len(viewed)), 2):
+        if viewed[i] & viewed[j] == 0 and (not elbow or viewed[i] | viewed[j] == full):
+            return i, j
+    return None
+
+
+def _suspects(sig: IncidenceSignature, elbow: bool) -> Sequence[int]:
+    """The vertices to scan for a bad pair: the first bad vertex by the
+    mask histogram, none when there is none, or every vertex when the
+    cover is too wide for the bad-pair table."""
+    g, k, full = sig.graph, sig.k, sig.full
+    if g.m < 2:
+        return ()
+    if k > _TABLE_MAX_K:
+        return range(g.n)
+    words = np.fromiter(sig._words, dtype=np.int64, count=g.m)
+    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
+    vertex = ends.reshape(g.m, 2).T.ravel()  # low endpoints, then high ones
+    masks = np.concatenate([words, full ^ words])
+    x = np.arange(full + 1)
+    bad = (x[:, None] & x) == 0
+    if elbow:
+        bad &= (x[:, None] | x) == full
+    # a mask bad with itself makes a bad pair when present twice
+    hit = np.bincount(vertex[bad[masks, masks]], minlength=g.n) > 1
+    np.fill_diagonal(bad, False)
+    # bitsets: table row x holds the masks bad with x, present row v
+    # the masks seen at v
+    width = (full + 64) // 64
+    table = np.zeros((full + 1, 8 * width), dtype=np.uint8)
+    table[:, : (full + 8) // 8] = np.packbits(bad, axis=1, bitorder="little")
+    table = table.view("<u8")
+    present = np.zeros((g.n, width), dtype="<u8")
+    bits = np.left_shift(np.uint64(1), (masks & 63).astype("<u8"))
+    np.bitwise_or.at(present, (vertex, masks >> 6), bits)
+    hit[vertex[(present[vertex] & table[masks]).any(axis=1)]] = True
+    first = int(np.argmax(hit))
+    return (first,) if hit[first] else ()
+
+
+def _first_violation(g: Graph, cover: OrientationCover, elbow: bool):
+    """(v, e, f): the first vertex with a violated pair of incident
+    edges and its row-major first such pair, or None."""
+    sig = incidence_signatures(g, cover)
+    for v in _suspects(sig, elbow):
+        inc = g.incident(v)
+        bad = _first_bad_pair([sig.mask(v, e) for e in inc], sig.full, elbow)
+        if bad is not None:
+            return v, inc[bad[0]], inc[bad[1]]
     return None
 
 
@@ -128,27 +145,21 @@ def verify_orientation_cover(
 ) -> Optional[OrientationViolation]:
     """None if every pair of distinct incident edges is jointly
     out-directed somewhere; else the first uncovered (v, e, f)."""
-    sig = incidence_signatures(g, cover)
-    for v in range(g.n):
-        bad = _first_bad_pair(_viewed(sig, v), sig.full, elbow=False)
-        if bad is not None:
-            inc = g.incident(v)
-            return OrientationViolation(v, g.edges[inc[bad[0]]], g.edges[inc[bad[1]]])
-    return None
+    found = _first_violation(g, cover, elbow=False)
+    if found is None:
+        return None
+    v, e, f = found
+    return OrientationViolation(v, g.edges[e], g.edges[f])
 
 
 def verify_elbow_cover(g: Graph, cover: OrientationCover) -> Optional[ElbowViolation]:
     """None if every 2-edge path is non-directed in some orientation;
     else the first always-directed path (u, v, w)."""
-    sig = incidence_signatures(g, cover)
-    for v in range(g.n):
-        bad = _first_bad_pair(_viewed(sig, v), sig.full, elbow=True)
-        if bad is not None:
-            inc = g.incident(v)
-            u = g.other_endpoint(inc[bad[0]], v)
-            w = g.other_endpoint(inc[bad[1]], v)
-            return ElbowViolation((u, v, w))
-    return None
+    found = _first_violation(g, cover, elbow=True)
+    if found is None:
+        return None
+    v, e, f = found
+    return ElbowViolation((g.other_endpoint(e, v), v, g.other_endpoint(f, v)))
 
 
 def verify_eyebrow_cover(g: Graph, cover: EyebrowCover) -> Optional[EyebrowViolation]:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from eqcover import read_graph_file
 from eqcover.cli import main
 
@@ -191,16 +193,37 @@ def test_outputs_byte_identical(tmp_path, capsys):
     assert cov1.read_bytes() == cov2.read_bytes()
 
 
-def test_workers_flag_accepted(tmp_path, capsys):
+def test_workers_flag_rejected(tmp_path, capsys):
     g = tmp_path / "c4.g"
     run(capsys, "gen", "--family", "cycle", "--parameter", "4", "--output", str(g))
     cov = tmp_path / "c4.cov"
     run(capsys, "construct", "--op", "bipartite", "--graph", str(g), "--output", str(cov))
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "verify", "--kind", "orientation", "--graph", str(g),
         "--cover", str(cov), "--workers", "4",
     )
-    assert code == 0 and out == "VALID k=2\n"
+    assert code == 2 and out == ""
+    assert "--workers" in err
+
+
+@pytest.mark.parametrize("exc", [AssertionError("broken invariant"), RecursionError("too deep")])
+def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch, exc):
+    import eqcover.cli as cli
+
+    g = tmp_path / "c4.g"
+    run(capsys, "gen", "--family", "cycle", "--parameter", "4", "--output", str(g))
+    cov = tmp_path / "c4.cov"
+    run(capsys, "construct", "--op", "bipartite", "--graph", str(g), "--output", str(cov))
+
+    def boom(graph, cover):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify_orientation_cover", boom)
+    code, out, err = run(
+        capsys, "verify", "--kind", "orientation", "--graph", str(g), "--cover", str(cov)
+    )
+    assert code == 4 and out == ""
+    assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
 
 
 def test_solve_json(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import re
+
 import pytest
 
 from eqcover import (
     CoverFormatError,
     EquivalenceCover,
     EyebrowCover,
+    Graph,
     Orientation,
     OrientationCover,
     Permutation,
@@ -164,3 +167,77 @@ def test_violation_recheck_rejects_wrong_witnesses():
     assert not ElbowViolation((0, 2, 1)).recheck(g, k3_cover)
     # w cannot be an endpoint
     assert not EyebrowViolation((0, 1), 0).recheck(g, EyebrowCover(3, []))
+
+
+# Arrow lines that miss the parser's table of canonical "t h" strings are
+# read line by line; these outcomes are pinned to that reader's behaviour.
+_G6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 5)])
+_HEAD = "cover orientation 2 6 4\n"
+_BLOCK2 = "block 2\n1 0\n1 2\n3 2\n3 5\n"
+_PINNED_DIRECTIONS = [(0, 1, 0, 1), (1, 0, 1, 0)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _HEAD + "block 1\n0 1\n2 1\n2 3\n5 3\n" + _BLOCK2,
+        _HEAD + "block 1\n0\t1\n2  1\n 2 3 \n5 \t 3\nblock   2\n1 0\n1 2\n3 2\n3 5\n",
+        _HEAD + "block 1\n0 1\n2 1\n2 3\n05 3\nblock 2\n1 0\n1 2\n03 2\n3 05\n",
+        _HEAD + "block 1\n+0 1\n2 1\n2 3\n5 +3\nblock 2\n1 0\n1 2\n+3 2\n3 5\n",
+        "# c\r\n" + _HEAD.replace("\n", "\r\n")
+        + "block 1\r\n0 1\r\n\r\n# note\r\n2 1\r\n2 3\r\n5 3\r\n"
+        + _BLOCK2.replace("\n", "\r\n"),
+    ],
+    ids=["canonical", "tabs-and-double-spaces", "leading-zeros", "plus-signs", "comments-crlf"],
+)
+def test_parse_fallback_accepts_noncanonical_arrows(text):
+    cover = parse_cover(text, _G6)
+    assert [o.direction for o in cover.orientations] == _PINNED_DIRECTIONS
+    assert cover.words == (1, 2, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (_HEAD + "block 1\n0 1\n2 1\n2 1\n5 3\n" + _BLOCK2, "line 5: edge (1, 2) appears twice in block 1"),
+        (_HEAD + "block 1\n0 1\n2 1\n1 2\n5 3\n" + _BLOCK2, "line 5: edge (1, 2) appears twice in block 1"),
+        (
+            _HEAD + "block 1\n0 1\n2 1\n2 3\n5 3\nblock 2\n1 0\n1 2\n3 5\n3 5\n",
+            "line 11: edge (3, 5) appears twice in block 2",
+        ),
+        (_HEAD + "block 1\n0 1\n2 1\n2 3\n5 3\nblock 3\n1 0\n1 2\n3 2\n3 5\n", "line 7: expected 'block 2'"),
+        (_HEAD + "block 1\n0 1\n2 1\n2 3\n5 3\n" + _BLOCK2 + "0 1\n", "line 12: trailing content after block 2"),
+        (_HEAD + "block 1\n0 1\n2 1\n2 3\n" + _BLOCK2, "line 6: non-integer endpoint"),
+        (_HEAD + "block 1\n0 1\n2 1\n2 3\n5 3\n", "missing 'block 2'"),
+        (_HEAD + "block 1\n0 1\n2 1\n2 3\n5 4\n" + _BLOCK2, "line 6: (5, 4) is not an edge"),
+        (_HEAD + "block 1\n0 1\n2 1 7\n2 3\n5 3\n" + _BLOCK2, "line 4: expected '<u> <v>'"),
+        (_HEAD + "block 1\n0 1\n2 1\n2 3\n5 3\nblock 2\n1 0\n1 2\n3 2\n3_0 5\n", "line 11: (30, 5) is not an edge"),
+    ],
+    ids=[
+        "duplicate-arrow",
+        "duplicate-reversed-arrow",
+        "duplicate-in-second-block",
+        "wrong-block-number",
+        "trailing-content",
+        "short-block",
+        "missing-block",
+        "not-an-edge",
+        "three-fields",
+        "underscore-digits",
+    ],
+)
+def test_parse_fallback_rejections_keep_line_numbers(text, message):
+    with pytest.raises(CoverFormatError, match="^" + re.escape(message)):
+        parse_cover(text, _G6)
+
+
+def test_from_words_matches_orientation_constructor():
+    g = generate_family("complete", 4)
+    cover = k4_sigma3_cover()
+    again = OrientationCover.from_words((4, 6), cover.k, cover.words)
+    assert again.orientations == cover.orientations
+    assert write_cover_for(g, again) == write_cover_for(g, cover)
+    with pytest.raises(ShapeError):
+        OrientationCover.from_words((4, 6), 3, cover.words[:5])
+    with pytest.raises(ValueError):
+        OrientationCover.from_words((4, 6), 1, cover.words)

@@ -175,7 +175,7 @@ def test_python_fallback_agrees_with_numpy(monkeypatch):
         )
         for g, c in cases
     ]
-    monkeypatch.setattr(verify_mod, "_NUMPY_MAX_K", -1)
+    monkeypatch.setattr(verify_mod, "_TABLE_MAX_K", -1)
     slow = [
         (
             verify_orientation_cover(g, c),

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -5,11 +6,15 @@ import pytest
 from eqcover import (
     EquivalenceCover,
     EyebrowCover,
+    Graph,
     Orientation,
     OrientationCover,
     Permutation,
     ShapeError,
+    cover_via_coloring,
+    elbow_cover_via_coloring,
     generate_family,
+    greedy_coloring,
     incidence_signatures,
     k16_table_cover,
     line_graph,
@@ -288,3 +293,105 @@ def test_shape_mismatch_raises():
         verify_eyebrow_cover(k4, EyebrowCover(3, [Permutation.identity(3)]))
     with pytest.raises(ShapeError):
         verify_equivalence_cover(k4, EquivalenceCover(3, [[(0, 1)]]))
+
+
+def _scan_witness(g, cover, elbow):
+    """Witness line of a scan over every vertex and, row-major, every
+    pair of its incident edges, read off the orientations' arrows."""
+    orientations = cover.orientations
+    for v in range(g.n):
+        inc = g.incident(v)
+        for a in range(len(inc)):
+            for b in range(a + 1, len(inc)):
+                e, f = inc[a], inc[b]
+                u, w = g.other_endpoint(e, v), g.other_endpoint(f, v)
+                if elbow:
+                    covered = any(
+                        {o.arrow(g, e), o.arrow(g, f)} not in ({(u, v), (v, w)}, {(w, v), (v, u)})
+                        for o in orientations
+                    )
+                    line = f"VIOLATION path=({u},{v},{w})"
+                else:
+                    covered = any(
+                        o.arrow(g, e)[0] == v and o.arrow(g, f)[0] == v for o in orientations
+                    )
+                    (a0, a1), (b0, b1) = g.edges[e], g.edges[f]
+                    line = f"VIOLATION v={v} e=({a0},{a1}) f=({b0},{b1})"
+                if not covered:
+                    return line
+    return None
+
+
+def _random_graph(rng, n, p):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _corrupted(rng, g, cover, elbow):
+    """The cover broken at one vertex of degree >= 2: one incident edge
+    never out of it (orientation), or one path through it always
+    directed (elbow)."""
+    x = rng.choice([v for v in range(g.n) if g.degree(v) >= 2])
+    full = (1 << cover.k) - 1
+    words = list(cover.words)
+    e, f = rng.sample(g.incident(x), 2)
+    words[e] = full if g.edges[e][1] == x else 0  # into x everywhere
+    if elbow:
+        words[f] = full if g.edges[f][0] == x else 0  # out of x everywhere
+    return OrientationCover.from_words(cover.graph_shape, cover.k, words, cover.kind)
+
+
+def _cases(seed):
+    """(graph, cover) pairs for k = 0..8: random words, valid pullback
+    covers padded with random orientations, and both corrupted."""
+    rng = random.Random(seed)
+    cases = []
+    for trial in range(90):
+        k = trial % 9
+        small = trial % 3 != 2
+        g = _random_graph(rng, rng.randint(3, 9) if small else rng.randint(20, 60), rng.choice((0.2, 0.4, 0.7)))
+        if not g.has_incidence_pairs():
+            continue
+        full = (1 << k) - 1
+        cases.append((g, OrientationCover.from_words((g.n, g.m), k, [rng.randint(0, full) for _ in range(g.m)])))
+        for build, elbow in ((cover_via_coloring, False), (elbow_cover_via_coloring, True)):
+            base = build(g, greedy_coloring(g))
+            if base.k > k:
+                continue
+            extra = [rng.randint(0, (1 << (k - base.k)) - 1) for _ in range(g.m)]
+            words = [w | x << base.k for w, x in zip(base.words, extra)]
+            valid = OrientationCover.from_words((g.n, g.m), k, words, base.kind)
+            cases.append((g, valid))
+            cases.append((g, _corrupted(rng, g, valid, elbow)))
+    return cases
+
+
+def _lines(g, cover):
+    found = (verify_orientation_cover(g, cover), verify_elbow_cover(g, cover))
+    return tuple(None if v is None else v.line() for v in found)
+
+
+def test_histogram_verifier_matches_scan_and_oracles():
+    kinds = set()
+    for g, cover in _cases(2024):
+        got = _lines(g, cover)
+        assert got == (_scan_witness(g, cover, False), _scan_witness(g, cover, True)), (g, cover.words)
+        if g.n <= 9:
+            bits = [o.direction for o in cover.orientations]
+            assert (got[0] is None) == oracles.orientation_cover_ok(g, bits)
+            assert (got[1] is None) == oracles.elbow_cover_ok(g, bits)
+        kinds.add((cover.k, got[0] is None, got[1] is None))
+    # every k, with valid and invalid covers of both kinds among them
+    assert {k for k, _, _ in kinds} == set(range(9))
+    assert {(a, b) for _, a, b in kinds} >= {(True, True), (False, True), (False, False)}
+
+
+def test_permuting_orientations_keeps_the_result():
+    rng = random.Random(99)
+    for g, cover in _cases(5):
+        perm = list(range(cover.k))
+        rng.shuffle(perm)
+        words = [sum(1 << perm[i] for i in range(cover.k) if (w >> i) & 1) for w in cover.words]
+        shuffled = OrientationCover.from_words(cover.graph_shape, cover.k, words, cover.kind)
+        assert _lines(g, shuffled) == _lines(g, cover)
+        listed = OrientationCover(cover.graph_shape, rng.sample(cover.orientations, cover.k))
+        assert _lines(g, listed) == _lines(g, cover)
