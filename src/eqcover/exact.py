@@ -4,7 +4,9 @@ chromatic number, at desk scale.
 All searches are deterministic backtracking with budgets measured in
 search nodes (one node per candidate value tried), plus an optional
 wall-clock cap.  Budget exhaustion is a first-class result status, not
-an error.
+an error.  The orientation, elbow and equivalence searches keep their
+stack explicitly, so their depth (one level per edge) is not bounded by
+Python's recursion limit.
 
 Orientation and elbow coverings are searched edge-major: each edge gets
 a k-bit word whose bit i records its direction in orientation i, and
@@ -16,12 +18,27 @@ are required to be lexicographically nondecreasing as direction
 bit-vectors.  The same lexicographic block reduction (and nothing else,
 since label classes are interchangeable too) applies to equivalence
 coverings and to eyebrow permutation tuples.
+
+The orientation/elbow search runs on bitsets over the words: each
+vertex keeps a domain of the words still allowed on its incident edges
+(one half for edges where it is the low endpoint, one where it is the
+high endpoint), and a table row per lex state holds the words that keep
+the blocks in order, so the candidates for an edge are
+``lex row & domain(u) & domain(v)`` and assigning a word ANDs one
+compatibility row into each endpoint's domain.  The rows are built
+lazily, one per lex state reached and one per word assigned, and
+cached per window size and kind.  The node count is that of trying
+every word in turn: the words skipped on the way to the next candidate
+(or to the end) are charged in bulk through ``Budget.spend(count)``, so
+results, witnesses, node counts and the node at which a budget trips
+are those of a word-by-word search.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations as iter_permutations
 from typing import Callable, List, Optional, Tuple
 
@@ -51,18 +68,28 @@ class Budget:
             time.monotonic() + max_seconds if max_seconds is not None else None
         )
 
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            self.exhausted = "nodes"
-            raise _OutOfBudget("nodes")
+    def spend(self, count: int = 1) -> None:
+        """Charge count nodes, stopping where count single charges would:
+        at node max_nodes + 1, or at the first multiple of 1024 charged
+        (where the clock is read) once the deadline has passed."""
+        before = self.nodes
+        nodes = before + count
+        over = self.max_nodes is not None and nodes > self.max_nodes
+        if over:
+            nodes = self.max_nodes + 1
+        tick = (before | 1023) + 1  # the next node at which the clock is read
         if (
             self._deadline is not None
-            and (self.nodes & 1023) == 0
+            and tick <= nodes - over
             and time.monotonic() > self._deadline
         ):
+            self.nodes = tick
             self.exhausted = "clock"
             raise _OutOfBudget("clock")
+        self.nodes = nodes
+        if over:
+            self.exhausted = "nodes"
+            raise _OutOfBudget("nodes")
 
 
 @dataclass(frozen=True)
@@ -103,6 +130,86 @@ def _timeout_status(reason: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Words below 2**_START_BITS fit the first window of the domain bitsets,
+# so a vertex's domain takes 2 * 2**10 bits.  A search that needs larger
+# words widens the window one bit at a time (only possible for k > 10).
+_START_BITS = 10
+
+
+def _subsets(s: int) -> int:
+    """Bitset with bit w set for every word w whose bits all lie in s."""
+    row, b = 1, 0
+    while s >> b:
+        if (s >> b) & 1:
+            row |= row << (1 << b)
+        b += 1
+    return row
+
+
+class _WordTables:
+    """Bitset rows over the window of words below 2**bits, each built on
+    first use and kept: bit w of a row stands for word w.
+
+    A vertex's domain packs two rows into one integer: the words still
+    allowed on an incident edge where the vertex is the low endpoint
+    (its mask is the word) in the low 2**bits bits, and where it is the
+    high endpoint (its mask is ``full ^ word``) in the bits above.
+    ``lex_row(state)`` holds the words that keep the orientation blocks
+    lexicographically nondecreasing from a lex state; ``word_rows(w)``
+    the two packed masks that assigning w to an edge ANDs into the
+    domains of its low and of its high endpoint.  ``top`` says that the
+    window holds every word (bits == k), so that ``full`` lies in it.
+    """
+
+    __slots__ = ("bits", "top", "elbow", "every", "lex_rows", "rows")
+
+    def __init__(self, bits: int, top: bool, elbow: bool):
+        self.bits = bits
+        self.top = top
+        self.elbow = elbow
+        self.every = (1 << (2 << bits)) - 1  # a domain that allows every word
+        self.lex_rows: dict = {}
+        self.rows: dict = {}
+
+    def lex_row(self, state: int) -> int:
+        # word w breaks the order at p when the direction bit of block p
+        # exceeds that of block p + 1 (direction bit = 1 - word bit)
+        row = sum(
+            1 << w for w in range(1 << self.bits) if not state & ~w & (w >> 1)
+        )
+        self.lex_rows[state] = row
+        return row
+
+    def word_rows(self, w: int) -> Tuple[int, int]:
+        width = 1 << self.bits
+        every, ones = (1 << width) - 1, width - 1
+        # rows for the low and high ends at the edge's low endpoint, whose
+        # mask is w, then at its high endpoint, whose mask is full ^ w; a
+        # row that would exclude words past the window excludes nothing
+        if self.elbow:
+            # masks x, y at a shared vertex must not be complementary
+            not_w = every ^ (1 << w)
+            not_full_w = every ^ (1 << (ones ^ w)) if self.top else every
+            rows = (not_full_w, not_w, not_w, not_full_w)
+        else:
+            # masks x, y at a shared vertex must intersect
+            below_w, off_w = _subsets(w), _subsets(ones ^ w)
+            rows = (
+                every ^ off_w,
+                every ^ (off_w << w),
+                every ^ below_w,
+                every ^ (below_w << (ones ^ w)) if self.top else every,
+            )
+        packed = (rows[0] | rows[1] << width, rows[2] | rows[3] << width)
+        self.rows[w] = packed
+        return packed
+
+
+@lru_cache(maxsize=None)
+def _word_tables(bits: int, top: bool, elbow: bool) -> _WordTables:
+    return _WordTables(bits, top, elbow)
+
+
 def _decide_words(
     g: Graph, k: int, budget: Budget, elbow: bool
 ) -> Optional[List[int]]:
@@ -113,65 +220,88 @@ def _decide_words(
     high endpoint its complement.  Pair predicate at a shared vertex:
     orientation covering needs intersecting masks, elbow covering
     forbids complementary ones.
+
+    Edges are labelled in index order, each trying its words in
+    increasing order, with an explicit stack.  Each vertex keeps a
+    domain (see _WordTables), so the candidates of an edge are one AND
+    of bitsets, and a word assigned ANDs one precomputed row into the
+    domain of each endpoint; backtracking restores the two saved
+    domains.  Every word tried counts as a node, candidate or not, so
+    the nodes up to the next candidate, or to the end of the words, are
+    charged in one go.  The domains cover a window of the smallest words
+    that widens when the search runs out of it, so memory grows with the
+    words the search reaches rather than with 2**k.
     """
-    m = g.m
-    full = (1 << k) - 1
-    degrees = g.degrees()
+    m, n = g.m, g.n
     edges = g.edges
     words = [0] * m
-    assigned_at: List[List[int]] = [[] for _ in range(g.n)]
-
-    def viewed(e: int, v: int) -> int:
-        return words[e] if edges[e][0] == v else full ^ words[e]
-
-    def compatible(v: int, mask: int) -> bool:
-        if elbow:
-            for f in assigned_at[v]:
-                if viewed(f, v) == full ^ mask:
-                    return False
-        else:
-            for f in assigned_at[v]:
-                if viewed(f, v) & mask == 0:
-                    return False
-        return True
-
-    def rec(d: int, lexeq: int) -> bool:
-        if d == m:
-            return True
-        u, v = edges[d]
-        for w in range(1 << k):
-            budget.spend()
-            mu, mv = w, full ^ w
-            if not elbow:
-                # a never-out mask at a vertex with 2+ edges kills a pair
-                if (degrees[u] >= 2 and mu == 0) or (degrees[v] >= 2 and mv == 0):
-                    continue
-            # keep orientation blocks lexicographically nondecreasing as
-            # direction bit-vectors (direction bit = 1 - word bit)
-            nlex = lexeq
-            ok = True
-            for p in range(k - 1):
-                if nlex & (1 << p):
-                    bi, bj = (w >> p) & 1, (w >> (p + 1)) & 1
-                    if bi == 0 and bj == 1:
-                        ok = False
-                        break
-                    if bi == 1 and bj == 0:
-                        nlex &= ~(1 << p)
-            if not ok:
-                continue
-            if not (compatible(u, mu) and compatible(v, mv)):
-                continue
+    if m == 0:
+        return words
+    size = 1 << k
+    spend = budget.spend
+    # a never-out mask at a vertex with 2+ edges kills a pair
+    never_out = [] if elbow else [v for v, deg in enumerate(g.degrees()) if deg >= 2]
+    rest = [0] * m  # candidates above words[d] left at depth d
+    lexes = [0] * m  # lex state on reaching depth d
+    saved: List[Tuple[int, int]] = [(0, 0)] * m  # endpoint domains before depth d
+    d, lex, start, cand = 0, (1 << max(k - 1, 0)) - 1, 0, 0
+    bits = min(k, _START_BITS) - 1  # the first pass of the loop sets up
+    dom = lex_rows = rows = tables = None
+    width = 0
+    while True:
+        if cand:
+            lowest = cand & -cand
+            w = lowest.bit_length() - 1
+            spend(w + 1 - start)
             words[d] = w
-            assigned_at[u].append(d)
-            assigned_at[v].append(d)
-            if rec(d + 1, nlex):
-                return True
-            assigned_at[u].pop()
-            assigned_at[v].pop()
-        return False
-
-    return words if rec(0, (1 << max(k - 1, 0)) - 1) else None
+            rest[d] = cand ^ lowest
+            lexes[d] = lex
+            u, v = edges[d]
+            saved[d] = du, dv = dom[u], dom[v]
+            ru, rv = rows.get(w) or tables.word_rows(w)
+            dom[u], dom[v] = du & ru, dv & rv
+            d += 1
+            if d == m:
+                return words
+            lex &= ~(w & ~(w >> 1))
+            u, v = edges[d]
+            cand = (lex_rows.get(lex) or tables.lex_row(lex)) & dom[u] & (dom[v] >> width)
+            start = 0
+        elif bits < k:
+            # no candidate in the window but larger words exist: widen it
+            # and replay the assignments on the stack.  Nothing at this
+            # depth has been tried yet (start == 0), since the search only
+            # backtracks once the window holds every word.
+            bits += 1
+            width = 1 << bits
+            tables = _word_tables(bits, bits == k, elbow)
+            lex_rows, rows = tables.lex_rows, tables.rows
+            dom = [tables.every] * n
+            for x in never_out:  # mask 0: word 0 at the low end, full at the high
+                dom[x] ^= 1
+                if bits == k:
+                    dom[x] ^= 1 << (width + size - 1)
+            for i in range(d):
+                w = words[i]
+                u, v = edges[i]
+                saved[i] = du, dv = dom[u], dom[v]
+                row = lex_rows.get(lexes[i]) or tables.lex_row(lexes[i])
+                rest[i] = (row & du & (dv >> width)) >> (w + 1) << (w + 1)
+                ru, rv = rows.get(w) or tables.word_rows(w)
+                dom[u], dom[v] = du & ru, dv & rv
+            u, v = edges[d]
+            row = lex_rows.get(lex) or tables.lex_row(lex)
+            cand = row & dom[u] & (dom[v] >> width)
+        else:
+            spend(size - start)
+            if d == 0:
+                return None
+            d -= 1
+            u, v = edges[d]
+            dom[u], dom[v] = saved[d]
+            lex = lexes[d]
+            cand = rest[d]
+            start = words[d] + 1
 
 
 def _decide_cover(g: Graph, k: int, budget: Optional[Budget], kind: str) -> DecideResult:
@@ -240,60 +370,58 @@ def decide_eq(h: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult
 
     words = [0] * m
     required = [0] * m
-
-    def rec(d: int, lexeq: int) -> bool:
-        if d == m:
-            return True
-        req = required[d]
-        for w in range(1, full + 1):
-            budget.spend()
-            if w & req != req:
-                continue
-            # label blocks lexicographically nondecreasing as edge
-            # indicator vectors
-            nlex = lexeq
-            ok = True
-            for p in range(k - 1):
-                if nlex & (1 << p):
-                    bi, bj = (w >> p) & 1, (w >> (p + 1)) & 1
-                    if bi == 1 and bj == 0:
-                        ok = False
-                        break
-                    if bi == 0 and bj == 1:
-                        nlex &= ~(1 << p)
-            if not ok:
-                continue
-            trail: List[Tuple[int, int]] = []
-            for f, t in partners[d]:
-                common = w & words[f]
-                if not common:
-                    continue
-                if t is None:
-                    ok = False
-                    break
-                if t < d:
-                    if common & ~words[t]:
-                        ok = False
-                        break
-                else:
-                    old = required[t]
-                    if old | common != old:
-                        required[t] = old | common
-                        trail.append((t, old))
-            if ok:
-                words[d] = w
-                if rec(d + 1, nlex):
-                    return True
-            for t, old in reversed(trail):
-                required[t] = old
-        return False
-
+    lexes = [0] * m  # lex state on reaching depth d
+    trails: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+    spend = budget.spend
+    d, lex, w = 0, (1 << max(k - 1, 0)) - 1, 1
     try:
-        sat = rec(0, (1 << max(k - 1, 0)) - 1)
+        while d < m:
+            req = required[d]
+            while w <= full:
+                spend()
+                # label blocks lexicographically nondecreasing as edge
+                # indicator vectors
+                if w & req == req and not lex & w & ~(w >> 1):
+                    ok = True
+                    trail: List[Tuple[int, int]] = []
+                    for f, t in partners[d]:
+                        common = w & words[f]
+                        if not common:
+                            continue
+                        if t is None:
+                            ok = False
+                            break
+                        if t < d:
+                            if common & ~words[t]:
+                                ok = False
+                                break
+                        else:
+                            old = required[t]
+                            if old | common != old:
+                                required[t] = old | common
+                                trail.append((t, old))
+                    if ok:
+                        break
+                    for t, old in reversed(trail):
+                        required[t] = old
+                w += 1
+            if w <= full:
+                words[d] = w
+                lexes[d] = lex
+                trails[d] = trail
+                lex &= ~(~w & (w >> 1))
+                d += 1
+                w = 1
+            elif d == 0:
+                return DecideResult("unsat", None, budget.nodes)
+            else:
+                d -= 1
+                for t, old in reversed(trails[d]):
+                    required[t] = old
+                lex = lexes[d]
+                w = words[d] + 1
     except _OutOfBudget:
         return DecideResult("timeout", None, budget.nodes)
-    if not sat:
-        return DecideResult("unsat", None, budget.nodes)
 
     subgraphs = []
     for i in range(k):

@@ -24,7 +24,9 @@ vertex is bad when two of its masks form a bad pair, or one mask bad
 with itself is present twice.  Only at the first bad vertex does the
 row-major pair scan run, to pick the witness.  Covers with more than
 eight orientations, which would need a larger table, are scanned vertex
-by vertex instead.
+by vertex instead, and so are graphs with at most 64 edges, where the
+scan is faster than numpy's per-call overhead.  numpy is imported on
+first use, so checking small certificates never loads it.
 
 Verifiers return None for a valid cover and the lexicographically first
 Violation otherwise (smallest vertex, then smallest pair of edge
@@ -37,8 +39,6 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .covers import (
     ElbowViolation,
@@ -53,6 +53,7 @@ from .graphs import Graph
 from .orientations import ShapeError
 
 _TABLE_MAX_K = 8  # a 2^k x 2^k bad-pair table; wider covers are scanned
+_SMALL_M = 64  # graphs with at most this many edges are checked in pure Python
 
 
 class IncidenceSignature:
@@ -97,12 +98,13 @@ def _first_bad_pair(viewed: List[int], full: int, elbow: bool) -> Optional[Tuple
 def _suspects(sig: IncidenceSignature, elbow: bool) -> Sequence[int]:
     """The vertices to scan for a bad pair: the first bad vertex by the
     mask histogram, none when there is none, or every vertex when the
-    cover is too wide for the bad-pair table."""
+    cover is too wide for the bad-pair table or the graph is small."""
     g, k, full = sig.graph, sig.k, sig.full
     if g.m < 2:
         return ()
-    if k > _TABLE_MAX_K:
+    if k > _TABLE_MAX_K or g.m <= _SMALL_M:
         return range(g.n)
+    import numpy as np
     words = np.fromiter(sig._words, dtype=np.int64, count=g.m)
     ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
     vertex = ends.reshape(g.m, 2).T.ravel()  # low endpoints, then high ones
@@ -173,6 +175,16 @@ def verify_eyebrow_cover(g: Graph, cover: EyebrowCover) -> Optional[EyebrowViola
         u, v = g.edges[0]
         w = min(x for x in range(g.n) if x != u and x != v)
         return EyebrowViolation((u, v), w)
+    if g.m <= _SMALL_M:
+        rows = [p.values for p in cover.permutations]
+        for u, v in g.edges:
+            spans = [(min(r[u], r[v]), max(r[u], r[v])) for r in rows]
+            for w in range(g.n):
+                if all(lo < r[w] < hi for r, (lo, hi) in zip(rows, spans)):
+                    return EyebrowViolation((u, v), w)
+        return None
+    import numpy as np
+
     ranks = np.array([p.values for p in cover.permutations], dtype=np.int64)
     for u, v in g.edges:
         lo = np.minimum(ranks[:, u], ranks[:, v])[:, None]

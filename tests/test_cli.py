@@ -310,3 +310,20 @@ def test_solve_eq_and_eye_write_witness_files(tmp_path, capsys):
         "--cover", str(tmp_path / "tpp.eye.cov"),
     )
     assert code == 0 and out == "VALID k=2\n"
+
+
+@pytest.mark.parametrize(
+    "family, parameter, invariant, kind, value",
+    [
+        ("cycle", "1501", "sigma", "orientation", 3),
+        ("path", "1500", "eq", "equivalence", 2),
+    ],
+)
+def test_solve_deeper_than_the_recursion_limit(tmp_path, capsys, family, parameter, invariant, kind, value):
+    graph = tmp_path / f"{family}.g"
+    run(capsys, "gen", "--family", family, "--parameter", parameter, "--output", str(graph))
+    code, out, err = run(capsys, "solve", "--invariant", invariant, "--graph", str(graph))
+    assert (code, out, err) == (0, f"{invariant} = {value}\n", "")
+    witness = tmp_path / f"{family}.{invariant}.cov"
+    code, out, err = run(capsys, "verify", "--kind", kind, "--graph", str(graph), "--cover", str(witness))
+    assert code == 0

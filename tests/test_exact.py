@@ -324,3 +324,47 @@ def test_triangle_free_equality_beyond_ten_edges(corpus):
     sigma = solve_invariant(petersen, "sigma").value
     eq_line = solve_invariant(line_graph(petersen).line, "eq").value
     assert sigma == eq_line == 3
+
+
+# Node counts are deterministic: one node per word (or label set) tried.
+# Pinned as guards against changes to the search tree.
+@pytest.mark.parametrize(
+    "decide, n, k, status, nodes",
+    [
+        (decide_sigma, 5, 3, "unsat", 5472),
+        (decide_sigma, 6, 3, "unsat", 27544),
+        (decide_sigma, 7, 3, "unsat", 130288),
+        (decide_elb, 5, 2, "unsat", 2260),
+        (decide_elb, 6, 2, "unsat", 7520),
+        (decide_elb, 7, 2, "unsat", 23468),
+        (decide_elb, 8, 2, "unsat", 71096),
+        (decide_elb, 9, 2, "unsat", 212484),
+        (decide_elb, 8, 3, "sat", 251893),
+    ],
+)
+def test_pinned_node_counts(decide, n, k, status, nodes):
+    res = decide(generate_family("complete", n), k)
+    assert (res.status, res.nodes) == (status, nodes)
+
+
+def test_pinned_node_counts_eq_and_budget():
+    k5 = generate_family("complete", 5)
+    res = decide_eq(line_graph(k5).line, 3)
+    assert (res.status, res.nodes) == ("unsat", 33061)
+    budget = Budget(max_nodes=50)
+    res = decide_sigma(k5, 3, budget)
+    assert (res.status, res.nodes, budget.nodes, budget.exhausted) == (
+        "timeout", 51, 51, "nodes"
+    )
+
+
+def test_searches_deeper_than_the_recursion_limit():
+    # one search level per edge, far past Python's recursion limit
+    cycle = generate_family("cycle", 1500)
+    res = decide_elb(cycle, 2)
+    assert res.status == "sat"
+    assert verify_elbow_cover(cycle, res.witness) is None
+    odd = generate_family("cycle", 1501)
+    res = solve_invariant(odd, "sigma")
+    assert res.value == 3
+    assert verify_orientation_cover(odd, res.witness) is None

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
+
+import eqcover.verify as verify_mod
 
 from eqcover import (
     EquivalenceCover,
@@ -395,3 +401,42 @@ def test_permuting_orientations_keeps_the_result():
         assert _lines(g, shuffled) == _lines(g, cover)
         listed = OrientationCover(cover.graph_shape, rng.sample(cover.orientations, cover.k))
         assert _lines(g, listed) == _lines(g, cover)
+
+
+def test_eyebrow_python_scan_matches_numpy(monkeypatch):
+    rng = random.Random(31)
+    cases = []
+    for trial in range(120):
+        g = _random_graph(rng, rng.randint(3, 16), rng.choice((0.2, 0.5, 0.9)))
+        k = rng.randint(1, 4)
+        perms = [Permutation(rng.sample(range(g.n), g.n)) for _ in range(k)]
+        cases.append((g, EyebrowCover(g.n, perms)))
+    n5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    cases.append((n5, EyebrowCover(5, [Permutation.identity(5), Permutation((4, 3, 2, 1, 0))])))
+
+    def lines():
+        return [None if (v := verify_eyebrow_cover(g, c)) is None else v.line() for g, c in cases]
+
+    monkeypatch.setattr(verify_mod, "_SMALL_M", 10**9)
+    scanned = lines()
+    monkeypatch.setattr(verify_mod, "_SMALL_M", -1)
+    assert lines() == scanned
+    assert None in scanned and len(set(scanned)) > 10
+
+
+def test_small_certificates_do_not_load_numpy():
+    # numpy is only imported to check graphs with more than _SMALL_M edges
+    code = (
+        "import sys\n"
+        "from eqcover import generate_family, k16_table_cover, solve_invariant\n"
+        "from eqcover import verify_eyebrow_cover, verify_orientation_cover\n"
+        "k5 = generate_family('complete', 5)\n"
+        "assert verify_orientation_cover(k5, solve_invariant(k5, 'sigma').witness) is None\n"
+        "assert verify_eyebrow_cover(k5, solve_invariant(k5, 'eye').witness) is None\n"
+        "assert 'numpy' not in sys.modules\n"
+        "k16 = generate_family('complete', 16)\n"
+        "assert verify_orientation_cover(k16, k16_table_cover()[1]) is None\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
