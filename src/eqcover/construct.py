@@ -325,21 +325,26 @@ def elbow_cover_complete(n: int) -> OrientationCover:
     K_1 and K_2 have no 2-edge path and take the empty covering; 3 and 4
     restrict the pinned K_4 base; larger n doubles the base until the
     vertex count suffices, then restricts to the first n vertices.
+    Only the complete graphs that a doubling squares are built: the
+    restriction reads the prefix words by index, since in K_N the edge
+    (a, b), a < b, has index a*(2N-a-1)/2 + b-a-1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n <= 2:
-        g = generate_family("complete", n)
-        return OrientationCover((g.n, g.m), [], "elbow")
-    g = generate_family("complete", 4)
-    cover = k4_elbow_base()
-    while g.n < n:
-        cover = elbow_double(g, cover)
-        g = generate_family("complete", g.n * g.n)
-    if g.n == n:
+        return OrientationCover((n, n * (n - 1) // 2), [], "elbow")
+    side, cover = 4, k4_elbow_base()
+    while side < n:
+        cover = elbow_double(generate_family("complete", side), cover)
+        side *= side
+    if side == n:
         return cover
-    _, restricted = restrict_cover_to_induced(g, cover, range(n))
-    return restricted
+    words = cover.words
+    prefix: List[int] = []
+    for a in range(n - 1):
+        start = a * (2 * side - a - 1) // 2
+        prefix.extend(words[start : start + n - a - 1])
+    return OrientationCover.from_words((n, len(prefix)), cover.k, prefix, "elbow")
 
 
 def orientation_cover_from_elbow(g: Graph, c: OrientationCover) -> OrientationCover:

@@ -4,9 +4,10 @@ chromatic number, at desk scale.
 All searches are deterministic backtracking with budgets measured in
 search nodes (one node per candidate value tried), plus an optional
 wall-clock cap.  Budget exhaustion is a first-class result status, not
-an error.  The orientation, elbow and equivalence searches keep their
-stack explicitly, so their depth (one level per edge) is not bounded by
-Python's recursion limit.
+an error.  The orientation, elbow and equivalence searches (one level
+per edge) and the k-coloring search (one level per vertex) keep their
+stack explicitly, so their depth is not bounded by Python's recursion
+limit.
 
 Orientation and elbow coverings are searched edge-major: each edge gets
 a k-bit word whose bit i records its direction in orientation i, and
@@ -36,6 +37,7 @@ are those of a word-by-word search.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -549,68 +551,100 @@ def greedy_clique(g: Graph) -> Tuple[int, ...]:
 
 
 def greedy_coloring(g: Graph) -> Coloring:
-    """Saturation-guided greedy coloring; deterministic tie-breaking."""
-    colors = [-1] * g.n
-    neighbor_colors = [set() for _ in range(g.n)]
-    for _ in range(g.n):
-        v = max(
-            (x for x in range(g.n) if colors[x] < 0),
-            key=lambda x: (len(neighbor_colors[x]), g.degree(x), -x),
-        )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
+    """Saturation-guided greedy coloring (DSATUR; Brélaz, CACM 1979).
+
+    Each step gives the smallest free color to the uncolored vertex
+    with the most distinct colors among its neighbors; ties go to the
+    higher degree, then to the lower index.  A lazy-deletion heap keyed
+    (-saturation, -degree, vertex) holds one live entry per uncolored
+    vertex (a vertex is pushed again when its saturation rises) and the
+    neighbor colors are int bitsets, so the run takes O((n + m) log n)
+    time.
+    """
+    n = g.n
+    adj = g.adjacency
+    colors = [-1] * n
+    used = [0] * n  # bitset of the colors on each vertex's neighbors
+    sat = [0] * n
+    heap = [(0, -len(adj[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        s, _, v = pop(heap)
+        if colors[v] >= 0 or -s != sat[v]:
+            continue  # colored, or superseded by a higher saturation
+        taken = used[v]
+        c = (~taken & (taken + 1)).bit_length() - 1
         colors[v] = c
-        for u in g.adjacency[v]:
-            neighbor_colors[u].add(c)
-    return Coloring(colors) if g.n else Coloring([])
+        bit = 1 << c
+        for u in adj[v]:
+            if colors[u] < 0 and not used[u] & bit:
+                used[u] |= bit
+                sat[u] += 1
+                push(heap, (-sat[u], -len(adj[u]), u))
+    return Coloring(colors)
 
 
 def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
     """Backtracking k-coloring with most-constrained-vertex branching and
-    fresh colors introduced in order (color-permutation symmetry)."""
+    fresh colors introduced in order (color-permutation symmetry).
+
+    Each level colors the uncolored vertex with the fewest allowed
+    colors (the lowest index on ties; a vertex with none fails the
+    level), trying its colors in increasing order, one node each.  The
+    stack is explicit, one frame per colored vertex, so the depth (n) is
+    not bounded by Python's recursion limit.
+    """
     n = g.n
+    if k <= 0:
+        return Coloring([]) if n == 0 else None
     adj = g.adjacency
     colors = [-1] * n
     forbid = [0] * n
     full = (1 << k) - 1
-
-    def rec(depth: int, maxused: int) -> bool:
-        if depth == n:
-            return True
-        cap = (1 << min(maxused + 1, k)) - 1
-        best, best_count = -1, k + 2
+    spend = budget.spend
+    # frames [vertex, colors left to try, neighbors its color touched,
+    # colors in use below it]
+    stack: List[list] = []
+    maxused = 0
+    while True:
+        if len(stack) == n:
+            return Coloring(colors)
+        cap = full & ((2 << maxused) - 1)  # used colors and one fresh one
+        best, best_count, best_allowed = -1, k + 1, 0
         for v in range(n):
             if colors[v] < 0:
-                allowed = full & ~forbid[v] & cap
-                cnt = bin(allowed).count("1")
-                if cnt == 0:
-                    return False
-                if cnt < best_count:
-                    best, best_count = v, cnt
-        v = best
-        allowed = full & ~forbid[v] & cap
-        c = 0
-        while allowed >> c:
-            if (allowed >> c) & 1:
-                budget.spend()
-                colors[v] = c
-                touched = []
-                for u in adj[v]:
-                    if colors[u] < 0 and not (forbid[u] >> c) & 1:
-                        forbid[u] |= 1 << c
-                        touched.append(u)
-                if rec(depth + 1, max(maxused, c + 1)):
-                    return True
+                allowed = cap & ~forbid[v]
+                count = allowed.bit_count()
+                if count < best_count:
+                    best, best_count, best_allowed = v, count, allowed
+                    if not count:
+                        break
+        # a vertex with no color left fails the level: its frame has
+        # nothing to try
+        stack.append([best, best_allowed, (), maxused])
+        while True:
+            frame = stack[-1]
+            v, left, touched, below = frame
+            if colors[v] >= 0:  # undo the color tried last
+                off = ~(1 << colors[v])
                 colors[v] = -1
                 for u in touched:
-                    forbid[u] &= ~(1 << c)
-            c += 1
-        return False
-
-    if k <= 0:
-        return Coloring([]) if n == 0 else None
-    return Coloring(colors) if rec(0, 0) else None
+                    forbid[u] &= off
+            if left:
+                low = left & -left
+                c = low.bit_length() - 1
+                spend()
+                colors[v] = c
+                touched = [u for u in adj[v] if colors[u] < 0 and not forbid[u] & low]
+                for u in touched:
+                    forbid[u] |= low
+                frame[1], frame[2] = left ^ low, touched
+                maxused = max(below, c + 1)
+                break
+            stack.pop()
+            if not stack:
+                return None
 
 
 def exact_chromatic(g: Graph, budget: Optional[Budget] = None) -> SolveResult:

@@ -209,7 +209,8 @@ def verify_equivalence_cover(
     """
     if cover.n != h.n:
         raise ShapeError(f"cover n={cover.n} does not match graph n={h.n}")
-    covered = [False] * h.m
+    index = h._index
+    covered = bytearray(h.m)
     for si, sub in enumerate(cover.subgraphs):
         owner: dict = {}
         for ci, cls in enumerate(sub):
@@ -226,16 +227,16 @@ def verify_equivalence_cover(
                 owner[v] = ci
         for ci, cls in enumerate(sub):
             for a, b in combinations(cls, 2):
-                if not h.has_edge(a, b):
+                e = index.get((a, b))  # classes are sorted, so a < b
+                if e is None:
                     return EquivalenceViolation(
                         "not-a-clique",
                         subgraph=si,
                         class_index=ci,
                         edge=(a, b),
                     )
-            for a, b in combinations(cls, 2):
-                covered[h.index_of(a, b)] = True
-    for idx, ok in enumerate(covered):
-        if not ok:
-            return EquivalenceViolation("uncovered", edge=h.edges[idx])
+                covered[e] = 1
+    idx = covered.find(0)
+    if idx >= 0:
+        return EquivalenceViolation("uncovered", edge=h.edges[idx])
     return None

@@ -327,3 +327,12 @@ def test_solve_deeper_than_the_recursion_limit(tmp_path, capsys, family, paramet
     witness = tmp_path / f"{family}.{invariant}.cov"
     code, out, err = run(capsys, "verify", "--kind", kind, "--graph", str(graph), "--cover", str(witness))
     assert code == 0
+
+
+def test_bounds_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # the chromatic search in the report runs one level per vertex
+    graph = tmp_path / "cycle.g"
+    run(capsys, "gen", "--family", "cycle", "--parameter", "1001", "--output", str(graph))
+    code, out, err = run(capsys, "bounds", "--graph", str(graph))
+    assert (code, err) == (0, "")
+    assert "\nchi: 3 [exact search]\n" in out

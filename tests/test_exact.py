@@ -168,7 +168,7 @@ def test_chromatic_examples():
     assert exact_chromatic(generate_family("cycle", 5)).value == 3
     assert exact_chromatic(generate_family("petersen", 5)).value == 3
     res = exact_chromatic(generate_family("mycielski-iterate", 5))
-    assert res.value == 5
+    assert (res.value, res.nodes) == (5, 1323)
     assert res.witness.check_proper(generate_family("mycielski-iterate", 5)) is None
 
 
@@ -368,3 +368,11 @@ def test_searches_deeper_than_the_recursion_limit():
     res = solve_invariant(odd, "sigma")
     assert res.value == 3
     assert verify_orientation_cover(odd, res.witness) is None
+
+
+def test_chromatic_search_deeper_than_the_recursion_limit():
+    # one search level per vertex; the 2-colouring proof runs 1001 deep
+    odd = generate_family("cycle", 1001)
+    res = exact_chromatic(odd)
+    assert (res.value, res.status) == (3, "exact")
+    assert res.witness.check_proper(odd) is None
