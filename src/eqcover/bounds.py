@@ -273,9 +273,7 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
             )
         witnesses["elb"] = elbow_cover_via_coloring(g, chi_res.witness)
 
-    if g.m == 0:
-        eq_line = _exact_bv(0, "line graph has no edges")
-    elif not g.has_incidence_pairs():
+    if not g.has_incidence_pairs():
         eq_line = _exact_bv(0, "line graph has no edges")
     elif triangle_free:
         eq_line = BoundValue(

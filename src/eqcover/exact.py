@@ -41,8 +41,8 @@ import heapq
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations as iter_permutations
-from typing import Callable, List, Optional, Tuple
+from itertools import combinations, permutations as iter_permutations
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .covers import EquivalenceCover, EyebrowCover, OrientationCover
 from .graphs import Graph
@@ -699,13 +699,14 @@ def _greedy_matching_cover(g: Graph) -> EquivalenceCover:
     return EquivalenceCover(g.n, subgraphs)
 
 
-def _tournament_ranks(g: Graph, cover: OrientationCover, i: int) -> Permutation:
-    """Topological order of orientation i of a complete graph, acyclic
-    (unique: out-degrees are pairwise distinct)."""
-    out = [0] * g.n
-    for (u, v), w in zip(g.edges, cover.words):
-        out[u if (w >> i) & 1 else v] += 1
-    return Permutation([g.n - 1 - d for d in out])
+def _tournament_ranks(n: int, words: Sequence[int], i: int) -> Permutation:
+    """Topological order of orientation i of K_n, whose words are read
+    in the pair order of combinations(range(n), 2); acyclic, so unique:
+    out-degrees are pairwise distinct."""
+    out = [0] * n
+    for (a, b), w in zip(combinations(range(n), 2), words):
+        out[a if (w >> i) & 1 else b] += 1
+    return Permutation([n - 1 - d for d in out])
 
 
 def _upper_witness(g: Graph, invariant: str):
@@ -725,11 +726,8 @@ def _upper_witness(g: Graph, invariant: str):
     if invariant == "eye":
         if not _eyebrow_constraints(g):
             return EyebrowCover(g.n, [])
-        complete = Graph(
-            g.n, [(a, b) for a in range(g.n) for b in range(a + 1, g.n)]
-        )
         base = construct.elbow_cover_complete(g.n)
-        perms = [_tournament_ranks(complete, base, i) for i in range(base.k)]
+        perms = [_tournament_ranks(g.n, base.words, i) for i in range(base.k)]
         return EyebrowCover(g.n, perms)
     raise ValueError(f"unknown invariant {invariant!r}")
 

@@ -69,10 +69,9 @@ class Graph:
             adj[v].append(u)
             inc[u].append(i)
             inc[v].append(i)
-        self.adjacency: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(sorted(a)) for a in adj
-        )
-        # incident edge indices are already ascending: edges are sorted
+        # neighbours and incident edge indices are already ascending:
+        # edges are sorted
+        self.adjacency: Tuple[Tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
         self._incident: Tuple[Tuple[int, ...], ...] = tuple(tuple(x) for x in inc)
         self._index = {e: i for i, e in enumerate(self.edges)}
 

@@ -17,16 +17,18 @@ predicates on signatures at a shared vertex:
          traversed as a directed path by every orientation)
 
 Whether a vertex is bad depends only on which masks it sees and how
-often, so the check runs on the mask histogram, not on the pairs: one
-vectorised pass over the 2m incidences collects the masks present at
-each vertex and tests them against a 2^k x 2^k bad-pair table.  A
-vertex is bad when two of its masks form a bad pair, or one mask bad
-with itself is present twice.  Only at the first bad vertex does the
-row-major pair scan run, to pick the witness.  Covers with more than
-eight orientations, which would need a larger table, are scanned vertex
-by vertex instead, and so are graphs with at most 64 edges, where the
-scan is faster than numpy's per-call overhead.  numpy is imported on
-first use, so checking small certificates never loads it.
+often, so the check runs on masks, not on pairs: one pass over the
+edges in index order keeps, per vertex, the bitset of masks met so far,
+and tests each arriving mask against its row of a 2^k-row bad-pair
+table (row x is the bitset of the masks bad with x).  A mask bad with
+itself has its own bit in its row, so meeting it twice is caught too.
+Edges are sorted, so once an edge's low endpoint reaches the lowest bad
+vertex found, every vertex below it has been seen whole and the pass
+stops.  Only at that vertex does the row-major pair scan run, to pick
+the witness.  Covers with more than eight orientations, which would
+need a larger table, are scanned vertex by vertex instead.  An eyebrow
+cover is checked with vertex bitsets: per permutation, the vertices
+ranked strictly between u and v are a difference of two prefix sets.
 
 Verifiers return None for a valid cover and the lexicographically first
 Violation otherwise (smallest vertex, then smallest pair of edge
@@ -37,7 +39,8 @@ result status.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .covers import (
@@ -53,7 +56,6 @@ from .graphs import Graph
 from .orientations import ShapeError
 
 _TABLE_MAX_K = 8  # a 2^k x 2^k bad-pair table; wider covers are scanned
-_SMALL_M = 64  # graphs with at most this many edges are checked in pure Python
 
 
 class IncidenceSignature:
@@ -95,39 +97,42 @@ def _first_bad_pair(viewed: List[int], full: int, elbow: bool) -> Optional[Tuple
     return None
 
 
+@lru_cache(maxsize=None)
+def _bad_rows(k: int, elbow: bool) -> Tuple[int, ...]:
+    """Row x is the bitset of the k-bit masks y that make (x, y) a bad
+    pair, by the same predicate as _first_bad_pair."""
+    full = (1 << k) - 1
+    return tuple(
+        sum(
+            1 << y
+            for y in range(full + 1)
+            if x & y == 0 and (not elbow or x | y == full)
+        )
+        for x in range(full + 1)
+    )
+
+
 def _suspects(sig: IncidenceSignature, elbow: bool) -> Sequence[int]:
-    """The vertices to scan for a bad pair: the first bad vertex by the
-    mask histogram, none when there is none, or every vertex when the
-    cover is too wide for the bad-pair table or the graph is small."""
+    """The vertices to scan for a bad pair: the first bad vertex, none
+    when there is none, or every vertex when the cover is too wide for
+    the bad-pair table."""
     g, k, full = sig.graph, sig.k, sig.full
-    if g.m < 2:
-        return ()
-    if k > _TABLE_MAX_K or g.m <= _SMALL_M:
+    if k > _TABLE_MAX_K:
         return range(g.n)
-    import numpy as np
-    words = np.fromiter(sig._words, dtype=np.int64, count=g.m)
-    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
-    vertex = ends.reshape(g.m, 2).T.ravel()  # low endpoints, then high ones
-    masks = np.concatenate([words, full ^ words])
-    x = np.arange(full + 1)
-    bad = (x[:, None] & x) == 0
-    if elbow:
-        bad &= (x[:, None] | x) == full
-    # a mask bad with itself makes a bad pair when present twice
-    hit = np.bincount(vertex[bad[masks, masks]], minlength=g.n) > 1
-    np.fill_diagonal(bad, False)
-    # bitsets: table row x holds the masks bad with x, present row v
-    # the masks seen at v
-    width = (full + 64) // 64
-    table = np.zeros((full + 1, 8 * width), dtype=np.uint8)
-    table[:, : (full + 8) // 8] = np.packbits(bad, axis=1, bitorder="little")
-    table = table.view("<u8")
-    present = np.zeros((g.n, width), dtype="<u8")
-    bits = np.left_shift(np.uint64(1), (masks & 63).astype("<u8"))
-    np.bitwise_or.at(present, (vertex, masks >> 6), bits)
-    hit[vertex[(present[vertex] & table[masks]).any(axis=1)]] = True
-    first = int(np.argmax(hit))
-    return (first,) if hit[first] else ()
+    rows = _bad_rows(k, elbow)
+    seen = [0] * g.n
+    first = g.n
+    for (u, v), x in zip(g.edges, sig._words):
+        if u >= first:
+            break
+        if seen[u] & rows[x]:
+            first = u
+        seen[u] |= 1 << x
+        x ^= full
+        if seen[v] & rows[x] and v < first:
+            first = v
+        seen[v] |= 1 << x
+    return (first,) if first < g.n else ()
 
 
 def _first_violation(g: Graph, cover: OrientationCover, elbow: bool):
@@ -169,30 +174,23 @@ def verify_eyebrow_cover(g: Graph, cover: EyebrowCover) -> Optional[EyebrowViola
     ranks w outside the open interval spanned by u and v."""
     if cover.n != g.n:
         raise ShapeError(f"cover n={cover.n} does not match graph n={g.n}")
-    if g.n < 3 or g.m == 0:
-        return None
-    if cover.k == 0:
-        u, v = g.edges[0]
-        w = min(x for x in range(g.n) if x != u and x != v)
-        return EyebrowViolation((u, v), w)
-    if g.m <= _SMALL_M:
-        rows = [p.values for p in cover.permutations]
-        for u, v in g.edges:
-            spans = [(min(r[u], r[v]), max(r[u], r[v])) for r in rows]
-            for w in range(g.n):
-                if all(lo < r[w] < hi for r, (lo, hi) in zip(rows, spans)):
-                    return EyebrowViolation((u, v), w)
-        return None
-    import numpy as np
-
-    ranks = np.array([p.values for p in cover.permutations], dtype=np.int64)
+    spans = []  # per permutation: ranks, and below[r] = vertices ranked below r
+    for p in cover.permutations:
+        below, acc = [], 0
+        for v in p.order():
+            below.append(acc)
+            acc |= 1 << v
+        spans.append((p.values, below))
+    everyone = (1 << g.n) - 1
     for u, v in g.edges:
-        lo = np.minimum(ranks[:, u], ranks[:, v])[:, None]
-        hi = np.maximum(ranks[:, u], ranks[:, v])[:, None]
-        always_between = ((ranks > lo) & (ranks < hi)).all(axis=0)
-        pos = int(np.argmax(always_between))
-        if always_between[pos]:
-            return EyebrowViolation((u, v), pos)
+        between = everyone ^ (1 << u) ^ (1 << v)
+        for ranks, below in spans:
+            lo, hi = ranks[u], ranks[v]
+            if lo > hi:
+                lo, hi = hi, lo
+            between &= below[hi] & ~below[lo + 1]
+        if between:
+            return EyebrowViolation((u, v), (between & -between).bit_length() - 1)
     return None
 
 

@@ -250,6 +250,25 @@ def test_truncated_solves_carry_verifying_upper_witnesses(corpus):
     assert verify_equivalence_cover(host, res.witness) is None
 
 
+def test_eye_upper_witness_matches_complete_graph_ranks():
+    # the ranks used to be read off an explicit K_n carrying the
+    # elbow cover of elbow_cover_complete(n)
+    from eqcover import Permutation, elbow_cover_complete
+    from eqcover.exact import _upper_witness
+
+    for n in range(3, 41):
+        complete = generate_family("complete", n)
+        base = elbow_cover_complete(n)
+        want = []
+        for i in range(base.k):
+            out = [0] * n
+            for (u, v), w in zip(complete.edges, base.words):
+                out[u if (w >> i) & 1 else v] += 1
+            want.append(Permutation([n - 1 - d for d in out]))
+        got = _upper_witness(generate_family("path", n), "eye")
+        assert list(got.permutations) == want
+
+
 def test_wall_clock_budget():
     k5 = generate_family("complete", 5)
     res = decide_sigma(k5, 3, Budget(max_seconds=0.0))

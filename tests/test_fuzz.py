@@ -161,14 +161,13 @@ def test_equivalence_verifier_witnesses_recheck_on_random_covers():
             assert violation.recheck(g, cover)
 
 
-def test_python_fallback_agrees_with_numpy(monkeypatch):
+def test_bitset_pass_agrees_with_full_scan(monkeypatch):
     rng = random.Random(404)
     cases = []
     for _ in range(60):
         g = random_graph(rng)
         cover = random_cover(rng, g, rng.randint(0, 3))
         cases.append((g, cover))
-    monkeypatch.setattr(verify_mod, "_SMALL_M", -1)  # these graphs are small
     fast = [
         (
             verify_orientation_cover(g, c),

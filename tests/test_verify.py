@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-import eqcover.verify as verify_mod
-
+from eqcover.covers import EyebrowViolation
 from eqcover import (
+    Budget,
     EquivalenceCover,
     EyebrowCover,
     Graph,
@@ -25,6 +25,7 @@ from eqcover import (
     k16_table_cover,
     line_graph,
     permutation_to_orientation,
+    solve_invariant,
     verify_elbow_cover,
     verify_equivalence_cover,
     verify_eyebrow_cover,
@@ -403,40 +404,74 @@ def test_permuting_orientations_keeps_the_result():
         assert _lines(g, listed) == _lines(g, cover)
 
 
-def test_eyebrow_python_scan_matches_numpy(monkeypatch):
+def _eyebrow_scan(g, cover):
+    """The eyebrow verifier's earlier pure-Python loop: every edge, then
+    every third vertex, tested against each permutation's span."""
+    if g.n < 3 or g.m == 0:
+        return None
+    if cover.k == 0:
+        u, v = g.edges[0]
+        return EyebrowViolation((u, v), min(x for x in range(g.n) if x != u and x != v))
+    rows = [p.values for p in cover.permutations]
+    for u, v in g.edges:
+        spans = [(min(r[u], r[v]), max(r[u], r[v])) for r in rows]
+        for w in range(g.n):
+            if all(lo < r[w] < hi for r, (lo, hi) in zip(rows, spans)):
+                return EyebrowViolation((u, v), w)
+    return None
+
+
+def test_eyebrow_bitsets_match_scan_and_oracle():
     rng = random.Random(31)
     cases = []
-    for trial in range(120):
-        g = _random_graph(rng, rng.randint(3, 16), rng.choice((0.2, 0.5, 0.9)))
-        k = rng.randint(1, 4)
-        perms = [Permutation(rng.sample(range(g.n), g.n)) for _ in range(k)]
-        cases.append((g, EyebrowCover(g.n, perms)))
+    for trial in range(150):
+        if trial % 3 == 2:  # mostly more than 64 edges
+            g = _random_graph(rng, rng.randint(16, 24), 0.6)
+        else:
+            g = _random_graph(rng, rng.randint(1, 16), rng.choice((0.2, 0.5, 0.9)))
+        k = trial % 5
+        cases.append((g, EyebrowCover(g.n, [Permutation(rng.sample(range(g.n), g.n)) for _ in range(k)])))
+        valid = solve_invariant(g, "eye", Budget(max_nodes=1)).witness
+        cases.append((g, valid))
+        if valid.k and g.n >= 2:
+            # swap two vertices adjacent in one permutation's order
+            perms = list(valid.permutations)
+            i = rng.randrange(len(perms))
+            order = list(perms[i].order())
+            r = rng.randrange(g.n - 1)
+            order[r], order[r + 1] = order[r + 1], order[r]
+            perms[i] = Permutation.from_order(order)
+            cases.append((g, EyebrowCover(g.n, perms)))
     n5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     cases.append((n5, EyebrowCover(5, [Permutation.identity(5), Permutation((4, 3, 2, 1, 0))])))
-
-    def lines():
-        return [None if (v := verify_eyebrow_cover(g, c)) is None else v.line() for g, c in cases]
-
-    monkeypatch.setattr(verify_mod, "_SMALL_M", 10**9)
-    scanned = lines()
-    monkeypatch.setattr(verify_mod, "_SMALL_M", -1)
-    assert lines() == scanned
-    assert None in scanned and len(set(scanned)) > 10
+    seen = set()
+    for g, cover in cases:
+        got = verify_eyebrow_cover(g, cover)
+        want = _eyebrow_scan(g, cover)
+        assert (None if got is None else got.line()) == (None if want is None else want.line())
+        assert (got is None) == oracles.eyebrow_cover_ok(g, [p.values for p in cover.permutations])
+        seen.add((cover.k, g.m > 64, got is None))
+    # violations at every k, and valid covers, on graphs with at most and
+    # with more than 64 edges
+    assert {(k, big) for k, big, ok in seen if not ok} == set(product(range(5), (False, True)))
+    assert {big for _, big, ok in seen if ok} == {False, True}
 
 
 def test_small_certificates_do_not_load_numpy():
-    # numpy is only imported to check graphs with more than _SMALL_M edges
+    # nor large ones: the verifiers import no third-party module at all
     code = (
         "import sys\n"
-        "from eqcover import generate_family, k16_table_cover, solve_invariant\n"
-        "from eqcover import verify_eyebrow_cover, verify_orientation_cover\n"
+        "from eqcover import Budget, generate_family, k16_table_cover, solve_invariant\n"
+        "from eqcover import verify_elbow_cover, verify_eyebrow_cover, verify_orientation_cover\n"
         "k5 = generate_family('complete', 5)\n"
         "assert verify_orientation_cover(k5, solve_invariant(k5, 'sigma').witness) is None\n"
         "assert verify_eyebrow_cover(k5, solve_invariant(k5, 'eye').witness) is None\n"
-        "assert 'numpy' not in sys.modules\n"
         "k16 = generate_family('complete', 16)\n"
         "assert verify_orientation_cover(k16, k16_table_cover()[1]) is None\n"
-        "assert 'numpy' in sys.modules\n"
+        "assert verify_elbow_cover(k16, solve_invariant(k16, 'elb', Budget(max_nodes=1)).witness) is None\n"
+        "eye = solve_invariant(k16, 'eye', Budget(max_nodes=1)).witness\n"
+        "assert k16.m > 64 and verify_eyebrow_cover(k16, eye) is None\n"
+        "assert 'numpy' not in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
