@@ -19,6 +19,10 @@ Relations used (n = vertex count, c = chromatic number):
     triangle-free graphs;
   - the degree-based equivalence-number window
     log2(n) - log2(n - delta - 1) <= eq <= 2 e^2 (n - delta)^2 ln n.
+
+The eq(L) witness is read off G: each orientation of the sigma witness
+contributes its out-stars as one equivalence subgraph of L(G), so the
+report never builds the line graph.
 """
 
 from __future__ import annotations
@@ -31,12 +35,11 @@ from .construct import (
     bipartite_orientation_cover,
     cover_via_coloring,
     elbow_cover_via_coloring,
-    eq_cover_from_orientation_cover,
+    out_star_eq_cover,
 )
 from .covers import OrientationCover
 from .exact import Budget, SolveResult, decide_sigma, exact_chromatic
 from .graphs import Graph, NotBipartiteError, bipartition, find_triangle
-from .linegraph import line_graph
 
 
 class AlonBounds(NamedTuple):
@@ -289,11 +292,10 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
             "sigma <= 3 eq(L)",
             "eq(L) <= sigma",
         )
-    if "sigma" in witnesses and g.m > 0:
-        lm = line_graph(g)
-        witnesses["eq_line_graph"] = eq_cover_from_orientation_cover(
-            lm, witnesses["sigma"]
-        )
+    if "sigma" in witnesses:
+        # eq(L) <= sigma: the out-stars of each orientation of the sigma
+        # witness form one equivalence subgraph of L(G)
+        witnesses["eq_line_graph"] = out_star_eq_cover(g, witnesses["sigma"])
 
     alon: Optional[AlonBounds] = None
     if g.n >= 1:

@@ -46,6 +46,7 @@ from .covers import (
     parse_coloring,
     write_cover_for,
     write_coloring,
+    write_equivalence_cover,
 )
 from .exact import Budget, solve_invariant
 from .graphs import (
@@ -290,8 +291,11 @@ def _cmd_bounds(args) -> int:
                 path = os.path.join(args.witness_dir, f"{key}.cov")
                 _write_text(path, write_cover_for(g, w))
             elif isinstance(w, EquivalenceCover):
+                # a cover of L(G), whose n is g.m and whose m counts the
+                # pairs of edges at each vertex; L(G) itself is not built
                 path = os.path.join(args.witness_dir, f"{key}.cov")
-                _write_text(path, write_cover_for(line_graph(g).line, w))
+                line_m = sum(d * (d - 1) // 2 for d in g.degrees())
+                _write_text(path, write_equivalence_cover(g.m, line_m, w))
             else:
                 path = os.path.join(args.witness_dir, f"{key}.col")
                 _write_text(path, write_coloring(w))

@@ -16,6 +16,7 @@ high-endpoint, so identical inputs give identical certificates.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covers import EquivalenceCover, EquivalenceSubgraph, OrientationCover, Violation
@@ -130,19 +131,26 @@ def _out_classes(host: Graph, out_of_low: Sequence[int]) -> EquivalenceSubgraph:
     return tuple(tuple(edges) for edges in out if edges)
 
 
+def out_star_eq_cover(g: Graph, c: OrientationCover) -> EquivalenceCover:
+    """Equivalence covering of L(g), of size k, from a valid size-k
+    orientation covering of g: subgraph i holds the out-stars of
+    orientation i.  Only g is read; L(g) is never built."""
+    c.require_match(g)
+    violation = verify_orientation_cover(g, c)
+    if violation is not None:
+        raise InvalidCoverError(violation)
+    return EquivalenceCover(
+        g.m,
+        [_out_classes(g, [(w >> i) & 1 for w in c.words]) for i in range(c.k)],
+    )
+
+
 def eq_cover_from_orientation_cover(
     lm: LineGraphMap, c: OrientationCover
 ) -> EquivalenceCover:
     """Size-preserving conversion: analogues of a valid orientation covering
-    cover all edges of L(G)."""
-    c.require_match(lm.host)
-    violation = verify_orientation_cover(lm.host, c)
-    if violation is not None:
-        raise InvalidCoverError(violation)
-    return EquivalenceCover(
-        lm.line.n,
-        [_out_classes(lm.host, [(w >> i) & 1 for w in c.words]) for i in range(c.k)],
-    )
+    cover all edges of L(G) (see ``out_star_eq_cover``)."""
+    return out_star_eq_cover(lm.host, c)
 
 
 def _class_direction_bits(
@@ -313,8 +321,9 @@ def restrict_cover_to_induced(
         for e, (u, v) in enumerate(g.edges)
         if u in relabel and v in relabel
     ]
-    sub = Graph(len(keep), [(u, v) for _, u, v in kept_edges])
-    # normalized edges keep their endpoint order under monotone relabeling
+    # normalized edges keep their endpoint order, and the edge list its
+    # sort order, under monotone relabeling
+    sub = Graph._from_sorted(len(keep), [(u, v) for _, u, v in kept_edges])
     words = [cover.words[e] for e, _, _ in kept_edges]
     return sub, OrientationCover.from_words((sub.n, sub.m), cover.k, words, cover.kind)
 
@@ -511,6 +520,30 @@ def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:
     return coloring
 
 
+def _peel_low_degree(g: Graph) -> List[int]:
+    """Vertices in peeling order: repeatedly remove the smallest vertex
+    of degree <= 1 in what is left.
+
+    Degrees only fall, so a min-heap holding exactly the remaining
+    vertices of degree <= 1 gives that order: a vertex enters once,
+    when its degree first reaches 1 or below.
+    """
+    deg = list(g.degrees())
+    ready = [v for v in range(g.n) if deg[v] <= 1]  # ascending: a heap
+    alive = [True] * g.n
+    peeled: List[int] = []
+    while ready:
+        v = heapq.heappop(ready)
+        alive[v] = False
+        peeled.append(v)
+        for u in g.adjacency[v]:
+            if alive[u]:
+                deg[u] -= 1
+                if deg[u] == 1:
+                    heapq.heappush(ready, u)
+    return peeled
+
+
 def coloring_from_orientation_cover(g: Graph, c: OrientationCover) -> Coloring:
     """Proper coloring with at most k + 2^(2^(k-1)-k-1) colors from a
     valid orientation covering of size k >= 3.
@@ -529,23 +562,10 @@ def coloring_from_orientation_cover(g: Graph, c: OrientationCover) -> Coloring:
         raise InvalidCoverError(violation)
     k = c.k
 
-    alive = [True] * g.n
-    deg = list(g.degrees())
-    peeled: List[int] = []
-    while True:
-        target = next(
-            (v for v in range(g.n) if alive[v] and deg[v] <= 1), None
-        )
-        if target is None:
-            break
-        alive[target] = False
-        peeled.append(target)
-        for u in g.adjacency[target]:
-            if alive[u]:
-                deg[u] -= 1
-
+    peeled = _peel_low_degree(g)
     colors: Dict[int, int] = {}
-    core_vertices = [v for v in range(g.n) if alive[v]]
+    gone = set(peeled)
+    core_vertices = [v for v in range(g.n) if v not in gone]
     if core_vertices:
         core, core_cover = restrict_cover_to_induced(g, c, core_vertices)
         sig = incidence_signatures(core, core_cover)

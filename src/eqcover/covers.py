@@ -331,6 +331,8 @@ def _arrow_lines(g: Graph) -> Tuple[List[str], List[str]]:
 
 def write_cover_for(g: Graph, cover) -> str:
     """Serialize a cover against its reference graph."""
+    if isinstance(cover, EquivalenceCover):
+        return write_equivalence_cover(g.n, g.m, cover)
     lines: List[str] = []
     if isinstance(cover, OrientationCover):
         cover.require_match(g)
@@ -347,16 +349,22 @@ def write_cover_for(g: Graph, cover) -> str:
         lines.append(f"cover eyebrow {cover.k} {g.n} {g.m}")
         for p in cover.permutations:
             lines.append("perm " + " ".join(str(r) for r in p.values))
-    elif isinstance(cover, EquivalenceCover):
-        if cover.n != g.n:
-            raise ShapeError(f"cover n={cover.n} does not match graph n={g.n}")
-        lines.append(f"cover equivalence {cover.k} {g.n} {g.m}")
-        for i, sub in enumerate(cover.subgraphs, start=1):
-            lines.append(f"block {i}")
-            for cls in sub:
-                lines.append("clique " + " ".join(str(v) for v in cls))
     else:
         raise TypeError(f"cannot serialize {type(cover).__name__}")
+    return "\n".join(lines) + "\n"
+
+
+def write_equivalence_cover(n: int, m: int, cover: EquivalenceCover) -> str:
+    """Serialize an equivalence cover against a reference graph given
+    only by its vertex and edge counts, so a cover of a line graph can
+    be written without building the line graph."""
+    if cover.n != n:
+        raise ShapeError(f"cover n={cover.n} does not match graph n={n}")
+    lines = [f"cover equivalence {cover.k} {n} {m}"]
+    for i, sub in enumerate(cover.subgraphs, start=1):
+        lines.append(f"block {i}")
+        for cls in sub:
+            lines.append("clique " + " ".join(str(v) for v in cls))
     return "\n".join(lines) + "\n"
 
 

@@ -746,9 +746,11 @@ def solve_invariant(
     """Minimize one invariant by deciding k = 0, 1, 2, ... in turn.
 
     The values are tiny, so no binary search.  For 'eq' the graph is
-    the host itself (pass a line graph to compute eq(L(G))).  When the
-    budget runs out, the interval's upper end is certified by a
-    constructive cover, returned as the witness.
+    the host itself (pass a line graph to compute eq(L(G))).  Only the
+    k below the constructive cover's size are decided: when all of them
+    are unsatisfiable, that cover is the exact witness.  When the budget
+    runs out, the cover certifies the interval's upper end and is
+    returned as the witness.
     """
     if invariant == "chi":
         return exact_chromatic(g, budget)
@@ -757,7 +759,7 @@ def solve_invariant(
     budget = budget or Budget()
     decide: Callable = _DECIDERS[invariant]
     upper = _upper_witness(g, invariant)
-    for k in range(0, upper.k + 1):
+    for k in range(upper.k):
         res = decide(g, k, budget)
         if res.status == "sat":
             return SolveResult(invariant, k, k, "exact", res.witness, budget.nodes)
@@ -770,6 +772,4 @@ def solve_invariant(
                 upper,
                 budget.nodes,
             )
-    raise AssertionError(
-        f"decision at the certified upper bound {upper.k} should be satisfiable"
-    )
+    return SolveResult(invariant, upper.k, upper.k, "exact", upper, budget.nodes)

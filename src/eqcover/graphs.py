@@ -60,8 +60,19 @@ class Graph:
         for i in range(1, len(norm)):
             if norm[i] == norm[i - 1]:
                 raise ValueError(f"duplicate edge {norm[i]}")
+        self._fill(n, norm)
+
+    @classmethod
+    def _from_sorted(cls, n: int, edges: Sequence[Edge]) -> "Graph":
+        """Graph on edges already normalized (u < v), in range, sorted
+        and free of duplicates; none of that is checked."""
+        g = cls.__new__(cls)
+        g._fill(n, edges)
+        return g
+
+    def _fill(self, n: int, edges: Sequence[Edge]) -> None:
         self.n = n
-        self.edges: Tuple[Edge, ...] = tuple(norm)
+        self.edges: Tuple[Edge, ...] = tuple(edges)
         adj: List[List[int]] = [[] for _ in range(n)]
         inc: List[List[int]] = [[] for _ in range(n)]
         for i, (u, v) in enumerate(self.edges):
@@ -73,7 +84,7 @@ class Graph:
         # edges are sorted
         self.adjacency: Tuple[Tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
         self._incident: Tuple[Tuple[int, ...], ...] = tuple(tuple(x) for x in inc)
-        self._index = {e: i for i, e in enumerate(self.edges)}
+        self._index = dict(zip(self.edges, range(len(self.edges))))
 
     @property
     def m(self) -> int:
@@ -138,12 +149,13 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     if keep and not (0 <= keep[0] and keep[-1] < g.n):
         raise ValueError("vertex out of range")
     relabel = {v: i for i, v in enumerate(keep)}
+    # a monotone relabeling keeps the edges normalized and sorted
     edges = [
         (relabel[u], relabel[v])
         for (u, v) in g.edges
         if u in relabel and v in relabel
     ]
-    return Graph(len(keep), edges)
+    return Graph._from_sorted(len(keep), edges)
 
 
 def bipartition(g: Graph) -> List[int]:

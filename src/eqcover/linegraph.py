@@ -8,11 +8,16 @@ certificates over L(G) human-checkable against the host edge list.
 For each host vertex v the edges incident to v form a clique C_v of
 L(G); every L(G)-vertex lies in exactly the two cliques of its edge's
 endpoints.
+
+Equivalence covers of L(G) built from orientation covers of G need no
+line graph: their classes are the out-stars of each orientation, which
+G alone gives (``construct.out_star_eq_cover``).  So the bounds
+report's eq(L) witness is read off G's out-stars, and the report never
+builds L(G).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import FrozenSet, Tuple
 
 from .graphs import Graph
@@ -48,11 +53,21 @@ def line_graph(g: Graph) -> LineGraphMap:
     n(L) = m(g) and m(L) = sum over vertices of C(deg(v), 2): each pair
     of distinct edges at a shared endpoint contributes exactly one line
     edge (two simple edges share at most one vertex).
+
+    The line edges come out already sorted: for host edges e = uv in
+    index order, the neighbours of e above e are the edges after e in
+    the ascending incidence lists of u and v.  Those at u are (u, w)
+    with w > v, and those at v have both endpoints above u, so the
+    first list ends below where the second starts.  ``at[x]`` counts
+    the edges at x handled so far, so x's edges above e start there.
     """
+    incident = g._incident
+    at = [0] * g.n
     line_edges = []
-    for v in range(g.n):
-        for e, f in combinations(g.incident(v), 2):
-            line_edges.append((e, f))
-    line = Graph(g.m, line_edges)
+    for e, (u, v) in enumerate(g.edges):
+        iu, iv = at[u] + 1, at[v] + 1
+        at[u], at[v] = iu, iv
+        line_edges.extend([(e, f) for f in incident[u][iu:] + incident[v][iv:]])
+    line = Graph._from_sorted(g.m, line_edges)
     cliques = tuple(frozenset(g.incident(v)) for v in range(g.n))
     return LineGraphMap(g, line, tuple(range(g.m)), cliques)

@@ -231,16 +231,18 @@ def pullback_words(
     if len(f) != g.n:
         raise ShapeError(f"vertex map has {len(f)} entries, graph has {g.n}")
     full = (1 << k) - 1
+    index = h._index
     out = []
     for u, v in g.edges:
         fu, fv = f[u], f[v]
-        if fu == fv:
-            raise HomomorphismError((u, v), f"both endpoints map to {fu}")
-        if not (0 <= fu < h.n and 0 <= fv < h.n):
-            raise HomomorphismError((u, v), "image vertex out of range")
-        if not h.has_edge(fu, fv):
+        e = index.get((fu, fv) if fu < fv else (fv, fu))
+        if e is None:
+            if fu == fv:
+                raise HomomorphismError((u, v), f"both endpoints map to {fu}")
+            if not (0 <= fu < h.n and 0 <= fv < h.n):
+                raise HomomorphismError((u, v), "image vertex out of range")
             raise HomomorphismError((u, v), f"({fu}, {fv}) is not an edge of the target")
-        w = words[h.index_of(fu, fv)]
+        w = words[e]
         out.append(w if fu < fv else full ^ w)
     return out
 

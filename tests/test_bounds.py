@@ -188,3 +188,91 @@ def test_report_handles_empty_and_single_vertex_graphs():
     rep = bounds_report(Graph(1, []))
     assert rep.chi.render() == "1"
     assert rep.alon is not None and rep.alon.degenerate
+
+
+def _graphs_for_eq_witness(corpus):
+    import random
+    from itertools import combinations
+
+    rng = random.Random(4242)
+    graphs = list(corpus.values()) + [generate_family("star", 40)]
+    for _ in range(40):
+        n = rng.randint(2, 30)
+        p = rng.choice((0.1, 0.3, 0.6))
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return graphs
+
+
+def test_report_eq_witness_equals_line_graph_conversion(corpus):
+    from eqcover import eq_cover_from_orientation_cover
+
+    for g in _graphs_for_eq_witness(corpus):
+        rep = bounds_report(g, Budget(max_nodes=300))
+        if "sigma" not in rep.witnesses:
+            assert "eq_line_graph" not in rep.witnesses
+            continue
+        lm = line_graph(g)
+        witness = rep.witnesses["eq_line_graph"]
+        reference = eq_cover_from_orientation_cover(lm, rep.witnesses["sigma"])
+        assert (witness.n, witness.subgraphs) == (reference.n, reference.subgraphs)
+        assert verify_equivalence_cover(lm.line, witness) is None
+
+
+def _forbid_line_graph(monkeypatch):
+    import eqcover
+    import eqcover.bounds
+    import eqcover.cli
+    import eqcover.construct
+    import eqcover.linegraph
+
+    def refuse(g):
+        raise AssertionError("the bounds path must not build a line graph")
+
+    # raising=False: also catches a name imported into a module later on
+    for module in (eqcover, eqcover.bounds, eqcover.cli, eqcover.construct, eqcover.linegraph):
+        monkeypatch.setattr(module, "line_graph", refuse, raising=False)
+
+
+def test_report_on_large_star_builds_no_line_graph(monkeypatch):
+    # L(star(1500)) = K1499 has 1.12M edges
+    g = generate_family("star", 1500)
+    _forbid_line_graph(monkeypatch)
+    rep = bounds_report(g)
+    assert rep.sigma.render() == "1" and rep.eq_line.render() == "1"
+    assert rep.witnesses["eq_line_graph"].k == 1
+
+
+def test_cli_bounds_on_large_star_builds_no_line_graph(tmp_path, capsys, monkeypatch):
+    from eqcover import write_graph_file
+    from eqcover.cli import main
+
+    gpath = tmp_path / "star.g"
+    write_graph_file(str(gpath), generate_family("star", 1500))
+    _forbid_line_graph(monkeypatch)
+    wdir = tmp_path / "w"
+    assert main(["bounds", "--graph", str(gpath), "--witness-dir", str(wdir)]) == 0
+    assert "eq_line_graph: 1 [" in capsys.readouterr().out
+    header = (wdir / "eq_line_graph.cov").read_text().splitlines()[0]
+    assert header == f"cover equivalence 1 1500 {1500 * 1499 // 2}"
+
+
+def test_cli_eq_witness_file_matches_writer_on_line_graph(tmp_path, capsys, corpus):
+    from eqcover import parse_cover, write_cover_for, write_graph_file
+    from eqcover.cli import main
+
+    for i, g in enumerate(_graphs_for_eq_witness(corpus)[::3]):
+        gpath = tmp_path / f"g{i}.g"
+        write_graph_file(str(gpath), g)
+        wdir = tmp_path / f"w{i}"
+        argv = ["bounds", "--graph", str(gpath), "--witness-dir", str(wdir), "--max-nodes", "300"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        path = wdir / "eq_line_graph.cov"
+        if not path.exists():
+            continue
+        line = line_graph(g).line
+        written = path.read_bytes()
+        witness = parse_cover(written.decode(), line)
+        assert written == write_cover_for(line, witness).encode()
+        rep = bounds_report(g, Budget(max_nodes=300))
+        assert written == write_cover_for(line, rep.witnesses["eq_line_graph"]).encode()

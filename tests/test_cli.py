@@ -59,6 +59,16 @@ def test_solve_budget_exit_code(tmp_path, capsys):
     assert out.startswith("sigma in [")
 
 
+def test_solve_closed_interval_exits_0(tmp_path, capsys):
+    # k = 0..2 are refuted within 20 nodes and the constructive cover has
+    # size 3, so the answer is exact without deciding k = 3
+    g4 = tmp_path / "k4.g"
+    run(capsys, "gen", "--family", "complete", "--parameter", "4", "--output", str(g4))
+    code, out, err = run(capsys, "solve", "--invariant", "sigma", "--graph", str(g4), "--max-nodes", "20")
+    assert code == 0
+    assert out == "sigma = 3\n"
+
+
 def test_malformed_graph_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.g"
     bad.write_text("p 3 1\n2 1\n")

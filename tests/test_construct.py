@@ -363,6 +363,66 @@ def test_coloring_from_orientation_peels_pendants():
     assert coloring.palette_size <= 4
 
 
+def _old_peel_order(g):
+    """The peeling loop as it was before the heap: one scan over all
+    vertices per peeled vertex."""
+    alive = [True] * g.n
+    deg = list(g.degrees())
+    peeled = []
+    while True:
+        target = next((v for v in range(g.n) if alive[v] and deg[v] <= 1), None)
+        if target is None:
+            break
+        alive[target] = False
+        peeled.append(target)
+        for u in g.adjacency[target]:
+            if alive[u]:
+                deg[u] -= 1
+    return peeled
+
+
+def _tree_plus_triangle(rng, n):
+    from eqcover import Graph
+
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    a, b, c = sorted(rng.sample(range(n), 3))
+    edges |= {(a, b), (a, c), (b, c)}
+    return Graph(n, edges)
+
+
+def test_peel_order_matches_scanning_loop(corpus, monkeypatch):
+    import random
+
+    from eqcover import Graph, construct
+
+    rng = random.Random(2024)
+    graphs = list(corpus.values())
+    graphs += [_tree_plus_triangle(rng, n) for n in (3, 5, 20, 60, 200)]
+    for _ in range(150):
+        n = rng.randint(1, 30)
+        p = rng.choice((0.05, 0.1, 0.2, 0.5))
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    for g in graphs:
+        assert construct._peel_low_degree(g) == _old_peel_order(g)
+    for g in graphs:
+        cover = cover_via_coloring(g, greedy=True)
+        if cover.k < 3:
+            continue
+        new = coloring_from_orientation_cover(g, cover)
+        with monkeypatch.context() as m:
+            m.setattr(construct, "_peel_low_degree", _old_peel_order)
+            old = coloring_from_orientation_cover(g, cover)
+        assert new == old
+
+
+def test_coloring_from_orientation_on_large_tree_plus_triangle():
+    import random
+
+    g = _tree_plus_triangle(random.Random(8), 8000)
+    coloring = coloring_from_orientation_cover(g, cover_via_coloring(g, greedy=True))
+    assert coloring.check_proper(g) is None and coloring.palette_size == 3
+
+
 def test_coloring_from_orientation_requires_k3():
     c4 = generate_family("cycle", 4)
     with pytest.raises(ValueError):

@@ -227,6 +227,23 @@ def test_budget_exhaustion_and_interval():
     assert verify_orientation_cover(k5, solved.witness) is None
 
 
+def test_closed_interval_is_exact_without_deciding_the_upper_end():
+    # every k below the constructive cover's size is refuted within the
+    # budget, so the cover is the exact witness; deciding k = 3 as well
+    # used to run out of nodes and report [3, 3] as "bounded"
+    k4 = generate_family("complete", 4)
+    res = solve_invariant(k4, "sigma", Budget(max_nodes=20))
+    assert (res.status, res.lo, res.hi, res.nodes) == ("exact", 3, 3, 19)
+    assert res.witness.k == 3 and verify_orientation_cover(k4, res.witness) is None
+
+    k9 = generate_family("complete", 9)
+    budget = Budget(212521)
+    res = solve_invariant(k9, "elb", budget)
+    assert (res.status, res.lo, res.hi, res.nodes) == ("exact", 3, 3, 212520)
+    assert budget.exhausted is None
+    assert res.witness.k == 3 and verify_elbow_cover(k9, res.witness) is None
+
+
 def test_truncated_solves_carry_verifying_upper_witnesses(corpus):
     from eqcover import line_graph as _lg
 

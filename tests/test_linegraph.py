@@ -63,3 +63,63 @@ def test_vertex_numbering_is_edge_index_order(corpus):
     for g in corpus.values():
         lm = line_graph(g)
         assert lm.edge_to_vertex == tuple(range(g.m))
+
+
+def _fields(g):
+    return (g.n, g.edges, g.adjacency, g._incident, g._index)
+
+
+def _reference_line_graph(g):
+    """L(g) through the validating constructor, from the pairs at each
+    vertex in vertex order (unsorted)."""
+    pairs = [p for v in range(g.n) for p in combinations(g.incident(v), 2)]
+    return Graph(g.m, pairs)
+
+
+def _build_cases(corpus):
+    import random
+
+    rng = random.Random(7)
+    graphs = list(corpus.values())
+    graphs += [Graph(0, []), Graph(5, []), Graph(2, [(0, 1)])]
+    graphs += [generate_family("star", p) for p in (1, 2, 30)]
+    graphs += [generate_family("complete", p) for p in (1, 2, 3, 9, 20)]
+    for _ in range(120):
+        n = rng.randint(1, 40)
+        p = rng.random()
+        graphs.append(
+            Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        )
+    return graphs
+
+
+def test_line_graph_from_sorted_rows_matches_validating_constructor(corpus):
+    for g in _build_cases(corpus):
+        lm = line_graph(g)
+        assert _fields(lm.line) == _fields(_reference_line_graph(g))
+        assert lm.cliques == tuple(frozenset(g.incident(v)) for v in range(g.n))
+        assert lm.edge_to_vertex == tuple(range(g.m))
+
+
+def test_induced_restrictions_match_validating_constructor(corpus):
+    import random
+
+    from eqcover import OrientationCover, induced_subgraph, restrict_cover_to_induced
+
+    rng = random.Random(11)
+    for g in _build_cases(corpus):
+        for _ in range(3):
+            keep = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
+            relabel = {v: i for i, v in enumerate(keep)}
+            kept = [(relabel[u], relabel[v]) for u, v in g.edges if u in relabel and v in relabel]
+            kept.reverse()  # the reference must sort them itself
+            reference = Graph(len(keep), kept)
+            assert _fields(induced_subgraph(g, keep)) == _fields(reference)
+            # restriction never verifies, so any words of the right shape do
+            words = [e % 4 for e in range(g.m)]
+            cover = OrientationCover.from_words((g.n, g.m), 2, words)
+            sub, sub_cover = restrict_cover_to_induced(g, cover, keep)
+            assert _fields(sub) == _fields(reference)
+            assert sub_cover.words == tuple(
+                words[e] for e, (u, v) in enumerate(g.edges) if u in relabel and v in relabel
+            )

@@ -166,3 +166,48 @@ def test_signature_mask_rejects_non_endpoint():
     sig = incidence_signatures(g, k4_sigma3_cover())
     with pytest.raises(ValueError):
         sig.mask(3, 0)  # edge 0 is (0,1)
+
+
+def _old_pullback_words(g, h, f, words, k):
+    """pullback_words as it was with has_edge plus index_of per edge."""
+    full = (1 << k) - 1
+    out = []
+    for u, v in g.edges:
+        fu, fv = f[u], f[v]
+        if fu == fv:
+            raise HomomorphismError((u, v), f"both endpoints map to {fu}")
+        if not (0 <= fu < h.n and 0 <= fv < h.n):
+            raise HomomorphismError((u, v), "image vertex out of range")
+        if not h.has_edge(fu, fv):
+            raise HomomorphismError((u, v), f"({fu}, {fv}) is not an edge of the target")
+        w = words[h.index_of(fu, fv)]
+        out.append(w if fu < fv else full ^ w)
+    return out
+
+
+def test_pullback_words_single_lookup_matches_checked_path():
+    from eqcover import Graph
+    from eqcover.orientations import pullback_words
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except HomomorphismError as err:
+            return ("error", err.edge, str(err))
+
+    rng = random.Random(31)
+    # a target with a missing edge, so some maps fail on a non-edge
+    h = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
+    words = [rng.randrange(8) for _ in range(h.m)]
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        f = [rng.choice((-1, 5)) if rng.random() < 0.05 else rng.randrange(5) for _ in range(n)]
+        got = outcome(pullback_words, g, h, f, words, 3)
+        assert got == outcome(_old_pullback_words, g, h, f, words, 3)
+        if isinstance(got, list):
+            kinds.add("ok")
+        else:
+            kinds.update(k for k in ("both", "range", "not an edge") if k in got[2])
+    assert kinds == {"ok", "both", "range", "not an edge"}
