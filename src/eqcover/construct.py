@@ -10,6 +10,8 @@ invariants:
     elb(K_n) = ceil(log2 log2 n) + 1, n >= 3 (self-composition doubling)
     sigma(G) <= sigma(K_c) for any proper c-coloring (pullback)
 
+Every complete-graph base is kept as vertex rankings, so a pullback
+compares the ranks of the endpoint colors and no K_c is built.
 Arbitrary direction choices are everywhere fixed as low-endpoint to
 high-endpoint, so identical inputs give identical certificates.
 """
@@ -17,19 +19,14 @@ high-endpoint, so identical inputs give identical certificates.
 from __future__ import annotations
 
 import heapq
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covers import EquivalenceCover, EquivalenceSubgraph, OrientationCover, Violation
 from .exact import Budget, exact_chromatic, greedy_coloring
-from .graphs import Graph, bipartition, find_triangle, generate_family
+from .graphs import Graph, bipartition, find_triangle
 from .linegraph import LineGraphMap
-from .orientations import (
-    Coloring,
-    Orientation,
-    Permutation,
-    permutation_to_orientation,
-    pullback_words,
-)
+from .orientations import Coloring, Orientation, Permutation
 from .verify import (
     incidence_signatures,
     verify_elbow_cover,
@@ -58,8 +55,9 @@ class StructureError(ValueError):
     """A class shape that cannot occur in a line graph's equivalence subgraph."""
 
 
-# Five permutations of 16 elements (ranks, 0-based) whose induced acyclic
-# orientations form an orientation covering of K_16 of size five.
+# Every complete-graph base is a list of vertex rankings: ranking r
+# orients {a, b} as a -> b exactly when r[a] < r[b].
+# Five rankings of K_16 whose orientations cover it (size five).
 K16_RANK_ROWS: Tuple[Tuple[int, ...], ...] = (
     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
     (12, 10, 9, 5, 3, 8, 4, 2, 6, 1, 11, 7, 13, 14, 15, 0),
@@ -67,42 +65,80 @@ K16_RANK_ROWS: Tuple[Tuple[int, ...], ...] = (
     (14, 6, 7, 8, 5, 3, 2, 11, 9, 10, 4, 1, 15, 0, 12, 13),
     (15, 4, 3, 9, 10, 2, 11, 5, 8, 6, 1, 7, 0, 12, 13, 14),
 )
-
 # Elbow covering of K_4 of size two: vertex orders (0,1,2,3) and (2,0,3,1).
-K4_ELBOW_ORDERS: Tuple[Tuple[int, ...], ...] = ((0, 1, 2, 3), (2, 0, 3, 1))
+K4_ELBOW_RANKS: Tuple[Tuple[int, ...], ...] = ((0, 1, 2, 3), (1, 3, 0, 2))
+# Orientation covering of K_4 of size three, pinned from the exact solver.
+K4_SIGMA3_RANKS: Tuple[Tuple[int, ...], ...] = ((0, 3, 1, 2), (3, 0, 1, 2), (3, 2, 1, 0))
+# Two-source covering of K_2: each side in turn ranks first.
+K2_RANKS: Tuple[Tuple[int, ...], ...] = ((0, 1), (1, 0))
 
-# Orientation covering of K_4 of size three, pinned from the exact solver
-# (edge order (0,1),(0,2),(0,3),(1,2),(1,3),(2,3); bit 1 reverses).
-K4_SIGMA3_DIRECTIONS: Tuple[Tuple[int, ...], ...] = (
-    (0, 0, 0, 1, 1, 0),
-    (1, 1, 1, 0, 0, 0),
-    (1, 1, 1, 1, 1, 1),
-)
+
+def _elbow_ranks(n: int) -> List[List[int]]:
+    """Rankings of the elbow covering of K_n, n >= 3: ``elbow_double``
+    on rankings, from K_4 until n vertices, keeping the first n entries.
+
+    Vertex x of K_{s*s} is the pair (x // s, x % s).  Ranking r becomes
+    r[x//s]*s + r[x%s] (first coordinate decides, the second breaks
+    ties); the added ranking r0[x//s]*s - r0[x%s] follows ranking 0
+    across blocks and reverses it within one.  Each ranking's entries
+    span fewer than s*s values, so the next squaring stays lexicographic.
+    """
+    ranks = [list(r) for r in K4_ELBOW_RANKS]
+    side = 4
+    while side < n:
+        s, side = side, side * side
+        xs = range(min(n, side))
+        r0 = ranks[0]
+        ranks = [[r[x // s] * s + r[x % s] for x in xs] for r in ranks]
+        ranks.append([r0[x // s] * s - r0[x % s] for x in xs])
+    return [r[:n] for r in ranks]
+
+
+def _rank_words(
+    edges: Sequence[Tuple[int, int]], colors: Sequence[int], ranks: Sequence[Sequence[int]]
+) -> List[int]:
+    """Per-edge words pulled back along a proper coloring: bit i of the
+    word of uv (u < v) is set when ranks[i] puts colors[u] below
+    colors[v].  One word is computed per distinct color pair."""
+    memo: Dict[Tuple[int, int], int] = {}
+    out = []
+    for u, v in edges:
+        key = (colors[u], colors[v])
+        w = memo.get(key)
+        if w is None:
+            a, b = key
+            w = memo[key] = sum(1 << i for i, r in enumerate(ranks) if r[a] < r[b])
+        out.append(w)
+    return out
+
+
+def _complete_cover(ranks: Sequence[Sequence[int]], kind: str) -> OrientationCover:
+    """The covering of K_n, n = len(ranks[0]), given by the rankings,
+    filled one row of the edge list at a time; ``pack`` maps the tuple
+    of comparison outcomes (bools, equal to 0 and 1 as keys) to a word."""
+    n, k = len(ranks[0]), len(ranks)
+    pack = {bits: sum(b << i for i, b in enumerate(bits)) for bits in product((0, 1), repeat=k)}
+    words: List[int] = []
+    for a in range(n - 1):
+        row = zip(*(map(r[a].__lt__, r[a + 1 :]) for r in ranks))
+        words.extend(map(pack.__getitem__, row))
+    return OrientationCover.from_words((n, len(words)), k, words, kind)
 
 
 def k16_table_cover() -> Tuple[Tuple[Permutation, ...], OrientationCover]:
     """The five hardcoded permutations and their induced orientations of K_16."""
-    g = generate_family("complete", 16)
     perms = tuple(Permutation(row) for row in K16_RANK_ROWS)
-    orientations = [permutation_to_orientation(g, p) for p in perms]
-    return perms, OrientationCover((g.n, g.m), orientations, "orientation")
+    return perms, _complete_cover(K16_RANK_ROWS, "orientation")
 
 
 def k4_sigma3_cover() -> OrientationCover:
     """The pinned size-three orientation covering of K_4."""
-    return OrientationCover(
-        (4, 6), [Orientation((4, 6), bits) for bits in K4_SIGMA3_DIRECTIONS]
-    )
+    return _complete_cover(K4_SIGMA3_RANKS, "orientation")
 
 
 def k4_elbow_base() -> OrientationCover:
     """The size-two elbow covering of K_4 from the two pinned vertex orders."""
-    g = generate_family("complete", 4)
-    orientations = [
-        permutation_to_orientation(g, Permutation.from_order(order))
-        for order in K4_ELBOW_ORDERS
-    ]
-    return OrientationCover((4, 6), orientations, "elbow")
+    return _complete_cover(K4_ELBOW_RANKS, "elbow")
 
 
 # ---------------------------------------------------------------------------
@@ -331,29 +367,15 @@ def restrict_cover_to_induced(
 def elbow_cover_complete(n: int) -> OrientationCover:
     """Elbow covering of K_n of size ceil(log2 log2 n) + 1 for n >= 3.
 
-    K_1 and K_2 have no 2-edge path and take the empty covering; 3 and 4
-    restrict the pinned K_4 base; larger n doubles the base until the
-    vertex count suffices, then restricts to the first n vertices.
-    Only the complete graphs that a doubling squares are built: the
-    restriction reads the prefix words by index, since in K_N the edge
-    (a, b), a < b, has index a*(2N-a-1)/2 + b-a-1.
+    K_1 and K_2 have no 2-edge path and take the empty covering; larger
+    n reads the squared K_4 rankings of ``_elbow_ranks`` off K_n's edges,
+    so no larger complete graph is built.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n <= 2:
         return OrientationCover((n, n * (n - 1) // 2), [], "elbow")
-    side, cover = 4, k4_elbow_base()
-    while side < n:
-        cover = elbow_double(generate_family("complete", side), cover)
-        side *= side
-    if side == n:
-        return cover
-    words = cover.words
-    prefix: List[int] = []
-    for a in range(n - 1):
-        start = a * (2 * side - a - 1) // 2
-        prefix.extend(words[start : start + n - a - 1])
-    return OrientationCover.from_words((n, len(prefix)), cover.k, prefix, "elbow")
+    return _complete_cover(_elbow_ranks(n), "elbow")
 
 
 def orientation_cover_from_elbow(g: Graph, c: OrientationCover) -> OrientationCover:
@@ -377,8 +399,7 @@ def bipartite_orientation_cover(g: Graph) -> OrientationCover:
     """Size-two covering of a bipartite graph: all of side A sources,
     then all of side B."""
     side = bipartition(g)  # NotBipartiteError carries an odd cycle
-    # bit 0: side 0 sources; bit 1: side 1 sources
-    words = [1 if side[u] == 0 else 2 for u, v in g.edges]
+    words = _rank_words(g.edges, side, K2_RANKS)
     return OrientationCover.from_words((g.n, g.m), 2, words, "orientation")
 
 
@@ -416,24 +437,24 @@ def cover_via_coloring(
     construction for c <= 2, the pinned size-3 covering of K_4 for
     c <= 4, the size-5 table covering of K_16 for c <= 16, and the
     reversal-doubled elbow covering of K_c (size 2 ceil(log2 log2 c) + 2)
-    beyond.  With no coloring supplied, the exact solver provides one
-    (or the greedy heuristic when ``greedy`` is set).
+    beyond.  Each base is a list of vertex rankings, so the word of an
+    edge compares the ranks of its endpoint colors and no K_c is built.
+    With no coloring supplied, the exact solver provides one (or the
+    greedy heuristic when ``greedy`` is set).
     """
     dense = _resolve_coloring(g, coloring, greedy, budget)
     c = dense.palette_size
     if c <= 2:
         return bipartite_orientation_cover(g)
     if c <= 4:
-        base_g = generate_family("complete", 4)
-        base = k4_sigma3_cover()
+        ranks: Sequence[Sequence[int]] = K4_SIGMA3_RANKS
     elif c <= 16:
-        base_g = generate_family("complete", 16)
-        _, base = k16_table_cover()
+        ranks = K16_RANK_ROWS
     else:
-        base_g = generate_family("complete", c)
-        base = orientation_cover_from_elbow(base_g, elbow_cover_complete(c))
-    words = pullback_words(g, base_g, dense.colors, base.words, base.k)
-    return OrientationCover.from_words((g.n, g.m), base.k, words, "orientation")
+        elbow = _elbow_ranks(c)
+        ranks = elbow + [[-x for x in r] for r in elbow]
+    words = _rank_words(g.edges, dense.colors, ranks)
+    return OrientationCover.from_words((g.n, g.m), len(ranks), words, "orientation")
 
 
 def elbow_cover_via_coloring(
@@ -454,10 +475,9 @@ def elbow_cover_via_coloring(
     c = dense.palette_size
     if c <= 2:
         return bipartite_orientation_cover(g).with_kind("elbow")
-    base_g = generate_family("complete", c)
-    base = elbow_cover_complete(c)
-    words = pullback_words(g, base_g, dense.colors, base.words, base.k)
-    return OrientationCover.from_words((g.n, g.m), base.k, words, "elbow")
+    ranks = _elbow_ranks(c)
+    words = _rank_words(g.edges, dense.colors, ranks)
+    return OrientationCover.from_words((g.n, g.m), len(ranks), words, "elbow")
 
 
 def _representative_subsets(k: int, min_size: int = 0, max_size: Optional[int] = None) -> List[int]:

@@ -41,8 +41,8 @@ import heapq
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations as iter_permutations
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import permutations as iter_permutations
+from typing import Callable, List, Optional, Tuple
 
 from .covers import EquivalenceCover, EyebrowCover, OrientationCover
 from .graphs import Graph
@@ -699,16 +699,6 @@ def _greedy_matching_cover(g: Graph) -> EquivalenceCover:
     return EquivalenceCover(g.n, subgraphs)
 
 
-def _tournament_ranks(n: int, words: Sequence[int], i: int) -> Permutation:
-    """Topological order of orientation i of K_n, whose words are read
-    in the pair order of combinations(range(n), 2); acyclic, so unique:
-    out-degrees are pairwise distinct."""
-    out = [0] * n
-    for (a, b), w in zip(combinations(range(n), 2), words):
-        out[a if (w >> i) & 1 else b] += 1
-    return Permutation([n - 1 - d for d in out])
-
-
 def _upper_witness(g: Graph, invariant: str):
     """Constructive certificate closing the interval from above."""
     from . import construct  # deferred: construct imports this module
@@ -724,10 +714,12 @@ def _upper_witness(g: Graph, invariant: str):
     if invariant == "eq":
         return _greedy_matching_cover(g)
     if invariant == "eye":
-        if not _eyebrow_constraints(g):
+        if g.m == 0 or g.n < 3:  # no edge has a third vertex
             return EyebrowCover(g.n, [])
-        base = construct.elbow_cover_complete(g.n)
-        perms = [_tournament_ranks(g.n, base.words, i) for i in range(base.k)]
+        perms = [
+            Permutation.from_order(sorted(range(g.n), key=r.__getitem__))
+            for r in construct._elbow_ranks(g.n)
+        ]
         return EyebrowCover(g.n, perms)
     raise ValueError(f"unknown invariant {invariant!r}")
 

@@ -9,7 +9,7 @@ against a graph with a matching edge list.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .graphs import Graph
 
@@ -217,22 +217,18 @@ def permutation_to_orientation(g: Graph, p: Permutation) -> Orientation:
     return Orientation((g.n, g.m), bits)
 
 
-def pullback_words(
-    g: Graph, h: Graph, f: Sequence[int], words: Sequence[int], k: int
-) -> List[int]:
-    """Pull per-edge k-bit words (bit i: orientation i directs the edge
-    out of its low endpoint) of h back along a homomorphism f: g -> h.
+def pullback_orientation(g: Graph, h: Graph, f: Sequence[int], o: Orientation) -> Orientation:
+    """Pull an orientation of h back along a homomorphism f: g -> h.
 
-    Edge uv of g takes the word of f(u)f(v), complemented when f(u) >
-    f(v): uv points u -> v exactly when f(u)f(v) points f(u) -> f(v).
+    Edge uv of g points u -> v exactly when f(u)f(v) points f(u) -> f(v).
     Raises HomomorphismError naming the first edge of g on which f is
     not edge-preserving.
     """
+    o.require_match(h)
     if len(f) != g.n:
         raise ShapeError(f"vertex map has {len(f)} entries, graph has {g.n}")
-    full = (1 << k) - 1
     index = h._index
-    out = []
+    bits = []
     for u, v in g.edges:
         fu, fv = f[u], f[v]
         e = index.get((fu, fv) if fu < fv else (fv, fu))
@@ -242,16 +238,6 @@ def pullback_words(
             if not (0 <= fu < h.n and 0 <= fv < h.n):
                 raise HomomorphismError((u, v), "image vertex out of range")
             raise HomomorphismError((u, v), f"({fu}, {fv}) is not an edge of the target")
-        w = words[e]
-        out.append(w if fu < fv else full ^ w)
-    return out
-
-
-def pullback_orientation(
-    g: Graph, h: Graph, f: Sequence[int], o: Orientation
-) -> Orientation:
-    """Pull an orientation of h back along a homomorphism f: g -> h
-    (see ``pullback_words``)."""
-    o.require_match(h)
-    words = pullback_words(g, h, f, [1 - b for b in o.direction], 1)
-    return Orientation((g.n, g.m), [1 - w for w in words])
+        b = o.direction[e]
+        bits.append(b if fu < fv else 1 - b)
+    return Orientation((g.n, g.m), bits)

@@ -521,3 +521,54 @@ def test_elbow_cover_via_coloring():
     big = elbow_cover_via_coloring(g17, Coloring(range(17)))
     assert big.k == 4
     assert verify_elbow_cover(g17, big) is None
+
+
+def test_rank_pullbacks_match_explicit_base_pullback():
+    # both pullbacks against pulling each orientation of an explicit K_c
+    # covering back along the coloring: the K4 direction rows, the K16
+    # permutations, and beyond 16 colors the K4 -> K16 -> K256
+    # elbow_double chain restricted to the first c vertices
+    import random
+
+    from eqcover import Graph, elbow_cover_via_coloring, pullback_orientation
+
+    k4, k16 = generate_family("complete", 4), generate_family("complete", 16)
+    k256 = generate_family("complete", 256)
+    rows = ((0, 0, 0, 1, 1, 0), (1, 1, 1, 0, 0, 0), (1, 1, 1, 1, 1, 1))
+    sigma4 = OrientationCover((4, 6), [Orientation((4, 6), bits) for bits in rows])
+    sigma16 = OrientationCover(
+        (16, 120), [permutation_to_orientation(k16, p) for p in k16_table_cover()[0]]
+    )
+    orders = ((0, 1, 2, 3), (2, 0, 3, 1))
+    elbow4 = OrientationCover(
+        (4, 6), [permutation_to_orientation(k4, Permutation.from_order(o)) for o in orders], "elbow"
+    )
+    elbow16 = elbow_double(k4, elbow4)
+    elbow256 = elbow_double(k16, elbow16)
+
+    def explicit(g, colors, c, elbow):
+        if c <= 4 and not elbow:
+            big, base = k4, sigma4
+        elif c <= 16 and not elbow:
+            big, base = k16, sigma16
+        else:
+            big, base = (k4, elbow4) if c <= 4 else (k16, elbow16) if c <= 16 else (k256, elbow256)
+            big, base = restrict_cover_to_induced(big, base, range(c))
+            if not elbow:
+                base = orientation_cover_from_elbow(big, base)
+        pulled = [pullback_orientation(g, big, colors, o) for o in base.orientations]
+        return OrientationCover((g.n, g.m), pulled).words
+
+    rng = random.Random(17)
+    for c in range(3, 41):
+        for _ in range(3):
+            n = rng.randint(c, c + 30)
+            colors = [*range(c), *(rng.randrange(c) for _ in range(n - c))]
+            rng.shuffle(colors)
+            coloring = Coloring(colors).dense()
+            p = rng.choice((0.1, 0.3, 0.7))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if colors[u] != colors[v] and rng.random() < p])
+            for fn, elbow in ((cover_via_coloring, False), (elbow_cover_via_coloring, True)):
+                got = fn(g, coloring)
+                assert got.words == explicit(g, coloring.colors, c, elbow), (c, fn.__name__)

@@ -268,14 +268,30 @@ def test_truncated_solves_carry_verifying_upper_witnesses(corpus):
 
 
 def test_eye_upper_witness_matches_complete_graph_ranks():
-    # the ranks used to be read off an explicit K_n carrying the
-    # elbow cover of elbow_cover_complete(n)
-    from eqcover import Permutation, elbow_cover_complete
+    # the ranks of each orientation of the explicit K4 -> K16 -> K256
+    # elbow_double chain, from the K4 vertex orders (0,1,2,3), (2,0,3,1),
+    # restricted to the first n vertices by index
+    from eqcover import (
+        OrientationCover,
+        Permutation,
+        elbow_double,
+        permutation_to_orientation,
+        restrict_cover_to_induced,
+    )
     from eqcover.exact import _upper_witness
 
-    for n in range(3, 41):
-        complete = generate_family("complete", n)
-        base = elbow_cover_complete(n)
+    k4 = generate_family("complete", 4)
+    k16 = generate_family("complete", 16)
+    k256 = generate_family("complete", 256)
+    orders = ((0, 1, 2, 3), (2, 0, 3, 1))
+    c4 = OrientationCover(
+        (4, 6), [permutation_to_orientation(k4, Permutation.from_order(o)) for o in orders], "elbow"
+    )
+    c16 = elbow_double(k4, c4)
+    c256 = elbow_double(k16, c16)
+    for n in [*range(3, 41), *range(41, 255, 7), 255, 256]:
+        big, cover = (k4, c4) if n <= 4 else (k16, c16) if n <= 16 else (k256, c256)
+        complete, base = restrict_cover_to_induced(big, cover, range(n))
         want = []
         for i in range(base.k):
             out = [0] * n
@@ -283,7 +299,7 @@ def test_eye_upper_witness_matches_complete_graph_ranks():
                 out[u if (w >> i) & 1 else v] += 1
             want.append(Permutation([n - 1 - d for d in out]))
         got = _upper_witness(generate_family("path", n), "eye")
-        assert list(got.permutations) == want
+        assert list(got.permutations) == want, n
 
 
 def test_wall_clock_budget():

@@ -1,0 +1,74 @@
+"""Inputs past 256 vertices or colors, which the complete-graph bases
+must handle without building a complete graph larger than the input:
+squaring the K_256 elbow covering whole gives all 2.1e9 edges of
+K_65536, and a pullback through an explicit K_c costs c^2/2 edges.
+Each case runs in a child interpreter whose address space is capped, so
+such a build fails there with MemoryError instead of filling the
+machine; each case below needs less than a tenth of the cap."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("resource")
+
+CAP_BYTES = 512 << 20
+
+PRELUDE = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, ({CAP_BYTES}, {CAP_BYTES}))
+from eqcover import *
+"""
+
+CASES = {
+    "bounds-K257": """
+        g = generate_family("complete", 257)
+        w = bounds_report(g).witnesses
+        assert (w["sigma"].k, w["elb"].k) == (10, 5)
+        assert verify_orientation_cover(g, w["sigma"]) is None
+        assert verify_elbow_cover(g, w["elb"]) is None
+    """,
+    "solve-eye-path400": """
+        from eqcover.exact import _upper_witness
+        g = generate_family("path", 400)
+        res = solve_invariant(g, "eye", Budget(max_nodes=1))
+        assert verify_eyebrow_cover(g, res.witness) is None
+        upper = _upper_witness(g, "eye")
+        assert upper.k == 5 and verify_eyebrow_cover(g, upper) is None
+    """,
+    "elbow-complete-300": """
+        cover = elbow_cover_complete(300)
+        assert cover.k == 5
+        assert verify_elbow_cover(generate_family("complete", 300), cover) is None
+    """,
+    "pullbacks-path3000": """
+        g = generate_family("path", 3000)
+        identity = Coloring(range(3000))
+        sigma = cover_via_coloring(g, identity)
+        elbow = elbow_cover_via_coloring(g, identity)
+        assert (sigma.k, elbow.k) == (10, 5)
+        assert verify_orientation_cover(g, sigma) is None
+        assert verify_elbow_cover(g, elbow) is None
+    """,
+    # past K_65536 the squaring keeps only the first n entries of each
+    # ranking, not all 2^32 of K_65536 squared
+    "elbow-pullback-path70000": """
+        g = generate_family("path", 70000)
+        elbow = elbow_cover_via_coloring(g, Coloring(range(70000)))
+        assert elbow.k == 6 and verify_elbow_cover(g, elbow) is None
+    """,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_large_input_fits_under_memory_cap(case):
+    code = PRELUDE + textwrap.dedent(CASES[case])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -169,7 +169,8 @@ def test_signature_mask_rejects_non_endpoint():
 
 
 def _old_pullback_words(g, h, f, words, k):
-    """pullback_words as it was with has_edge plus index_of per edge."""
+    """The word pullback that pullback_orientation used to call, as it was
+    with has_edge plus index_of per edge."""
     full = (1 << k) - 1
     out = []
     for u, v in g.edges:
@@ -186,8 +187,9 @@ def _old_pullback_words(g, h, f, words, k):
 
 
 def test_pullback_words_single_lookup_matches_checked_path():
+    # pullback_orientation's single-lookup loop against the checked word
+    # loop, once per bit of 3-bit words (bit set: out of the low endpoint)
     from eqcover import Graph
-    from eqcover.orientations import pullback_words
 
     def outcome(fn, *args):
         try:
@@ -204,10 +206,16 @@ def test_pullback_words_single_lookup_matches_checked_path():
         n = rng.randint(1, 9)
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
         f = [rng.choice((-1, 5)) if rng.random() < 0.05 else rng.randrange(5) for _ in range(n)]
-        got = outcome(pullback_words, g, h, f, words, 3)
-        assert got == outcome(_old_pullback_words, g, h, f, words, 3)
-        if isinstance(got, list):
+        want = outcome(_old_pullback_words, g, h, f, words, 3)
+        for i in range(3):
+            o = Orientation((h.n, h.m), [1 - (w >> i & 1) for w in words])
+            got = outcome(pullback_orientation, g, h, f, o)
+            if isinstance(want, list):
+                assert got == Orientation((g.n, g.m), [1 - (w >> i & 1) for w in want])
+            else:
+                assert got == want
+        if isinstance(want, list):
             kinds.add("ok")
         else:
-            kinds.update(k for k in ("both", "range", "not an edge") if k in got[2])
+            kinds.update(k for k in ("both", "range", "not an edge") if k in want[2])
     assert kinds == {"ok", "both", "range", "not an edge"}
