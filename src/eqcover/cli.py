@@ -16,6 +16,7 @@ no randomness.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -339,7 +340,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="eqcover",
         description="verify, solve, and construct graph covering certificates",

@@ -13,6 +13,8 @@ can be trusted without re-running the full verifier.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import eq, lshift, or_
 from typing import List, Optional, Sequence, Tuple
 
 from .graphs import Graph
@@ -315,8 +317,8 @@ class EquivalenceViolation(Violation):
 #   cover <kind> <k> <n> <m>
 #
 # orientation / elbow: k blocks, each "block <i>" (1-based) followed by
-# exactly m lines "<u> <v>" meaning u -> v; the undirected pairs must be
-# exactly the graph's edge set.
+# exactly m lines "<u> <v>" meaning u -> v, in any order; the undirected
+# pairs must be exactly the graph's edge set.
 # eyebrow: k lines "perm <r_0> ... <r_{n-1}>" (rank of each vertex).
 # equivalence: k blocks, each "block <i>" followed by one line
 # "clique <v_1> <v_2> ..." per class.
@@ -416,24 +418,31 @@ def parse_cover(text: str, g: Graph):
 
 def _canonical_words(raw: List[str], g: Graph, k: int) -> Optional[List[int]]:
     """Per-edge words of k blocks written as ``write_cover_for`` writes
-    them ("block <i>", then m arrows "t h", each edge once, nothing
-    else); None for any other text, left to the line-by-line reader."""
+    them ("block <i>", then line e is edge e's arrow "t h", nothing
+    else); None for any other text, left to the line-by-line reader,
+    which accepts the arrows of a block in any order.
+
+    Decoded by position: block i's flags "line e runs out of the low
+    endpoint" become one byte per edge, shifted to bit i mod 8 and
+    summed into one integer per eight blocks, so no bit carries into
+    the next edge's byte.
+    """
     m = g.m
     if len(raw) != k * (m + 1):
         return None
     out_of_low, out_of_high = _arrow_lines(g)
-    low_edge = {line: e for e, line in enumerate(out_of_low)}
-    edge_of = {line: e for e, line in enumerate(out_of_high)}
-    edge_of.update(low_edge)
     words = [0] * m
-    for i in range(k):
-        block = raw[i * (m + 1) + 1 : (i + 1) * (m + 1)]
-        edges = list(map(edge_of.get, block))
-        if raw[i * (m + 1)] != f"block {i + 1}" or None in edges or len(set(edges)) != m:
-            return None
-        for e in map(low_edge.get, block):
-            if e is not None:
-                words[e] |= 1 << i
+    for lane in range(0, k, 8):
+        acc = 0
+        for i in range(lane, min(k, lane + 8)):
+            start = i * (m + 1) + 1
+            block = raw[start : start + m]
+            low = list(map(eq, block, out_of_low))
+            high = sum(map(eq, block, out_of_high))
+            if raw[start - 1] != f"block {i + 1}" or sum(low) + high != m:
+                return None
+            acc += int.from_bytes(bytes(low), "little") << (i - lane)
+        words = list(map(or_, words, map(lshift, acc.to_bytes(m, "little"), repeat(lane))))
     return words
 
 

@@ -14,6 +14,8 @@ that want the reduction can apply it themselves.
 
 from __future__ import annotations
 
+import re
+from operator import lt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
@@ -56,10 +58,11 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             norm.append((u, v) if u < v else (v, u))
-        norm.sort()
-        for i in range(1, len(norm)):
-            if norm[i] == norm[i - 1]:
-                raise ValueError(f"duplicate edge {norm[i]}")
+        if not all(map(lt, norm, norm[1:])):
+            norm.sort()
+            for i in range(1, len(norm)):
+                if norm[i] == norm[i - 1]:
+                    raise ValueError(f"duplicate edge {norm[i]}")
         self._fill(n, norm)
 
     @classmethod
@@ -316,13 +319,60 @@ def generate_family(family: str, parameter: Optional[int] = None) -> Graph:
     return makers[name](parameter)
 
 
+_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
+_DELETE_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _parse_written_graph(text: str) -> Optional[Graph]:
+    """The graph of a text laid out exactly as ``write_graph`` writes it
+    without a comment ("p n m", then m sorted lines "u v" with u < v < n,
+    ASCII digits, single spaces, a final newline); None for any other
+    text, left to the line-by-line reader.
+
+    The layout is checked on the whole text at once: with its digits
+    deleted, the header line must read "p  " and every later line one
+    space, and no number may be empty.
+    """
+    header = _HEADER.match(text)
+    if header is None or not text.endswith("\n") or " \n" in text or "\n " in text:
+        return None
+    try:
+        n, m = int(header[1]), int(header[2])
+        shape = text.translate(_DELETE_DIGITS)
+        # the length test first: a forged header m builds no long string
+        if len(shape) != 4 + 2 * m or shape != "p  \n" + " \n" * m:
+            return None
+        ends = list(map(int, text[header.end():].split()))
+    except ValueError:  # a number past the int string-conversion limit
+        return None
+    # each list is dropped as soon as the next one is built, which keeps
+    # the peak below the line-by-line reader's
+    low, high = ends[0::2], ends[1::2]
+    del ends
+    if m and (max(high) >= n or not all(map(lt, low, high))):
+        return None
+    edges = list(zip(low, high))
+    del low, high
+    if not all(map(lt, edges, edges[1:])):
+        return None
+    return Graph._from_sorted(n, edges)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph file format.
 
-    Format: optional ``#`` comment lines, a header ``p <n> <m>``, then
-    exactly m lines ``<u> <v>`` with 0 <= u < v < n and no duplicates.
-    Violations raise GraphFormatError naming the 1-based line number.
+    Format: optional ``#`` comment lines and blank lines, a header
+    ``p <n> <m>``, then exactly m lines ``<u> <v>`` with 0 <= u < v < n
+    and no duplicates, in any order; edge indices follow the sorted
+    order.  Violations raise GraphFormatError naming the 1-based line
+    number.
+
+    A text laid out as ``write_graph`` writes it is decoded in bulk;
+    every other accepted layout gives the same graph line by line.
     """
+    g = _parse_written_graph(text)
+    if g is not None:
+        return g
     header: Optional[Tuple[int, int]] = None
     edges: List[Edge] = []
     seen = set()
@@ -363,7 +413,8 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(
             f"header declares m={header[1]} but found {len(edges)} edge lines"
         )
-    return Graph(header[0], edges)
+    # every edge is checked above: normalized, in range and not repeated
+    return Graph._from_sorted(header[0], sorted(edges))
 
 
 def write_graph(g: Graph, comment: Optional[str] = None) -> str:

@@ -346,3 +346,31 @@ def test_bounds_deeper_than_the_recursion_limit(tmp_path, capsys):
     code, out, err = run(capsys, "bounds", "--graph", str(graph))
     assert (code, err) == (0, "")
     assert "\nchi: 3 [exact search]\n" in out
+
+
+def test_parser_built_once_gives_fresh_parser_results(tmp_path, capsys):
+    from eqcover import cli, generate_family, k4_sigma3_cover, write_cover_for
+
+    g4, cov = tmp_path / "k4.g", tmp_path / "k4.cov"
+    run(capsys, "gen", "--family", "complete", "--parameter", "4", "--output", str(g4))
+    cov.write_text(write_cover_for(generate_family("complete", 4), k4_sigma3_cover()))
+    files = ["--graph", str(g4), "--cover", str(cov)]
+    calls = [
+        ["verify", "--kind", "orientation", *files, "--json"],
+        ["verify", "--kind", "elbow", *files],
+        ["verify", "--kind", "sideways", *files],
+        ["solve", "--invariant", "sigma", "--graph", str(g4), "--output", str(tmp_path / "w.cov")],
+    ]
+    cli._build_parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0]
+    assert json.loads(reused[0][1]) == {"status": "valid", "kind": "orientation", "k": 3}
+    assert reused[1][1] == "VALID k=3\n"
+    assert "invalid choice: 'sideways'" in reused[2][2]
+    assert reused[3][1] == "sigma = 3\n"

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -241,3 +242,100 @@ def test_from_words_matches_orientation_constructor():
         OrientationCover.from_words((4, 6), 3, cover.words[:5])
     with pytest.raises(ValueError):
         OrientationCover.from_words((4, 6), 1, cover.words)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the positional decode of orientation and elbow covers
+# against the line-by-line reader and against a verbatim copy of the
+# arrow-table decode that preceded it.
+
+
+def _reference_canonical_words(raw, g, k):
+    # _canonical_words before the positional decode
+    from eqcover.covers import _arrow_lines
+
+    m = g.m
+    if len(raw) != k * (m + 1):
+        return None
+    out_of_low, out_of_high = _arrow_lines(g)
+    low_edge = {line: e for e, line in enumerate(out_of_low)}
+    edge_of = {line: e for e, line in enumerate(out_of_high)}
+    edge_of.update(low_edge)
+    words = [0] * m
+    for i in range(k):
+        block = raw[i * (m + 1) + 1 : (i + 1) * (m + 1)]
+        edges = list(map(edge_of.get, block))
+        if raw[i * (m + 1)] != f"block {i + 1}" or None in edges or len(set(edges)) != m:
+            return None
+        for e in map(low_edge.get, block):
+            if e is not None:
+                words[e] |= 1 << i
+    return words
+
+
+def _cover_outcome(text, g):
+    try:
+        cover = parse_cover(text, g)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    return ("cover", cover.kind, cover.k, cover.words)
+
+
+def _random_cover_text(rng, k):
+    n = rng.randrange(2, 9)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, rng.sample(pairs, rng.randrange(1, len(pairs) + 1)))
+    words = [rng.getrandbits(k) if k else 0 for _ in range(g.m)]
+    kind = rng.choice(("orientation", "elbow"))
+    return g, words, write_cover_for(g, OrientationCover.from_words((g.n, g.m), k, words, kind))
+
+
+def _cover_corruptions(rng, g, text):
+    """One-line corruptions of a written cover text with k >= 1."""
+    lines = text.split("\n")[:-1]
+    block_lines = [i for i, line in enumerate(lines) if line.startswith("block ")]
+    arrows = [i for i in range(1, len(lines)) if i not in block_lines]
+    a = rng.choice(arrows)
+
+    def edit(i, line):
+        return "\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n"
+
+    t, h = lines[a].split()
+    yield edit(a, f"{h} {t}")  # reversed arrow
+    yield edit(a, lines[a] + " ")  # trailing space
+    yield edit(a, lines[rng.choice(arrows)])  # an arrow repeated
+    yield edit(rng.choice(block_lines), "block 0")  # wrong block header
+    if g.m >= 2:  # two arrows of one block swapped
+        start = rng.choice(block_lines) + 1
+        i, j = rng.sample(range(start, start + g.m), 2)
+        swapped = list(lines)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield "\n".join(swapped) + "\n"
+
+
+def test_positional_decode_matches_line_reader_for_k_up_to_12():
+    from eqcover.covers import _canonical_words, _parse_orientation_blocks, _significant_lines
+
+    rng = random.Random(12)
+    for k in range(13):
+        for _ in range(8):
+            g, words, text = _random_cover_text(rng, k)
+            raw = text.splitlines()[1:]
+            assert _canonical_words(raw, g, k) == words
+            assert _parse_orientation_blocks(list(_significant_lines(raw)), g, k) == words
+
+
+def test_parse_cover_matches_reference_decode(monkeypatch):
+    from eqcover import covers
+
+    rng = random.Random(2026)
+    cases = []
+    for k in range(13):
+        for _ in range(6):
+            g, _, text = _random_cover_text(rng, k)
+            cases.append((g, text))
+            if k:
+                cases.extend((g, bad) for bad in _cover_corruptions(rng, g, text))
+    got = [_cover_outcome(text, g) for g, text in cases]
+    monkeypatch.setattr(covers, "_canonical_words", _reference_canonical_words)
+    assert got == [_cover_outcome(text, g) for g, text in cases]

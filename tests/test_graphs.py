@@ -1,3 +1,7 @@
+import gc
+import random
+import tracemalloc
+
 import pytest
 
 from eqcover import (
@@ -200,3 +204,208 @@ def test_all_triangle_free_corpus_members_agree_with_oracle(corpus):
 def test_induced_subgraph_rejects_out_of_range():
     with pytest.raises(ValueError):
         induced_subgraph(generate_family("complete", 3), [0, 5])
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the graph reader and Graph(n, edges) against verbatim
+# copies of the line-by-line reader and of the sort-and-scan constructor that
+# preceded the bulk decode.  Every text and edge list must give the same
+# graph, or the same exception type and message.
+
+
+def _reference_graph(n, edges):
+    # Graph.__init__ before the already-sorted fast path
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    norm = []
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        norm.append((u, v) if u < v else (v, u))
+    norm.sort()
+    for i in range(1, len(norm)):
+        if norm[i] == norm[i - 1]:
+            raise ValueError(f"duplicate edge {norm[i]}")
+    return Graph._from_sorted(n, norm)
+
+
+def _reference_parse_graph(text):
+    # parse_graph before the bulk decode
+    header = None
+    edges = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if header is None:
+            if parts[0] != "p" or len(parts) != 3:
+                raise GraphFormatError(f"line {lineno}: expected header 'p <n> <m>'")
+            try:
+                n, m = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: non-integer header") from None
+            if n < 0 or m < 0:
+                raise GraphFormatError(f"line {lineno}: negative header value")
+            header = (n, m)
+            continue
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected '<u> <v>'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
+        n = header[0]
+        if not (0 <= u < v < n):
+            raise GraphFormatError(
+                f"line {lineno}: edge ({u}, {v}) must satisfy 0 <= u < v < {n}"
+            )
+        if (u, v) in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        edges.append((u, v))
+    if header is None:
+        raise GraphFormatError("missing 'p <n> <m>' header")
+    if len(edges) != header[1]:
+        raise GraphFormatError(
+            f"header declares m={header[1]} but found {len(edges)} edge lines"
+        )
+    return _reference_graph(header[0], edges)
+
+
+def _outcome(build, *args):
+    try:
+        g = build(*args)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    return ("graph", g.n, g.edges, g.adjacency, g._incident, g._index)
+
+
+def _random_edges(rng, n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return rng.sample(pairs, rng.randrange(len(pairs) + 1))
+
+
+def _edge_lines(n, edges):
+    return [f"p {n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+
+
+def _join(lines):
+    return "\n".join(lines) + "\n"
+
+
+def _layout_variants(rng, n, edges):
+    """Texts of one edge set: as written, shuffled, and in every other
+    layout the line-by-line reader accepts."""
+    lines = _edge_lines(n, sorted(edges))
+    shuffled = [lines[0]] + rng.sample(lines[1:], len(lines) - 1)
+    yield _join(lines)
+    yield _join(shuffled)
+    yield "# comment\n" + _join(lines)
+    yield _join(lines[:1] + [""] + lines[1:] + ["", "# trailing"])
+    yield "\r\n".join(lines) + "\r\n"
+    yield _join([line.replace(" ", "\t") for line in lines])
+    yield _join([line + " " for line in lines])
+    yield _join(["  " + line for line in lines])
+    yield "\n".join(lines)
+    if len(lines) > 1:
+        u, v = lines[-1].split()
+        for first, second in (("+" + u, v), (u, "0" + v), (u, v + "_0"), (u, "٣")):
+            yield _join(lines[:-1] + [f"{first} {second}"])
+        yield _join([lines[0].replace("p ", "p 0", 1)] + lines[1:])
+
+
+def _corruptions(rng, n, edges):
+    """One-point corruptions of the written text of a non-empty edge set."""
+    lines = _edge_lines(n, sorted(edges))
+    i = rng.randrange(1, len(lines))
+    u, v = map(int, lines[i].split())
+
+    def swap(line):
+        return _join(lines[:i] + [line] + lines[i + 1 :])
+
+    yield _join(lines[: i + 1] + [lines[i]] + lines[i + 1 :]).replace(
+        lines[0], f"p {n} {len(edges) + 1}", 1
+    )  # duplicate edge, m adjusted
+    yield swap(f"{u} {u}")
+    yield swap(f"{v} {u}")
+    yield swap(f"{u} {n}")
+    yield swap(f"{u} {n + 5}")
+    yield swap(f"-1 {v}")
+    yield swap(f"{u}")
+    yield swap(f"{u} ")
+    yield swap(f" {v}")
+    yield swap(f"{u} {v} 0")
+    yield _join(lines) + str(u)
+    yield swap(f"{u} x")
+    yield swap(f"{u}.0 {v}")
+    yield _join([f"p {n} {len(edges) + 1}"] + lines[1:])
+    yield _join([f"p {n} {len(edges) - 1}"] + lines[1:])
+    yield _join(lines[1:])
+    yield _join([f"p {n} -1"] + lines[1:])
+    yield _join([f"p {n} x"] + lines[1:])
+    yield _join(["q " + lines[0][2:]] + lines[1:])
+    yield _join([lines[0].replace("p ", "p 1 ", 1)] + lines[1:])
+    yield _join(["p 0 0"] + lines[1:])
+    yield _join([f"p {n} 0"] + lines[1:])
+
+
+def test_parse_graph_matches_reference_reader():
+    rng = random.Random(20261018)
+    texts = ["", "\n", "p 1 99999999999999\n", "p 0 0\n", "p 0 0", "p 3 0\n", "p 1 0\n", "p 00 0\n", "p 2 1\n0 1"]
+    for _ in range(60):
+        n = rng.randrange(0, 12)
+        edges = _random_edges(rng, n)
+        texts.extend(_layout_variants(rng, n, edges))
+        if edges:
+            texts.extend(_corruptions(rng, n, edges))
+    bulk = 0
+    for text in texts:
+        expected = _outcome(_reference_parse_graph, text)
+        assert _outcome(parse_graph, text) == expected, text
+        bulk += expected[0] == "graph" and write_graph(parse_graph(text)) == text
+    assert bulk >= 60  # the layout write_graph produces is among the texts
+
+
+def test_parse_graph_handles_numbers_past_the_conversion_limit():
+    huge = "9" * 5000
+    for text in (f"p {huge} 0\n", f"p 3 1\n0 {huge}\n"):
+        assert _outcome(parse_graph, text) == _outcome(_reference_parse_graph, text)
+
+
+def test_graph_constructor_matches_reference():
+    rng = random.Random(7)
+    cases = [(0, []), (3, [(1, 1)]), (3, [(0, 3)]), (3, [(0, 1), (1, 0)]), (-1, [])]
+    for _ in range(200):
+        n = rng.randrange(1, 10)
+        edges = _random_edges(rng, n)
+        cases.append((n, sorted(edges)))
+        cases.append((n, edges))
+        cases.append((n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]))
+        if edges:
+            cases.append((n, sorted(edges + [rng.choice(edges)])))
+            cases.append((n, sorted(edges) + [(n - 1, n)]))
+            cases.append((n, [(0, 0)] + sorted(edges)))
+    for n, edges in cases:
+        assert _outcome(Graph, n, edges) == _outcome(_reference_graph, n, edges), (n, edges)
+
+
+def test_parse_graph_peak_memory_no_higher_than_reference():
+    # The bulk decode must not hold one container per line: a reader that
+    # splits every line into a list costs more than the line-by-line
+    # reader it replaces, because each list stays live until the end.
+    text = write_graph(generate_family("complete", 400))
+
+    def peak(reader):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            reader(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_graph) <= peak(_reference_parse_graph)
