@@ -8,6 +8,9 @@ reasoning rather than a bare number.
 
 Relations used (n = vertex count, c = chromatic number):
   - sigma <= 2 exactly for bipartite graphs (two-source construction);
+  - elb <= 1 exactly for bipartite graphs: one orientation from one
+    side to the other directs every 2-edge path into or out of its
+    middle vertex;
   - sigma = 3 exactly when 3 <= c <= 4, sigma = 4 exactly when
     5 <= c <= 12 (the upper half of the second window is known
     non-constructively);
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
 
 from .construct import (
+    bipartite_elbow_cover,
     bipartite_orientation_cover,
     cover_via_coloring,
     elbow_cover_via_coloring,
@@ -237,11 +241,8 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
             )
             witnesses["sigma"] = bipartite_orientation_cover(g)
             notes.append("k=1 decision truncated by budget")
-        if sigma.exact and sigma.lo == 1:
-            elb = BoundValue(1, 1, "has 2-edge paths", "elbow <= sigma")
-        else:
-            elb = BoundValue(1, 2, "has 2-edge paths", "elbow <= sigma")
-        witnesses["elb"] = witnesses["sigma"].with_kind("elbow")
+        elb = BoundValue(1, 1, "has 2-edge paths", "one-way bipartite orientation")
+        witnesses["elb"] = bipartite_elbow_cover(g)
     else:
         lo_formula = sigma_lower_from_chi(chi.lo)
         sigma_lo, sigma_lo_prov = max(

@@ -19,7 +19,7 @@ high-endpoint, so identical inputs give identical certificates.
 from __future__ import annotations
 
 import heapq
-from itertools import product
+from itertools import count, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covers import EquivalenceCover, EquivalenceSubgraph, OrientationCover, Violation
@@ -28,7 +28,6 @@ from .graphs import Graph, bipartition, find_triangle
 from .linegraph import LineGraphMap
 from .orientations import Coloring, Orientation, Permutation
 from .verify import (
-    incidence_signatures,
     verify_elbow_cover,
     verify_equivalence_cover,
     verify_orientation_cover,
@@ -155,16 +154,17 @@ def analogue(lm: LineGraphMap, o: Orientation) -> EquivalenceSubgraph:
     induces a clique of L(G) since its edges share the tail vertex.
     """
     o.require_match(lm.host)
-    return _out_classes(lm.host, [b == 0 for b in o.direction])
+    return _out_classes(lm.host, [b ^ 1 for b in o.direction], 0)
 
 
-def _out_classes(host: Graph, out_of_low: Sequence[int]) -> EquivalenceSubgraph:
-    """The out-edge set of every vertex with out-degree >= 1, given per
-    edge whether it runs out of its low endpoint."""
+def _out_classes(host: Graph, words: Sequence[int], i: int) -> EquivalenceSubgraph:
+    """The out-edge set of every vertex with out-degree >= 1 in
+    orientation i, given the per-edge words (bit i set when the edge
+    runs out of its low endpoint)."""
     out: List[List[int]] = [[] for _ in range(host.n)]
-    for e, ((u, v), low) in enumerate(zip(host.edges, out_of_low)):
-        out[u if low else v].append(e)
-    return tuple(tuple(edges) for edges in out if edges)
+    for e, (u, v), w in zip(count(), host.edges, words):
+        out[u if w >> i & 1 else v].append(e)
+    return tuple(map(tuple, filter(None, out)))
 
 
 def out_star_eq_cover(g: Graph, c: OrientationCover) -> EquivalenceCover:
@@ -175,9 +175,9 @@ def out_star_eq_cover(g: Graph, c: OrientationCover) -> EquivalenceCover:
     violation = verify_orientation_cover(g, c)
     if violation is not None:
         raise InvalidCoverError(violation)
-    return EquivalenceCover(
+    return EquivalenceCover._from_sorted(
         g.m,
-        [_out_classes(g, [(w >> i) & 1 for w in c.words]) for i in range(c.k)],
+        [_out_classes(g, c.words, i) for i in range(c.k)],
     )
 
 
@@ -403,6 +403,15 @@ def bipartite_orientation_cover(g: Graph) -> OrientationCover:
     return OrientationCover.from_words((g.n, g.m), 2, words, "orientation")
 
 
+def bipartite_elbow_cover(g: Graph) -> OrientationCover:
+    """Size-one elbow covering of a bipartite graph: every edge from
+    side A to side B, so each 2-edge path points into or out of its
+    middle vertex."""
+    side = bipartition(g)  # NotBipartiteError carries an odd cycle
+    words = _rank_words(g.edges, side, K2_RANKS[:1])
+    return OrientationCover.from_words((g.n, g.m), 1, words, "elbow")
+
+
 def _resolve_coloring(
     g: Graph, coloring: Optional[Coloring], greedy: bool, budget: Optional[Budget]
 ) -> Coloring:
@@ -480,44 +489,19 @@ def elbow_cover_via_coloring(
     return OrientationCover.from_words((g.n, g.m), len(ranks), words, "elbow")
 
 
-def _representative_subsets(k: int, min_size: int = 0, max_size: Optional[int] = None) -> List[int]:
-    """One representative per complementary pair {X, [k] \\ X}: the subset
-    containing orientation index 0, ascending, size-filtered."""
-    if max_size is None:
-        max_size = k
-    return [
-        x
-        for x in range(1 << k)
-        if x & 1 and min_size <= bin(x).count("1") <= max_size
-    ]
-
-
-def _sides(masks: Sequence[int], reps: Sequence[int], full: int) -> Tuple[int, ...]:
-    """Per representative X, 1 when the masks include the complement of
-    X; a vertex seeing both X and its complement cannot occur in a
-    verified covering."""
-    seen = set(masks)
-    sides = []
-    for x in reps:
-        on_comp = (full ^ x) in seen
-        assert not (on_comp and x in seen), (
-            "vertex sees a signature and its complement; "
-            "impossible for a verified covering"
-        )
-        sides.append(1 if on_comp else 0)  # untouched vertices default 0
-    return tuple(sides)
-
-
 def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:
     """Proper coloring with at most 2^(2^(k-1)) colors from a valid
     size-k elbow covering.
 
-    For each representative subset X, the edges whose incidence
-    signature equals X (or its complement) form a bipartite subgraph
-    whose sides are forced locally: a vertex cannot see both X and its
-    complement among its incident signatures, or the covering would
-    leave a path uncovered.  The color is the tuple of sides over all
-    representatives, compacted to a dense palette.
+    Every edge shows the mask of the orientations directing it out of
+    each endpoint (its word at the low end, the complement at the high
+    end); exactly one of the two has bit 0 clear, and that one goes to
+    the endpoint that sees it.  A vertex's color is the set of the
+    bit-0-clear masks it sees, numbered by first occurrence.  Adjacent
+    vertices differ: the edge's mask X with bit 0 clear is seen at one
+    end, and the other end sees its complement, so it cannot also see X
+    (the two would partition [k], leaving a 2-edge path uncovered).
+    One pass over the edges, so no work grows with 2^k.
     """
     c.require_match(g)
     violation = verify_elbow_cover(g, c)
@@ -528,14 +512,15 @@ def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:
         if g.m == 0:
             return Coloring([0] * g.n)
         raise ValueError("a zero-orientation covering only colors edgeless graphs")
-    sig = incidence_signatures(g, c)
-    reps = _representative_subsets(k)
-    palette: Dict[Tuple[int, ...], int] = {}
-    colors = []
-    for v in range(g.n):
-        key = _sides([sig.mask(v, e) for e in g.incident(v)], reps, sig.full)
-        colors.append(palette.setdefault(key, len(palette)))
-    coloring = Coloring(colors)
+    full = (1 << k) - 1
+    seen: List[set] = [set() for _ in range(g.n)]  # bit-0-clear masks per vertex
+    for (u, v), x in zip(g.edges, c.words):
+        if x & 1:
+            seen[v].add(full ^ x)
+        else:
+            seen[u].add(x)
+    palette: Dict[frozenset, int] = {}
+    coloring = Coloring([palette.setdefault(frozenset(s), len(palette)) for s in seen])
     coloring.require_proper(g)
     return coloring
 
@@ -568,11 +553,15 @@ def coloring_from_orientation_cover(g: Graph, c: OrientationCover) -> Coloring:
     """Proper coloring with at most k + 2^(2^(k-1)-k-1) colors from a
     valid orientation covering of size k >= 3.
 
-    Vertices of degree <= 1 are peeled first and greedily recolored
-    last.  On the remaining core, vertices seeing a singleton signature
-    {i} take the reserved color i (each such set is stable); the rest
-    pair off under the representative subsets of middling size, whose
-    side-products stay proper exactly as in the elbow extraction.
+    Vertices of degree <= 1 are peeled first (marked, not removed) and
+    greedily recolored last.  One pass over the edges of the remaining
+    core hands each endpoint its single-bit masks and hands the
+    bit-0-clear mask of the edge, when it has 2..k-2 bits, to the
+    endpoint that sees it.  A core vertex seeing a single-bit mask {i}
+    takes the reserved color i, the lowest such i (each such set is
+    stable); the rest are colored k + the index, by first occurrence, of
+    the set of their middling bit-0-clear masks, which stays proper
+    exactly as in the elbow extraction.  No work grows with 2^k.
     """
     if c.k < 3:
         raise ValueError("needs a covering of size at least 3")
@@ -580,47 +569,45 @@ def coloring_from_orientation_cover(g: Graph, c: OrientationCover) -> Coloring:
     violation = verify_orientation_cover(g, c)
     if violation is not None:
         raise InvalidCoverError(violation)
-    k = c.k
+    n, k = g.n, c.k
+    full = (1 << k) - 1
 
     peeled = _peel_low_degree(g)
-    colors: Dict[int, int] = {}
-    gone = set(peeled)
-    core_vertices = [v for v in range(g.n) if v not in gone]
-    if core_vertices:
-        core, core_cover = restrict_cover_to_induced(g, c, core_vertices)
-        sig = incidence_signatures(core, core_cover)
-        reserved: Dict[int, int] = {}
-        for v in range(core.n):
-            singles = [
-                (sig.mask(v, e)).bit_length() - 1
-                for e in core.incident(v)
-                if bin(sig.mask(v, e)).count("1") == 1
-            ]
-            if singles:
-                reserved[v] = min(singles)
-        for u, v in core.edges:
-            assert not (
-                u in reserved and v in reserved and reserved[u] == reserved[v]
-            ), "reserved-signature sets must be stable for a verified covering"
-        reps = _representative_subsets(k, min_size=2, max_size=k - 2)
-        palette: Dict[Tuple[int, ...], int] = {}
-        for v in range(core.n):
-            orig = core_vertices[v]
-            if v in reserved:
-                colors[orig] = reserved[v]
-                continue
-            key = _sides([sig.mask(v, e) for e in core.incident(v)], reps, sig.full)
-            colors[orig] = k + palette.setdefault(key, len(palette))
-
+    core = [True] * n
+    for v in peeled:
+        core[v] = False
+    singles = [0] * n  # union of the single-bit masks seen in the core
+    seen: List[set] = [set() for _ in range(n)]  # middling bit-0-clear masks
+    for (u, v), x in zip(g.edges, c.words):
+        if core[u] and core[v]:
+            y = full ^ x
+            if not x & (x - 1):
+                singles[u] |= x
+            if not y & (y - 1):
+                singles[v] |= y
+            if x & 1:
+                u, x = v, y
+            if 2 <= x.bit_count() <= k - 2:
+                seen[u].add(x)
+    colors = [-1] * n
+    palette: Dict[frozenset, int] = {}
+    for v in range(n):
+        if core[v]:
+            s = singles[v]
+            if s:
+                colors[v] = (s & -s).bit_length() - 1
+            else:
+                colors[v] = k + palette.setdefault(frozenset(seen[v]), len(palette))
     for v in reversed(peeled):
-        taken = {colors[u] for u in g.adjacency[v] if u in colors}
+        taken = {colors[u] for u in g.adjacency[v]}
         pick = 0
         while pick in taken:
             pick += 1
         colors[v] = pick
 
-    coloring = Coloring([colors[v] for v in range(g.n)])
+    coloring = Coloring(colors)
     coloring.require_proper(g)
-    bound = k + (1 << ((1 << (k - 1)) - k - 1))
-    assert coloring.palette_size <= bound
+    # palette <= k + 2^e, e = 2^(k-1) - k - 1, without building 2^e
+    excess = coloring.palette_size - k
+    assert excess <= 0 or (excess - 1).bit_length() <= (1 << (k - 1)) - k - 1
     return coloring

@@ -148,6 +148,17 @@ class EquivalenceCover:
             subs.append(tuple(classes))
         self.subgraphs: Tuple[EquivalenceSubgraph, ...] = tuple(subs)
 
+    @classmethod
+    def _from_sorted(
+        cls, n: int, subgraphs: Sequence[Sequence[Tuple[int, ...]]]
+    ) -> "EquivalenceCover":
+        """Cover whose classes are already non-empty tuples of sorted
+        ints; none of that is checked."""
+        cover = cls.__new__(cls)
+        cover.n = n
+        cover.subgraphs = tuple(map(tuple, subgraphs))
+        return cover
+
     @property
     def k(self) -> int:
         return len(self.subgraphs)
@@ -539,7 +550,7 @@ def _parse_equivalence(body, g: Graph, k: int) -> EquivalenceCover:
             raise CoverFormatError(f"line {lineno}: expected 'block' or 'clique'")
     if len(subs) != k:
         raise CoverFormatError(f"expected {k} blocks, found {len(subs)}")
-    return EquivalenceCover(g.n, subs)
+    return EquivalenceCover._from_sorted(g.n, subs)
 
 
 def write_coloring(coloring: Coloring) -> str:

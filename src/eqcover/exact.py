@@ -451,7 +451,7 @@ def decide_eq(h: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult
             classes.append(tuple(sorted(comp)))
         subgraphs.append(classes)
     return DecideResult(
-        "sat", EquivalenceCover(h.n, subgraphs), budget.nodes
+        "sat", EquivalenceCover._from_sorted(h.n, subgraphs), budget.nodes
     )
 
 
@@ -469,23 +469,52 @@ def _eyebrow_constraints(g: Graph) -> List[Tuple[int, int, int]]:
     ]
 
 
+def _path_order(g: Graph) -> Optional[List[int]]:
+    """The vertices path by path when g is a linear forest (maximum
+    degree <= 2, no cycle), else None.  Paths are taken in order of
+    their lower end and walked from it."""
+    adj = g.adjacency
+    if any(len(a) > 2 for a in adj):
+        return None
+    seen = [False] * g.n
+    order: List[int] = []
+    for start in range(g.n):
+        if seen[start] or len(adj[start]) == 2:
+            continue  # a path starts at a vertex of degree <= 1
+        prev, v = -1, start
+        while v >= 0:
+            seen[v] = True
+            order.append(v)
+            prev, v = v, next((u for u in adj[v] if u != prev), -1)
+    # a cycle has no vertex of degree <= 1, so its vertices stay unseen
+    return order if len(order) == g.n else None
+
+
 def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult:
     """Can k vertex permutations rank, for every edge uv and third
     vertex w, some pi with pi(w) outside the interval of pi(u), pi(v)?
 
-    Brute force over lexicographically nondecreasing k-tuples of
-    permutations, pruning on the constraints still uncovered; intended
-    for small n.
+    k <= 1 is answered in closed form, without search nodes: with an
+    edge and a third vertex, k = 0 fails, and one permutation works
+    exactly when every edge joins consecutive ranks, that is when g is
+    a linear forest (the witness lists the vertices path by path).
+    Larger k is brute force over lexicographically nondecreasing
+    k-tuples of permutations, pruning on the constraints still
+    uncovered; intended for small n.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     budget = budget or Budget()
-    constraints = _eyebrow_constraints(g)
-    if not constraints:
+    if g.m == 0 or g.n < 3:  # no edge has a third vertex
         perms = [Permutation.identity(g.n)] * k
         return DecideResult("sat", EyebrowCover(g.n, perms), budget.nodes)
-    if k == 0:
-        return DecideResult("unsat", None, budget.nodes)
+    if k <= 1:
+        order = _path_order(g) if k == 1 else None
+        if order is None:
+            return DecideResult("unsat", None, budget.nodes)
+        cover = EyebrowCover(g.n, [Permutation.from_order(order)])
+        return DecideResult("sat", cover, budget.nodes)
+    constraints = _eyebrow_constraints(g)
 
     chosen: List[Tuple[int, ...]] = []
 
@@ -592,6 +621,11 @@ def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
     Each level colors the uncolored vertex with the fewest allowed
     colors (the lowest index on ties; a vertex with none fails the
     level), trying its colors in increasing order, one node each.  The
+    colors in use all lie below the cap of allowed colors, so that is
+    the vertex with the most forbidden colors: the top of a
+    lazy-deletion heap keyed (-forbidden count, vertex), which gets a
+    fresh entry whenever a vertex's forbidden set changes or it is
+    uncolored again, and is rebuilt when stale entries pile up.  The
     stack is explicit, one frame per colored vertex, so the depth (n) is
     not bounded by Python's recursion limit.
     """
@@ -601,8 +635,11 @@ def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
     adj = g.adjacency
     colors = [-1] * n
     forbid = [0] * n
+    key = [0] * n  # minus the number of forbidden colors
     full = (1 << k) - 1
     spend = budget.spend
+    heap = [(0, v) for v in range(n)]  # sorted, so already a heap
+    pop, push = heapq.heappop, heapq.heappush
     # frames [vertex, colors left to try, neighbors its color touched,
     # colors in use below it]
     stack: List[list] = []
@@ -610,19 +647,18 @@ def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
     while True:
         if len(stack) == n:
             return Coloring(colors)
+        if len(heap) > 4 * n + 64:
+            heap = [(key[v], v) for v in range(n) if colors[v] < 0]
+            heapq.heapify(heap)
+        while True:
+            top, best = heap[0]
+            if colors[best] < 0 and top == key[best]:
+                break
+            pop(heap)  # colored, or its forbidden set has changed since
         cap = full & ((2 << maxused) - 1)  # used colors and one fresh one
-        best, best_count, best_allowed = -1, k + 1, 0
-        for v in range(n):
-            if colors[v] < 0:
-                allowed = cap & ~forbid[v]
-                count = allowed.bit_count()
-                if count < best_count:
-                    best, best_count, best_allowed = v, count, allowed
-                    if not count:
-                        break
         # a vertex with no color left fails the level: its frame has
         # nothing to try
-        stack.append([best, best_allowed, (), maxused])
+        stack.append([best, cap & ~forbid[best], (), maxused])
         while True:
             frame = stack[-1]
             v, left, touched, below = frame
@@ -631,6 +667,8 @@ def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
                 colors[v] = -1
                 for u in touched:
                     forbid[u] &= off
+                    key[u] += 1
+                    push(heap, (key[u], u))
             if left:
                 low = left & -left
                 c = low.bit_length() - 1
@@ -639,10 +677,13 @@ def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
                 touched = [u for u in adj[v] if colors[u] < 0 and not forbid[u] & low]
                 for u in touched:
                     forbid[u] |= low
+                    key[u] -= 1
+                    push(heap, (key[u], u))
                 frame[1], frame[2] = left ^ low, touched
                 maxused = max(below, c + 1)
                 break
             stack.pop()
+            push(heap, (key[v], v))  # uncolored again
             if not stack:
                 return None
 

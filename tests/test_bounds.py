@@ -52,7 +52,7 @@ def test_report_c4():
     rep = bounds_report(generate_family("cycle", 4))
     assert rep.chi.render() == "2"
     assert rep.sigma.render() == "2"
-    assert rep.elb.render() == "1..2"
+    assert rep.elb.render() == "1"
     assert rep.eq_line.render() == "2"
     assert rep.triangle_free
 
@@ -180,6 +180,26 @@ def test_report_elbow_witness_matches_upper_endpoint(corpus):
             assert verify_elbow_cover(g, witness) is None
         else:
             assert rep.elb.render() == "0"
+
+
+def test_report_elb_is_one_exactly_on_bipartite_graphs(corpus):
+    from eqcover import decide_elb, verify_elbow_cover
+
+    graphs = dict(corpus)
+    graphs["K33"] = generate_family("complete-bipartite", 3)
+    graphs["path9"] = generate_family("path", 9)
+    for name, g in graphs.items():
+        if not g.has_incidence_pairs():
+            continue
+        rep = bounds_report(g)
+        bipartite = rep.chi.hi <= 2
+        assert (decide_elb(g, 1).status == "sat") == bipartite, name
+        if bipartite:
+            assert rep.elb.render() == "1", name
+            assert rep.witnesses["elb"].k == 1
+            assert verify_elbow_cover(g, rep.witnesses["elb"]) is None
+        else:
+            assert rep.elb.lo >= 2, name
 
 
 def test_report_handles_empty_and_single_vertex_graphs():

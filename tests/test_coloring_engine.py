@@ -284,3 +284,25 @@ def test_elbow_cover_complete_matches_restricted_doubling():
         assert (list(got.words), got.k, got.kind, got.graph_shape) == (
             list(expected.words), expected.k, expected.kind, expected.graph_shape
         ), n
+
+
+def test_k_colorable_matches_reference_past_heap_rebuilds():
+    # the Mycielski graphs at k = 4 and 5 backtrack long enough to push
+    # more than the 4n + 64 heap entries that trigger a rebuild of the
+    # branching heap (20 to 47 rebuilds each)
+    rng = random.Random(13)
+    graphs = [_sparse_graph(rng, n, 2 * n) for n in (30, 50, 80)]
+    graphs += [generate_family("mycielski-iterate", t) for t in (5, 6)]
+    graphs.append(generate_family("cycle", 61))
+    for g in graphs:
+        for k in (2, 3, 4, 5):
+            results = []
+            for search in (reference_k_colorable, exact_mod._k_colorable):
+                budget = Budget(3000)
+                try:
+                    found = search(g, k, budget)
+                    out = None if found is None else found.colors
+                except exact_mod._OutOfBudget:
+                    out = "timeout"
+                results.append((out, budget.nodes, budget.exhausted))
+            assert results[0] == results[1], (g.n, g.edges, k)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -428,3 +429,43 @@ def test_chromatic_search_deeper_than_the_recursion_limit():
     res = exact_chromatic(odd)
     assert (res.value, res.status) == (3, "exact")
     assert res.witness.check_proper(odd) is None
+
+
+def _random_small_graph(rng, n):
+    kind = rng.randrange(3)
+    if kind == 0:  # linear forests, the k = 1 yes-instances
+        order = rng.sample(range(n), n)
+        edges = [(order[i], order[i + 1]) for i in range(n - 1) if rng.random() < 0.7]
+    elif kind == 1:  # a linear forest with one chord or closing edge
+        order = rng.sample(range(n), n)
+        edges = [(order[i], order[i + 1]) for i in range(n - 1)]
+        edges.append(tuple(rng.sample(range(n), 2)))
+    else:
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+    return Graph(n, {(min(e), max(e)) for e in edges})
+
+
+def test_eyebrow_closed_form_agrees_with_enumeration():
+    # k <= 1 is decided without search: k = 0 needs no edge with a third
+    # vertex, k = 1 needs a linear forest
+    rng = random.Random(4242)
+    statuses = set()
+    for _ in range(400):
+        g = _random_small_graph(rng, rng.randint(2, 7))
+        for k in (0, 1):
+            res = decide_eyebrow(g, k)
+            assert (res.status == "sat") == oracles.eye_at_most(g, k), (g.edges, k)
+            assert res.nodes == 0
+            if res.status == "sat":
+                assert res.witness.k == k
+                assert verify_eyebrow_cover(g, res.witness) is None
+            statuses.add((k, res.status))
+    assert statuses == {(0, "sat"), (0, "unsat"), (1, "sat"), (1, "unsat")}
+
+
+def test_eyebrow_k1_witness_lists_paths_in_turn():
+    g = Graph(7, [(0, 5), (1, 2), (2, 6), (3, 6)])
+    res = decide_eyebrow(g, 1)
+    assert res.witness.permutations[0].order() == (0, 5, 1, 2, 6, 3, 4)
+    assert decide_eyebrow(generate_family("cycle", 5), 1).status == "unsat"
+    assert decide_eyebrow(generate_family("star", 3), 1).status == "unsat"

@@ -1,0 +1,389 @@
+"""The colour extractions read the per-edge words in one pass.
+
+``coloring_from_elbow_cover`` and ``coloring_from_orientation_cover``
+key each vertex by the set of masks with bit 0 clear that it sees.  The
+reference copies below are the earlier signature-based versions,
+verbatim: they key a vertex by its side of every representative subset
+(2^(k-1) of them) and run the orientation extraction on a relabelled
+core graph.  Both must give the same Coloring.  The faster
+EquivalenceCover._from_sorted must give the covers the validating
+constructor gives.
+"""
+
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import pytest
+
+from eqcover import (
+    Coloring,
+    EquivalenceCover,
+    Graph,
+    InvalidCoverError,
+    bipartition,
+    OrientationCover,
+    cover_via_coloring,
+    decide_eq,
+    elbow_cover_via_coloring,
+    eq_cover_from_orientation_cover,
+    generate_family,
+    incidence_signatures,
+    line_graph,
+    parse_cover,
+    restrict_cover_to_induced,
+    verify_elbow_cover,
+    verify_orientation_cover,
+    write_cover_for,
+)
+from eqcover.construct import (
+    _peel_low_degree,
+    coloring_from_elbow_cover,
+    coloring_from_orientation_cover,
+    out_star_eq_cover,
+)
+from eqcover.exact import _greedy_matching_cover
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the signature-based extractions
+# ---------------------------------------------------------------------------
+
+
+def _representative_subsets(k: int, min_size: int = 0, max_size: Optional[int] = None) -> List[int]:
+    """One representative per complementary pair {X, [k] \\ X}: the subset
+    containing orientation index 0, ascending, size-filtered."""
+    if max_size is None:
+        max_size = k
+    return [
+        x
+        for x in range(1 << k)
+        if x & 1 and min_size <= bin(x).count("1") <= max_size
+    ]
+
+
+def _sides(masks: Sequence[int], reps: Sequence[int], full: int) -> Tuple[int, ...]:
+    """Per representative X, 1 when the masks include the complement of
+    X; a vertex seeing both X and its complement cannot occur in a
+    verified covering."""
+    seen = set(masks)
+    sides = []
+    for x in reps:
+        on_comp = (full ^ x) in seen
+        assert not (on_comp and x in seen), (
+            "vertex sees a signature and its complement; "
+            "impossible for a verified covering"
+        )
+        sides.append(1 if on_comp else 0)  # untouched vertices default 0
+    return tuple(sides)
+
+
+def reference_elbow(g: Graph, c: OrientationCover) -> Coloring:
+    c.require_match(g)
+    violation = verify_elbow_cover(g, c)
+    if violation is not None:
+        raise InvalidCoverError(violation)
+    k = c.k
+    if k == 0:
+        if g.m == 0:
+            return Coloring([0] * g.n)
+        raise ValueError("a zero-orientation covering only colors edgeless graphs")
+    sig = incidence_signatures(g, c)
+    reps = _representative_subsets(k)
+    palette: Dict[Tuple[int, ...], int] = {}
+    colors = []
+    for v in range(g.n):
+        key = _sides([sig.mask(v, e) for e in g.incident(v)], reps, sig.full)
+        colors.append(palette.setdefault(key, len(palette)))
+    coloring = Coloring(colors)
+    coloring.require_proper(g)
+    return coloring
+
+
+def reference_orientation(g: Graph, c: OrientationCover) -> Coloring:
+    if c.k < 3:
+        raise ValueError("needs a covering of size at least 3")
+    c.require_match(g)
+    violation = verify_orientation_cover(g, c)
+    if violation is not None:
+        raise InvalidCoverError(violation)
+    k = c.k
+
+    peeled = _peel_low_degree(g)
+    colors: Dict[int, int] = {}
+    gone = set(peeled)
+    core_vertices = [v for v in range(g.n) if v not in gone]
+    if core_vertices:
+        core, core_cover = restrict_cover_to_induced(g, c, core_vertices)
+        sig = incidence_signatures(core, core_cover)
+        reserved: Dict[int, int] = {}
+        for v in range(core.n):
+            singles = [
+                (sig.mask(v, e)).bit_length() - 1
+                for e in core.incident(v)
+                if bin(sig.mask(v, e)).count("1") == 1
+            ]
+            if singles:
+                reserved[v] = min(singles)
+        for u, v in core.edges:
+            assert not (
+                u in reserved and v in reserved and reserved[u] == reserved[v]
+            ), "reserved-signature sets must be stable for a verified covering"
+        reps = _representative_subsets(k, min_size=2, max_size=k - 2)
+        palette: Dict[Tuple[int, ...], int] = {}
+        for v in range(core.n):
+            orig = core_vertices[v]
+            if v in reserved:
+                colors[orig] = reserved[v]
+                continue
+            key = _sides([sig.mask(v, e) for e in core.incident(v)], reps, sig.full)
+            colors[orig] = k + palette.setdefault(key, len(palette))
+
+    for v in reversed(peeled):
+        taken = {colors[u] for u in g.adjacency[v] if u in colors}
+        pick = 0
+        while pick in taken:
+            pick += 1
+        colors[v] = pick
+
+    coloring = Coloring([colors[v] for v in range(g.n)])
+    coloring.require_proper(g)
+    bound = k + (1 << ((1 << (k - 1)) - k - 1))
+    assert coloring.palette_size <= bound
+    return coloring
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+
+def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _widen(c: OrientationCover, k: int, rng: random.Random) -> OrientationCover:
+    """c with k - c.k random orientations appended; still a covering of
+    the same kind, since adding orientations never uncovers a pair."""
+    extra = k - c.k
+    words = [w | rng.getrandbits(extra) << c.k if extra else w for w in c.words]
+    return OrientationCover.from_words(c.graph_shape, k, words, c.kind)
+
+
+def _shuffle_bits(c: OrientationCover, rng: random.Random) -> OrientationCover:
+    """c with its orientations in a random order (bit 0 moves too)."""
+    order = list(range(c.k))
+    rng.shuffle(order)
+    words = [sum(((w >> i) & 1) << j for j, i in enumerate(order)) for w in c.words]
+    return OrientationCover.from_words(c.graph_shape, c.k, words, c.kind)
+
+
+def _repeat(c: OrientationCover, k: int) -> OrientationCover:
+    """The orientations of c repeated in turn up to k of them."""
+    words = [sum(((w >> (i % c.k)) & 1) << i for i in range(k)) for w in c.words]
+    return OrientationCover.from_words(c.graph_shape, k, words, c.kind)
+
+
+def _one_way_bipartite(g: Graph) -> OrientationCover:
+    """One orientation from side 0 to side 1: an elbow covering of a
+    bipartite graph."""
+    side = bipartition(g)
+    words = [1 - side[u] for u, _ in g.edges]
+    return OrientationCover.from_words((g.n, g.m), 1, words, "elbow")
+
+
+def _tree_with_triangle(rng: random.Random, n: int) -> Graph:
+    edges = {(0, 1), (0, 2), (1, 2)}
+    for v in range(3, n):
+        edges.add((rng.randrange(v), v))
+    return Graph(n, sorted(edges))
+
+
+def _orientation_cases():
+    rng = random.Random(20)
+    for trial in range(60):
+        n = rng.randrange(4, 40)
+        g = _random_graph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.9]))
+        if not g.has_incidence_pairs():
+            continue
+        base = cover_via_coloring(g, greedy=True)
+        if base.k < 3:
+            base = _widen(base, 3, rng)
+        for k in range(max(3, base.k), 9):
+            c = _widen(base, k, rng)
+            yield f"random{trial}-k{k}", g, c
+            yield f"random{trial}-k{k}-shuffled", g, _shuffle_bits(c, rng)
+    for trial in range(15):
+        g = _tree_with_triangle(rng, rng.randrange(4, 60))
+        c = cover_via_coloring(g, greedy=True)
+        yield f"tree-triangle{trial}", g, c
+        yield f"tree-triangle{trial}-k6", g, _shuffle_bits(_widen(c, 6, rng), rng)
+    # colourings with many colours reach the K_c elbow bases (k = 8)
+    for n in (20, 40):
+        g = _random_graph(rng, n, 0.3)
+        c = cover_via_coloring(g, Coloring(range(n)))
+        yield f"identity{n}", g, c
+
+
+def _elbow_cases():
+    rng = random.Random(21)
+    for trial in range(60):
+        n = rng.randrange(3, 40)
+        g = _random_graph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.9]))
+        base = elbow_cover_via_coloring(g, greedy=True)
+        for k in range(base.k, 5):
+            c = _widen(base, k, rng)
+            yield f"random{trial}-k{k}", g, c
+            yield f"random{trial}-k{k}-shuffled", g, _shuffle_bits(c, rng)
+    for trial in range(15):
+        g = _tree_with_triangle(rng, rng.randrange(4, 60)) if trial % 2 else Graph(
+            30, [(u, u + 1) for u in range(29)]
+        )
+        yield f"tree{trial}", g, elbow_cover_via_coloring(g, greedy=True)
+    for name, g in (
+        ("C6", generate_family("cycle", 6)),
+        ("K33", generate_family("complete-bipartite", 3)),
+        ("path9", generate_family("path", 9)),
+        ("star5", generate_family("star", 5)),
+    ):
+        yield f"{name}-k1", g, _one_way_bipartite(g)
+    for n in (17, 40):
+        g = _random_graph(rng, n, 0.5)
+        yield f"identity{n}", g, elbow_cover_via_coloring(g, Coloring(range(n)))
+
+
+def test_orientation_extraction_matches_reference():
+    count = 0
+    for name, g, c in _orientation_cases():
+        assert verify_orientation_cover(g, c) is None, name
+        assert coloring_from_orientation_cover(g, c) == reference_orientation(g, c), name
+        count += 1
+    assert count > 400
+
+
+def test_elbow_extraction_matches_reference():
+    count = 0
+    for name, g, c in _elbow_cases():
+        assert verify_elbow_cover(g, c) is None, name
+        assert coloring_from_elbow_cover(g, c) == reference_elbow(g, c), name
+        count += 1
+    assert count > 300
+
+
+def test_extractions_match_reference_on_corpus(corpus):
+    for name, g in corpus.items():
+        if not g.has_incidence_pairs():
+            continue
+        sigma = cover_via_coloring(g, greedy=True)
+        if sigma.k >= 3:
+            assert coloring_from_orientation_cover(g, sigma) == reference_orientation(g, sigma), name
+        elbow = elbow_cover_via_coloring(g, greedy=True)
+        assert coloring_from_elbow_cover(g, elbow) == reference_elbow(g, elbow), name
+        assert coloring_from_elbow_cover(g, sigma) == reference_elbow(g, sigma), name
+
+
+def test_repeated_cover_keeps_the_elbow_coloring():
+    # repeating orientations maps bit-0-clear masks one to one, so the
+    # elbow colouring is that of the base cover
+    g = _random_graph(random.Random(5), 30, 0.3)
+    base = cover_via_coloring(g, greedy=True)
+    wide = _repeat(base, 12)
+    assert verify_orientation_cover(g, wide) is None
+    assert coloring_from_elbow_cover(g, wide) == coloring_from_elbow_cover(g, base)
+    assert coloring_from_orientation_cover(g, wide) == reference_orientation(g, wide)
+
+
+PRELUDE = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, ({512 << 20}, {512 << 20}))
+"""
+
+# k = 40: the representative subsets (2^39 of them) and the palette
+# bound k + 2^(2^39 - 41) as an int are both out of reach, so this case
+# only passes when neither is built
+K40_CASE = """
+import os, sys, tempfile
+from eqcover import *
+from eqcover.cli import main
+g = generate_family("mycielski-iterate", 4)
+base = cover_via_coloring(g, greedy=True)
+k = 40
+words = [sum(((w >> (i % base.k)) & 1) << i for i in range(k)) for w in base.words]
+wide = OrientationCover.from_words((g.n, g.m), k, words, "orientation")
+assert verify_orientation_cover(g, wide) is None
+col = coloring_from_orientation_cover(g, wide)
+assert col.check_proper(g) is None
+assert coloring_from_elbow_cover(g, wide) == coloring_from_elbow_cover(g, base)
+with tempfile.TemporaryDirectory() as d:
+    gp, cp, op = (os.path.join(d, x) for x in ("g.txt", "c.txt", "col.txt"))
+    write_graph_file(gp, g)
+    with open(cp, "w") as fh:
+        fh.write(write_cover_for(g, wide))
+    code = main(["construct", "--op", "coloring-from-orientation", "--graph", gp,
+                 "--cover", cp, "--output", op])
+    assert code == 0, code
+    with open(op) as fh:
+        assert parse_coloring(fh.read(), g.n) == col
+"""
+
+
+def test_k40_cover_under_memory_cap():
+    pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", PRELUDE + textwrap.dedent(K40_CASE)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# ---------------------------------------------------------------------------
+# EquivalenceCover._from_sorted
+# ---------------------------------------------------------------------------
+
+
+def _validated(c: EquivalenceCover) -> EquivalenceCover:
+    return EquivalenceCover(c.n, c.subgraphs)
+
+
+def _same(a: EquivalenceCover, b: EquivalenceCover) -> None:
+    assert (a.n, a.subgraphs) == (b.n, b.subgraphs)
+    assert all(type(sub) is tuple for sub in a.subgraphs)
+    assert all(type(cls) is tuple for sub in a.subgraphs for cls in sub)
+
+
+def test_from_sorted_out_star_cover_matches_constructor():
+    rng = random.Random(7)
+    for _ in range(20):
+        g = _random_graph(rng, rng.randrange(3, 30), 0.3)
+        c = cover_via_coloring(g, greedy=True)
+        eq = out_star_eq_cover(g, c)
+        _same(eq, _validated(eq))
+        lm = line_graph(g)
+        _same(eq_cover_from_orientation_cover(lm, c), eq)
+
+
+def test_from_sorted_decide_eq_matches_constructor(corpus):
+    for name in ("K3", "K4", "C5", "bull", "P4", "tri_pendant", "matching2"):
+        h = line_graph(corpus[name]).line
+        for k in range(4):
+            res = decide_eq(h, k)
+            if res.status == "sat":
+                _same(res.witness, _validated(res.witness))
+
+
+def test_from_sorted_parse_cover_matches_constructor():
+    rng = random.Random(8)
+    for _ in range(10):
+        h = _random_graph(rng, rng.randrange(3, 25), 0.4)
+        cover = _greedy_matching_cover(h)
+        parsed = parse_cover(write_cover_for(h, cover), h)
+        _same(parsed, _validated(parsed))
+        _same(parsed, cover)
+    h = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    text = "cover equivalence 2 4 4\nblock 1\nclique 2 0 1\nblock 2\nclique 3 2\n"
+    _same(parse_cover(text, h), EquivalenceCover(4, [[(2, 0, 1)], [(3, 2)]]))

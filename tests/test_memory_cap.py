@@ -40,6 +40,13 @@ CASES = {
         upper = _upper_witness(g, "eye")
         assert upper.k == 5 and verify_eyebrow_cover(g, upper) is None
     """,
+    # eye <= 1 is decided in closed form, not from m(n-2) constraints
+    "solve-eye-path2000": """
+        g = generate_family("path", 2000)
+        res = solve_invariant(g, "eye", Budget(max_nodes=1))
+        assert (res.status, res.value, res.nodes) == ("exact", 1, 0)
+        assert verify_eyebrow_cover(g, res.witness) is None
+    """,
     "elbow-complete-300": """
         cover = elbow_cover_complete(300)
         assert cover.k == 5
