@@ -22,8 +22,6 @@ exact solvers for small instances, and composed interval reports.
 from .bounds import AlonBounds, BoundsReport, alon_bounds, bounds_report
 from .construct import (
     InvalidCoverError,
-    StructureError,
-    TriangleError,
     analogue,
     bipartite_orientation_cover,
     coloring_from_elbow_cover,
@@ -38,7 +36,6 @@ from .construct import (
     k16_table_cover,
     orientation_cover_from_elbow,
     orientation_cover_from_eq_cover,
-    orientation_cover_from_eq_cover_trifree,
     restrict_cover_to_induced,
 )
 from .covers import (
@@ -122,8 +119,6 @@ __all__ = [
     "Permutation",
     "ShapeError",
     "SolveResult",
-    "StructureError",
-    "TriangleError",
     "Violation",
     "alon_bounds",
     "analogue",
@@ -154,7 +149,6 @@ __all__ = [
     "mycielskian",
     "orientation_cover_from_elbow",
     "orientation_cover_from_eq_cover",
-    "orientation_cover_from_eq_cover_trifree",
     "parse_coloring",
     "parse_cover",
     "parse_graph",

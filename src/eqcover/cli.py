@@ -25,7 +25,6 @@ from typing import Optional
 from .bounds import bounds_report
 from .construct import (
     InvalidCoverError,
-    TriangleError,
     bipartite_orientation_cover,
     coloring_from_elbow_cover,
     coloring_from_orientation_cover,
@@ -36,7 +35,6 @@ from .construct import (
     k16_table_cover,
     orientation_cover_from_elbow,
     orientation_cover_from_eq_cover,
-    orientation_cover_from_eq_cover_trifree,
 )
 from .covers import (
     CoverFormatError,
@@ -74,7 +72,6 @@ _USAGE_ERRORS = (
     HomomorphismError,
     ImproperColoringError,
     NotBipartiteError,
-    TriangleError,
     ValueError,
     OSError,
 )
@@ -247,11 +244,7 @@ def _cmd_construct(args) -> int:
         g = read_graph_file(args.graph)
         lm = line_graph(g)
         eq = _read_cover(args.cover, lm.line)
-        if args.triangle_free:
-            cover = orientation_cover_from_eq_cover_trifree(lm, eq)
-        else:
-            cover = orientation_cover_from_eq_cover(lm, eq)
-        emit_cover(g, cover)
+        emit_cover(g, orientation_cover_from_eq_cover(lm, eq))
     elif op == "orientation-from-elbow":
         g = read_graph_file(args.graph)
         base = _read_cover(args.cover, g)
@@ -367,27 +360,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("construct", help="emit a certificate from a constructive proof")
-    p.add_argument(
-        "--op",
-        required=True,
-        choices=[
-            "k16-table",
-            "elbow-complete",
-            "elbow-double",
-            "bipartite",
-            "via-coloring",
-            "eq-from-orientation",
-            "orientation-from-eq",
-            "orientation-from-elbow",
-            "coloring-from-elbow",
-            "coloring-from-orientation",
-        ],
-    )
+    p.add_argument("--op", required=True, choices=list(_CONSTRUCT_NEEDS))
     p.add_argument("--graph")
     p.add_argument("--cover")
     p.add_argument("--coloring")
     p.add_argument("--greedy", action="store_true")
-    p.add_argument("--triangle-free", action="store_true")
     p.add_argument("--n", type=int)
     p.add_argument("--output", required=True)
     p.add_argument("--perms-output")

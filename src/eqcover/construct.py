@@ -5,11 +5,14 @@ the proofs behind them are constructive, so the outputs double as
 machine-checkable evidence for the size relations between the
 invariants:
 
-    eq(L(G)) <= sigma(G) <= 3 eq(L(G))       (analogues / three-orientation split)
+    eq(L(G)) <= sigma(G) <= 3 eq(L(G))       (analogues / 1 or 3 orientations per subgraph)
     elb(G) <= sigma(G) <= 2 elb(G)           (reversal doubling)
     elb(K_n) = ceil(log2 log2 n) + 1, n >= 3 (self-composition doubling)
     sigma(G) <= sigma(K_c) for any proper c-coloring (pullback)
 
+The converse from an equivalence covering of L(G) spends three
+orientations only on a subgraph with a triangle class, so on a
+triangle-free host, where eq(L(G)) = sigma(G), it preserves size.
 Every complete-graph base is kept as vertex rankings, so a pullback
 compares the ranks of the endpoint colors and no K_c is built.
 Arbitrary direction choices are everywhere fixed as low-endpoint to
@@ -24,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covers import EquivalenceCover, EquivalenceSubgraph, OrientationCover, Violation
 from .exact import Budget, exact_chromatic, greedy_coloring
-from .graphs import Graph, bipartition, find_triangle
+from .graphs import Graph, bipartition
 from .linegraph import LineGraphMap
 from .orientations import Coloring, Orientation, Permutation
 from .verify import (
@@ -40,18 +43,6 @@ class InvalidCoverError(ValueError):
     def __init__(self, violation: Violation):
         self.violation = violation
         super().__init__(f"input cover is invalid: {violation.line()}")
-
-
-class TriangleError(ValueError):
-    """A triangle-free host was required; ``triangle`` is the witness."""
-
-    def __init__(self, triangle: Tuple[int, int, int]):
-        self.triangle = triangle
-        super().__init__(f"host graph contains triangle {triangle}")
-
-
-class StructureError(ValueError):
-    """A class shape that cannot occur in a line graph's equivalence subgraph."""
 
 
 # Every complete-graph base is a list of vertex rankings: ranking r
@@ -189,114 +180,56 @@ def eq_cover_from_orientation_cover(
     return out_star_eq_cover(lm.host, c)
 
 
-def _class_direction_bits(
-    host: Graph, lm: LineGraphMap, classes: Sequence[Sequence[int]]
-) -> List[Optional[int]]:
-    """Directions forced by star classes; None where a class leaves the
-    edge free (single-member classes and unclassed edges).
-
-    For a class member e = uv with class mates all incident to u, the
-    edge is sent out of u (toward v); symmetrically for v.  Mates split
-    between the two endpoint cliques cannot occur in a verified cover of
-    a triangle-free host.
-    """
-    bits: List[Optional[int]] = [None] * host.m
-    for cls in classes:
-        for e in cls:
-            mates = [x for x in cls if x != e]
-            if not mates:
-                continue
-            u, v = host.edges[e]
-            if all(x in lm.cliques[u] for x in mates):
-                bits[e] = 0  # out of the low endpoint u
-            elif all(x in lm.cliques[v] for x in mates):
-                bits[e] = 1
-            else:
-                raise StructureError(
-                    f"class {tuple(cls)} is neither a star nor a triangle"
-                )
-    return bits
-
-
-def orientation_cover_from_eq_cover_trifree(
-    lm: LineGraphMap, c: EquivalenceCover
-) -> OrientationCover:
-    """Size-preserving converse for triangle-free hosts.
-
-    Every clique of L(G) then lies inside a single endpoint clique C_v,
-    so each class forces its edges out of the shared vertex; edges with
-    no class mates default to low -> high.
-    """
-    host = lm.host
-    triangle = find_triangle(host)
-    if triangle is not None:
-        raise TriangleError(triangle)
-    violation = verify_equivalence_cover(lm.line, c)
-    if violation is not None:
-        raise InvalidCoverError(violation)
-    shape = (host.n, host.m)
-    orientations = []
-    for sub in c.subgraphs:
-        bits = _class_direction_bits(host, lm, sub)
-        orientations.append(
-            Orientation(shape, [0 if b is None else b for b in bits])
-        )
-    return OrientationCover(shape, orientations, "orientation")
-
-
 def orientation_cover_from_eq_cover(
     lm: LineGraphMap, c: EquivalenceCover
 ) -> OrientationCover:
-    """General converse: three orientations per equivalence subgraph.
+    """Orientation covering from a valid equivalence covering of L(G):
+    one orientation per equivalence subgraph made of stars, three per
+    subgraph with a triangle class, so the size stays within 3k and
+    equals k on a triangle-free host.
 
-    Classes of a line graph's equivalence subgraph are stars (edges
-    sharing a host vertex) or host triangles.  Star classes point out of
-    their shared vertex in all three emitted orientations; for the
-    edge-disjoint triangle classes, orientation j makes each triangle's
-    j-th vertex (sorted order) the source of its two edges, third edge
-    low -> high; everything else low -> high.
+    A class of a line graph's equivalence subgraph is a star (edges
+    sharing a host vertex) or a host triangle.  Star edges point out of
+    the shared vertex and all other edges low -> high.  For the
+    edge-disjoint triangles abc (a < b < c) of one subgraph, orientation
+    j makes the j-th vertex the source of its two triangle edges, the
+    third edge low -> high; stars and free edges keep one direction in
+    all three.  Edges ab, ac, bc are the class in edge-index order, and
+    ab runs out of its high end in orientation 1, ac and bc in
+    orientation 2.
     """
     host = lm.host
     violation = verify_equivalence_cover(lm.line, c)
     if violation is not None:
         raise InvalidCoverError(violation)
-    shape = (host.n, host.m)
-    orientations = []
+    edges = host.edges
+    high = [0] * host.m  # bits of the orientations directing the edge out of its high end
+    k = 0
     for sub in c.subgraphs:
-        stars: List[Sequence[int]] = []
-        triangles: List[Tuple[int, int, int]] = []
+        reversed_edges: List[int] = []
+        triangles: List[Sequence[int]] = []
         for cls in sub:
-            if len(cls) <= 1:
-                continue  # no pairs to cover; Prop-2 fallback applies
-            common = set(host.edges[cls[0]])
-            for e in cls[1:]:
-                common &= set(host.edges[e])
-            if common:
-                stars.append(cls)
-            else:
-                vertices = set()
-                for e in cls:
-                    vertices.update(host.edges[e])
-                if len(cls) != 3 or len(vertices) != 3:
-                    raise StructureError(
-                        f"class {tuple(cls)} is neither a star nor a triangle"
-                    )
-                a, b, cc = sorted(vertices)
-                triangles.append((a, b, cc))
-        base = _class_direction_bits(host, lm, stars)
-        for j in range(3):
-            bits = list(base)
-            for tri in triangles:
-                src = tri[j]
-                rest = [x for x in tri if x != src]
-                for x in rest:
-                    e = host.index_of(src, x)
-                    bits[e] = 0 if host.edges[e][0] == src else 1
-                bits[host.index_of(rest[0], rest[1])] = 0
-            orientations.append(
-                Orientation(shape, [0 if b is None else b for b in bits])
-            )
-    return OrientationCover(shape, orientations, "orientation")
+            if len(cls) < 2:
+                continue
+            ends = [set(edges[e]) for e in cls]
+            shared = ends[0].intersection(*ends[1:])
+            if shared:
+                (s,) = shared
+                reversed_edges.extend(e for e in cls if edges[e][1] == s)
+            else:  # three edges meeting pairwise at three vertices
+                triangles.append(cls)
+        width = 3 if triangles else 1
+        for e in reversed_edges:
+            high[e] |= ((1 << width) - 1) << k
+        for ab, ac, bc in triangles:
+            high[ab] |= 2 << k
+            high[ac] |= 4 << k
+            high[bc] |= 4 << k
+        k += width
+    full = (1 << k) - 1
+    return OrientationCover.from_words(
+        (host.n, host.m), k, [full ^ x for x in high], "orientation"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +307,8 @@ def elbow_cover_complete(n: int) -> OrientationCover:
     if n < 1:
         raise ValueError("n must be at least 1")
     if n <= 2:
-        return OrientationCover((n, n * (n - 1) // 2), [], "elbow")
+        m = n * (n - 1) // 2
+        return OrientationCover.from_words((n, m), 0, [0] * m, "elbow")
     return _complete_cover(_elbow_ranks(n), "elbow")
 
 
@@ -473,7 +407,8 @@ def elbow_cover_via_coloring(
     budget: Optional[Budget] = None,
 ) -> OrientationCover:
     """Elbow covering pulled back from the squared-base covering of K_c,
-    size ceil(log2 log2 c) + 1 for palette c >= 3 (two for c <= 2).
+    size ceil(log2 log2 c) + 1 for palette c >= 3; for c <= 2 the one
+    orientation from color 0 to color 1.
 
     The pullback stays an elbow covering even though distinct endpoints
     of a 2-edge path may share a color: the two edges then pull from one
@@ -482,9 +417,7 @@ def elbow_cover_via_coloring(
     """
     dense = _resolve_coloring(g, coloring, greedy, budget)
     c = dense.palette_size
-    if c <= 2:
-        return bipartite_orientation_cover(g).with_kind("elbow")
-    ranks = _elbow_ranks(c)
+    ranks = K2_RANKS[:1] if c <= 2 else _elbow_ranks(c)
     words = _rank_words(g.edges, dense.colors, ranks)
     return OrientationCover.from_words((g.n, g.m), len(ranks), words, "elbow")
 

@@ -56,13 +56,7 @@ class OrientationCover:
                     f"orientation shape {o.graph_shape} != cover shape {shape}"
                 )
             words = [w if d else w | 1 << i for w, d in zip(words, o.direction)]
-        if kind not in ("orientation", "elbow"):
-            raise ValueError(f"kind must be 'orientation' or 'elbow', got {kind!r}")
-        self.graph_shape = shape
-        self.k = len(orientations)
-        self.words: Tuple[int, ...] = tuple(words)
-        self.kind = kind
-        self._orientations: Optional[Tuple[Orientation, ...]] = orientations
+        self._init(shape, len(orientations), tuple(words), kind, orientations)
 
     @classmethod
     def from_words(
@@ -74,14 +68,31 @@ class OrientationCover:
     ) -> "OrientationCover":
         """Build from per-edge words (bit i set: orientation i directs
         the edge out of its low endpoint)."""
-        cover = cls(graph_shape, (), kind)
+        shape = (int(graph_shape[0]), int(graph_shape[1]))
         words = tuple(words)
-        if len(words) != cover.graph_shape[1]:
-            raise ShapeError(f"expected {cover.graph_shape[1]} words, got {len(words)}")
+        if len(words) != shape[1]:
+            raise ShapeError(f"expected {shape[1]} words, got {len(words)}")
         if k < 0 or (words and not (0 <= min(words) and max(words) >> k == 0)):
             raise ValueError(f"words must lie in [0, 2^{k})")
-        cover.k, cover.words, cover._orientations = k, words, None
+        cover = cls.__new__(cls)
+        cover._init(shape, k, words, kind, None)
         return cover
+
+    def _init(
+        self,
+        shape: Tuple[int, int],
+        k: int,
+        words: Tuple[int, ...],
+        kind: str,
+        orientations: Optional[Tuple[Orientation, ...]],
+    ) -> None:
+        if kind not in ("orientation", "elbow"):
+            raise ValueError(f"kind must be 'orientation' or 'elbow', got {kind!r}")
+        self.graph_shape = shape
+        self.k = k
+        self.words = words
+        self.kind = kind
+        self._orientations = orientations
 
     @property
     def orientations(self) -> Tuple[Orientation, ...]:
@@ -97,9 +108,6 @@ class OrientationCover:
             raise ShapeError(
                 f"cover shape {self.graph_shape} does not match graph {(g.n, g.m)}"
             )
-
-    def with_kind(self, kind: str) -> "OrientationCover":
-        return OrientationCover.from_words(self.graph_shape, self.k, self.words, kind)
 
     def __repr__(self) -> str:
         return f"OrientationCover(kind={self.kind}, k={self.k}, shape={self.graph_shape})"
@@ -188,6 +196,12 @@ class Violation:
         return hash((type(self).__name__, self.line()))
 
 
+def _out_mask(g: Graph, cover: OrientationCover, e: int, v: int) -> int:
+    """The orientations of ``cover`` directing edge e out of its endpoint v."""
+    w = cover.words[e]
+    return w if g.edges[e][0] == v else w ^ ((1 << cover.k) - 1)
+
+
 class OrientationViolation(Violation):
     """A vertex with two incident edges never jointly directed out of it."""
 
@@ -206,10 +220,7 @@ class OrientationViolation(Violation):
         fi = g.index_of(*self.f)
         if ei == fi or self.vertex not in self.e or self.vertex not in self.f:
             return False
-        return not any(
-            o.directs_out_of(g, ei, self.vertex) and o.directs_out_of(g, fi, self.vertex)
-            for o in cover.orientations
-        )
+        return not _out_mask(g, cover, ei, self.vertex) & _out_mask(g, cover, fi, self.vertex)
 
 
 class ElbowViolation(Violation):
@@ -228,13 +239,11 @@ class ElbowViolation(Violation):
         u, v, w = self.path
         if u == w or not (g.has_edge(u, v) and g.has_edge(v, w)):
             return False
-        ei, fi = g.index_of(u, v), g.index_of(v, w)
-        for o in cover.orientations:
-            forward = o.arrow(g, ei) == (u, v) and o.arrow(g, fi) == (v, w)
-            backward = o.arrow(g, fi) == (w, v) and o.arrow(g, ei) == (v, u)
-            if not (forward or backward):
-                return False
-        return True
+        # an orientation directs the path exactly when it sends one of
+        # the two edges out of the middle vertex and not the other
+        out_e = _out_mask(g, cover, g.index_of(u, v), v)
+        out_f = _out_mask(g, cover, g.index_of(v, w), v)
+        return out_e ^ out_f == (1 << cover.k) - 1
 
 
 class EyebrowViolation(Violation):

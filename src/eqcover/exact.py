@@ -746,11 +746,11 @@ def _upper_witness(g: Graph, invariant: str):
 
     if invariant == "sigma":
         if not g.has_incidence_pairs():
-            return OrientationCover((g.n, g.m), [])
+            return OrientationCover.from_words((g.n, g.m), 0, [0] * g.m)
         return construct.cover_via_coloring(g, greedy=True)
     if invariant == "elb":
         if not g.has_incidence_pairs():
-            return OrientationCover((g.n, g.m), [], kind="elbow")
+            return OrientationCover.from_words((g.n, g.m), 0, [0] * g.m, "elbow")
         return construct.elbow_cover_via_coloring(g, greedy=True)
     if invariant == "eq":
         return _greedy_matching_cover(g)

@@ -5,9 +5,9 @@ the two edges share an endpoint.  Vertex i of L(G) IS edge i of G (the
 numbering is the identity on edge indices), which keeps covering
 certificates over L(G) human-checkable against the host edge list.
 
-For each host vertex v the edges incident to v form a clique C_v of
-L(G); every L(G)-vertex lies in exactly the two cliques of its edge's
-endpoints.
+For each host vertex v the edges incident to v, ``host.incident(v)``,
+form a clique C_v of L(G); every L(G)-vertex lies in exactly the two
+cliques of its edge's endpoints.
 
 Equivalence covers of L(G) built from orientation covers of G need no
 line graph: their classes are the out-stars of each orientation, which
@@ -18,27 +18,17 @@ builds L(G).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Tuple
-
 from .graphs import Graph
 
 
 class LineGraphMap:
-    """A host graph together with its line graph and the cliques C_v."""
+    """A host graph together with its line graph."""
 
-    __slots__ = ("host", "line", "edge_to_vertex", "cliques")
+    __slots__ = ("host", "line")
 
-    def __init__(
-        self,
-        host: Graph,
-        line: Graph,
-        edge_to_vertex: Tuple[int, ...],
-        cliques: Tuple[FrozenSet[int], ...],
-    ):
+    def __init__(self, host: Graph, line: Graph):
         self.host = host
         self.line = line
-        self.edge_to_vertex = edge_to_vertex
-        self.cliques = cliques
 
     def __repr__(self) -> str:
         return (
@@ -68,6 +58,4 @@ def line_graph(g: Graph) -> LineGraphMap:
         iu, iv = at[u] + 1, at[v] + 1
         at[u], at[v] = iu, iv
         line_edges.extend([(e, f) for f in incident[u][iu:] + incident[v][iv:]])
-    line = Graph._from_sorted(g.m, line_edges)
-    cliques = tuple(frozenset(g.incident(v)) for v in range(g.n))
-    return LineGraphMap(g, line, tuple(range(g.m)), cliques)
+    return LineGraphMap(g, Graph._from_sorted(g.m, line_edges))

@@ -127,12 +127,17 @@ def test_eq_round_trip_via_files(tmp_path, capsys):
     assert code == 0 and out == "VALID k=3\n"
     back = tmp_path / "back.cov"
     code, _, _ = run(
-        capsys, "construct", "--op", "orientation-from-eq", "--triangle-free",
+        capsys, "construct", "--op", "orientation-from-eq",
         "--graph", str(g), "--cover", str(eq_cov), "--output", str(back),
     )
     assert code == 0
     code, out, _ = run(capsys, "verify", "--kind", "orientation", "--graph", str(g), "--cover", str(back))
-    assert code == 0
+    assert code == 0 and out == "VALID k=3\n"  # triangle-free: size preserved
+    code, _, err = run(
+        capsys, "construct", "--op", "orientation-from-eq", "--triangle-free",
+        "--graph", str(g), "--cover", str(eq_cov), "--output", str(back),
+    )
+    assert code == 2 and "--triangle-free" in err
 
 
 def test_construct_invalid_cover_exits_1(tmp_path, capsys):

@@ -9,7 +9,6 @@ from eqcover import (
     Orientation,
     OrientationCover,
     Permutation,
-    TriangleError,
     analogue,
     bipartite_orientation_cover,
     coloring_from_elbow_cover,
@@ -27,7 +26,6 @@ from eqcover import (
     line_graph,
     orientation_cover_from_elbow,
     orientation_cover_from_eq_cover,
-    orientation_cover_from_eq_cover_trifree,
     permutation_to_orientation,
     restrict_cover_to_induced,
     verify_elbow_cover,
@@ -105,7 +103,7 @@ def test_eq_cover_rejects_invalid_input():
 def test_trifree_converse_path():
     p3 = generate_family("path", 3)
     lm = line_graph(p3)
-    cover = orientation_cover_from_eq_cover_trifree(lm, EquivalenceCover(2, [[(0, 1)]]))
+    cover = orientation_cover_from_eq_cover(lm, EquivalenceCover(2, [[(0, 1)]]))
     assert cover.k == 1
     o = cover.orientations[0]
     # both edges leave the middle vertex
@@ -117,17 +115,9 @@ def test_trifree_converse_c5():
     c5 = generate_family("cycle", 5)
     lm = line_graph(c5)
     eq = decide_eq(lm.line, 3).witness
-    cover = orientation_cover_from_eq_cover_trifree(lm, eq)
+    cover = orientation_cover_from_eq_cover(lm, eq)
     assert cover.k == 3
     assert verify_orientation_cover(c5, cover) is None
-
-
-def test_trifree_converse_rejects_triangles():
-    k3 = generate_family("complete", 3)
-    lm = line_graph(k3)
-    with pytest.raises(TriangleError) as info:
-        orientation_cover_from_eq_cover_trifree(lm, EquivalenceCover(3, [[(0, 1, 2)]]))
-    assert info.value.triangle == (0, 1, 2)
 
 
 def test_general_converse_k3_single_class():
@@ -159,7 +149,7 @@ def test_general_converse_returns_3k_even_when_triangle_free():
     lm = line_graph(c5)
     eq = decide_eq(lm.line, 3).witness
     cover = orientation_cover_from_eq_cover(lm, eq)
-    assert cover.k == 9
+    assert cover.k == 3  # star-only subgraphs take one orientation each
     assert verify_orientation_cover(c5, cover) is None
 
 
@@ -496,7 +486,7 @@ def test_coloring_from_elbow_petersen():
 
 
 def test_elbow_cover_via_coloring():
-    from eqcover import Graph, elbow_cover_via_coloring, verify_elbow_cover
+    from eqcover import Graph, elbow_cover_via_coloring, solve_invariant, verify_elbow_cover
 
     # complete tripartite: many 2-edge paths join same-colored endpoints
     parts = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
@@ -514,8 +504,10 @@ def test_elbow_cover_via_coloring():
     assert verify_elbow_cover(g, cover) is None
 
     c4 = generate_family("cycle", 4)
-    two = elbow_cover_via_coloring(c4)
-    assert two.k == 2 and verify_elbow_cover(c4, two) is None
+    one = elbow_cover_via_coloring(c4)
+    assert one.k == 1 and verify_elbow_cover(c4, one) is None
+    res = solve_invariant(c4, "elb")
+    assert (res.status, res.value, res.witness.k) == ("exact", 1, 1)
 
     g17 = generate_family("complete", 17)
     big = elbow_cover_via_coloring(g17, Coloring(range(17)))

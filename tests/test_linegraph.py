@@ -22,7 +22,7 @@ def test_k4_line_graph_is_4_regular():
 def test_edgeless_host():
     lm = line_graph(Graph(3, []))
     assert (lm.line.n, lm.line.m) == (0, 0)
-    assert lm.cliques == (frozenset(), frozenset(), frozenset())
+    assert lm.line.edges == ()
 
 
 def test_adjacency_iff_shared_endpoint(corpus):
@@ -55,14 +55,18 @@ def test_every_line_vertex_in_exactly_two_cliques(corpus):
     for g in corpus.values():
         lm = line_graph(g)
         for e in range(g.m):
-            homes = [v for v in range(g.n) if e in lm.cliques[v]]
+            homes = [v for v in range(g.n) if e in g.incident(v)]
             assert tuple(homes) == g.edges[e]
+        for v in range(g.n):  # C_v = host.incident(v) is a clique of L(g)
+            assert all(lm.line.has_edge(e, f) for e, f in combinations(g.incident(v), 2))
 
 
 def test_vertex_numbering_is_edge_index_order(corpus):
     for g in corpus.values():
         lm = line_graph(g)
-        assert lm.edge_to_vertex == tuple(range(g.m))
+        assert lm.line.n == g.m
+        for e, f in lm.line.edges:  # line vertex e is host edge e
+            assert set(g.edges[e]) & set(g.edges[f])
 
 
 def _fields(g):
@@ -97,8 +101,7 @@ def test_line_graph_from_sorted_rows_matches_validating_constructor(corpus):
     for g in _build_cases(corpus):
         lm = line_graph(g)
         assert _fields(lm.line) == _fields(_reference_line_graph(g))
-        assert lm.cliques == tuple(frozenset(g.incident(v)) for v in range(g.n))
-        assert lm.edge_to_vertex == tuple(range(g.m))
+        assert lm.host is g
 
 
 def test_induced_restrictions_match_validating_constructor(corpus):
