@@ -466,7 +466,8 @@ def _peel_low_degree(g: Graph) -> List[int]:
     vertices of degree <= 1 gives that order: a vertex enters once,
     when its degree first reaches 1 or below.
     """
-    deg = list(g.degrees())
+    adj = g.adjacency
+    deg = list(map(len, adj))
     ready = [v for v in range(g.n) if deg[v] <= 1]  # ascending: a heap
     alive = [True] * g.n
     peeled: List[int] = []
@@ -474,7 +475,7 @@ def _peel_low_degree(g: Graph) -> List[int]:
         v = heapq.heappop(ready)
         alive[v] = False
         peeled.append(v)
-        for u in g.adjacency[v]:
+        for u in adj[v]:
             if alive[u]:
                 deg[u] -= 1
                 if deg[u] == 1:
@@ -531,8 +532,9 @@ def coloring_from_orientation_cover(g: Graph, c: OrientationCover) -> Coloring:
                 colors[v] = (s & -s).bit_length() - 1
             else:
                 colors[v] = k + palette.setdefault(frozenset(seen[v]), len(palette))
+    adj = g.adjacency
     for v in reversed(peeled):
-        taken = {colors[u] for u in g.adjacency[v]}
+        taken = {colors[u] for u in adj[v]}
         pick = 0
         while pick in taken:
             pick += 1

@@ -13,6 +13,7 @@ can be trusted without re-running the full verifier.
 
 from __future__ import annotations
 
+import re
 from itertools import repeat
 from operator import eq, lshift, or_
 from typing import List, Optional, Sequence, Tuple
@@ -403,7 +404,14 @@ def parse_cover(text: str, g: Graph):
     Returns an OrientationCover, EyebrowCover, or EquivalenceCover
     according to the header kind.  Raises CoverFormatError with 1-based
     line numbers on malformed input.
+
+    An orientation or elbow cover laid out as ``write_cover_for`` writes
+    it is decoded one block at a time, never split into lines whole;
+    every other text gives the same cover, or error, line by line.
     """
+    cover = _parse_written_cover(text, g)
+    if cover is not None:
+        return cover
     raw = text.splitlines()
     lines = _significant_lines(raw)
     first = next(lines, None)
@@ -428,45 +436,77 @@ def parse_cover(text: str, g: Graph):
             f"({g.n}, {g.m})"
         )
     if kind in ("orientation", "elbow"):
-        words = _canonical_words(raw[lineno:], g, k)
-        if words is None:
-            words = _parse_orientation_blocks(list(lines), g, k)
+        words = _parse_orientation_blocks(list(lines), g, k)
         return OrientationCover.from_words((g.n, g.m), k, words, kind)
     body = list(lines)
     return _parse_eyebrow(body, g, k) if kind == "eyebrow" else _parse_equivalence(body, g, k)
 
 
-def _canonical_words(raw: List[str], g: Graph, k: int) -> Optional[List[int]]:
-    """Per-edge words of k blocks written as ``write_cover_for`` writes
-    them ("block <i>", then line e is edge e's arrow "t h", nothing
-    else); None for any other text, left to the line-by-line reader,
-    which accepts the arrows of a block in any order.
+_COVER_HEADER = re.compile(r"cover (orientation|elbow) ([0-9]+) ([0-9]+) ([0-9]+)\n")
 
-    Decoded by position: block i's flags "line e runs out of the low
-    endpoint" become one byte per edge, shifted to bit i mod 8 and
-    summed into one integer per eight blocks, so no bit carries into
-    the next edge's byte.
+
+def _parse_written_cover(text: str, g: Graph) -> Optional[OrientationCover]:
+    """The orientation or elbow cover of a text whose first line is its
+    header, exactly as ``write_cover_for`` writes it, and whose blocks
+    ``_canonical_words`` decodes; None for any other text, left to the
+    line-by-line reader."""
+    header = _COVER_HEADER.match(text)
+    if header is None:
+        return None
+    try:
+        k, n, m = int(header[2]), int(header[3]), int(header[4])
+    except ValueError:  # a number past the int string-conversion limit
+        return None
+    if (n, m) != (g.n, g.m):
+        return None
+    words = _canonical_words(text, header.end(), g, k)
+    if words is None:
+        return None
+    return OrientationCover.from_words((n, m), k, words, header[1])
+
+
+def _canonical_words(text: str, start: int, g: Graph, k: int) -> Optional[List[int]]:
+    """Per-edge words of the k blocks that make up ``text[start:]``
+    when they are written as ``write_cover_for`` writes them ("block
+    <i>", then line e is edge e's arrow "t h", nothing else, each line
+    ending in a newline); None for any other text, left to the
+    line-by-line reader, which accepts the arrows of a block in any
+    order.
+
+    An arrow and its reverse have the same length, so each block's
+    extent is known before it is read, and only one block at a time is
+    split into lines.  Decoded by position: block i's flags "line e
+    runs out of the low endpoint" become one byte per edge, shifted to
+    bit i mod 8 and summed into one integer per eight blocks, so no bit
+    carries into the next edge's byte.
     """
     m = g.m
-    if len(raw) != k * (m + 1):
-        return None
     out_of_low, out_of_high = _arrow_lines(g)
+    width = sum(map(len, out_of_low)) + m  # one block's arrows with their newlines
     words = [0] * m
+    pos = start
     for lane in range(0, k, 8):
         acc = 0
         for i in range(lane, min(k, lane + 8)):
-            start = i * (m + 1) + 1
-            block = raw[start : start + m]
+            head = f"block {i + 1}\n"
+            if not text.startswith(head, pos):
+                return None
+            pos += len(head) + width
+            # a block ending in a newline splits into m lines and ""
+            block = text[pos - width : pos].split("\n")
+            if len(block) != m + 1 or block.pop():
+                return None
             low = list(map(eq, block, out_of_low))
             high = sum(map(eq, block, out_of_high))
-            if raw[start - 1] != f"block {i + 1}" or sum(low) + high != m:
+            if sum(low) + high != m:
                 return None
             acc += int.from_bytes(bytes(low), "little") << (i - lane)
         words = list(map(or_, words, map(lshift, acc.to_bytes(m, "little"), repeat(lane))))
-    return words
+    return words if pos == len(text) else None
 
 
 def _parse_orientation_blocks(body, g: Graph, k: int) -> List[int]:
+    index = g._index
     words = [0] * g.m
     pos = 0
     for i in range(1, k + 1):
@@ -489,11 +529,11 @@ def _parse_orientation_blocks(body, g: Graph, k: int) -> List[int]:
                 t, h = int(parts[0]), int(parts[1])
             except ValueError:
                 raise CoverFormatError(f"line {lineno}: non-integer endpoint") from None
-            if not g.has_edge(t, h):
+            e = index.get((t, h) if t < h else (h, t))
+            if e is None:
                 raise CoverFormatError(
                     f"line {lineno}: ({t}, {h}) is not an edge of the graph"
                 )
-            e = g.index_of(t, h)
             if seen[e]:
                 raise CoverFormatError(
                     f"line {lineno}: edge ({min(t, h)}, {max(t, h)}) appears twice in block {i}"

@@ -356,19 +356,17 @@ def decide_eq(h: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult
         return DecideResult("unsat", None, budget.nodes)
 
     full = (1 << k) - 1
-    edges = h.edges
+    edges, incidence, index = h.edges, h._incident, h._index
     # earlier adjacent edges, with the index of the triangle-closing edge
     partners: List[List[Tuple[int, Optional[int]]]] = [[] for _ in range(m)]
     for e in range(m):
         u, v = edges[e]
-        for x in (u, v):
-            for f in h.incident(x):
+        for x, a in ((u, v), (v, u)):
+            for f in incidence[x]:
                 if f >= e:
                     continue
-                a = h.other_endpoint(e, x)
                 b = h.other_endpoint(f, x)
-                t = h.index_of(a, b) if h.has_edge(a, b) else None
-                partners[e].append((f, t))
+                partners[e].append((f, index.get((a, b) if a < b else (b, a))))
 
     words = [0] * m
     required = [0] * m
@@ -570,9 +568,10 @@ def greedy_clique(g: Graph) -> Tuple[int, ...]:
     """Deterministic greedy clique (seeded at the max-degree vertex)."""
     if g.n == 0:
         return ()
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    adj = g.adjacency
+    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
     clique = [order[0]]
-    adjsets = [set(a) for a in g.adjacency]
+    adjsets = [set(a) for a in adj]
     for v in order[1:]:
         if all(v in adjsets[u] for u in clique):
             clique.append(v)

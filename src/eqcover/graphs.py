@@ -7,6 +7,11 @@ its position in that sorted list.  Every other object in this package
 the indexing must be reproducible: identical inputs always produce the
 same edge order.
 
+A graph stores only n and the sorted edges.  Adjacency, incidence and
+the edge-to-index map are each derived the first time something reads
+them, then cached: reading and checking a valid orientation, elbow or
+eyebrow certificate reads none of them, so it never builds them.
+
 Self-loops and duplicate edges are rejected.  Graphs with two vertices
 sharing a closed neighborhood need no special treatment here; callers
 that want the reduction can apply it themselves.
@@ -15,8 +20,9 @@ that want the reduction can apply it themselves.
 from __future__ import annotations
 
 import re
-from operator import lt
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter, lt
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -43,10 +49,13 @@ class Graph:
     Attributes:
         n: number of vertices.
         edges: tuple of (u, v) pairs with u < v, lexicographically sorted.
-        adjacency: per-vertex tuple of sorted neighbors.
+        adjacency: per-vertex tuple of sorted neighbors, derived on first
+            use, then cached, like the incidence rows behind
+            ``incident`` and the edge index behind ``index_of`` and
+            ``has_edge``.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "_index", "_incident")
+    __slots__ = ("n", "edges", "_adj", "_inc", "_idx")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -76,18 +85,40 @@ class Graph:
     def _fill(self, n: int, edges: Sequence[Edge]) -> None:
         self.n = n
         self.edges: Tuple[Edge, ...] = tuple(edges)
-        adj: List[List[int]] = [[] for _ in range(n)]
-        inc: List[List[int]] = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(self.edges):
-            adj[u].append(v)
-            adj[v].append(u)
-            inc[u].append(i)
-            inc[v].append(i)
-        # neighbours and incident edge indices are already ascending:
-        # edges are sorted
-        self.adjacency: Tuple[Tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
-        self._incident: Tuple[Tuple[int, ...], ...] = tuple(tuple(x) for x in inc)
-        self._index = dict(zip(self.edges, range(len(self.edges))))
+        self._adj: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._inc: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._idx: Optional[Dict[Edge, int]] = None
+
+    # Rows come out ascending because the edges are sorted: the edges
+    # (u, x) with u < x precede the edges (x, w), each group in order.
+
+    @property
+    def adjacency(self) -> Tuple[Tuple[int, ...], ...]:
+        if self._adj is None:
+            adj: List[List[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            self._adj = tuple(map(tuple, adj))
+        return self._adj
+
+    @property
+    def _incident(self) -> Tuple[Tuple[int, ...], ...]:
+        """Row v holds the ascending indices of the edges at v."""
+        if self._inc is None:
+            inc: List[List[int]] = [[] for _ in range(self.n)]
+            for i, (u, v) in enumerate(self.edges):
+                inc[u].append(i)
+                inc[v].append(i)
+            self._inc = tuple(map(tuple, inc))
+        return self._inc
+
+    @property
+    def _index(self) -> Dict[Edge, int]:
+        """Each edge (u, v), u < v, to its index."""
+        if self._idx is None:
+            self._idx = dict(zip(self.edges, range(len(self.edges))))
+        return self._idx
 
     @property
     def m(self) -> int:
@@ -167,6 +198,7 @@ def bipartition(g: Graph) -> List[int]:
     Component roots are the smallest unvisited vertices and get side 0.
     Raises NotBipartiteError carrying an odd cycle when none exists.
     """
+    adj = g.adjacency
     side = [-1] * g.n
     parent = [-1] * g.n
     for root in range(g.n):
@@ -177,7 +209,7 @@ def bipartition(g: Graph) -> List[int]:
         while queue:
             nxt: List[int] = []
             for u in queue:
-                for v in g.adjacency[u]:
+                for v in adj[u]:
                     if side[v] < 0:
                         side[v] = 1 - side[u]
                         parent[v] = u
@@ -208,13 +240,19 @@ def _odd_cycle(parent: List[int], u: int, v: int) -> List[int]:
 
 
 def find_triangle(g: Graph) -> Optional[Tuple[int, int, int]]:
-    """Lexicographically first triangle (a, b, c) with a < b < c, or None."""
-    adjsets = [set(a) for a in g.adjacency]
+    """Lexicographically first triangle (a, b, c) with a < b < c, or None.
+
+    For each edge (a, b) in index order, c is the lowest common neighbour
+    of a and b above b.  ``above[x]`` is the set of x's neighbours above
+    x, read from the runs of the sorted edges without building the
+    adjacency; memory stays O(n + m).
+    """
+    above: List[AbstractSet[int]] = [frozenset()] * g.n
+    for u, run in groupby(g.edges, itemgetter(0)):
+        above[u] = set(map(itemgetter(1), run))
     for a, b in g.edges:
-        common = adjsets[a] & adjsets[b]
-        later = [c for c in common if c > b]
-        if later:
-            return (a, b, min(later))
+        if not above[a].isdisjoint(above[b]):
+            return (a, b, min(above[a] & above[b]))
     return None
 
 

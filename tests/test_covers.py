@@ -1,5 +1,7 @@
 import random
 import re
+from itertools import repeat
+from operator import eq, lshift, or_
 
 import pytest
 
@@ -245,37 +247,79 @@ def test_from_words_matches_orientation_constructor():
 
 
 # ---------------------------------------------------------------------------
-# Differential tests: the positional decode of orientation and elbow covers
-# against the line-by-line reader and against a verbatim copy of the
-# arrow-table decode that preceded it.
+# Differential tests: the block-at-a-time decode of orientation and elbow
+# covers against the line-by-line reader and against a verbatim copy of
+# the parse_cover that split the whole text into lines first.
 
 
-def _reference_canonical_words(raw, g, k):
-    # _canonical_words before the positional decode
+def _reference_positional_words(raw, g, k):
+    # _canonical_words before the block-at-a-time decode
     from eqcover.covers import _arrow_lines
 
     m = g.m
     if len(raw) != k * (m + 1):
         return None
     out_of_low, out_of_high = _arrow_lines(g)
-    low_edge = {line: e for e, line in enumerate(out_of_low)}
-    edge_of = {line: e for e, line in enumerate(out_of_high)}
-    edge_of.update(low_edge)
     words = [0] * m
-    for i in range(k):
-        block = raw[i * (m + 1) + 1 : (i + 1) * (m + 1)]
-        edges = list(map(edge_of.get, block))
-        if raw[i * (m + 1)] != f"block {i + 1}" or None in edges or len(set(edges)) != m:
-            return None
-        for e in map(low_edge.get, block):
-            if e is not None:
-                words[e] |= 1 << i
+    for lane in range(0, k, 8):
+        acc = 0
+        for i in range(lane, min(k, lane + 8)):
+            start = i * (m + 1) + 1
+            block = raw[start : start + m]
+            low = list(map(eq, block, out_of_low))
+            high = sum(map(eq, block, out_of_high))
+            if raw[start - 1] != f"block {i + 1}" or sum(low) + high != m:
+                return None
+            acc += int.from_bytes(bytes(low), "little") << (i - lane)
+        words = list(map(or_, words, map(lshift, acc.to_bytes(m, "little"), repeat(lane))))
     return words
 
 
-def _cover_outcome(text, g):
+def _reference_parse_cover(text, g):
+    # parse_cover before the block-at-a-time decode
+    from eqcover.covers import (
+        COVER_KINDS,
+        _parse_equivalence,
+        _parse_eyebrow,
+        _parse_orientation_blocks,
+        _significant_lines,
+    )
+
+    raw = text.splitlines()
+    lines = _significant_lines(raw)
+    first = next(lines, None)
+    if first is None:
+        raise CoverFormatError("missing 'cover <kind> <k> <n> <m>' header")
+    lineno, header = first
+    parts = header.split()
+    if len(parts) != 5 or parts[0] != "cover":
+        raise CoverFormatError(f"line {lineno}: expected 'cover <kind> <k> <n> <m>'")
+    kind = parts[1]
+    if kind not in COVER_KINDS:
+        raise CoverFormatError(f"line {lineno}: unknown cover kind {kind!r}")
     try:
-        cover = parse_cover(text, g)
+        k, n, m = int(parts[2]), int(parts[3]), int(parts[4])
+    except ValueError:
+        raise CoverFormatError(f"line {lineno}: non-integer header field") from None
+    if k < 0:
+        raise CoverFormatError(f"line {lineno}: negative k")
+    if (n, m) != (g.n, g.m):
+        raise CoverFormatError(
+            f"line {lineno}: header shape ({n}, {m}) does not match graph "
+            f"({g.n}, {g.m})"
+        )
+    if kind in ("orientation", "elbow"):
+        words = _reference_positional_words(raw[lineno:], g, k)
+        if words is None:
+            words = _parse_orientation_blocks(list(lines), g, k)
+        return OrientationCover.from_words((g.n, g.m), k, words, kind)
+    body = list(lines)
+    return _parse_eyebrow(body, g, k) if kind == "eyebrow" else _parse_equivalence(body, g, k)
+
+
+def _cover_outcome(text, g, parse=parse_cover):
+    try:
+        cover = parse(text, g)
     except Exception as exc:
         return ("raised", type(exc), str(exc))
     return ("cover", cover.kind, cover.k, cover.words)
@@ -321,21 +365,37 @@ def test_positional_decode_matches_line_reader_for_k_up_to_12():
         for _ in range(8):
             g, words, text = _random_cover_text(rng, k)
             raw = text.splitlines()[1:]
-            assert _canonical_words(raw, g, k) == words
+            assert _canonical_words(text, text.index("\n") + 1, g, k) == words
             assert _parse_orientation_blocks(list(_significant_lines(raw)), g, k) == words
 
 
-def test_parse_cover_matches_reference_decode(monkeypatch):
-    from eqcover import covers
+def _layout_variants(text, g):
+    """The same cover with CRLF line ends, with no final newline and
+    with a trailing comment line; then with trailing content, and with a
+    header whose edge count is not the graph's."""
+    return [
+        text.replace("\n", "\r\n"),
+        text[:-1],
+        text + "# end\n",
+        text + "block 99\n",
+        text.replace(f" {g.m}\n", f" {g.m + 1}\n", 1),
+    ]
 
+
+def test_parse_cover_matches_reference_decode():
     rng = random.Random(2026)
     cases = []
     for k in range(13):
         for _ in range(6):
             g, _, text = _random_cover_text(rng, k)
             cases.append((g, text))
+            cases.extend((g, variant) for variant in _layout_variants(text, g))
             if k:
                 cases.extend((g, bad) for bad in _cover_corruptions(rng, g, text))
+    for n, k in ((0, 0), (3, 0), (3, 2), (1, 9)):
+        g = Graph(n, [])  # m = 0: every block is its header alone
+        for kind in ("orientation", "elbow"):
+            text = write_cover_for(g, OrientationCover.from_words((n, 0), k, [], kind))
+            cases.extend((g, t) for t in [text] + _layout_variants(text, g))
     got = [_cover_outcome(text, g) for g, text in cases]
-    monkeypatch.setattr(covers, "_canonical_words", _reference_canonical_words)
-    assert got == [_cover_outcome(text, g) for g, text in cases]
+    assert got == [_cover_outcome(text, g, _reference_parse_cover) for g, text in cases]

@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from itertools import permutations
 
 import pytest
 
@@ -171,6 +172,31 @@ def test_find_triangle_lex_first():
     assert find_triangle(generate_family("cycle", 4)) is None
     g = Graph(5, [(0, 3), (0, 4), (3, 4), (1, 2), (1, 3), (2, 3)])
     assert find_triangle(g) == (0, 3, 4)
+
+
+def _reference_find_triangle(g):
+    # find_triangle before it read the sets of higher neighbours from the edges
+    adjsets = [set(a) for a in g.adjacency]
+    for a, b in g.edges:
+        common = adjsets[a] & adjsets[b]
+        later = [c for c in common if c > b]
+        if later:
+            return (a, b, min(later))
+    return None
+
+
+def test_find_triangle_matches_set_based_reference(corpus):
+    rng = random.Random(5)
+    graphs = list(corpus.values())
+    for _ in range(200):
+        n = rng.randrange(1, 30)
+        p = rng.choice((0.05, 0.1, 0.2, 0.4))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        graphs.append(Graph(n, pairs))
+    for g in graphs:
+        fresh = Graph._from_sorted(g.n, g.edges)
+        assert find_triangle(fresh) == _reference_find_triangle(g)
+        assert fresh._adj is None  # read from the edges alone
 
 
 def test_induced_subgraph_relabels():
@@ -391,6 +417,38 @@ def test_graph_constructor_matches_reference():
             cases.append((n, [(0, 0)] + sorted(edges)))
     for n, edges in cases:
         assert _outcome(Graph, n, edges) == _outcome(_reference_graph, n, edges), (n, edges)
+
+
+def _eager_tables(n, edges):
+    # the derived tables as Graph built them in one loop before they were lazy
+    adj = [[] for _ in range(n)]
+    inc = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append(v)
+        adj[v].append(u)
+        inc[u].append(i)
+        inc[v].append(i)
+    return {
+        "adjacency": tuple(tuple(a) for a in adj),
+        "_incident": tuple(tuple(x) for x in inc),
+        "_index": dict(zip(edges, range(len(edges)))),
+    }
+
+
+@pytest.mark.parametrize("order", list(permutations(("adjacency", "_incident", "_index"))))
+def test_derived_tables_match_eager_build_in_any_read_order(corpus, order):
+    rng = random.Random(3)
+    graphs = list(corpus.values()) + [Graph(0, []), Graph(4, [])]
+    for _ in range(60):
+        n = rng.randrange(1, 14)
+        graphs.append(Graph(n, _random_edges(rng, n)))
+    for g in graphs:
+        fresh = Graph._from_sorted(g.n, g.edges)  # no table read yet
+        got = {name: getattr(fresh, name) for name in order}
+        expected = _eager_tables(g.n, g.edges)
+        assert got == expected
+        assert [fresh.incident(v) for v in range(g.n)] == list(expected["_incident"])
+        assert all(fresh.index_of(v, u) == e for (u, v), e in expected["_index"].items())
 
 
 def test_parse_graph_peak_memory_no_higher_than_reference():

@@ -69,7 +69,9 @@ def test_vertex_numbering_is_edge_index_order(corpus):
             assert set(g.edges[e]) & set(g.edges[f])
 
 
-def _fields(g):
+def _fields(g, first="adjacency"):
+    """n, edges and the derived views, with the view `first` built first."""
+    getattr(g, first)
     return (g.n, g.edges, g.adjacency, g._incident, g._index)
 
 
@@ -102,6 +104,9 @@ def test_line_graph_from_sorted_rows_matches_validating_constructor(corpus):
         lm = line_graph(g)
         assert _fields(lm.line) == _fields(_reference_line_graph(g))
         assert lm.host is g
+        for first in ("_incident", "_index"):
+            fresh = line_graph(g).line
+            assert _fields(fresh, first) == _fields(_reference_line_graph(g))
 
 
 def test_induced_restrictions_match_validating_constructor(corpus):

@@ -4,7 +4,13 @@ squaring the K_256 elbow covering whole gives all 2.1e9 edges of
 K_65536, and a pullback through an explicit K_c costs c^2/2 edges.
 Each case runs in a child interpreter whose address space is capped, so
 such a build fails there with MemoryError instead of filling the
-machine; each case below needs less than a tenth of the cap."""
+machine; each of those cases needs less than a tenth of the cap.
+
+The find-triangle case runs the triangle search on sparse graphs of
+1e5 vertices.  The m13 case is the paper's certificate at full size:
+the Mycielski iterate M13 (6143 vertices, 613,871 edges,
+triangle-free) with its size-5 pullback cover, whose written text is
+27.9 MB."""
 
 import os
 import subprocess
@@ -67,6 +73,24 @@ CASES = {
         g = generate_family("path", 70000)
         elbow = elbow_cover_via_coloring(g, Coloring(range(70000)))
         assert elbow.k == 6 and verify_elbow_cover(g, elbow) is None
+    """,
+    # find_triangle keeps O(n + m) memory on sparse graphs: int bitsets
+    # of the neighbours above each vertex would take about n^2/15 bytes
+    "find-triangle-sparse-100000": """
+        import random
+        assert find_triangle(generate_family("path", 100000)) is None
+        assert find_triangle(generate_family("star", 100000)) is None
+        rng = random.Random(7)
+        g = Graph(100000, {tuple(sorted(rng.sample(range(100000), 2))) for _ in range(300000)})
+        a, b, c = find_triangle(g)
+        assert g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+    """,
+    "m13": """
+        g = generate_family("mycielski-iterate", 13)
+        assert find_triangle(g) is None
+        cover = cover_via_coloring(g, greedy=True)
+        assert cover.k == 5 and verify_orientation_cover(g, cover) is None
+        assert parse_cover(write_cover_for(g, cover), g).words == cover.words
     """,
 }
 

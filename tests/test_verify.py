@@ -24,12 +24,16 @@ from eqcover import (
     incidence_signatures,
     k16_table_cover,
     line_graph,
+    parse_cover,
+    parse_graph,
     permutation_to_orientation,
     solve_invariant,
     verify_elbow_cover,
     verify_equivalence_cover,
     verify_eyebrow_cover,
     verify_orientation_cover,
+    write_cover_for,
+    write_graph,
 )
 
 import oracles
@@ -157,6 +161,24 @@ def test_eyebrow_k4_two_orders_valid_one_fails():
 def test_eyebrow_no_third_vertex_is_vacuous():
     k2 = generate_family("complete", 2)
     assert verify_eyebrow_cover(k2, EyebrowCover(2, [])) is None
+
+
+def test_valid_certificates_are_read_and_checked_without_derived_tables():
+    # adjacency, incidence and the edge index are built on first use; a
+    # valid orientation, elbow or eyebrow certificate needs none of them
+    for family, p in (("petersen", 5), ("mycielski-iterate", 5), ("cycle", 7)):
+        g = generate_family(family, p)
+        covers = [
+            cover_via_coloring(g, greedy=True),
+            elbow_cover_via_coloring(g, greedy=True),
+            solve_invariant(g, "eye", Budget(max_nodes=1)).witness,
+        ]
+        for cover, verify in zip(
+            covers, (verify_orientation_cover, verify_elbow_cover, verify_eyebrow_cover)
+        ):
+            h = parse_graph(write_graph(g))
+            assert verify(h, parse_cover(write_cover_for(g, cover), h)) is None
+            assert (h._adj, h._inc, h._idx) == (None, None, None)
 
 
 def test_equivalence_single_class_triangle():
