@@ -14,11 +14,11 @@ can be trusted without re-running the full verifier.
 from __future__ import annotations
 
 import re
-from itertools import repeat
-from operator import eq, lshift, or_
+from itertools import accumulate, compress, count, islice, repeat
+from operator import eq, ge, itemgetter, lshift, or_
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import Graph
+from .graphs import _DELETE_DIGITS, Graph, _decimal_ints
 from .orientations import Coloring, Orientation, Permutation, ShapeError
 
 COVER_KINDS = ("orientation", "elbow", "eyebrow", "equivalence")
@@ -348,8 +348,12 @@ class EquivalenceViolation(Violation):
 
 
 def _arrow_lines(g: Graph) -> Tuple[List[str], List[str]]:
-    """Each edge's arrow line out of its low endpoint and out of its high one."""
-    return [f"{u} {v}" for u, v in g.edges], [f"{v} {u}" for u, v in g.edges]
+    """Each edge's arrow line out of its low endpoint and out of its high
+    one, joined from one decimal string per vertex."""
+    names = list(map(str, range(g.n)))
+    low = list(map(names.__getitem__, map(itemgetter(0), g.edges)))
+    high = list(map(names.__getitem__, map(itemgetter(1), g.edges)))
+    return list(map(" ".join, zip(low, high))), list(map(" ".join, zip(high, low)))
 
 
 def write_cover_for(g: Graph, cover) -> str:
@@ -386,8 +390,7 @@ def write_equivalence_cover(n: int, m: int, cover: EquivalenceCover) -> str:
     lines = [f"cover equivalence {cover.k} {n} {m}"]
     for i, sub in enumerate(cover.subgraphs, start=1):
         lines.append(f"block {i}")
-        for cls in sub:
-            lines.append("clique " + " ".join(str(v) for v in cls))
+        lines.extend(["clique " + " ".join(map(str, cls)) for cls in sub])
     return "\n".join(lines) + "\n"
 
 
@@ -406,10 +409,14 @@ def parse_cover(text: str, g: Graph):
     line numbers on malformed input.
 
     An orientation or elbow cover laid out as ``write_cover_for`` writes
-    it is decoded one block at a time, never split into lines whole;
-    every other text gives the same cover, or error, line by line.
+    it is decoded one block at a time, never split into lines whole, and
+    an equivalence cover laid out as ``write_equivalence_cover`` writes
+    it is decoded in bulk; every other text gives the same cover, or
+    error, line by line.
     """
     cover = _parse_written_cover(text, g)
+    if cover is None:
+        cover = _parse_written_equivalence(text, g)
     if cover is not None:
         return cover
     raw = text.splitlines()
@@ -503,6 +510,61 @@ def _canonical_words(text: str, start: int, g: Graph, k: int) -> Optional[List[i
             acc += int.from_bytes(bytes(low), "little") << (i - lane)
         words = list(map(or_, words, map(lshift, acc.to_bytes(m, "little"), repeat(lane))))
     return words if pos == len(text) else None
+
+
+_EQUIVALENCE_HEADER = re.compile(r"cover equivalence ([0-9]+) [0-9]+ [0-9]+\n")
+
+
+def _parse_written_equivalence(text: str, g: Graph) -> Optional[EquivalenceCover]:
+    """The equivalence cover of a text laid out exactly as
+    ``write_equivalence_cover`` writes it: its header, then "block i"
+    for i = 1..k, each followed by lines "clique v_1 ... v_r" with
+    0 <= v_1 < ... < v_r < n, single spaces and a final newline.  None
+    for any other text, left to the line-by-line reader.
+
+    The text is checked and decoded whole: it is split into blocks at
+    "block ", the clique lines of all blocks are joined, and their
+    vertices are decoded by one ``_decimal_ints`` call, then cut into
+    classes by the number of spaces on each line.
+    """
+    header = _EQUIVALENCE_HEADER.match(text)
+    if header is None or not text.endswith("\n"):
+        return None
+    try:
+        k = int(header[1])
+    except ValueError:  # a number past the int string-conversion limit
+        return None
+    blocks = text[header.end() :].split("block ")
+    if header[0] != f"cover equivalence {k} {g.n} {g.m}\n" or len(blocks) != k + 1 or blocks[0]:
+        return None
+    sizes = []  # the number of classes of each block
+    for i in range(1, k + 1):
+        head = f"{i}\n"
+        # a block ending mid-line would let the next "block " hide in a clique line
+        if not blocks[i].startswith(head) or not blocks[i].endswith("\n"):
+            return None
+        blocks[i] = blocks[i][len(head) :]
+        sizes.append(blocks[i].count("\n"))
+    lines = "".join(blocks)
+    if ("\n" + lines).count("\nclique ") != sum(sizes):  # a line not starting "clique "
+        return None
+    vertices = _decimal_ints(lines.replace("clique ", "")[:-1])
+    if vertices is None or (vertices and max(vertices) >= g.n):
+        return None
+    # With its digits deleted, a written line is "clique" and one space
+    # per vertex.  A second "clique " on a line, or a lone line "clique "
+    # without a vertex, adds to these widths but not to the vertices.
+    widths = [len(line) - 6 for line in lines.translate(_DELETE_DIGITS).split("\n")[:-1]]
+    if sum(widths) != len(vertices):
+        return None
+    # a vertex not above the one before it must start a class
+    if not set(accumulate(widths)).issuperset(
+        compress(count(1), map(ge, vertices, vertices[1:]))
+    ):
+        return None
+    # islice over one shared iterator takes each class, then each block, in turn
+    classes = map(tuple, map(islice, repeat(iter(vertices)), widths))
+    return EquivalenceCover._from_sorted(g.n, list(map(tuple, map(islice, repeat(classes), sizes))))
 
 
 def _parse_orientation_blocks(body, g: Graph, k: int) -> List[int]:

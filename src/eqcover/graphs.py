@@ -19,6 +19,7 @@ that want the reduction can apply it themselves.
 
 from __future__ import annotations
 
+import json
 import re
 from itertools import groupby
 from operator import itemgetter, lt
@@ -359,6 +360,27 @@ def generate_family(family: str, parameter: Optional[int] = None) -> Graph:
 
 _HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
 _DELETE_DIGITS = str.maketrans("", "", "0123456789")
+_DECIMAL_TEXT = re.compile(r"[0-9 \n]*")
+_SEPARATORS_TO_COMMAS = {32: 44, 10: 44}
+
+
+def _decimal_ints(text: str) -> Optional[List[int]]:
+    """The numbers of a text of ASCII decimal numbers, each separated
+    from the next by one space or one newline, with none before the
+    first or after the last; None for any other text.
+
+    The text becomes one JSON array, so the numbers are converted by
+    CPython's C JSON scanner, not one ``int`` call each.  The scanner
+    rejects an empty field and a leading zero.  It accepts digit strings
+    past the int string-conversion limit, so callers range-check every
+    number.
+    """
+    if _DECIMAL_TEXT.fullmatch(text) is None:
+        return None
+    try:
+        return json.loads("[" + text.translate(_SEPARATORS_TO_COMMAS) + "]")
+    except ValueError:
+        return None
 
 
 def _parse_written_graph(text: str) -> Optional[Graph]:
@@ -369,19 +391,22 @@ def _parse_written_graph(text: str) -> Optional[Graph]:
 
     The layout is checked on the whole text at once: with its digits
     deleted, the header line must read "p  " and every later line one
-    space, and no number may be empty.
+    space.  The endpoints are decoded by ``_decimal_ints``.
     """
     header = _HEADER.match(text)
-    if header is None or not text.endswith("\n") or " \n" in text or "\n " in text:
+    if header is None or not text.endswith("\n"):
         return None
     try:
         n, m = int(header[1]), int(header[2])
-        shape = text.translate(_DELETE_DIGITS)
-        # the length test first: a forged header m builds no long string
-        if len(shape) != 4 + 2 * m or shape != "p  \n" + " \n" * m:
-            return None
-        ends = list(map(int, text[header.end():].split()))
     except ValueError:  # a number past the int string-conversion limit
+        return None
+    shape = text.translate(_DELETE_DIGITS)
+    # the length test first: a forged header m builds no long string
+    if len(shape) != 4 + 2 * m or shape != "p  \n" + " \n" * m:
+        return None
+    del shape
+    ends = _decimal_ints(text[header.end() : -1])
+    if ends is None:
         return None
     # each list is dropped as soon as the next one is built, which keeps
     # the peak below the line-by-line reader's

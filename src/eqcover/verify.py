@@ -25,10 +25,11 @@ itself has its own bit in its row, so meeting it twice is caught too.
 Edges are sorted, so once an edge's low endpoint reaches the lowest bad
 vertex found, every vertex below it has been seen whole and the pass
 stops.  Only at that vertex does the row-major pair scan run, to pick
-the witness.  Covers with more than eight orientations, which would
-need a larger table, are scanned vertex by vertex instead.  An eyebrow
-cover is checked with vertex bitsets: per permutation, the vertices
-ranked strictly between u and v are a difference of two prefix sets.
+the witness, on its edges read off the sorted edge list.  Covers with
+more than eight orientations, which would need a larger table, are
+scanned vertex by vertex instead.  An eyebrow cover is checked with
+vertex bitsets: per permutation, the vertices ranked strictly between
+u and v are a difference of two prefix sets.
 
 Verifiers return None for a valid cover and the lexicographically first
 Violation otherwise (smallest vertex, then smallest pair of edge
@@ -39,8 +40,10 @@ result status.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, compress, islice, repeat
+from operator import eq, itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .covers import (
@@ -112,13 +115,10 @@ def _bad_rows(k: int, elbow: bool) -> Tuple[int, ...]:
     )
 
 
-def _suspects(sig: IncidenceSignature, elbow: bool) -> Sequence[int]:
-    """The vertices to scan for a bad pair: the first bad vertex, none
-    when there is none, or every vertex when the cover is too wide for
-    the bad-pair table."""
+def _first_bad_vertex(sig: IncidenceSignature, elbow: bool) -> Optional[int]:
+    """The first vertex with a bad pair of incident edges, or None, by
+    one pass over the edges against the bad-pair table (k <= 8)."""
     g, k, full = sig.graph, sig.k, sig.full
-    if k > _TABLE_MAX_K:
-        return range(g.n)
     rows = _bad_rows(k, elbow)
     seen = [0] * g.n
     first = g.n
@@ -132,15 +132,31 @@ def _suspects(sig: IncidenceSignature, elbow: bool) -> Sequence[int]:
         if seen[v] & rows[x] and v < first:
             first = v
         seen[v] |= 1 << x
-    return (first,) if first < g.n else ()
+    return first if first < g.n else None
+
+
+def _edges_at(g: Graph, v: int) -> List[int]:
+    """Indices of the edges at v, ascending, read off the sorted edges
+    without the incidence table: the edges (u, v), u < v, found in one
+    scan of the edges before the run of edges (v, w), then that run."""
+    start = bisect_left(g.edges, (v,))  # (v,) sorts before every (v, w)
+    end = bisect_left(g.edges, (v + 1,), start)
+    highs = map(itemgetter(1), islice(g.edges, start))
+    return list(compress(range(start), map(eq, highs, repeat(v)))) + list(range(start, end))
 
 
 def _first_violation(g: Graph, cover: OrientationCover, elbow: bool):
     """(v, e, f): the first vertex with a violated pair of incident
-    edges and its row-major first such pair, or None."""
+    edges and its row-major first such pair, or None.  A cover too wide
+    for the bad-pair table has every vertex scanned, with its row of the
+    incidence table."""
     sig = incidence_signatures(g, cover)
-    for v in _suspects(sig, elbow):
-        inc = g.incident(v)
+    if sig.k > _TABLE_MAX_K:
+        suspects = enumerate(g._incident)
+    else:
+        v = _first_bad_vertex(sig, elbow)
+        suspects = () if v is None else ((v, _edges_at(g, v)),)
+    for v, inc in suspects:
         bad = _first_bad_pair([sig.mask(v, e) for e in inc], sig.full, elbow)
         if bad is not None:
             return v, inc[bad[0]], inc[bad[1]]
@@ -204,37 +220,55 @@ def verify_equivalence_cover(
     one, overlapping classes first (by class index, then vertex), then
     missing clique edges (by class index, then pair); finally uncovered
     host edges by edge index.
+
+    Each subgraph is first checked in one pass: a range and overlap test
+    on its flattened classes, and one map from its class pairs to host
+    edge indices.  Only a subgraph that fails it is scanned in the order
+    above, so the witness is the one that scan picks.
     """
     if cover.n != h.n:
         raise ShapeError(f"cover n={cover.n} does not match graph n={h.n}")
     index = h._index
-    covered = bytearray(h.m)
+    covered = set()
     for si, sub in enumerate(cover.subgraphs):
-        owner: dict = {}
-        for ci, cls in enumerate(sub):
-            for v in cls:
-                if not (0 <= v < h.n):
-                    raise ShapeError(f"vertex {v} out of range in subgraph {si}")
-                if v in owner:
-                    return EquivalenceViolation(
-                        "overlap",
-                        subgraph=si,
-                        class_pair=(owner[v], ci),
-                        vertex=v,
-                    )
-                owner[v] = ci
-        for ci, cls in enumerate(sub):
-            for a, b in combinations(cls, 2):
-                e = index.get((a, b))  # classes are sorted, so a < b
-                if e is None:
-                    return EquivalenceViolation(
-                        "not-a-clique",
-                        subgraph=si,
-                        class_index=ci,
-                        edge=(a, b),
-                    )
-                covered[e] = 1
-    idx = covered.find(0)
-    if idx >= 0:
-        return EquivalenceViolation("uncovered", edge=h.edges[idx])
+        members = list(chain.from_iterable(sub))
+        covered.update(map(index.get, chain.from_iterable(map(combinations, sub, repeat(2)))))
+        if (
+            None in covered
+            or len(set(members)) < len(members)
+            or (members and (min(members) < 0 or max(members) >= h.n))
+        ):
+            return _first_fault(h, si, sub)
+    if len(covered) < h.m:
+        e = next(e for e in range(h.m) if e not in covered)
+        return EquivalenceViolation("uncovered", edge=h.edges[e])
     return None
+
+
+def _first_fault(h: Graph, si: int, sub) -> EquivalenceViolation:
+    """The first overlap or missing clique edge of subgraph si, in scan
+    order; ShapeError if an out-of-range vertex comes first."""
+    index = h._index
+    owner: dict = {}
+    for ci, cls in enumerate(sub):
+        for v in cls:
+            if not (0 <= v < h.n):
+                raise ShapeError(f"vertex {v} out of range in subgraph {si}")
+            if v in owner:
+                return EquivalenceViolation(
+                    "overlap",
+                    subgraph=si,
+                    class_pair=(owner[v], ci),
+                    vertex=v,
+                )
+            owner[v] = ci
+    for ci, cls in enumerate(sub):
+        for a, b in combinations(cls, 2):
+            if (a, b) not in index:  # classes are sorted, so a < b
+                return EquivalenceViolation(
+                    "not-a-clique",
+                    subgraph=si,
+                    class_index=ci,
+                    edge=(a, b),
+                )
+    raise AssertionError(f"subgraph {si} has no fault")

@@ -14,14 +14,19 @@ from eqcover import (
     OrientationCover,
     Permutation,
     ShapeError,
+    cover_via_coloring,
+    eq_cover_from_orientation_cover,
     generate_family,
     k4_elbow_base,
     k4_sigma3_cover,
+    line_graph,
     parse_coloring,
     parse_cover,
     write_coloring,
+    verify_equivalence_cover,
     write_cover_for,
 )
+from eqcover.covers import write_equivalence_cover
 from eqcover.orientations import Coloring
 
 
@@ -399,3 +404,299 @@ def test_parse_cover_matches_reference_decode():
             cases.extend((g, t) for t in [text] + _layout_variants(text, g))
     got = [_cover_outcome(text, g) for g, text in cases]
     assert got == [_cover_outcome(text, g, _reference_parse_cover) for g, text in cases]
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the bulk decode of equivalence covers and the
+# one-pass equivalence check against verbatim copies of the line-by-line
+# reader and of the scan that checked every subgraph.
+
+
+def _reference_significant_lines(raw):
+    for lineno, line in enumerate(raw, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _reference_parse_equivalence(body, g, k):
+    subs = []
+    current = None
+    expect_block = 1
+    for lineno, line in body:
+        parts = line.split()
+        if parts[0] == "block":
+            if parts != ["block", str(expect_block)]:
+                raise CoverFormatError(f"line {lineno}: expected 'block {expect_block}'")
+            expect_block += 1
+            current = []
+            subs.append(current)
+        elif parts[0] == "clique":
+            if current is None:
+                raise CoverFormatError(f"line {lineno}: 'clique' before any 'block'")
+            if len(parts) < 2:
+                raise CoverFormatError(f"line {lineno}: empty clique")
+            try:
+                vs = [int(x) for x in parts[1:]]
+            except ValueError:
+                raise CoverFormatError(f"line {lineno}: non-integer vertex") from None
+            if len(set(vs)) != len(vs):
+                raise CoverFormatError(f"line {lineno}: repeated vertex in clique")
+            for v in vs:
+                if not (0 <= v < g.n):
+                    raise CoverFormatError(f"line {lineno}: vertex {v} out of range")
+            current.append(tuple(sorted(vs)))
+        else:
+            raise CoverFormatError(f"line {lineno}: expected 'block' or 'clique'")
+    if len(subs) != k:
+        raise CoverFormatError(f"expected {k} blocks, found {len(subs)}")
+    return EquivalenceCover._from_sorted(g.n, subs)
+
+
+def _reference_parse_equivalence_cover(text, g):
+    # parse_cover on an equivalence text before the bulk decode
+    lines = _reference_significant_lines(text.splitlines())
+    first = next(lines, None)
+    if first is None:
+        raise CoverFormatError("missing 'cover <kind> <k> <n> <m>' header")
+    lineno, header = first
+    parts = header.split()
+    if len(parts) != 5 or parts[0] != "cover":
+        raise CoverFormatError(f"line {lineno}: expected 'cover <kind> <k> <n> <m>'")
+    assert parts[1] == "equivalence"
+    try:
+        k, n, m = int(parts[2]), int(parts[3]), int(parts[4])
+    except ValueError:
+        raise CoverFormatError(f"line {lineno}: non-integer header field") from None
+    if k < 0:
+        raise CoverFormatError(f"line {lineno}: negative k")
+    if (n, m) != (g.n, g.m):
+        raise CoverFormatError(
+            f"line {lineno}: header shape ({n}, {m}) does not match graph "
+            f"({g.n}, {g.m})"
+        )
+    return _reference_parse_equivalence(list(lines), g, k)
+
+
+def _equivalence_outcome(text, g, parse=parse_cover):
+    try:
+        cover = parse(text, g)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    return ("cover", type(cover), cover.n, cover.subgraphs)
+
+
+def _random_line_graph(rng):
+    n = rng.randrange(1, 8)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, rng.sample(pairs, rng.randrange(0, len(pairs) + 1)))
+    return line_graph(g).line
+
+
+def _random_equivalence_text(rng, h, k):
+    """A written cover of h by k subgraphs of random classes, any of
+    them possibly empty; the classes need not be cliques or disjoint."""
+    subgraphs = []
+    for _ in range(k):
+        count = rng.randrange(0, 4) if h.n else 0
+        subgraphs.append([rng.sample(range(h.n), rng.randint(1, min(h.n, 4))) for _ in range(count)])
+    return write_equivalence_cover(h.n, h.m, EquivalenceCover(h.n, subgraphs))
+
+
+def _equivalence_mutations(rng, text, h):
+    """Variants of a written equivalence cover text, each one edit away:
+    line ends, comments and blank lines, header fields, block numbers
+    and the numbers, separators and shape of one clique line."""
+    lines = text.split("\n")[:-1]
+
+    def edit(i, line):
+        return "\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n"
+
+    _, _, k, n, m = lines[0].split()
+    yield text.replace("\n", "\r\n")
+    yield text[:-1]  # no final newline
+    yield text + "# end\n"
+    yield "# cover\n" + text
+    yield text.replace("\n", "\n\n", 1)  # blank line after the header
+    yield edit(0, f"cover equivalence {int(k) + 1} {n} {m}")
+    yield edit(0, f"cover equivalence {k} {int(n) + 1} {m}")
+    yield edit(0, f"cover equivalence {k} {n} {int(m) + 1}")
+    yield edit(0, f"cover equivalence 0{k} {n} {m}")  # left to the line reader
+    yield text + f"block {int(k) + 1}\n"
+    blocks = [i for i, line in enumerate(lines) if line.startswith("block ")]
+    if blocks:
+        b = rng.choice(blocks)
+        i = int(lines[b].split()[1])
+        yield edit(b, f"block {i + 1}")  # skipped number
+        yield edit(b, f"block {i - 1}")  # repeated number, or block 0
+        yield edit(b, f"block 0{i}")
+        yield edit(b, f"block  {i}")
+        yield edit(b, f"block {i} ")
+        yield text.replace("\nblock ", " block ", 1)  # a block starting mid-line
+    cliques = [i for i, line in enumerate(lines) if line.startswith("clique ")]
+    if not cliques:
+        if h.n:
+            yield text + "clique 0\n"
+        return
+    c = rng.choice(cliques)
+    line = lines[c]
+    vs = line.split()[1:]
+    j = rng.randrange(len(vs))
+    for x in ("0" + vs[j], "-1", "+1", "1.0", "1e2", "٣", str(h.n), "9" * 5000):
+        yield edit(c, "clique " + " ".join(vs[:j] + [x] + vs[j + 1 :]))
+    yield edit(c, line.replace(" ", "\t", 1))
+    yield edit(c, line.replace(" ", "  ", 1))
+    yield edit(c, line.replace(" ", " \t", 1))
+    yield edit(c, line + " ")
+    yield edit(c, " " + line)
+    yield edit(c, "clique")
+    yield edit(c, "clique ")
+    yield edit(c, line + " " + vs[-1])  # repeated vertex
+    yield edit(c, "clique " + " ".join(reversed(vs)))  # unsorted when |class| > 1
+    yield edit(c, line[len("clique ") :])
+    yield edit(c, "cliques " + line[len("clique ") :])
+    yield edit(c, line + " clique " + vs[0])
+    yield edit(c, line + " block 2")
+    yield edit(c, line + "\nclique " + vs[0])  # one more class
+    yield edit(c, "clique " + ",".join(vs))
+    if c + 2 < len(lines) and lines[c + 1].startswith("block ") and lines[c + 2].startswith("clique "):
+        # the next block's header hidden in this line, its first class
+        # read as the rest of the line
+        hidden = list(lines)
+        hidden[c : c + 3] = [f"{line} {lines[c + 1]}", lines[c + 2][len("clique ") :]]
+        yield "\n".join(hidden) + "\n"
+    if len(cliques) > 1:
+        # one line's "clique " moved to the end of another
+        a, b = rng.sample(cliques, 2)
+        moved = list(lines)
+        moved[a] = lines[a][len("clique ") :]
+        moved[b] = lines[b] + " clique " + rng.choice(vs)
+        yield "\n".join(moved) + "\n"
+
+
+def test_parse_equivalence_cover_matches_line_reader():
+    from eqcover.covers import _parse_written_equivalence
+
+    rng = random.Random(13)
+    written, cases = [], []
+    for trial in range(60):
+        h = _random_line_graph(rng) if trial % 6 else Graph(rng.randrange(0, 3), [])
+        for k in range(5):
+            text = _random_equivalence_text(rng, h, k)
+            written.append((h, text))
+            cases.append((h, text))
+            cases.extend((h, variant) for variant in _equivalence_mutations(rng, text, h))
+    h = line_graph(generate_family("complete", 4)).line  # n = 6, m = 12
+    for body in [
+        "0 1\nclique 2 clique 3\n",  # a line's "clique " moved to the next line
+        "clique 0 block 2\n1\n",  # block 2 hidden in a clique line
+        "clique 0,1\n",
+        "clique \n",
+        "clique 0 1\nclique  2\n",
+    ]:
+        k = 1 + body.count("block")
+        cases.append((h, f"cover equivalence {k} 6 12\nblock 1\n" + body))
+    bulk = 0
+    for h, text in cases:
+        got = _equivalence_outcome(text, h)
+        assert got == _equivalence_outcome(text, h, _reference_parse_equivalence_cover), text
+        cover = _parse_written_equivalence(text, h)
+        if cover is not None:
+            bulk += 1
+            assert write_equivalence_cover(h.n, h.m, cover) == text
+    assert all(_parse_written_equivalence(text, h) is not None for h, text in written)
+    assert bulk >= 500
+
+
+def _reference_verify_equivalence_cover(h, cover):
+    # verify_equivalence_cover before the one-pass check
+    from itertools import combinations
+
+    from eqcover.covers import EquivalenceViolation
+
+    if cover.n != h.n:
+        raise ShapeError(f"cover n={cover.n} does not match graph n={h.n}")
+    index = h._index
+    covered = bytearray(h.m)
+    for si, sub in enumerate(cover.subgraphs):
+        owner: dict = {}
+        for ci, cls in enumerate(sub):
+            for v in cls:
+                if not (0 <= v < h.n):
+                    raise ShapeError(f"vertex {v} out of range in subgraph {si}")
+                if v in owner:
+                    return EquivalenceViolation(
+                        "overlap",
+                        subgraph=si,
+                        class_pair=(owner[v], ci),
+                        vertex=v,
+                    )
+                owner[v] = ci
+        for ci, cls in enumerate(sub):
+            for a, b in combinations(cls, 2):
+                e = index.get((a, b))  # classes are sorted, so a < b
+                if e is None:
+                    return EquivalenceViolation(
+                        "not-a-clique",
+                        subgraph=si,
+                        class_index=ci,
+                        edge=(a, b),
+                    )
+                covered[e] = 1
+    idx = covered.find(0)
+    if idx >= 0:
+        return EquivalenceViolation("uncovered", edge=h.edges[idx])
+    return None
+
+
+def _verify_outcome(h, cover, verify):
+    try:
+        found = verify(h, cover)
+    except ShapeError as exc:
+        return ("ShapeError", str(exc))
+    return ("valid",) if found is None else (found.subkind, found.line())
+
+
+def _seeded_fault(rng, h, subgraphs):
+    """The classes with one fault seeded in a random subgraph: a vertex
+    put into a second class, a vertex moved to another class, a class
+    dropped, or a vertex out of range."""
+    subgraphs = [[list(cls) for cls in sub] for sub in subgraphs]
+    sub = rng.choice([sub for sub in subgraphs if sub])
+    fault = rng.choice(("overlap", "move", "drop", "out-of-range"))
+    cls = rng.choice(sub)
+    if fault in ("overlap", "move") and len(sub) > 1:
+        other = rng.choice([c for c in sub if c is not cls])
+        v = rng.choice(other)
+        cls.append(v)
+        if fault == "move":
+            other.remove(v)
+            if not other:
+                sub.remove(other)
+    elif fault == "drop":
+        sub.remove(cls)
+    elif rng.random() < 0.5:
+        cls.append(rng.choice((-1, h.n)))
+    else:  # a class of its own, with no pair to look up
+        sub.append([rng.choice((-1, h.n))])
+    return subgraphs
+
+
+def test_one_pass_equivalence_check_matches_scan():
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(80):
+        n = rng.randrange(3, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, rng.sample(pairs, rng.randrange(1, len(pairs) + 1)))
+        lm = line_graph(g)
+        h = lm.line
+        valid = eq_cover_from_orientation_cover(lm, cover_via_coloring(g))
+        covers = [valid]
+        for _ in range(6):
+            covers.append(EquivalenceCover(h.n, _seeded_fault(rng, h, valid.subgraphs)))
+        for cover in covers:
+            got = _verify_outcome(h, cover, verify_equivalence_cover)
+            assert got == _verify_outcome(h, cover, _reference_verify_equivalence_cover)
+            kinds.add(got[0])
+    assert kinds == {"valid", "overlap", "not-a-clique", "uncovered", "ShapeError"}

@@ -451,6 +451,19 @@ def test_derived_tables_match_eager_build_in_any_read_order(corpus, order):
         assert all(fresh.index_of(v, u) == e for (u, v), e in expected["_index"].items())
 
 
+def test_decimal_ints_accepts_only_single_separated_decimals():
+    from eqcover.graphs import _decimal_ints
+
+    assert _decimal_ints("") == []
+    assert _decimal_ints("0") == [0]
+    assert _decimal_ints("10 2\n0 33\n7") == [10, 2, 0, 33, 7]
+    for text in [
+        "01", "1  2", "1\n\n2", " 1", "1 ", "1\n", "\n", "1\t2", "1\r\n2", "1,2",
+        "-1", "+1", "1.0", "1e2", "٣", "[1]", "true", "NaN", "1 x",
+    ]:
+        assert _decimal_ints(text) is None, text
+
+
 def test_parse_graph_peak_memory_no_higher_than_reference():
     # The bulk decode must not hold one container per line: a reader that
     # splits every line into a list costs more than the line-by-line

@@ -414,6 +414,22 @@ def test_histogram_verifier_matches_scan_and_oracles():
     assert {(a, b) for _, a, b in kinds} >= {(True, True), (False, True), (False, False)}
 
 
+def test_corrupted_certificates_name_the_scan_witness_without_incidence_table():
+    # the bad vertex's edges are read off the sorted edges, so a rejected
+    # certificate read from text leaves the incidence table unbuilt
+    checked = set()
+    for g, cover in _cases(77):
+        want = (_scan_witness(g, cover, False), _scan_witness(g, cover, True))
+        if want == (None, None):
+            continue
+        h = parse_graph(write_graph(g))
+        read = parse_cover(write_cover_for(g, cover), h)
+        assert _lines(h, read) == want, (g, cover.words)
+        assert h._inc is None
+        checked.update(kind for kind, line in zip(("orientation", "elbow"), want) if line)
+    assert checked == {"orientation", "elbow"}
+
+
 def test_permuting_orientations_keeps_the_result():
     rng = random.Random(99)
     for g, cover in _cases(5):
