@@ -7,7 +7,9 @@ certificate that realizes them, so a report is an auditable chain of
 reasoning rather than a bare number.
 
 Relations used (n = vertex count, c = chromatic number):
-  - sigma <= 2 exactly for bipartite graphs (two-source construction);
+  - sigma <= 1 exactly when no edge joins two vertices of degree >= 2,
+    and sigma <= 2 exactly for bipartite graphs (two-source
+    construction), both decided in closed form;
   - elb <= 1 exactly for bipartite graphs: one orientation from one
     side to the other directs every 2-edge path into or out of its
     middle vertex;
@@ -17,7 +19,9 @@ Relations used (n = vertex count, c = chromatic number):
   - any graph with a size-k orientation covering, k >= 3, satisfies
     c <= k + 2^(2^(k-1)-k-1), which lower-bounds sigma from c;
   - ceil(log2 log2 c) + 1 <= sigma <= 2 ceil(log2 log2 c) + 2 and
-    elb = ceil(log2 log2 c) + 1 for c >= 3;
+    elb = ceil(log2 log2 c) + 1 for c >= 3; above c = 12 the pullback
+    witness meets this upper bound, or beats it for c <= 16, so its size
+    is the upper end of sigma;
   - eq(L) <= sigma <= 3 eq(L), with equality eq(L) = sigma on
     triangle-free graphs;
   - the degree-based equivalence-number window
@@ -35,15 +39,14 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
 
 from .construct import (
-    bipartite_elbow_cover,
     bipartite_orientation_cover,
     cover_via_coloring,
     elbow_cover_via_coloring,
     out_star_eq_cover,
 )
 from .covers import OrientationCover
-from .exact import Budget, SolveResult, decide_sigma, exact_chromatic
-from .graphs import Graph, NotBipartiteError, bipartition, find_triangle
+from .exact import Budget, SolveResult, decide_elb, decide_sigma, exact_chromatic
+from .graphs import Graph, find_triangle
 
 
 class AlonBounds(NamedTuple):
@@ -197,7 +200,9 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
 
     Exact chromatic search runs within the shared budget; whatever it
     resolves cascades through the windows above.  Quantities the budget
-    leaves unresolved appear as intervals.
+    leaves unresolved appear as intervals.  On a bipartite graph sigma
+    is decided in closed form, so the budget bounds only the chromatic
+    search.
     """
     budget = budget or Budget()
     notes: List[str] = []
@@ -214,11 +219,8 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
         chi = BoundValue(chi_res.lo, chi_res.hi, "clique bound", "greedy coloring")
         notes.append("chromatic search truncated by budget")
 
-    bipartite = True
-    try:
-        bipartition(g)
-    except NotBipartiteError:
-        bipartite = False
+    elb1 = decide_elb(g, 1)  # sat exactly on bipartite graphs, in closed form
+    bipartite = elb1.status == "sat"
     if not bipartite and chi.lo < 3:
         chi = BoundValue(3, chi.hi, "contains an odd cycle", chi.hi_provenance)
 
@@ -228,21 +230,15 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
     elif bipartite:
         res1 = decide_sigma(g, 1, budget)
         if res1.status == "sat":
-            sigma = _exact_bv(1, "decision search at k=1")
+            sigma = _exact_bv(1, "closed form at k=1")
             witnesses["sigma"] = res1.witness
-        elif res1.status == "unsat":
-            sigma = BoundValue(
-                2, 2, "decision search at k=1", "two-source bipartite covering"
-            )
-            witnesses["sigma"] = bipartite_orientation_cover(g)
         else:
             sigma = BoundValue(
-                1, 2, "has incident edge pairs", "two-source bipartite covering"
+                2, 2, "closed form at k=1", "two-source bipartite covering"
             )
             witnesses["sigma"] = bipartite_orientation_cover(g)
-            notes.append("k=1 decision truncated by budget")
         elb = BoundValue(1, 1, "has 2-edge paths", "one-way bipartite orientation")
-        witnesses["elb"] = bipartite_elbow_cover(g)
+        witnesses["elb"] = elb1.witness
     else:
         lo_formula = sigma_lower_from_chi(chi.lo)
         sigma_lo, sigma_lo_prov = max(
@@ -256,13 +252,6 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
             hi_candidates.append((3, "chi window 3..4"))
         elif chi.hi <= 12:
             hi_candidates.append((4, "chi window 5..12 (non-constructive)"))
-        else:
-            hi_candidates.append(
-                (
-                    2 * loglog_plus_one(chi.hi) + 2,
-                    "reversal-doubled elbow covering bound",
-                )
-            )
         sigma_hi, sigma_hi_prov = min(hi_candidates)
         sigma = BoundValue(sigma_lo, sigma_hi, sigma_lo_prov, sigma_hi_prov)
 

@@ -58,12 +58,7 @@ from .graphs import (
 )
 from .linegraph import line_graph
 from .orientations import HomomorphismError, ImproperColoringError, ShapeError
-from .verify import (
-    verify_elbow_cover,
-    verify_equivalence_cover,
-    verify_eyebrow_cover,
-    verify_orientation_cover,
-)
+from .verify import VERIFIERS
 
 _USAGE_ERRORS = (
     GraphFormatError,
@@ -95,29 +90,15 @@ def _cmd_verify(args) -> int:
     g = read_graph_file(args.graph)
     cover = _read_cover(args.cover, g)
     kind = args.kind
-    if kind in ("orientation", "elbow"):
-        if not isinstance(cover, OrientationCover):
-            raise CoverFormatError(
-                f"cover file holds a {type(cover).__name__}, not orientations"
-            )
-        verifier = verify_orientation_cover if kind == "orientation" else verify_elbow_cover
-        violation = verifier(g, cover)
-        k = cover.k
-    elif kind == "eyebrow":
-        if not isinstance(cover, EyebrowCover):
-            raise CoverFormatError("cover file does not hold an eyebrow cover")
-        violation = verify_eyebrow_cover(g, cover)
-        k = cover.k
-    else:
-        if not isinstance(cover, EquivalenceCover):
-            raise CoverFormatError("cover file does not hold an equivalence cover")
-        violation = verify_equivalence_cover(g, cover)
-        k = cover.k
+    cover_type, verifier = VERIFIERS[kind]
+    if not isinstance(cover, cover_type):
+        raise CoverFormatError(f"cover file holds an {cover.kind} cover, not an {kind} cover")
+    violation = verifier(g, cover)
     if violation is None:
         if args.json:
-            _emit_json({"status": "valid", "kind": kind, "k": k})
+            _emit_json({"status": "valid", "kind": kind, "k": cover.k})
         else:
-            print(f"VALID k={k}")
+            print(f"VALID k={cover.k}")
         return 0
     if args.json:
         _emit_json({"status": "violation", "kind": kind, "witness": violation.line()})
@@ -163,20 +144,6 @@ def _cmd_solve(args) -> int:
     return 0 if result.status == "exact" else 3
 
 
-def _verify_before_write(g: Graph, cover) -> None:
-    if isinstance(cover, OrientationCover):
-        verifier = (
-            verify_elbow_cover if cover.kind == "elbow" else verify_orientation_cover
-        )
-        violation = verifier(g, cover)
-    elif isinstance(cover, EquivalenceCover):
-        violation = verify_equivalence_cover(g, cover)
-    else:
-        violation = verify_eyebrow_cover(g, cover)
-    if violation is not None:  # construction bug; never expected
-        raise AssertionError(f"constructed cover failed verification: {violation.line()}")
-
-
 _CONSTRUCT_NEEDS = {
     "k16-table": (),
     "elbow-complete": ("n",),
@@ -193,13 +160,22 @@ _CONSTRUCT_NEEDS = {
 
 def _cmd_construct(args) -> int:
     op = args.op
-    for flag in _CONSTRUCT_NEEDS[op]:
+    needs = _CONSTRUCT_NEEDS[op]
+    for flag in needs:
         if getattr(args, flag) is None:
             raise ValueError(f"construct --op {op} requires --{flag}")
+    if "graph" in needs:
+        g = read_graph_file(args.graph)
+    if op in ("eq-from-orientation", "orientation-from-eq"):
+        lm = line_graph(g)
+    if "cover" in needs:  # orientation-from-eq reads a cover of L(G)
+        base = _read_cover(args.cover, lm.line if op == "orientation-from-eq" else g)
     wrote = []
 
     def emit_cover(ref_graph: Graph, cover) -> None:
-        _verify_before_write(ref_graph, cover)
+        violation = VERIFIERS[cover.kind][1](ref_graph, cover)
+        if violation is not None:  # construction bug; never expected
+            raise AssertionError(f"constructed cover failed verification: {violation.line()}")
         _write_text(args.output, write_cover_for(ref_graph, cover))
         wrote.append(args.output)
 
@@ -214,8 +190,6 @@ def _cmd_construct(args) -> int:
         cover = elbow_cover_complete(args.n)
         emit_cover(generate_family("complete", args.n), cover)
     elif op == "elbow-double":
-        g = read_graph_file(args.graph)
-        base = _read_cover(args.cover, g)
         cover = elbow_double(g, base)
         big = generate_family("complete", g.n * g.n)
         emit_cover(big, cover)
@@ -223,10 +197,8 @@ def _cmd_construct(args) -> int:
             write_graph_file(args.graph_output, big)
             wrote.append(args.graph_output)
     elif op == "bipartite":
-        g = read_graph_file(args.graph)
         emit_cover(g, bipartite_orientation_cover(g))
     elif op == "via-coloring":
-        g = read_graph_file(args.graph)
         coloring = None
         if args.coloring:
             with open(args.coloring, "r", encoding="utf-8") as fh:
@@ -235,34 +207,19 @@ def _cmd_construct(args) -> int:
         cover = cover_via_coloring(g, coloring, greedy=args.greedy, budget=budget)
         emit_cover(g, cover)
     elif op == "eq-from-orientation":
-        g = read_graph_file(args.graph)
-        cover = _read_cover(args.cover, g)
-        lm = line_graph(g)
-        eq = eq_cover_from_orientation_cover(lm, cover)
-        emit_cover(lm.line, eq)
+        emit_cover(lm.line, eq_cover_from_orientation_cover(lm, base))
     elif op == "orientation-from-eq":
-        g = read_graph_file(args.graph)
-        lm = line_graph(g)
-        eq = _read_cover(args.cover, lm.line)
-        emit_cover(g, orientation_cover_from_eq_cover(lm, eq))
+        emit_cover(g, orientation_cover_from_eq_cover(lm, base))
     elif op == "orientation-from-elbow":
-        g = read_graph_file(args.graph)
-        base = _read_cover(args.cover, g)
         emit_cover(g, orientation_cover_from_elbow(g, base))
-    elif op == "coloring-from-elbow":
-        g = read_graph_file(args.graph)
-        base = _read_cover(args.cover, g)
-        coloring = coloring_from_elbow_cover(g, base)
-        _write_text(args.output, write_coloring(coloring))
+    else:  # coloring-from-elbow or coloring-from-orientation
+        extract = (
+            coloring_from_elbow_cover
+            if op == "coloring-from-elbow"
+            else coloring_from_orientation_cover
+        )
+        _write_text(args.output, write_coloring(extract(g, base)))
         wrote.append(args.output)
-    elif op == "coloring-from-orientation":
-        g = read_graph_file(args.graph)
-        base = _read_cover(args.cover, g)
-        coloring = coloring_from_orientation_cover(g, base)
-        _write_text(args.output, write_coloring(coloring))
-        wrote.append(args.output)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown op {op!r}")
 
     if args.json:
         _emit_json({"op": op, "wrote": wrote})
@@ -344,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("verify", help="check a cover file against a graph file")
-    p.add_argument("--kind", required=True, choices=["orientation", "elbow", "eyebrow", "equivalence"])
+    p.add_argument("--kind", required=True, choices=list(VERIFIERS))
     p.add_argument("--graph", required=True)
     p.add_argument("--cover", required=True)
     p.add_argument("--json", action="store_true")

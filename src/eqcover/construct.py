@@ -13,6 +13,8 @@ invariants:
 The converse from an equivalence covering of L(G) spends three
 orientations only on a subgraph with a triangle class, so on a
 triangle-free host, where eq(L(G)) = sigma(G), it preserves size.
+Every converter first checks its input cover with the verify module
+and raises InvalidCoverError, carrying the witness, when it fails.
 Every complete-graph base is kept as vertex rankings, so a pullback
 compares the ranks of the endpoint colors and no K_c is built.
 Arbitrary direction choices are everywhere fixed as low-endpoint to
@@ -43,6 +45,12 @@ class InvalidCoverError(ValueError):
     def __init__(self, violation: Violation):
         self.violation = violation
         super().__init__(f"input cover is invalid: {violation.line()}")
+
+
+def _require_valid(violation: Optional[Violation]) -> None:
+    """Raise InvalidCoverError for the violation an input cover's verifier found."""
+    if violation is not None:
+        raise InvalidCoverError(violation)
 
 
 # Every complete-graph base is a list of vertex rankings: ranking r
@@ -162,10 +170,7 @@ def out_star_eq_cover(g: Graph, c: OrientationCover) -> EquivalenceCover:
     """Equivalence covering of L(g), of size k, from a valid size-k
     orientation covering of g: subgraph i holds the out-stars of
     orientation i.  Only g is read; L(g) is never built."""
-    c.require_match(g)
-    violation = verify_orientation_cover(g, c)
-    if violation is not None:
-        raise InvalidCoverError(violation)
+    _require_valid(verify_orientation_cover(g, c))
     return EquivalenceCover._from_sorted(
         g.m,
         [_out_classes(g, c.words, i) for i in range(c.k)],
@@ -199,9 +204,7 @@ def orientation_cover_from_eq_cover(
     orientation 2.
     """
     host = lm.host
-    violation = verify_equivalence_cover(lm.line, c)
-    if violation is not None:
-        raise InvalidCoverError(violation)
+    _require_valid(verify_equivalence_cover(lm.line, c))
     edges = host.edges
     high = [0] * host.m  # bits of the orientations directing the edge out of its high end
     k = 0
@@ -255,9 +258,7 @@ def elbow_double(g: Graph, base: OrientationCover) -> OrientationCover:
     base.require_match(g)
     if base.k == 0:
         raise ValueError("doubling needs at least one orientation")
-    violation = verify_elbow_cover(g, base)
-    if violation is not None:
-        raise InvalidCoverError(violation)
+    _require_valid(verify_elbow_cover(g, base))
     n, k = g.n, base.k
     # the extra orientation follows base orientation 0 across blocks and
     # its reversal within a block
@@ -315,10 +316,7 @@ def elbow_cover_complete(n: int) -> OrientationCover:
 def orientation_cover_from_elbow(g: Graph, c: OrientationCover) -> OrientationCover:
     """Orientation covering of size 2k: the elbow orientations followed by
     their edge-wise reversals."""
-    c.require_match(g)
-    violation = verify_elbow_cover(g, c)
-    if violation is not None:
-        raise InvalidCoverError(violation)
+    _require_valid(verify_elbow_cover(g, c))
     full = (1 << c.k) - 1
     words = [w | ((full ^ w) << c.k) for w in c.words]
     return OrientationCover.from_words((g.n, g.m), 2 * c.k, words, "orientation")
@@ -436,10 +434,7 @@ def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:
     (the two would partition [k], leaving a 2-edge path uncovered).
     One pass over the edges, so no work grows with 2^k.
     """
-    c.require_match(g)
-    violation = verify_elbow_cover(g, c)
-    if violation is not None:
-        raise InvalidCoverError(violation)
+    _require_valid(verify_elbow_cover(g, c))
     k = c.k
     if k == 0:
         if g.m == 0:
@@ -499,10 +494,7 @@ def coloring_from_orientation_cover(g: Graph, c: OrientationCover) -> Coloring:
     """
     if c.k < 3:
         raise ValueError("needs a covering of size at least 3")
-    c.require_match(g)
-    violation = verify_orientation_cover(g, c)
-    if violation is not None:
-        raise InvalidCoverError(violation)
+    _require_valid(verify_orientation_cover(g, c))
     n, k = g.n, c.k
     full = (1 << k) - 1
 

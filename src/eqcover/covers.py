@@ -118,6 +118,7 @@ class EyebrowCover:
     """k permutations of the reference graph's vertices."""
 
     __slots__ = ("n", "permutations")
+    kind = "eyebrow"
 
     def __init__(self, n: int, permutations: Sequence[Permutation]):
         for p in permutations:
@@ -143,6 +144,7 @@ class EquivalenceCover:
     """k equivalence subgraphs over one host graph."""
 
     __slots__ = ("n", "subgraphs")
+    kind = "equivalence"
 
     def __init__(self, n: int, subgraphs: Sequence[Sequence[Sequence[int]]]):
         self.n = int(n)

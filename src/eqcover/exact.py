@@ -45,7 +45,7 @@ from itertools import permutations as iter_permutations
 from typing import Callable, List, Optional, Tuple
 
 from .covers import EquivalenceCover, EyebrowCover, OrientationCover
-from .graphs import Graph
+from .graphs import Graph, NotBipartiteError
 from .orientations import Coloring, Permutation
 
 
@@ -306,10 +306,41 @@ def _decide_words(
             start = words[d] + 1
 
 
+def _closed_form_cover(g: Graph, k: int, kind: str) -> Optional[OrientationCover]:
+    """The witness of sigma <= k, k <= 2, or of elb <= k, k <= 1; None if
+    there is none.  k = 0 needs no incident edge pairs; sigma <= 1 no edge
+    between two vertices of degree >= 2 (each edge runs out of such an
+    end, else out of its low end).  A vertex with two edges is a source in
+    one of two orientations (a source or a sink in one elbow orientation),
+    so sigma <= 2 and elb <= 1 hold exactly on bipartite graphs.
+    """
+    from . import construct  # deferred: construct imports this module
+
+    if k == 0:
+        if g.has_incidence_pairs():
+            return None
+        return OrientationCover.from_words((g.n, g.m), 0, [0] * g.m, kind)
+    if k == 1 and kind == "orientation":
+        deg = g.degrees()
+        if any(deg[u] >= 2 and deg[v] >= 2 for u, v in g.edges):
+            return None
+        words = [int(deg[v] < 2) for _, v in g.edges]
+        return OrientationCover.from_words((g.n, g.m), 1, words)
+    try:
+        if kind == "elbow":
+            return construct.bipartite_elbow_cover(g)
+        return construct.bipartite_orientation_cover(g)
+    except NotBipartiteError:
+        return None
+
+
 def _decide_cover(g: Graph, k: int, budget: Optional[Budget], kind: str) -> DecideResult:
     if k < 0:
         raise ValueError("k must be nonnegative")
     budget = budget or Budget()
+    if k <= (1 if kind == "elbow" else 2):
+        witness = _closed_form_cover(g, k, kind)
+        return DecideResult("unsat" if witness is None else "sat", witness, budget.nodes)
     try:
         words = _decide_words(g, k, budget, elbow=kind == "elbow")
     except _OutOfBudget:
@@ -349,10 +380,7 @@ def decide_eq(h: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult
         raise ValueError("k must be nonnegative")
     budget = budget or Budget()
     m = h.m
-    if m == 0:
-        cover = EquivalenceCover(h.n, [[] for _ in range(k)])
-        return DecideResult("sat", cover, budget.nodes)
-    if k == 0:
+    if k == 0 and m:
         return DecideResult("unsat", None, budget.nodes)
 
     full = (1 << k) - 1
@@ -423,31 +451,16 @@ def decide_eq(h: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult
     except _OutOfBudget:
         return DecideResult("timeout", None, budget.nodes)
 
+    # the label-i edges form disjoint cliques, so a class is a vertex and
+    # its label-i neighbours, listed from its lowest vertex
     subgraphs = []
     for i in range(k):
-        marked = [e for e in range(m) if (words[e] >> i) & 1]
-        adj: dict = {}
-        for e in marked:
-            u, v = edges[e]
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        seen = set()
-        classes = []
-        for start in sorted(adj):
-            if start in seen:
-                continue
-            comp = []
-            stack = [start]
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            classes.append(tuple(sorted(comp)))
-        subgraphs.append(classes)
+        near: dict = {}
+        for (u, v), w in zip(edges, words):
+            if w >> i & 1:
+                near.setdefault(u, [u]).append(v)
+                near.setdefault(v, [v]).append(u)
+        subgraphs.append([tuple(sorted(c)) for x, c in sorted(near.items()) if min(c) == x])
     return DecideResult(
         "sat", EquivalenceCover._from_sorted(h.n, subgraphs), budget.nodes
     )
@@ -744,12 +757,8 @@ def _upper_witness(g: Graph, invariant: str):
     from . import construct  # deferred: construct imports this module
 
     if invariant == "sigma":
-        if not g.has_incidence_pairs():
-            return OrientationCover.from_words((g.n, g.m), 0, [0] * g.m)
         return construct.cover_via_coloring(g, greedy=True)
     if invariant == "elb":
-        if not g.has_incidence_pairs():
-            return OrientationCover.from_words((g.n, g.m), 0, [0] * g.m, "elbow")
         return construct.elbow_cover_via_coloring(g, greedy=True)
     if invariant == "eq":
         return _greedy_matching_cover(g)

@@ -272,3 +272,13 @@ def _first_fault(h: Graph, si: int, sub) -> EquivalenceViolation:
                     edge=(a, b),
                 )
     raise AssertionError(f"subgraph {si} has no fault")
+
+
+# Each cover-file kind, in COVER_KINDS order: the cover type its file
+# holds and the verifier that checks it.
+VERIFIERS = {
+    "orientation": (OrientationCover, verify_orientation_cover),
+    "elbow": (OrientationCover, verify_elbow_cover),
+    "eyebrow": (EyebrowCover, verify_eyebrow_cover),
+    "equivalence": (EquivalenceCover, verify_equivalence_cover),
+}

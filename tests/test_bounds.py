@@ -78,6 +78,29 @@ def test_report_k16_pins_sigma_five():
     assert rep.elb.render() == "3"
 
 
+@pytest.mark.parametrize("c", [14, 20])
+def test_report_sigma_upper_end_is_the_pullback_witness_past_chi_12(c):
+    # the pullback witness is five up to chi 16 and 2 ceil(log2 log2 c) + 2
+    # beyond, so it is the upper end past the chi 5..12 window
+    rep = bounds_report(generate_family("complete", c))
+    assert rep.chi.render() == str(c)
+    assert rep.sigma.hi == rep.witnesses["sigma"].k == (5 if c <= 16 else 8)
+    assert rep.sigma.hi_provenance == "constructive pullback witness"
+
+
+def test_report_bipartite_sigma_in_closed_form_without_nodes():
+    # 30 disjoint edges and a P4: sigma <= 1 fails on the P4's middle
+    # edge, so sigma = 2, with no search node and no budget note
+    g = Graph(64, [(2 * i, 2 * i + 1) for i in range(30)] + [(60, 61), (61, 62), (62, 63)])
+    rep = bounds_report(g)
+    assert (rep.sigma.render(), rep.elb.render(), rep.nodes, rep.notes) == ("2", "1", 0, [
+        "triangle-free: eq(L) equals sigma exactly"
+    ])
+    assert rep.sigma.provenance() == "lo: closed form at k=1; hi: two-source bipartite covering"
+    assert verify_orientation_cover(g, rep.witnesses["sigma"]) is None
+    assert bounds_report(generate_family("star", 4)).sigma.provenance() == "closed form at k=1"
+
+
 def test_report_mycielski5_chain():
     g = generate_family("mycielski-iterate", 5)
     rep = bounds_report(g)

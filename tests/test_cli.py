@@ -223,7 +223,8 @@ def test_workers_flag_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("exc", [AssertionError("broken invariant"), RecursionError("too deep")])
 def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch, exc):
-    import eqcover.cli as cli
+    from eqcover.covers import OrientationCover
+    from eqcover.verify import VERIFIERS
 
     g = tmp_path / "c4.g"
     run(capsys, "gen", "--family", "cycle", "--parameter", "4", "--output", str(g))
@@ -233,7 +234,7 @@ def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch, exc):
     def boom(graph, cover):
         raise exc
 
-    monkeypatch.setattr(cli, "verify_orientation_cover", boom)
+    monkeypatch.setitem(VERIFIERS, "orientation", (OrientationCover, boom))
     code, out, err = run(
         capsys, "verify", "--kind", "orientation", "--graph", str(g), "--cover", str(cov)
     )
@@ -379,3 +380,77 @@ def test_parser_built_once_gives_fresh_parser_results(tmp_path, capsys):
     assert reused[1][1] == "VALID k=3\n"
     assert "invalid choice: 'sideways'" in reused[2][2]
     assert reused[3][1] == "sigma = 3\n"
+
+
+# One file per cover kind over K4, valid and corrupted; every --kind reads
+# each of them, and a file of the wrong cover type exits 2
+_K4_COVER_FILES = {
+    "orientation": (
+        "cover orientation 3 4 6\nblock 1\n0 1\n0 2\n0 3\n2 1\n3 1\n2 3\n"
+        "block 2\n1 0\n2 0\n3 0\n1 2\n1 3\n2 3\nblock 3\n1 0\n2 0\n3 0\n2 1\n3 1\n3 2\n"
+    ),
+    "orientation-bad": (
+        "cover orientation 3 4 6\nblock 1\n0 1\n0 2\n0 3\n2 1\n3 1\n2 3\n"
+        "block 2\n1 0\n2 0\n3 0\n1 2\n1 3\n2 3\nblock 3\n1 0\n2 0\n3 0\n2 1\n3 1\n2 3\n"
+    ),
+    "elbow": (
+        "cover elbow 2 4 6\nblock 1\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+        "block 2\n0 1\n2 0\n0 3\n2 1\n3 1\n2 3\n"
+    ),
+    "elbow-bad": "cover elbow 1 4 6\nblock 1\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+    "eyebrow": "cover eyebrow 2 4 6\nperm 0 1 2 3\nperm 1 0 3 2\n",
+    "eyebrow-bad": "cover eyebrow 1 4 6\nperm 0 1 2 3\n",
+    "equivalence": "cover equivalence 1 4 6\nblock 1\nclique 0 1 2 3\n",
+    "equivalence-bad": "cover equivalence 2 4 6\nblock 1\nclique 0 1 2\nblock 2\nclique 2 3\n",
+}
+
+
+@pytest.mark.parametrize(
+    "name, kind, code, want",
+    [
+        ("orientation", "orientation", 0, "VALID k=3\n"),
+        ("orientation", "elbow", 0, "VALID k=3\n"),
+        ("orientation", "eyebrow", 2, ""),
+        ("orientation", "equivalence", 2, ""),
+        ("orientation-bad", "orientation", 1, "VIOLATION v=3 e=(0,3) f=(2,3)\n"),
+        ("orientation-bad", "elbow", 0, "VALID k=3\n"),
+        ("orientation-bad", "eyebrow", 2, ""),
+        ("orientation-bad", "equivalence", 2, ""),
+        ("elbow", "orientation", 1, "VIOLATION v=1 e=(0,1) f=(1,2)\n"),
+        ("elbow", "elbow", 0, "VALID k=2\n"),
+        ("elbow", "eyebrow", 2, ""),
+        ("elbow", "equivalence", 2, ""),
+        ("elbow-bad", "orientation", 1, "VIOLATION v=1 e=(0,1) f=(1,2)\n"),
+        ("elbow-bad", "elbow", 1, "VIOLATION path=(0,1,2)\n"),
+        ("elbow-bad", "eyebrow", 2, ""),
+        ("elbow-bad", "equivalence", 2, ""),
+        ("eyebrow", "orientation", 2, ""),
+        ("eyebrow", "elbow", 2, ""),
+        ("eyebrow", "eyebrow", 0, "VALID k=2\n"),
+        ("eyebrow", "equivalence", 2, ""),
+        ("eyebrow-bad", "orientation", 2, ""),
+        ("eyebrow-bad", "elbow", 2, ""),
+        ("eyebrow-bad", "eyebrow", 1, "VIOLATION edge=(0,2) w=1\n"),
+        ("eyebrow-bad", "equivalence", 2, ""),
+        ("equivalence", "orientation", 2, ""),
+        ("equivalence", "elbow", 2, ""),
+        ("equivalence", "eyebrow", 2, ""),
+        ("equivalence", "equivalence", 0, "VALID k=1\n"),
+        ("equivalence-bad", "orientation", 2, ""),
+        ("equivalence-bad", "elbow", 2, ""),
+        ("equivalence-bad", "eyebrow", 2, ""),
+        ("equivalence-bad", "equivalence", 1, "VIOLATION uncovered=(0,3)\n"),
+    ],
+)
+def test_verify_every_kind_on_every_cover_file(tmp_path, capsys, name, kind, code, want):
+    g = tmp_path / "k4.g"
+    g.write_text("p 4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    cov = tmp_path / "k4.cov"
+    cov.write_text(_K4_COVER_FILES[name])
+    got = run(capsys, "verify", "--kind", kind, "--graph", str(g), "--cover", str(cov))
+    assert got[:2] == (code, want)
+    if code == 2:
+        tag = name.split("-")[0]
+        assert got[2] == f"error: cover file holds an {tag} cover, not an {kind} cover\n"
+    else:
+        assert got[2] == ""

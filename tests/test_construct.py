@@ -3,12 +3,14 @@ import pytest
 from eqcover import (
     Coloring,
     EquivalenceCover,
+    Graph,
     ImproperColoringError,
     InvalidCoverError,
     NotBipartiteError,
     Orientation,
     OrientationCover,
     Permutation,
+    ShapeError,
     analogue,
     bipartite_orientation_cover,
     coloring_from_elbow_cover,
@@ -564,3 +566,53 @@ def test_rank_pullbacks_match_explicit_base_pullback():
             for fn, elbow in ((cover_via_coloring, False), (elbow_cover_via_coloring, True)):
                 got = fn(g, coloring)
                 assert got.words == explicit(g, coloring.colors, c, elbow), (c, fn.__name__)
+
+
+def _words(shape, k, w, kind="orientation"):
+    return OrientationCover.from_words(shape, k, [w] * shape[1], kind)
+
+
+_K4 = generate_family("complete", 4)
+_LK4 = line_graph(_K4)
+_SHAPE = "cover shape (4, 4) does not match graph (4, 6)"
+
+
+@pytest.mark.parametrize(
+    "convert, graph, cover, error, message",
+    [
+        # a base off a complete graph, then the shape, then k = 0, then validity
+        (elbow_double, generate_family("cycle", 4), _words((4, 6), 0, 0, "elbow"),
+         ValueError, "expected a complete graph, got n=4, m=4"),
+        (elbow_double, _K4, _words((4, 4), 0, 0, "elbow"), ShapeError, _SHAPE),
+        (elbow_double, _K4, _words((4, 6), 0, 0, "elbow"),
+         ValueError, "doubling needs at least one orientation"),
+        (elbow_double, _K4, _words((4, 6), 2, 0, "elbow"),
+         InvalidCoverError, "input cover is invalid: VIOLATION path=(0,1,2)"),
+        # the size before the shape
+        (coloring_from_orientation_cover, _K4, _words((4, 4), 2, 0),
+         ValueError, "needs a covering of size at least 3"),
+        (coloring_from_orientation_cover, _K4, _words((4, 4), 3, 0), ShapeError, _SHAPE),
+        (coloring_from_orientation_cover, _K4, _words((4, 6), 3, 0),
+         InvalidCoverError, "input cover is invalid: VIOLATION v=0 e=(0,1) f=(0,2)"),
+        # validity before k = 0
+        (coloring_from_elbow_cover, _K4, _words((4, 4), 0, 0, "elbow"), ShapeError, _SHAPE),
+        (coloring_from_elbow_cover, _K4, _words((4, 6), 0, 0, "elbow"),
+         InvalidCoverError, "input cover is invalid: VIOLATION path=(1,0,2)"),
+        (coloring_from_elbow_cover, Graph(4, [(0, 1), (2, 3)]), _words((4, 2), 0, 0, "elbow"),
+         ValueError, "a zero-orientation covering only colors edgeless graphs"),
+        (orientation_cover_from_elbow, _K4, _words((4, 4), 1, 1, "elbow"), ShapeError, _SHAPE),
+        (orientation_cover_from_elbow, _K4, _words((4, 6), 1, 1, "elbow"),
+         InvalidCoverError, "input cover is invalid: VIOLATION path=(0,1,2)"),
+        (eq_cover_from_orientation_cover, _LK4, _words((4, 4), 3, 0), ShapeError, _SHAPE),
+        (eq_cover_from_orientation_cover, _LK4, _words((4, 6), 3, 0),
+         InvalidCoverError, "input cover is invalid: VIOLATION v=0 e=(0,1) f=(0,2)"),
+        (orientation_cover_from_eq_cover, _LK4, EquivalenceCover(5, [[]]),
+         ShapeError, "cover n=5 does not match graph n=6"),
+        (orientation_cover_from_eq_cover, _LK4, EquivalenceCover(6, [[]]),
+         InvalidCoverError, "input cover is invalid: VIOLATION uncovered=(0,1)"),
+    ],
+)
+def test_converters_check_their_input_in_order(convert, graph, cover, error, message):
+    with pytest.raises(ValueError) as info:
+        convert(graph, cover)
+    assert (type(info.value), str(info.value)) == (error, message)

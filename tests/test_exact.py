@@ -231,18 +231,56 @@ def test_budget_exhaustion_and_interval():
 def test_closed_interval_is_exact_without_deciding_the_upper_end():
     # every k below the constructive cover's size is refuted within the
     # budget, so the cover is the exact witness; deciding k = 3 as well
-    # used to run out of nodes and report [3, 3] as "bounded"
+    # used to run out of nodes and report [3, 3] as "bounded".  K4's
+    # sigma <= 2 and K9's elb <= 1 are refuted in closed form, no nodes
     k4 = generate_family("complete", 4)
     res = solve_invariant(k4, "sigma", Budget(max_nodes=20))
-    assert (res.status, res.lo, res.hi, res.nodes) == ("exact", 3, 3, 19)
+    assert (res.status, res.lo, res.hi, res.nodes) == ("exact", 3, 3, 0)
     assert res.witness.k == 3 and verify_orientation_cover(k4, res.witness) is None
 
     k9 = generate_family("complete", 9)
-    budget = Budget(212521)
+    budget = Budget(212485)
     res = solve_invariant(k9, "elb", budget)
-    assert (res.status, res.lo, res.hi, res.nodes) == ("exact", 3, 3, 212520)
+    assert (res.status, res.lo, res.hi, res.nodes) == ("exact", 3, 3, 212484)
     assert budget.exhausted is None
     assert res.witness.k == 3 and verify_elbow_cover(k9, res.witness) is None
+
+
+def test_small_k_decisions_take_no_nodes_on_many_disjoint_edges():
+    # each disjoint edge used to double the search for sigma <= 1 and
+    # sigma <= 2; both are now answered in closed form
+    p4 = [(0, 1), (1, 2), (2, 3)]
+    g = Graph(40, p4 + [(4 + 2 * i, 5 + 2 * i) for i in range(18)])
+    res = decide_sigma(g, 1)
+    assert (res.status, res.nodes) == ("unsat", 0)
+    res = decide_sigma(g, 2)
+    assert (res.status, res.nodes, res.witness.k) == ("sat", 0, 2)
+    assert verify_orientation_cover(g, res.witness) is None
+
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    g = Graph(27, triangle + [(3 + 2 * i, 4 + 2 * i) for i in range(12)])
+    res = solve_invariant(g, "sigma")
+    assert (res.status, res.value, res.nodes) == ("exact", 3, 0)
+    assert verify_orientation_cover(g, res.witness) is None
+    res = solve_invariant(g, "elb")
+    assert (res.status, res.value, res.nodes) == ("exact", 2, 0)
+    assert verify_elbow_cover(g, res.witness) is None
+
+
+def test_closed_form_witnesses():
+    # sigma <= 1: out of the end of degree >= 2, else out of the low end
+    g = Graph(8, [(0, 3), (1, 3), (2, 4), (5, 6), (5, 7)])
+    res = decide_sigma(g, 1)
+    assert (res.status, res.witness.words) == ("sat", (0, 0, 1, 1, 1))
+    res = decide_sigma(Graph(4, [(0, 1), (2, 3)]), 0)
+    assert (res.status, res.witness.k, res.witness.words) == ("sat", 0, (0, 0))
+    res = decide_elb(Graph(4, [(0, 1), (2, 3)]), 0)
+    assert (res.status, res.witness.kind) == ("sat", "elbow")
+    c4 = generate_family("cycle", 4)
+    assert decide_elb(c4, 1).witness.k == 1 and decide_sigma(c4, 2).witness.k == 2
+    c5 = generate_family("cycle", 5)
+    assert [decide_sigma(c5, k).status for k in range(3)] == ["unsat"] * 3
+    assert [decide_elb(c5, k).status for k in range(2)] == ["unsat"] * 2
 
 
 def test_truncated_solves_carry_verifying_upper_witnesses(corpus):
@@ -258,7 +296,10 @@ def test_truncated_solves_carry_verifying_upper_witnesses(corpus):
         }
         for invariant, verifier in budgets.items():
             res = solve_invariant(g, invariant, Budget(max_nodes=1))
-            assert res.status == "bounded"
+            # sigma <= 2 and elb <= 1 fail in closed form off bipartite
+            # graphs, which closes sigma = 3 and elb = 2 on these two
+            closed = name != "K5" and invariant != "eye"
+            assert res.status == ("exact" if closed else "bounded")
             assert res.witness.k == res.hi
             assert verifier(g, res.witness) is None
     host = _lg(corpus["K4"]).line

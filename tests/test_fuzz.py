@@ -12,6 +12,7 @@ import pytest
 
 import eqcover.verify as verify_mod
 from eqcover import (
+    Budget,
     EquivalenceCover,
     EyebrowCover,
     Graph,
@@ -184,6 +185,29 @@ def test_bitset_pass_agrees_with_full_scan(monkeypatch):
         for g, c in cases
     ]
     assert fast == slow
+
+
+def test_closed_form_decisions_match_oracles_on_random_graphs():
+    # sigma <= 2 and elb <= 1 are decided without search nodes
+    rng = random.Random(5150)
+    checked = 0
+    while checked < 60:
+        g = random_graph(rng, max_n=6)
+        k = rng.randint(0, 2)
+        if g.m * k > 14:
+            continue
+        checked += 1
+        for decide, ok, at_most, top in (
+            (decide_sigma, oracles.orientation_cover_ok, oracles.sigma_at_most, 2),
+            (decide_elb, oracles.elbow_cover_ok, oracles.elb_at_most, 1),
+        ):
+            if k > top:
+                continue
+            res = decide(g, k, Budget(max_nodes=0))
+            assert (res.status == "sat", res.nodes) == (at_most(g, k), 0), (g.edges, k)
+            if res.status == "sat":
+                assert res.witness.k == k
+                assert ok(g, [o.direction for o in res.witness.orientations])
 
 
 def test_decide_witnesses_always_verify_on_random_graphs():

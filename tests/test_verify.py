@@ -513,3 +513,16 @@ def test_small_certificates_do_not_load_numpy():
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_verifier_table_follows_cover_kinds():
+    from eqcover.covers import COVER_KINDS, EquivalenceCover, EyebrowCover, OrientationCover
+    from eqcover.verify import VERIFIERS
+
+    assert tuple(VERIFIERS) == COVER_KINDS
+    assert VERIFIERS["orientation"] == (OrientationCover, verify_orientation_cover)
+    assert VERIFIERS["elbow"] == (OrientationCover, verify_elbow_cover)
+    assert VERIFIERS["eyebrow"] == (EyebrowCover, verify_eyebrow_cover)
+    assert VERIFIERS["equivalence"] == (EquivalenceCover, verify_equivalence_cover)
+    # every cover type names the kind whose verifier checks it
+    assert (EyebrowCover.kind, EquivalenceCover.kind) == ("eyebrow", "equivalence")
