@@ -71,6 +71,25 @@ K4_SIGMA3_RANKS: Tuple[Tuple[int, ...], ...] = ((0, 3, 1, 2), (3, 0, 1, 2), (3, 
 K2_RANKS: Tuple[Tuple[int, ...], ...] = ((0, 1), (1, 0))
 
 
+# The pinned orientation-covering bases of K_2, K_4 and K_16, by the size
+# of the elbow base of the palettes they serve.
+_SIGMA_BASES = (K2_RANKS, K4_SIGMA3_RANKS, K16_RANK_ROWS)
+
+
+def pullback_size(c: int, kind: str) -> int:
+    """Size of the cover a palette of c colors pulls back to: through
+    ``cover_via_coloring`` for kind 'orientation', ``elbow_cover_via_coloring``
+    for 'elbow'; for 'eyebrow' (c >= 3) the number of eyebrow rankings
+    of K_c.  No ranking is built: each elbow ranking added squares the
+    side of the complete graph covered, from one ranking of K_2."""
+    size, side = 1, 2
+    while side < c:
+        size, side = size + 1, side * side
+    if kind != "orientation":
+        return size
+    return len(_SIGMA_BASES[size - 1]) if size <= len(_SIGMA_BASES) else 2 * size
+
+
 def _elbow_ranks(n: int) -> List[List[int]]:
     """Rankings of the elbow covering of K_n, n >= 3: ``elbow_double``
     on rankings, from K_4 until n vertices, keeping the first n entries.
@@ -385,12 +404,11 @@ def cover_via_coloring(
     """
     dense = _resolve_coloring(g, coloring, greedy, budget)
     c = dense.palette_size
-    if c <= 2:
+    size = pullback_size(c, "elbow")
+    if size == 1:
         return bipartite_orientation_cover(g)
-    if c <= 4:
-        ranks: Sequence[Sequence[int]] = K4_SIGMA3_RANKS
-    elif c <= 16:
-        ranks = K16_RANK_ROWS
+    if size <= len(_SIGMA_BASES):
+        ranks: Sequence[Sequence[int]] = _SIGMA_BASES[size - 1]
     else:
         elbow = _elbow_ranks(c)
         ranks = elbow + [[-x for x in r] for r in elbow]

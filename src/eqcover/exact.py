@@ -26,13 +26,17 @@ vertex keeps a domain of the words still allowed on its incident edges
 high endpoint), and a table row per lex state holds the words that keep
 the blocks in order, so the candidates for an edge are
 ``lex row & domain(u) & domain(v)`` and assigning a word ANDs one
-compatibility row into each endpoint's domain.  The rows are built
-lazily, one per lex state reached and one per word assigned, and
-cached per window size and kind.  The node count is that of trying
-every word in turn: the words skipped on the way to the next candidate
-(or to the end) are charged in bulk through ``Budget.spend(count)``, so
+compatibility row into each endpoint's domain.  The tables are built
+whole, once per k and kind.  The node count is that of trying every
+word in turn: the words skipped on the way to the next candidate (or to
+the end) are charged in bulk through ``Budget.spend(count)``, so
 results, witnesses, node counts and the node at which a budget trips
 are those of a word-by-word search.
+
+Both ends of k are closed forms that take no search nodes: the small k
+(sigma <= 2, elb <= 1, eye <= 1), and every k at or above the size of
+the cover of K_n, which restricted to the graph is a witness.  So the
+word search only meets k below that size, at most 11 orientations.
 """
 
 from __future__ import annotations
@@ -132,84 +136,50 @@ def _timeout_status(reason: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-# Words below 2**_START_BITS fit the first window of the domain bitsets,
-# so a vertex's domain takes 2 * 2**10 bits.  A search that needs larger
-# words widens the window one bit at a time (only possible for k > 10).
-_START_BITS = 10
-
-
-def _subsets(s: int) -> int:
-    """Bitset with bit w set for every word w whose bits all lie in s."""
-    row, b = 1, 0
-    while s >> b:
-        if (s >> b) & 1:
-            row |= row << (1 << b)
-        b += 1
-    return row
-
-
-class _WordTables:
-    """Bitset rows over the window of words below 2**bits, each built on
-    first use and kept: bit w of a row stands for word w.
+@lru_cache(maxsize=None)
+def _word_tables(k: int, elbow: bool) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """Bitset rows over the 2**k words: bit w of a row stands for word w.
 
     A vertex's domain packs two rows into one integer: the words still
     allowed on an incident edge where the vertex is the low endpoint
-    (its mask is the word) in the low 2**bits bits, and where it is the
+    (its mask is the word) in the low 2**k bits, and where it is the
     high endpoint (its mask is ``full ^ word``) in the bits above.
-    ``lex_row(state)`` holds the words that keep the orientation blocks
-    lexicographically nondecreasing from a lex state; ``word_rows(w)``
-    the two packed masks that assigning w to an edge ANDs into the
-    domains of its low and of its high endpoint.  ``top`` says that the
-    window holds every word (bits == k), so that ``full`` lies in it.
+    ``lex_rows[state]`` holds the words that keep the orientation blocks
+    lexicographically nondecreasing from a lex state; ``rows[w]`` the
+    two packed masks that assigning w to an edge ANDs into the domains
+    of its low and of its high endpoint.
     """
-
-    __slots__ = ("bits", "top", "elbow", "every", "lex_rows", "rows")
-
-    def __init__(self, bits: int, top: bool, elbow: bool):
-        self.bits = bits
-        self.top = top
-        self.elbow = elbow
-        self.every = (1 << (2 << bits)) - 1  # a domain that allows every word
-        self.lex_rows: dict = {}
-        self.rows: dict = {}
-
-    def lex_row(self, state: int) -> int:
-        # word w breaks the order at p when the direction bit of block p
-        # exceeds that of block p + 1 (direction bit = 1 - word bit)
-        row = sum(
-            1 << w for w in range(1 << self.bits) if not state & ~w & (w >> 1)
-        )
-        self.lex_rows[state] = row
-        return row
-
-    def word_rows(self, w: int) -> Tuple[int, int]:
-        width = 1 << self.bits
-        every, ones = (1 << width) - 1, width - 1
+    size = 1 << k
+    full, every = size - 1, (1 << size) - 1
+    # word w breaks the order at p when the direction bit of block p
+    # exceeds that of block p + 1 (direction bit = 1 - word bit); a state
+    # allows the words that break it at none of its positions
+    keeps = [
+        sum(1 << w for w in range(size) if not (~w & (w >> 1)) >> p & 1)
+        for p in range(k - 1)
+    ]
+    lex_rows = [every]
+    for state in range(1, 1 << max(k - 1, 0)):
+        low = state & -state
+        lex_rows.append(lex_rows[state ^ low] & keeps[low.bit_length() - 1])
+    # subsets[w]: the words whose bits all lie in w
+    subsets = [1]
+    for w in range(1, size):
+        low = w & -w
+        below = subsets[w ^ low]
+        subsets.append(below | below << low)
+    rows = []
+    for w in range(size):
         # rows for the low and high ends at the edge's low endpoint, whose
-        # mask is w, then at its high endpoint, whose mask is full ^ w; a
-        # row that would exclude words past the window excludes nothing
-        if self.elbow:
-            # masks x, y at a shared vertex must not be complementary
-            not_w = every ^ (1 << w)
-            not_full_w = every ^ (1 << (ones ^ w)) if self.top else every
-            rows = (not_full_w, not_w, not_w, not_full_w)
-        else:
-            # masks x, y at a shared vertex must intersect
-            below_w, off_w = _subsets(w), _subsets(ones ^ w)
-            rows = (
-                every ^ off_w,
-                every ^ (off_w << w),
-                every ^ below_w,
-                every ^ (below_w << (ones ^ w)) if self.top else every,
-            )
-        packed = (rows[0] | rows[1] << width, rows[2] | rows[3] << width)
-        self.rows[w] = packed
-        return packed
-
-
-@lru_cache(maxsize=None)
-def _word_tables(bits: int, top: bool, elbow: bool) -> _WordTables:
-    return _WordTables(bits, top, elbow)
+        # mask is w, then at its high endpoint, whose mask is full ^ w
+        if elbow:  # masks at a shared vertex must not be complementary
+            a, b = every ^ 1 << (full ^ w), every ^ 1 << w
+            ends = (a, b, b, a)
+        else:  # masks at a shared vertex must intersect
+            below, off = subsets[w], subsets[full ^ w]
+            ends = (every ^ off, every ^ off << w, every ^ below, every ^ below << (full ^ w))
+        rows.append((ends[0] | ends[1] << size, ends[2] | ends[3] << size))
+    return lex_rows, rows
 
 
 def _decide_words(
@@ -223,33 +193,41 @@ def _decide_words(
     orientation covering needs intersecting masks, elbow covering
     forbids complementary ones.
 
-    Edges are labelled in index order, each trying its words in
-    increasing order, with an explicit stack.  Each vertex keeps a
-    domain (see _WordTables), so the candidates of an edge are one AND
-    of bitsets, and a word assigned ANDs one precomputed row into the
-    domain of each endpoint; backtracking restores the two saved
-    domains.  Every word tried counts as a node, candidate or not, so
-    the nodes up to the next candidate, or to the end of the words, are
-    charged in one go.  The domains cover a window of the smallest words
-    that widens when the search runs out of it, so memory grows with the
-    words the search reaches rather than with 2**k.
+    An edge whose ends both have degree 1 meets no other edge, so it is
+    left out of the search and takes word 0.  The other edges are
+    labelled in index order, each trying its words in increasing order,
+    with an explicit stack.  Each vertex keeps a domain (see
+    _word_tables), so the candidates of an edge are one AND of bitsets,
+    and a word assigned ANDs one precomputed row into the domain of each
+    endpoint; backtracking restores the two saved domains.  Every word
+    tried counts as a node, candidate or not, so the nodes up to the
+    next candidate, or to the end of the words, are charged in one go.
     """
-    m, n = g.m, g.n
+    deg = g.degrees()
     edges = g.edges
+    free = deg.count(1) > 1 and any(deg[u] == 1 == deg[v] for u, v in edges)
+    if free:
+        edges = [(u, v) for u, v in edges if deg[u] > 1 or deg[v] > 1]
+    if not edges:
+        return [0] * g.m
+    m = len(edges)
     words = [0] * m
-    if m == 0:
-        return words
     size = 1 << k
+    lex_rows, rows = _word_tables(k, elbow)
+    dom = [(1 << (2 * size)) - 1] * g.n
+    if not elbow:
+        # a never-out mask at a vertex with 2+ edges kills a pair: mask 0
+        # is word 0 at the low end and full at the high end
+        for v, dv in enumerate(deg):
+            if dv >= 2:
+                dom[v] ^= 1 | 1 << (2 * size - 1)
     spend = budget.spend
-    # a never-out mask at a vertex with 2+ edges kills a pair
-    never_out = [] if elbow else [v for v, deg in enumerate(g.degrees()) if deg >= 2]
     rest = [0] * m  # candidates above words[d] left at depth d
     lexes = [0] * m  # lex state on reaching depth d
     saved: List[Tuple[int, int]] = [(0, 0)] * m  # endpoint domains before depth d
-    d, lex, start, cand = 0, (1 << max(k - 1, 0)) - 1, 0, 0
-    bits = min(k, _START_BITS) - 1  # the first pass of the loop sets up
-    dom = lex_rows = rows = tables = None
-    width = 0
+    d, lex, start = 0, (1 << max(k - 1, 0)) - 1, 0
+    u, v = edges[0]
+    cand = lex_rows[lex] & dom[u] & (dom[v] >> size)
     while True:
         if cand:
             lowest = cand & -cand
@@ -260,40 +238,15 @@ def _decide_words(
             lexes[d] = lex
             u, v = edges[d]
             saved[d] = du, dv = dom[u], dom[v]
-            ru, rv = rows.get(w) or tables.word_rows(w)
+            ru, rv = rows[w]
             dom[u], dom[v] = du & ru, dv & rv
             d += 1
             if d == m:
-                return words
+                break
             lex &= ~(w & ~(w >> 1))
             u, v = edges[d]
-            cand = (lex_rows.get(lex) or tables.lex_row(lex)) & dom[u] & (dom[v] >> width)
+            cand = lex_rows[lex] & dom[u] & (dom[v] >> size)
             start = 0
-        elif bits < k:
-            # no candidate in the window but larger words exist: widen it
-            # and replay the assignments on the stack.  Nothing at this
-            # depth has been tried yet (start == 0), since the search only
-            # backtracks once the window holds every word.
-            bits += 1
-            width = 1 << bits
-            tables = _word_tables(bits, bits == k, elbow)
-            lex_rows, rows = tables.lex_rows, tables.rows
-            dom = [tables.every] * n
-            for x in never_out:  # mask 0: word 0 at the low end, full at the high
-                dom[x] ^= 1
-                if bits == k:
-                    dom[x] ^= 1 << (width + size - 1)
-            for i in range(d):
-                w = words[i]
-                u, v = edges[i]
-                saved[i] = du, dv = dom[u], dom[v]
-                row = lex_rows.get(lexes[i]) or tables.lex_row(lexes[i])
-                rest[i] = (row & du & (dv >> width)) >> (w + 1) << (w + 1)
-                ru, rv = rows.get(w) or tables.word_rows(w)
-                dom[u], dom[v] = du & ru, dv & rv
-            u, v = edges[d]
-            row = lex_rows.get(lex) or tables.lex_row(lex)
-            cand = row & dom[u] & (dom[v] >> width)
         else:
             spend(size - start)
             if d == 0:
@@ -304,6 +257,10 @@ def _decide_words(
             lex = lexes[d]
             cand = rest[d]
             start = words[d] + 1
+    if not free:
+        return words
+    found = iter(words)
+    return [next(found) if deg[u] > 1 or deg[v] > 1 else 0 for u, v in g.edges]
 
 
 def _closed_form_cover(g: Graph, k: int, kind: str) -> Optional[OrientationCover]:
@@ -334,6 +291,36 @@ def _closed_form_cover(g: Graph, k: int, kind: str) -> Optional[OrientationCover
         return None
 
 
+@lru_cache(maxsize=None)
+def _kn_cover_size(n: int, kind: str) -> int:
+    """Size of the cover of K_n that ``_kn_cover`` restricts; cached, as
+    the deferred import alone takes about 5% of a small query's time."""
+    from . import construct  # deferred: construct imports this module
+
+    return construct.pullback_size(n, kind)
+
+
+def _kn_cover(g: Graph, kind: str, k: int = 0):
+    """The cover of K_n restricted to g, with its last member repeated up
+    to size k: the pullback of the identity coloring for kinds
+    'orientation' and 'elbow' (k at least its size), the permutations of
+    the eyebrow rankings of K_n for 'eyebrow' (none when no edge has a
+    third vertex).  Its size is ``_kn_cover_size(g.n, kind)``."""
+    from . import construct  # deferred: construct imports this module
+
+    if kind == "eyebrow":
+        ranks = construct._elbow_ranks(g.n) if g.m and g.n >= 3 else []
+        perms = [
+            Permutation.from_order(sorted(range(g.n), key=r.__getitem__)) for r in ranks
+        ]
+        return EyebrowCover(g.n, perms + perms[-1:] * (k - len(perms)))
+    pull = construct.elbow_cover_via_coloring if kind == "elbow" else construct.cover_via_coloring
+    cover = pull(g, Coloring(range(g.n)))
+    last, top = 1 << (cover.k - 1), (1 << k) - (1 << cover.k)
+    words = [w | top if w & last else w for w in cover.words]
+    return OrientationCover.from_words((g.n, g.m), k, words, kind)
+
+
 def _decide_cover(g: Graph, k: int, budget: Optional[Budget], kind: str) -> DecideResult:
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -341,6 +328,8 @@ def _decide_cover(g: Graph, k: int, budget: Optional[Budget], kind: str) -> Deci
     if k <= (1 if kind == "elbow" else 2):
         witness = _closed_form_cover(g, k, kind)
         return DecideResult("unsat" if witness is None else "sat", witness, budget.nodes)
+    if k >= _kn_cover_size(g.n, kind):
+        return DecideResult("sat", _kn_cover(g, kind, k), budget.nodes)
     try:
         words = _decide_words(g, k, budget, elbow=kind == "elbow")
     except _OutOfBudget:
@@ -471,15 +460,6 @@ def decide_eq(h: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult
 # ---------------------------------------------------------------------------
 
 
-def _eyebrow_constraints(g: Graph) -> List[Tuple[int, int, int]]:
-    return [
-        (u, v, w)
-        for u, v in g.edges
-        for w in range(g.n)
-        if w != u and w != v
-    ]
-
-
 def _path_order(g: Graph) -> Optional[List[int]]:
     """The vertices path by path when g is a linear forest (maximum
     degree <= 2, no cycle), else None.  Paths are taken in order of
@@ -508,7 +488,8 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
     k <= 1 is answered in closed form, without search nodes: with an
     edge and a third vertex, k = 0 fails, and one permutation works
     exactly when every edge joins consecutive ranks, that is when g is
-    a linear forest (the witness lists the vertices path by path).
+    a linear forest (the witness lists the vertices path by path).  So
+    is every k at or above the number of eyebrow rankings of K_n.
     Larger k is brute force over lexicographically nondecreasing
     k-tuples of permutations, pruning on the constraints still
     uncovered; intended for small n.
@@ -525,7 +506,9 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
             return DecideResult("unsat", None, budget.nodes)
         cover = EyebrowCover(g.n, [Permutation.from_order(order)])
         return DecideResult("sat", cover, budget.nodes)
-    constraints = _eyebrow_constraints(g)
+    if k >= _kn_cover_size(g.n, "eyebrow"):
+        return DecideResult("sat", _kn_cover(g, "eyebrow", k), budget.nodes)
+    constraints = [(u, v, w) for u, v in g.edges for w in range(g.n) if w != u and w != v]
 
     chosen: List[Tuple[int, ...]] = []
 
@@ -763,13 +746,7 @@ def _upper_witness(g: Graph, invariant: str):
     if invariant == "eq":
         return _greedy_matching_cover(g)
     if invariant == "eye":
-        if g.m == 0 or g.n < 3:  # no edge has a third vertex
-            return EyebrowCover(g.n, [])
-        perms = [
-            Permutation.from_order(sorted(range(g.n), key=r.__getitem__))
-            for r in construct._elbow_ranks(g.n)
-        ]
-        return EyebrowCover(g.n, perms)
+        return _kn_cover(g, "eyebrow")
     raise ValueError(f"unknown invariant {invariant!r}")
 
 

@@ -433,12 +433,28 @@ def test_triangle_free_equality_beyond_ten_edges(corpus):
         (decide_elb, 7, 2, "unsat", 23468),
         (decide_elb, 8, 2, "unsat", 71096),
         (decide_elb, 9, 2, "unsat", 212484),
-        (decide_elb, 8, 3, "sat", 251893),
+        (decide_elb, 8, 3, "sat", 0),  # k = 3 is the K_8 cover's size: no search
+        (decide_sigma, 9, 4, "sat", 1472),
     ],
 )
 def test_pinned_node_counts(decide, n, k, status, nodes):
     res = decide(generate_family("complete", n), k)
     assert (res.status, res.nodes) == (status, nodes)
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_free_edges_take_no_search_nodes(j):
+    # edges whose ends both have degree 1 are left out of the search (word
+    # 0): K5 listed after j disjoint edges takes K5's 5,472 nodes for every j
+    g = Graph(2 * j + 5, [(2 * i, 2 * i + 1) for i in range(j)] + [
+        (2 * j + a, 2 * j + b) for a in range(5) for b in range(a + 1, 5)
+    ])
+    res = decide_sigma(g, 3)
+    assert (res.status, res.nodes) == ("unsat", 5472)
+    res = decide_sigma(g, 4)
+    assert res.status == "sat"
+    assert verify_orientation_cover(g, res.witness) is None
+    assert all(res.witness.words[e] == 0 for e in range(j))
 
 
 def test_pinned_node_counts_eq_and_budget():
@@ -510,3 +526,70 @@ def test_eyebrow_k1_witness_lists_paths_in_turn():
     assert res.witness.permutations[0].order() == (0, 5, 1, 2, 6, 3, 4)
     assert decide_eyebrow(generate_family("cycle", 5), 1).status == "unsat"
     assert decide_eyebrow(generate_family("star", 3), 1).status == "unsat"
+
+
+# Size of the K_n cover that answers every k at or above it: the identity
+# coloring's pullbacks for sigma and elb, the eyebrow rankings for eye.
+_COMPLETE_SIZES = {
+    1: (2, 1, 0),
+    2: (2, 1, 0),
+    3: (3, 2, 2),
+    4: (3, 2, 2),
+    5: (5, 3, 3),
+    16: (5, 3, 3),
+    17: (8, 4, 4),
+    256: (8, 4, 4),
+    257: (10, 5, 5),
+}
+_KINDS = (
+    (decide_sigma, verify_orientation_cover, oracles.orientation_cover_ok),
+    (decide_elb, verify_elbow_cover, oracles.elbow_cover_ok),
+    (decide_eyebrow, verify_eyebrow_cover, oracles.eyebrow_cover_ok),
+)
+
+
+def _oracle_rows(witness):
+    if hasattr(witness, "permutations"):
+        return [p.values for p in witness.permutations]
+    return [o.direction for o in witness.orientations]
+
+
+@pytest.mark.parametrize("n", sorted(_COMPLETE_SIZES))
+def test_complete_cover_size_is_decided_without_search(n):
+    g = generate_family("complete", n)
+    for (decide, verify, oracle), s in zip(_KINDS, _COMPLETE_SIZES[n]):
+        res = decide(g, s, Budget(max_nodes=0))
+        assert (res.status, res.nodes, res.witness.k) == ("sat", 0, s), decide
+        assert verify(g, res.witness) is None
+        if n <= 5:
+            assert oracle(g, _oracle_rows(res.witness))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_just_below_the_complete_cover_size_matches_enumeration(n):
+    g = generate_family("complete", n)
+    sigma, elb, eye = (s - 1 for s in _COMPLETE_SIZES[n])
+    # the brute force takes about 6 s for elb(K5) <= 2 and over a minute
+    # for sigma(K5) <= 4, so K5 reads the known values: elb(K5) = 3 by
+    # the loglog formula, sigma(K5) = 4 (chi = 5 lies in the window 5..12)
+    expect_sigma = oracles.sigma_at_most(g, sigma) if n <= 4 else True
+    expect_elb = oracles.elb_at_most(g, elb) if n <= 4 else False
+    assert (decide_sigma(g, sigma).status == "sat") == expect_sigma
+    assert (decide_elb(g, elb).status == "sat") == expect_elb
+    if eye >= 0:
+        assert (decide_eyebrow(g, eye).status == "sat") == oracles.eye_at_most(g, eye)
+
+
+def test_relabelling_keeps_every_decision():
+    rng = random.Random(1519)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        perm = rng.sample(range(n), n)
+        h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+        # K_6's cover sizes are K_5's; eye is brute force over n! orders
+        for (decide, _, _), s in zip(_KINDS, _COMPLETE_SIZES[min(n, 5)]):
+            if decide is decide_eyebrow and n > 5:
+                continue
+            for k in range(s + 2):
+                assert decide(g, k).status == decide(h, k).status, (g.edges, perm, k)

@@ -3,7 +3,9 @@
 The recursive searches they replaced are kept below, verbatim, as the
 reference.  Both must walk the same search tree: same status, same
 first witness, same node count, and a budget that trips at the same
-node for the same reason.
+node for the same reason.  The word search leaves out the edges whose
+ends both have degree 1 and gives them word 0, so the reference runs
+behind the same rule (``reference_without_free_edges``).
 """
 
 import random
@@ -13,7 +15,18 @@ from typing import List, Optional, Tuple
 import pytest
 
 import eqcover.exact as exact_mod
-from eqcover import Budget, EquivalenceCover, Graph, generate_family, line_graph
+import oracles
+from eqcover import (
+    Budget,
+    EquivalenceCover,
+    Graph,
+    decide_elb,
+    decide_sigma,
+    generate_family,
+    line_graph,
+    verify_elbow_cover,
+    verify_orientation_cover,
+)
 from eqcover.exact import DecideResult, _OutOfBudget, decide_eq
 
 BUDGETS = (None, 1, 7, 100, 2500)
@@ -93,6 +106,21 @@ def reference_decide_words(
         return False
 
     return words if rec(0, (1 << max(k - 1, 0)) - 1) else None
+
+
+def reference_without_free_edges(
+    g: Graph, k: int, budget: Budget, elbow: bool
+) -> Optional[List[int]]:
+    """The reference word search on g minus its free edges (both ends of
+    degree 1), with word 0 filled in for each free edge afterwards."""
+    deg = g.degrees()
+    is_free = [deg[u] == 1 and deg[v] == 1 for u, v in g.edges]
+    rest = Graph(g.n, [e for e, free in zip(g.edges, is_free) if not free])
+    words = reference_decide_words(rest, k, budget, elbow)
+    if words is None:
+        return None
+    found = iter(words)
+    return [0 if free else next(found) for free in is_free]
 
 
 def reference_decide_eq(h: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult:
@@ -233,7 +261,7 @@ def _run_words(search, g, k, elbow, budget):
 
 
 def _assert_same_words(g, k, elbow, max_nodes=None, max_seconds=None):
-    ref = _run_words(reference_decide_words, g, k, elbow, Budget(max_nodes, max_seconds))
+    ref = _run_words(reference_without_free_edges, g, k, elbow, Budget(max_nodes, max_seconds))
     new = _run_words(exact_mod._decide_words, g, k, elbow, Budget(max_nodes, max_seconds))
     assert new == ref, (g.n, g.edges, k, elbow, max_nodes)
     return ref
@@ -272,28 +300,20 @@ def test_word_search_matches_recursive_reference(elbow):
     assert statuses == {"sat", "unsat", "timeout"}
 
 
-@pytest.mark.parametrize("start_bits", [0, 1, 2])
-def test_window_widening_keeps_the_search_tree(monkeypatch, start_bits):
-    # a narrow first window makes the search widen it, often mid-search,
-    # so every replay path runs against the reference
-    monkeypatch.setattr(exact_mod, "_START_BITS", start_bits)
-    rng = random.Random(start_bits)
-    graphs = [_random_graph(rng, max_n=7) for _ in range(25)]
-    graphs.append(generate_family("complete", 5))
-    for g in graphs:
-        for elbow in (False, True):
-            for k in range(5):
-                for max_nodes in (None, 7, 100):
-                    _assert_same_words(g, k, elbow, max_nodes)
-
-
 def test_large_k_needs_no_full_size_domains():
-    # 2**40-bit domains could not be allocated; the window grows only as
-    # far as the search reaches
+    # every k at or above the size of the K_n cover (5 orientations for
+    # sigma, 3 for elb at n <= 16) is answered by that cover, padded to
+    # size k, so no 2**k-bit table is built
     for g in (generate_family("complete", 5), generate_family("cycle", 7)):
-        for elbow in (False, True):
+        for decide, verify, oracle in (
+            (decide_sigma, verify_orientation_cover, oracles.orientation_cover_ok),
+            (decide_elb, verify_elbow_cover, oracles.elbow_cover_ok),
+        ):
             for k in (11, 13, 40):
-                _assert_same_words(g, k, elbow, max_nodes=3000)
+                res = decide(g, k, Budget(max_nodes=0))
+                assert (res.status, res.nodes, res.witness.k) == ("sat", 0, k)
+                assert verify(g, res.witness) is None
+                assert oracle(g, [o.direction for o in res.witness.orientations])
 
 
 def test_clock_trips_at_the_same_node():
