@@ -1,7 +1,8 @@
 """Certificates and their verification.
 
-A covering claim is a list of orientations, permutations, or
-clique-partitions over one reference graph.  The verifiers either
+A covering claim is a set of orientations (one bit per orientation in
+each edge's word), permutations, or clique-partitions over one
+reference graph.  The verifiers either
 confirm the claim or return a self-certifying counterexample, so a
 certificate file can be trusted end to end.
 
@@ -12,7 +13,6 @@ doubling construction gives).
 """
 
 from eqcover import (
-    Orientation,
     OrientationCover,
     generate_family,
     k16_table_cover,
@@ -33,13 +33,13 @@ print(f"so sigma(K16) <= {cover.k}")
 
 # Drop one orientation and the claim collapses; the verifier names the
 # first incidence pair left uncovered.
-broken = OrientationCover((16, 120), cover.orientations[:4])
+broken = OrientationCover((16, 120), 4, [w & 0b1111 for w in cover.words])
 violation = verify_orientation_cover(g16, broken)
 print(f"\nwith only four of the five orientations: {violation.line()}")
 print(f"witness rechecks in isolation: {violation.recheck(g16, broken)}")
 
 # Certificates serialize to a line-oriented text format.
 k3 = generate_family("complete", 3)
-tiny = OrientationCover((3, 3), [Orientation((3, 3), (0, 0, 0))])
+tiny = OrientationCover((3, 3), 1, [1, 1, 1])  # every edge low -> high
 print("\nA cover file for one orientation of the triangle:")
 print(write_cover_for(k3, tiny))

@@ -1,8 +1,8 @@
 """Orientations of G versus equivalence subgraphs of L(G).
 
 Directing the edges of G splits each vertex's incident edges into an
-out-set; the out-sets are disjoint cliques of the line graph (the
-"analogue" of the orientation).  A set of orientations covering every
+out-set; the out-sets are disjoint cliques of the line graph, an
+equivalence subgraph of L(G) per orientation.  A set of orientations covering every
 incidence pair therefore becomes an equivalence covering of L(G) of the
 same size, which is the cheap direction of
 
@@ -16,7 +16,6 @@ rotations, hence the factor three, which a triangle-free host never pays.
 """
 
 from eqcover import (
-    analogue,
     decide_eq,
     eq_cover_from_orientation_cover,
     generate_family,
@@ -32,15 +31,14 @@ lm = line_graph(k4)
 print(f"L(K4) has {lm.line.n} vertices and {lm.line.m} edges")
 
 cover = k4_sigma3_cover()
-print("\nanalogues of the three covering orientations of K4:")
-for o in cover.orientations:
-    print(f"  classes (as host edge indices): {analogue(lm, o)}")
-
 eq = eq_cover_from_orientation_cover(lm, cover)
+print("\nout-stars of the three covering orientations of K4:")
+for classes in eq.subgraphs:
+    print(f"  classes (as host edge indices): {classes}")
 print(f"together: equivalence covering of L(K4) of size {eq.k}, "
       f"valid: {verify_equivalence_cover(lm.line, eq) is None}")
 
-# The analogues' classes are out-stars, so each subgraph converts back
+# Every class is an out-star, so each subgraph converts back
 # to a single orientation.
 back = orientation_cover_from_eq_cover(lm, eq)
 print(f"converted back: {back.k} orientations (one per star subgraph), "

@@ -13,7 +13,8 @@ certificates for every claim:
     third vertex, the third vertex outside the edge's rank interval
     somewhere.
 
-The package provides the value types (graphs, orientations, covers),
+The package provides the value types (graphs, permutations, colorings,
+covers; a cover of k orientations is one k-bit word per edge),
 verifiers returning self-certifying violations, constructive
 conversions realizing the known inequalities between the invariants,
 exact solvers for small instances, and composed interval reports.
@@ -22,7 +23,6 @@ exact solvers for small instances, and composed interval reports.
 from .bounds import AlonBounds, BoundsReport, alon_bounds, bounds_report
 from .construct import (
     InvalidCoverError,
-    analogue,
     bipartite_orientation_cover,
     coloring_from_elbow_cover,
     coloring_from_orientation_cover,
@@ -78,17 +78,11 @@ from .graphs import (
 from .linegraph import LineGraphMap, line_graph
 from .orientations import (
     Coloring,
-    HomomorphismError,
     ImproperColoringError,
-    Orientation,
     Permutation,
     ShapeError,
-    permutation_to_orientation,
-    pullback_orientation,
 )
 from .verify import (
-    IncidenceSignature,
-    incidence_signatures,
     verify_elbow_cover,
     verify_equivalence_cover,
     verify_eyebrow_cover,
@@ -108,20 +102,16 @@ __all__ = [
     "EyebrowCover",
     "Graph",
     "GraphFormatError",
-    "HomomorphismError",
     "ImproperColoringError",
-    "IncidenceSignature",
     "InvalidCoverError",
     "LineGraphMap",
     "NotBipartiteError",
-    "Orientation",
     "OrientationCover",
     "Permutation",
     "ShapeError",
     "SolveResult",
     "Violation",
     "alon_bounds",
-    "analogue",
     "bipartite_orientation_cover",
     "bipartition",
     "bounds_report",
@@ -140,7 +130,6 @@ __all__ = [
     "find_triangle",
     "generate_family",
     "greedy_coloring",
-    "incidence_signatures",
     "induced_subgraph",
     "k16_table_cover",
     "k4_elbow_base",
@@ -152,8 +141,6 @@ __all__ = [
     "parse_coloring",
     "parse_cover",
     "parse_graph",
-    "permutation_to_orientation",
-    "pullback_orientation",
     "read_graph_file",
     "restrict_cover_to_induced",
     "solve_invariant",

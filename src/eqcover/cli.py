@@ -57,14 +57,13 @@ from .graphs import (
     write_graph_file,
 )
 from .linegraph import line_graph
-from .orientations import HomomorphismError, ImproperColoringError, ShapeError
+from .orientations import ImproperColoringError, ShapeError
 from .verify import VERIFIERS
 
 _USAGE_ERRORS = (
     GraphFormatError,
     CoverFormatError,
     ShapeError,
-    HomomorphismError,
     ImproperColoringError,
     NotBipartiteError,
     ValueError,

@@ -5,7 +5,7 @@ the proofs behind them are constructive, so the outputs double as
 machine-checkable evidence for the size relations between the
 invariants:
 
-    eq(L(G)) <= sigma(G) <= 3 eq(L(G))       (analogues / 1 or 3 orientations per subgraph)
+    eq(L(G)) <= sigma(G) <= 3 eq(L(G))       (out-stars / 1 or 3 orientations per subgraph)
     elb(G) <= sigma(G) <= 2 elb(G)           (reversal doubling)
     elb(K_n) = ceil(log2 log2 n) + 1, n >= 3 (self-composition doubling)
     sigma(G) <= sigma(K_c) for any proper c-coloring (pullback)
@@ -31,7 +31,7 @@ from .covers import EquivalenceCover, EquivalenceSubgraph, OrientationCover, Vio
 from .exact import Budget, exact_chromatic, greedy_coloring
 from .graphs import Graph, bipartition
 from .linegraph import LineGraphMap
-from .orientations import Coloring, Orientation, Permutation
+from .orientations import Coloring, Permutation
 from .verify import (
     verify_elbow_cover,
     verify_equivalence_cover,
@@ -139,7 +139,7 @@ def _complete_cover(ranks: Sequence[Sequence[int]], kind: str) -> OrientationCov
     for a in range(n - 1):
         row = zip(*(map(r[a].__lt__, r[a + 1 :]) for r in ranks))
         words.extend(map(pack.__getitem__, row))
-    return OrientationCover.from_words((n, len(words)), k, words, kind)
+    return OrientationCover((n, len(words)), k, words, kind)
 
 
 def k16_table_cover() -> Tuple[Tuple[Permutation, ...], OrientationCover]:
@@ -163,22 +163,12 @@ def k4_elbow_base() -> OrientationCover:
 # ---------------------------------------------------------------------------
 
 
-def analogue(lm: LineGraphMap, o: Orientation) -> EquivalenceSubgraph:
-    """Equivalence subgraph of L(G) whose classes are the out-edge sets.
-
-    One class per host vertex with out-degree >= 1; the class members
-    are L(G)-vertices (= host edge indices).  Classes are disjoint
-    because every edge is out of exactly one endpoint, and each class
-    induces a clique of L(G) since its edges share the tail vertex.
-    """
-    o.require_match(lm.host)
-    return _out_classes(lm.host, [b ^ 1 for b in o.direction], 0)
-
-
 def _out_classes(host: Graph, words: Sequence[int], i: int) -> EquivalenceSubgraph:
     """The out-edge set of every vertex with out-degree >= 1 in
     orientation i, given the per-edge words (bit i set when the edge
-    runs out of its low endpoint)."""
+    runs out of its low endpoint).  The classes are disjoint, as every
+    edge runs out of one endpoint, and each is a clique of L(host), as
+    its edges share their tail."""
     out: List[List[int]] = [[] for _ in range(host.n)]
     for e, (u, v), w in zip(count(), host.edges, words):
         out[u if w >> i & 1 else v].append(e)
@@ -199,8 +189,8 @@ def out_star_eq_cover(g: Graph, c: OrientationCover) -> EquivalenceCover:
 def eq_cover_from_orientation_cover(
     lm: LineGraphMap, c: OrientationCover
 ) -> EquivalenceCover:
-    """Size-preserving conversion: analogues of a valid orientation covering
-    cover all edges of L(G) (see ``out_star_eq_cover``)."""
+    """Size-preserving conversion: the out-stars of a valid orientation
+    covering cover all edges of L(G) (see ``out_star_eq_cover``)."""
     return out_star_eq_cover(lm.host, c)
 
 
@@ -249,7 +239,7 @@ def orientation_cover_from_eq_cover(
             high[bc] |= 4 << k
         k += width
     full = (1 << k) - 1
-    return OrientationCover.from_words(
+    return OrientationCover(
         (host.n, host.m), k, [full ^ x for x in high], "orientation"
     )
 
@@ -291,7 +281,7 @@ def elbow_double(g: Graph, base: OrientationCover) -> OrientationCover:
             words.extend(within[b, d] for d in range(b + 1, n))
             for c in range(a + 1, n):
                 words.extend([across[a, c]] * n)
-    return OrientationCover.from_words((n * n, len(words)), k + 1, words, "elbow")
+    return OrientationCover((n * n, len(words)), k + 1, words, "elbow")
 
 
 def restrict_cover_to_induced(
@@ -314,7 +304,7 @@ def restrict_cover_to_induced(
     # sort order, under monotone relabeling
     sub = Graph._from_sorted(len(keep), [(u, v) for _, u, v in kept_edges])
     words = [cover.words[e] for e, _, _ in kept_edges]
-    return sub, OrientationCover.from_words((sub.n, sub.m), cover.k, words, cover.kind)
+    return sub, OrientationCover((sub.n, sub.m), cover.k, words, cover.kind)
 
 
 def elbow_cover_complete(n: int) -> OrientationCover:
@@ -328,7 +318,7 @@ def elbow_cover_complete(n: int) -> OrientationCover:
         raise ValueError("n must be at least 1")
     if n <= 2:
         m = n * (n - 1) // 2
-        return OrientationCover.from_words((n, m), 0, [0] * m, "elbow")
+        return OrientationCover((n, m), 0, [0] * m, "elbow")
     return _complete_cover(_elbow_ranks(n), "elbow")
 
 
@@ -338,7 +328,7 @@ def orientation_cover_from_elbow(g: Graph, c: OrientationCover) -> OrientationCo
     _require_valid(verify_elbow_cover(g, c))
     full = (1 << c.k) - 1
     words = [w | ((full ^ w) << c.k) for w in c.words]
-    return OrientationCover.from_words((g.n, g.m), 2 * c.k, words, "orientation")
+    return OrientationCover((g.n, g.m), 2 * c.k, words, "orientation")
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +341,7 @@ def bipartite_orientation_cover(g: Graph) -> OrientationCover:
     then all of side B."""
     side = bipartition(g)  # NotBipartiteError carries an odd cycle
     words = _rank_words(g.edges, side, K2_RANKS)
-    return OrientationCover.from_words((g.n, g.m), 2, words, "orientation")
+    return OrientationCover((g.n, g.m), 2, words, "orientation")
 
 
 def bipartite_elbow_cover(g: Graph) -> OrientationCover:
@@ -360,7 +350,7 @@ def bipartite_elbow_cover(g: Graph) -> OrientationCover:
     middle vertex."""
     side = bipartition(g)  # NotBipartiteError carries an odd cycle
     words = _rank_words(g.edges, side, K2_RANKS[:1])
-    return OrientationCover.from_words((g.n, g.m), 1, words, "elbow")
+    return OrientationCover((g.n, g.m), 1, words, "elbow")
 
 
 def _resolve_coloring(
@@ -413,7 +403,7 @@ def cover_via_coloring(
         elbow = _elbow_ranks(c)
         ranks = elbow + [[-x for x in r] for r in elbow]
     words = _rank_words(g.edges, dense.colors, ranks)
-    return OrientationCover.from_words((g.n, g.m), len(ranks), words, "orientation")
+    return OrientationCover((g.n, g.m), len(ranks), words, "orientation")
 
 
 def elbow_cover_via_coloring(
@@ -435,7 +425,7 @@ def elbow_cover_via_coloring(
     c = dense.palette_size
     ranks = K2_RANKS[:1] if c <= 2 else _elbow_ranks(c)
     words = _rank_words(g.edges, dense.colors, ranks)
-    return OrientationCover.from_words((g.n, g.m), len(ranks), words, "elbow")
+    return OrientationCover((g.n, g.m), len(ranks), words, "elbow")
 
 
 def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:

@@ -1,10 +1,10 @@
 """Covering certificates and their violation witnesses.
 
-A cover is a claim: a list of orientations (orientation or elbow
-covering), permutations (eyebrow covering), or clique-partitions
-(equivalence covering) said to satisfy a covering property over one
-reference graph.  Cover objects only carry the claim; the ``verify``
-module checks it and returns a Violation on failure.
+A cover is a claim: k orientations stored as one k-bit word per edge
+(orientation or elbow covering), permutations (eyebrow covering), or
+clique-partitions (equivalence covering) said to satisfy a covering
+property over one reference graph.  Cover objects only carry the claim;
+the ``verify`` module checks it and returns a Violation on failure.
 
 Every Violation is self-certifying: ``recheck(graph, cover)`` re-tests
 the witness against the definition in isolation, so a reported witness
@@ -16,10 +16,10 @@ from __future__ import annotations
 import re
 from itertools import accumulate, compress, count, islice, repeat
 from operator import eq, ge, itemgetter, lshift, or_
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import _DELETE_DIGITS, Graph, _decimal_ints
-from .orientations import Coloring, Orientation, Permutation, ShapeError
+from .orientations import Coloring, Permutation, ShapeError
 
 COVER_KINDS = ("orientation", "elbow", "eyebrow", "equivalence")
 
@@ -28,81 +28,55 @@ class CoverFormatError(ValueError):
     """Raised when a cover file violates the text format."""
 
 
+class _OrientationView(NamedTuple):
+    """One orientation of a cover as its direction bits, 0 where the
+    edge runs out of its low endpoint.  Kept for ``bench/`` until
+    ROADMAP item 1 moves the benchmark to ``OrientationCover.words``."""
+
+    direction: Tuple[int, ...]
+
+
 class OrientationCover:
     """k orientations of one reference graph; kind is a label only.
 
     Stored as one k-bit word per edge index, bit i set when orientation
-    i directs the edge out of its low endpoint; ``orientations`` is a
-    view derived from the words on first use.
+    i directs the edge out of its low endpoint.
 
     The kind tag records intent ('orientation' or 'elbow') for file
     round-trips; verifiers accept either tag, and a valid orientation
     covering is always a valid elbow covering.
     """
 
-    __slots__ = ("graph_shape", "k", "words", "kind", "_orientations")
+    __slots__ = ("graph_shape", "k", "words", "kind")
 
     def __init__(
         self,
         graph_shape: Tuple[int, int],
-        orientations: Sequence[Orientation],
-        kind: str = "orientation",
-    ):
-        shape = (int(graph_shape[0]), int(graph_shape[1]))
-        orientations = tuple(orientations)
-        words = [0] * shape[1]
-        for i, o in enumerate(orientations):
-            if o.graph_shape != shape:
-                raise ShapeError(
-                    f"orientation shape {o.graph_shape} != cover shape {shape}"
-                )
-            words = [w if d else w | 1 << i for w, d in zip(words, o.direction)]
-        self._init(shape, len(orientations), tuple(words), kind, orientations)
-
-    @classmethod
-    def from_words(
-        cls,
-        graph_shape: Tuple[int, int],
         k: int,
         words: Sequence[int],
         kind: str = "orientation",
-    ) -> "OrientationCover":
-        """Build from per-edge words (bit i set: orientation i directs
-        the edge out of its low endpoint)."""
+    ):
         shape = (int(graph_shape[0]), int(graph_shape[1]))
         words = tuple(words)
         if len(words) != shape[1]:
             raise ShapeError(f"expected {shape[1]} words, got {len(words)}")
         if k < 0 or (words and not (0 <= min(words) and max(words) >> k == 0)):
             raise ValueError(f"words must lie in [0, 2^{k})")
-        cover = cls.__new__(cls)
-        cover._init(shape, k, words, kind, None)
-        return cover
-
-    def _init(
-        self,
-        shape: Tuple[int, int],
-        k: int,
-        words: Tuple[int, ...],
-        kind: str,
-        orientations: Optional[Tuple[Orientation, ...]],
-    ) -> None:
         if kind not in ("orientation", "elbow"):
             raise ValueError(f"kind must be 'orientation' or 'elbow', got {kind!r}")
         self.graph_shape = shape
         self.k = k
         self.words = words
         self.kind = kind
-        self._orientations = orientations
 
     @property
-    def orientations(self) -> Tuple[Orientation, ...]:
-        if self._orientations is None:
-            self._orientations = tuple(
-                Orientation(self.graph_shape, [0 if (w >> i) & 1 else 1 for w in self.words])
-                for i in range(self.k)
-            )
-        return self._orientations
+    def orientations(self) -> Tuple[_OrientationView, ...]:
+        """Each orientation's direction bits, derived from the words on
+        every read."""
+        return tuple(
+            _OrientationView(tuple(0 if w >> i & 1 else 1 for w in self.words))
+            for i in range(self.k)
+        )
 
     def require_match(self, g: Graph) -> None:
         if self.graph_shape != (g.n, g.m):
@@ -155,6 +129,8 @@ class EquivalenceCover:
                 cls = tuple(sorted(int(v) for v in cls))
                 if not cls:
                     raise ValueError("empty class in equivalence subgraph")
+                if len(set(cls)) < len(cls):
+                    raise ValueError(f"repeated vertex in equivalence class {cls}")
                 classes.append(cls)
             subs.append(tuple(classes))
         self.subgraphs: Tuple[EquivalenceSubgraph, ...] = tuple(subs)
@@ -446,7 +422,7 @@ def parse_cover(text: str, g: Graph):
         )
     if kind in ("orientation", "elbow"):
         words = _parse_orientation_blocks(list(lines), g, k)
-        return OrientationCover.from_words((g.n, g.m), k, words, kind)
+        return OrientationCover((g.n, g.m), k, words, kind)
     body = list(lines)
     return _parse_eyebrow(body, g, k) if kind == "eyebrow" else _parse_equivalence(body, g, k)
 
@@ -471,7 +447,7 @@ def _parse_written_cover(text: str, g: Graph) -> Optional[OrientationCover]:
     words = _canonical_words(text, header.end(), g, k)
     if words is None:
         return None
-    return OrientationCover.from_words((n, m), k, words, header[1])
+    return OrientationCover((n, m), k, words, header[1])
 
 
 def _canonical_words(text: str, start: int, g: Graph, k: int) -> Optional[List[int]]:

@@ -276,13 +276,13 @@ def _closed_form_cover(g: Graph, k: int, kind: str) -> Optional[OrientationCover
     if k == 0:
         if g.has_incidence_pairs():
             return None
-        return OrientationCover.from_words((g.n, g.m), 0, [0] * g.m, kind)
+        return OrientationCover((g.n, g.m), 0, [0] * g.m, kind)
     if k == 1 and kind == "orientation":
         deg = g.degrees()
         if any(deg[u] >= 2 and deg[v] >= 2 for u, v in g.edges):
             return None
         words = [int(deg[v] < 2) for _, v in g.edges]
-        return OrientationCover.from_words((g.n, g.m), 1, words)
+        return OrientationCover((g.n, g.m), 1, words)
     try:
         if kind == "elbow":
             return construct.bipartite_elbow_cover(g)
@@ -318,7 +318,7 @@ def _kn_cover(g: Graph, kind: str, k: int = 0):
     cover = pull(g, Coloring(range(g.n)))
     last, top = 1 << (cover.k - 1), (1 << k) - (1 << cover.k)
     words = [w | top if w & last else w for w in cover.words]
-    return OrientationCover.from_words((g.n, g.m), k, words, kind)
+    return OrientationCover((g.n, g.m), k, words, kind)
 
 
 def _decide_cover(g: Graph, k: int, budget: Optional[Budget], kind: str) -> DecideResult:
@@ -336,7 +336,7 @@ def _decide_cover(g: Graph, k: int, budget: Optional[Budget], kind: str) -> Deci
         return DecideResult("timeout", None, budget.nodes)
     if words is None:
         return DecideResult("unsat", None, budget.nodes)
-    witness = OrientationCover.from_words((g.n, g.m), k, words, kind)
+    witness = OrientationCover((g.n, g.m), k, words, kind)
     return DecideResult("sat", witness, budget.nodes)
 
 

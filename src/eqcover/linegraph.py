@@ -10,8 +10,9 @@ form a clique C_v of L(G); every L(G)-vertex lies in exactly the two
 cliques of its edge's endpoints.
 
 Equivalence covers of L(G) built from orientation covers of G need no
-line graph: their classes are the out-stars of each orientation, which
-G alone gives (``construct.out_star_eq_cover``).  So the bounds
+line graph: the classes of subgraph i are the out-stars of orientation
+i, read off bit i of the cover's per-edge words and G's edge list
+(``construct.out_star_eq_cover``).  So the bounds
 report's eq(L) witness is read off G's out-stars, and the report never
 builds L(G).
 """

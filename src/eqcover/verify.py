@@ -1,17 +1,16 @@
 """Certificate verifiers.
 
-Everything here reduces to incidence signatures.  For a cover by k
-orientations and an incidence (v, e) of vertex v with edge e, the
-signature sig(v, e) is the k-bit mask of orientations directing e out
-of v.  The cover stores each edge's mask as seen from its low endpoint
-(its word); seen from the high endpoint the mask is the complement
-within the k used bits.  The two covering properties become pair
-predicates on signatures at a shared vertex:
+A cover by k orientations stores, per edge e, its word: the k-bit mask
+of the orientations directing e out of its low endpoint.  Seen from the
+high endpoint, the mask out(v, e) of orientations directing e out of v
+is the complement of the word within the k used bits.  The two
+covering properties become pair predicates on these masks at a shared
+vertex:
 
-  orientation covering:  sig(v, e) AND sig(v, f) != 0
+  orientation covering:  out(v, e) AND out(v, f) != 0
         (some orientation directs both e and f out of v)
 
-  elbow covering:        sig(v, e) and sig(v, f) do not partition [k]
+  elbow covering:        out(v, e) and out(v, f) do not partition [k]
         (some orientation has e, f both out of v or both into v;
          when the masks partition, the 2-edge path through v is
          traversed as a directed path by every orientation)
@@ -34,8 +33,8 @@ u and v are a difference of two prefix sets.
 Verifiers return None for a valid cover and the lexicographically first
 Violation otherwise (smallest vertex, then smallest pair of edge
 indices; for eyebrow coverings, smallest edge index then third vertex).
-They are pure: permuting the cover's orientation list never changes the
-result status.
+They are pure: permuting the cover's orientations (one bit order for
+every word) never changes the result status.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain, combinations, compress, islice, repeat
 from operator import eq, itemgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .covers import (
     ElbowViolation,
@@ -59,37 +58,6 @@ from .graphs import Graph
 from .orientations import ShapeError
 
 _TABLE_MAX_K = 8  # a 2^k x 2^k bad-pair table; wider covers are scanned
-
-
-class IncidenceSignature:
-    """Signature table sig(v, e) for one cover over one graph."""
-
-    __slots__ = ("graph", "k", "full", "_words")
-
-    def __init__(self, graph: Graph, k: int, words: Sequence[int]):
-        self.graph = graph
-        self.k = k
-        self.full = (1 << k) - 1
-        self._words = tuple(words)
-
-    def mask(self, v: int, edge_index: int) -> int:
-        """Bit i set = orientation i directs the edge out of v."""
-        u, w = self.graph.edges[edge_index]
-        if v == u:
-            return self._words[edge_index]
-        if v == w:
-            return self.full ^ self._words[edge_index]
-        raise ValueError(f"vertex {v} is not an endpoint of edge {edge_index}")
-
-    def indices(self, v: int, edge_index: int) -> Tuple[int, ...]:
-        """Orientation indices (0-based) directing the edge out of v."""
-        m = self.mask(v, edge_index)
-        return tuple(i for i in range(self.k) if (m >> i) & 1)
-
-
-def incidence_signatures(g: Graph, cover: OrientationCover) -> IncidenceSignature:
-    cover.require_match(g)
-    return IncidenceSignature(g, cover.k, cover.words)
 
 
 def _first_bad_pair(viewed: List[int], full: int, elbow: bool) -> Optional[Tuple[int, int]]:
@@ -115,14 +83,14 @@ def _bad_rows(k: int, elbow: bool) -> Tuple[int, ...]:
     )
 
 
-def _first_bad_vertex(sig: IncidenceSignature, elbow: bool) -> Optional[int]:
+def _first_bad_vertex(g: Graph, cover: OrientationCover, elbow: bool) -> Optional[int]:
     """The first vertex with a bad pair of incident edges, or None, by
     one pass over the edges against the bad-pair table (k <= 8)."""
-    g, k, full = sig.graph, sig.k, sig.full
-    rows = _bad_rows(k, elbow)
+    rows = _bad_rows(cover.k, elbow)
+    full = (1 << cover.k) - 1
     seen = [0] * g.n
     first = g.n
-    for (u, v), x in zip(g.edges, sig._words):
+    for (u, v), x in zip(g.edges, cover.words):
         if u >= first:
             break
         if seen[u] & rows[x]:
@@ -150,14 +118,16 @@ def _first_violation(g: Graph, cover: OrientationCover, elbow: bool):
     edges and its row-major first such pair, or None.  A cover too wide
     for the bad-pair table has every vertex scanned, with its row of the
     incidence table."""
-    sig = incidence_signatures(g, cover)
-    if sig.k > _TABLE_MAX_K:
+    cover.require_match(g)
+    edges, words, full = g.edges, cover.words, (1 << cover.k) - 1
+    if cover.k > _TABLE_MAX_K:
         suspects = enumerate(g._incident)
     else:
-        v = _first_bad_vertex(sig, elbow)
+        v = _first_bad_vertex(g, cover, elbow)
         suspects = () if v is None else ((v, _edges_at(g, v)),)
     for v, inc in suspects:
-        bad = _first_bad_pair([sig.mask(v, e) for e in inc], sig.full, elbow)
+        masks = [words[e] if edges[e][0] == v else full ^ words[e] for e in inc]
+        bad = _first_bad_pair(masks, full, elbow)
         if bad is not None:
             return v, inc[bad[0]], inc[bad[1]]
     return None

@@ -1,0 +1,41 @@
+"""Test helpers that read and build orientation covers through their
+per-edge words: bit i of edge e's word is set when orientation i
+directs e out of its low endpoint.  Each is written from that
+definition alone, so tests can use them as references.
+"""
+
+from eqcover import OrientationCover
+
+
+def directions(cover):
+    """Each orientation's direction bits (0: out of the low endpoint,
+    1: out of the high one), the form ``oracles`` takes."""
+    return [tuple(0 if w >> i & 1 else 1 for w in cover.words) for i in range(cover.k)]
+
+
+def cover_from_directions(shape, rows, kind="orientation"):
+    """The cover of a graph of shape (n, m) whose orientation i has the
+    direction bits rows[i]."""
+    words = [0] * shape[1]
+    for i, row in enumerate(rows):
+        words = [w if d else w | 1 << i for w, d in zip(words, row)]
+    return OrientationCover(shape, len(rows), words, kind)
+
+
+def ranking_cover(g, rankings, kind="orientation"):
+    """The cover of g whose orientation i runs each edge from the end
+    that rankings[i] ranks lower."""
+    rows = [[0 if r[u] < r[v] else 1 for u, v in g.edges] for r in rankings]
+    return cover_from_directions((g.n, g.m), rows, kind)
+
+
+def arrow(g, cover, i, e):
+    """Edge e as a (tail, head) pair in orientation i."""
+    u, v = g.edges[e]
+    return (u, v) if cover.words[e] >> i & 1 else (v, u)
+
+
+def out_mask(g, cover, v, e):
+    """The orientations of the cover directing edge e out of its
+    endpoint v, as a bit mask."""
+    return sum(1 << i for i in range(cover.k) if arrow(g, cover, i, e)[0] == v)

@@ -28,13 +28,15 @@ from eqcover import (
     k16_table_cover,
     line_graph,
     orientation_cover_from_eq_cover,
-    permutation_to_orientation,
     solve_invariant,
     verify_elbow_cover,
     verify_orientation_cover,
 )
 
+from eqcover.construct import K16_RANK_ROWS
+
 import oracles
+from cover_words import directions
 
 
 def report(number: int, description: str, ok: bool) -> None:
@@ -45,10 +47,12 @@ def report(number: int, description: str, ok: bool) -> None:
 def test_criterion_01_k16_table_certificate():
     g = generate_family("complete", 16)
     perms, cover = k16_table_cover()
-    rebuilt = [permutation_to_orientation(g, p) for p in perms]
+    # orientation i runs each edge out of the end that row i ranks lower
+    rebuilt = [tuple(0 if r[u] < r[v] else 1 for u, v in g.edges) for r in K16_RANK_ROWS]
     ok = (
         cover.k == 5
-        and list(cover.orientations) == rebuilt
+        and [p.values for p in perms] == list(K16_RANK_ROWS)
+        and directions(cover) == rebuilt
         and verify_orientation_cover(g, cover) is None
     )
     report(1, "five-permutation table covers K16 (sigma(K16) <= 5)", ok)

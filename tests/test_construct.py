@@ -7,11 +7,9 @@ from eqcover import (
     ImproperColoringError,
     InvalidCoverError,
     NotBipartiteError,
-    Orientation,
     OrientationCover,
     Permutation,
     ShapeError,
-    analogue,
     bipartite_orientation_cover,
     coloring_from_elbow_cover,
     coloring_from_orientation_cover,
@@ -28,33 +26,37 @@ from eqcover import (
     line_graph,
     orientation_cover_from_elbow,
     orientation_cover_from_eq_cover,
-    permutation_to_orientation,
     restrict_cover_to_induced,
     verify_elbow_cover,
     verify_equivalence_cover,
     verify_orientation_cover,
 )
+from eqcover.construct import _out_classes
+
+from cover_words import arrow, cover_from_directions, directions, ranking_cover
+
+
+# The analogue of an orientation: its out-stars, an equivalence subgraph
+# of the line graph.
 
 
 def test_analogue_of_source_orientation():
-    lm = line_graph(generate_family("complete", 3))
-    o = Orientation((3, 3), (0, 0, 0))  # 0->1, 0->2, 1->2
-    classes = analogue(lm, o)
+    k3 = generate_family("complete", 3)
+    classes = _out_classes(k3, [1, 1, 1], 0)  # 0->1, 0->2, 1->2
     assert classes == ((0, 1), (2,))
 
 
 def test_analogue_of_matching():
     g = generate_family("path", 2)
-    lm = line_graph(g)
-    classes = analogue(lm, Orientation((2, 1), (0,)))
+    classes = _out_classes(g, [1], 0)
     assert classes == ((0,),)
 
 
 def test_analogue_k4_identity_class_sizes():
     k4 = generate_family("complete", 4)
     lm = line_graph(k4)
-    o = permutation_to_orientation(k4, Permutation.identity(4))
-    classes = analogue(lm, o)
+    cover = ranking_cover(k4, [Permutation.identity(4).values])
+    classes = _out_classes(k4, cover.words, 0)
     assert sorted(len(c) for c in classes) == [1, 2, 3]
     # classes are disjoint and induce cliques of the line graph
     seen = set()
@@ -96,7 +98,7 @@ def test_eq_cover_from_bipartite_c4():
 def test_eq_cover_rejects_invalid_input():
     k3 = generate_family("complete", 3)
     lm = line_graph(k3)
-    too_small = OrientationCover((3, 3), [Orientation((3, 3), (0, 0, 0))])
+    too_small = OrientationCover((3, 3), 1, [1, 1, 1])
     with pytest.raises(InvalidCoverError) as info:
         eq_cover_from_orientation_cover(lm, too_small)
     assert info.value.violation.recheck(k3, too_small)
@@ -107,10 +109,9 @@ def test_trifree_converse_path():
     lm = line_graph(p3)
     cover = orientation_cover_from_eq_cover(lm, EquivalenceCover(2, [[(0, 1)]]))
     assert cover.k == 1
-    o = cover.orientations[0]
     # both edges leave the middle vertex
-    assert o.arrow(p3, 0) == (1, 0)
-    assert o.arrow(p3, 1) == (1, 2)
+    assert arrow(p3, cover, 0, 0) == (1, 0)
+    assert arrow(p3, cover, 0, 1) == (1, 2)
 
 
 def test_trifree_converse_c5():
@@ -128,7 +129,7 @@ def test_general_converse_k3_single_class():
     cover = orientation_cover_from_eq_cover(lm, EquivalenceCover(3, [[(0, 1, 2)]]))
     assert cover.k == 3
     assert verify_orientation_cover(k3, cover) is None
-    arrows = [tuple(o.arrow(k3, e) for e in range(3)) for o in cover.orientations]
+    arrows = [tuple(arrow(k3, cover, i, e) for e in range(3)) for i in range(cover.k)]
     # source rotation with low->high leftovers
     assert arrows == [
         ((0, 1), (0, 2), (1, 2)),
@@ -166,9 +167,9 @@ def test_elbow_double_shapes_and_validity():
 
 def test_elbow_double_rejects_bad_base():
     g4 = generate_family("complete", 4)
-    o = permutation_to_orientation(g4, Permutation.identity(4))
+    one = ranking_cover(g4, [Permutation.identity(4).values], "elbow")
     with pytest.raises(InvalidCoverError):
-        elbow_double(g4, OrientationCover((4, 6), [o], kind="elbow"))
+        elbow_double(g4, one)
     with pytest.raises(ValueError):
         elbow_double(generate_family("path", 4), k4_elbow_base())
 
@@ -196,24 +197,20 @@ def test_orientation_from_elbow():
     assert verify_orientation_cover(k4, cover) is None
 
     c4 = generate_family("cycle", 4)
-    alternating = OrientationCover(
-        (4, 4), [Orientation((4, 4), (0, 0, 1, 0))], kind="elbow"
-    )
+    alternating = cover_from_directions((4, 4), [(0, 0, 1, 0)], "elbow")
     doubled = orientation_cover_from_elbow(c4, alternating)
     assert doubled.k == 2
     assert verify_orientation_cover(c4, doubled) is None
 
     k2 = generate_family("complete", 2)
-    empty = orientation_cover_from_elbow(k2, OrientationCover((2, 1), [], kind="elbow"))
+    empty = orientation_cover_from_elbow(k2, OrientationCover((2, 1), 0, [0], "elbow"))
     assert empty.k == 0
     assert verify_orientation_cover(k2, empty) is None
 
 
 def test_orientation_from_elbow_rejects_invalid():
     k4 = generate_family("complete", 4)
-    one = OrientationCover(
-        (4, 6), [permutation_to_orientation(k4, Permutation.identity(4))], kind="elbow"
-    )
+    one = ranking_cover(k4, [Permutation.identity(4).values], "elbow")
     with pytest.raises(InvalidCoverError):
         orientation_cover_from_elbow(k4, one)
 
@@ -300,7 +297,7 @@ def test_coloring_from_elbow_k4():
 
 def test_coloring_from_elbow_c4():
     c4 = generate_family("cycle", 4)
-    cover = OrientationCover((4, 4), [Orientation((4, 4), (0, 0, 1, 0))], kind="elbow")
+    cover = cover_from_directions((4, 4), [(0, 0, 1, 0)], "elbow")
     coloring = coloring_from_elbow_cover(c4, cover)
     assert coloring.palette_size <= 2
     assert coloring.check_proper(c4) is None
@@ -317,11 +314,11 @@ def test_coloring_from_elbow_edge_cases():
     from eqcover import Graph
 
     edgeless = Graph(3, [])
-    empty = OrientationCover((3, 0), [], kind="elbow")
+    empty = OrientationCover((3, 0), 0, [], kind="elbow")
     assert coloring_from_elbow_cover(edgeless, empty).colors == (0, 0, 0)
     matching = generate_family("path", 2)
     with pytest.raises(ValueError):
-        coloring_from_elbow_cover(matching, OrientationCover((2, 1), [], kind="elbow"))
+        coloring_from_elbow_cover(matching, OrientationCover((2, 1), 0, [0], "elbow"))
 
 
 def test_coloring_from_orientation_k4():
@@ -447,9 +444,7 @@ def test_coloring_from_orientation_forest_core_empty():
     # trees peel away completely; colors come from the greedy unpeel alone
     p5 = generate_family("path", 5)
     two = bipartite_orientation_cover(p5)
-    padded = OrientationCover(
-        (5, 4), list(two.orientations) + [two.orientations[0]]
-    )
+    padded = cover_from_directions((5, 4), directions(two) + directions(two)[:1])
     assert verify_orientation_cover(p5, padded) is None
     coloring = coloring_from_orientation_cover(p5, padded)
     assert coloring.check_proper(p5) is None
@@ -461,9 +456,7 @@ def test_coloring_from_orientation_isolated_vertex():
 
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])  # K4 + loner
     base = k4_sigma3_cover()
-    cover = OrientationCover(
-        (5, 6), [Orientation((5, 6), o.direction) for o in base.orientations]
-    )
+    cover = OrientationCover((5, 6), base.k, base.words)
     assert verify_orientation_cover(g, cover) is None
     coloring = coloring_from_orientation_cover(g, cover)
     assert coloring.check_proper(g) is None
@@ -524,19 +517,15 @@ def test_rank_pullbacks_match_explicit_base_pullback():
     # elbow_double chain restricted to the first c vertices
     import random
 
-    from eqcover import Graph, elbow_cover_via_coloring, pullback_orientation
+    from eqcover import Graph, elbow_cover_via_coloring
 
     k4, k16 = generate_family("complete", 4), generate_family("complete", 16)
     k256 = generate_family("complete", 256)
     rows = ((0, 0, 0, 1, 1, 0), (1, 1, 1, 0, 0, 0), (1, 1, 1, 1, 1, 1))
-    sigma4 = OrientationCover((4, 6), [Orientation((4, 6), bits) for bits in rows])
-    sigma16 = OrientationCover(
-        (16, 120), [permutation_to_orientation(k16, p) for p in k16_table_cover()[0]]
-    )
+    sigma4 = cover_from_directions((4, 6), rows)
+    sigma16 = ranking_cover(k16, [p.values for p in k16_table_cover()[0]])
     orders = ((0, 1, 2, 3), (2, 0, 3, 1))
-    elbow4 = OrientationCover(
-        (4, 6), [permutation_to_orientation(k4, Permutation.from_order(o)) for o in orders], "elbow"
-    )
+    elbow4 = ranking_cover(k4, [Permutation.from_order(o).values for o in orders], "elbow")
     elbow16 = elbow_double(k4, elbow4)
     elbow256 = elbow_double(k16, elbow16)
 
@@ -550,8 +539,14 @@ def test_rank_pullbacks_match_explicit_base_pullback():
             big, base = restrict_cover_to_induced(big, base, range(c))
             if not elbow:
                 base = orientation_cover_from_elbow(big, base)
-        pulled = [pullback_orientation(g, big, colors, o) for o in base.orientations]
-        return OrientationCover((g.n, g.m), pulled).words
+        # edge uv takes the base word of f(u)f(v), flipped when f(u) > f(v)
+        full = (1 << base.k) - 1
+        words = []
+        for u, v in g.edges:
+            a, b = colors[u], colors[v]
+            w = base.words[big.index_of(min(a, b), max(a, b))]
+            words.append(w if a < b else full ^ w)
+        return tuple(words)
 
     rng = random.Random(17)
     for c in range(3, 41):
@@ -569,7 +564,7 @@ def test_rank_pullbacks_match_explicit_base_pullback():
 
 
 def _words(shape, k, w, kind="orientation"):
-    return OrientationCover.from_words(shape, k, [w] * shape[1], kind)
+    return OrientationCover(shape, k, [w] * shape[1], kind)
 
 
 _K4 = generate_family("complete", 4)

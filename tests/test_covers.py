@@ -10,7 +10,6 @@ from eqcover import (
     EquivalenceCover,
     EyebrowCover,
     Graph,
-    Orientation,
     OrientationCover,
     Permutation,
     ShapeError,
@@ -19,6 +18,7 @@ from eqcover import (
     generate_family,
     k4_elbow_base,
     k4_sigma3_cover,
+    k16_table_cover,
     line_graph,
     parse_coloring,
     parse_cover,
@@ -29,6 +29,8 @@ from eqcover import (
 from eqcover.covers import write_equivalence_cover
 from eqcover.orientations import Coloring
 
+from cover_words import arrow, directions
+
 
 def test_orientation_cover_round_trip():
     g = generate_family("complete", 4)
@@ -36,7 +38,7 @@ def test_orientation_cover_round_trip():
     text = write_cover_for(g, cover)
     again = parse_cover(text, g)
     assert again.kind == "orientation"
-    assert list(again.orientations) == list(cover.orientations)
+    assert again.words == cover.words
     assert write_cover_for(g, again) == text
 
 
@@ -70,8 +72,8 @@ def test_arrows_in_any_order_accepted():
     g = generate_family("path", 3)
     text = "cover orientation 1 3 2\nblock 1\n2 1\n0 1\n"
     cover = parse_cover(text, g)
-    assert cover.orientations[0].arrow(g, 0) == (0, 1)
-    assert cover.orientations[0].arrow(g, 1) == (2, 1)
+    assert arrow(g, cover, 0, 0) == (0, 1)
+    assert arrow(g, cover, 0, 1) == (2, 1)
 
 
 @pytest.mark.parametrize(
@@ -107,7 +109,7 @@ def test_cover_comments_ignored():
     g = generate_family("path", 3)
     text = "# certificate\ncover orientation 1 3 2\n# block follows\nblock 1\n1 0\n1 2\n\n"
     cover = parse_cover(text, g)
-    assert cover.orientations[0].arrow(g, 0) == (1, 0)
+    assert arrow(g, cover, 0, 0) == (1, 0)
 
 
 def test_cover_shape_validation_on_write():
@@ -120,11 +122,26 @@ def test_cover_shape_validation_on_write():
 
 def test_orientation_cover_constructor_checks():
     with pytest.raises(ValueError):
-        OrientationCover((3, 3), [], kind="sideways")
+        OrientationCover((3, 3), 0, [0, 0, 0], kind="sideways")
     with pytest.raises(ShapeError):
-        OrientationCover((3, 3), [Orientation((4, 6), (0,) * 6)])
+        OrientationCover((3, 3), 1, [0] * 6)
+    with pytest.raises(ValueError):
+        OrientationCover((3, 3), 1, [0, 2, 1])
+    with pytest.raises(ValueError):
+        OrientationCover((3, 3), 2, [0, -1, 1])
     with pytest.raises(ValueError):
         EquivalenceCover(3, [[()]])
+
+
+def test_equivalence_cover_rejects_a_repeated_vertex():
+    # as the text parser does ("repeated vertex in clique"): a class that
+    # names a vertex twice would verify as overlapping itself, and be
+    # written to a file that parse_cover refuses
+    with pytest.raises(ValueError, match="repeated vertex"):
+        EquivalenceCover(3, [[(0, 0, 1, 2)]])
+    with pytest.raises(ValueError, match="repeated vertex"):
+        EquivalenceCover(4, [[(0, 1)], [(2, 3), (1, 1)]])
+    assert EquivalenceCover(3, [[(2, 0, 1)]]).subgraphs == (((0, 1, 2),),)
 
 
 def test_coloring_file_round_trip():
@@ -151,7 +168,7 @@ def test_parse_coloring_rejections(text, message):
 
 def test_empty_cover_round_trip():
     g = generate_family("path", 2)
-    cover = OrientationCover((2, 1), [])
+    cover = OrientationCover((2, 1), 0, [0])
     text = write_cover_for(g, cover)
     assert text == "cover orientation 0 2 1\n"
     again = parse_cover(text, g)
@@ -168,7 +185,7 @@ def test_violation_recheck_rejects_wrong_witnesses():
 
     g = generate_family("complete", 3)
     cover = k4_sigma3_cover()
-    k3_cover = OrientationCover((3, 3), [Orientation((3, 3), (0, 0, 0))])
+    k3_cover = OrientationCover((3, 3), 1, [1, 1, 1])
     # pair (0,1),(0,2) IS covered by the all-low orientation at vertex 0
     assert not OrientationViolation(0, (0, 1), (0, 2)).recheck(g, k3_cover)
     # path through a sink is not always-directed
@@ -200,7 +217,7 @@ _PINNED_DIRECTIONS = [(0, 1, 0, 1), (1, 0, 1, 0)]
 )
 def test_parse_fallback_accepts_noncanonical_arrows(text):
     cover = parse_cover(text, _G6)
-    assert [o.direction for o in cover.orientations] == _PINNED_DIRECTIONS
+    assert directions(cover) == _PINNED_DIRECTIONS
     assert cover.words == (1, 2, 1, 2)
 
 
@@ -239,16 +256,14 @@ def test_parse_fallback_rejections_keep_line_numbers(text, message):
         parse_cover(text, _G6)
 
 
-def test_from_words_matches_orientation_constructor():
-    g = generate_family("complete", 4)
-    cover = k4_sigma3_cover()
-    again = OrientationCover.from_words((4, 6), cover.k, cover.words)
-    assert again.orientations == cover.orientations
-    assert write_cover_for(g, again) == write_cover_for(g, cover)
-    with pytest.raises(ShapeError):
-        OrientationCover.from_words((4, 6), 3, cover.words[:5])
-    with pytest.raises(ValueError):
-        OrientationCover.from_words((4, 6), 1, cover.words)
+def test_orientations_view_matches_words():
+    # the per-orientation direction bits that bench/ reads to feed the
+    # oracles, until it reads the words
+    covers = [k4_sigma3_cover(), k4_elbow_base(), k16_table_cover()[1], OrientationCover((2, 1), 0, [0])]
+    covers.append(OrientationCover((5, 4), 3, [0b101, 0b000, 0b111, 0b010], "elbow"))
+    for cover in covers:
+        assert [o.direction for o in cover.orientations] == directions(cover)
+    assert covers[-1].orientations[0].direction == (0, 1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +332,7 @@ def _reference_parse_cover(text, g):
         words = _reference_positional_words(raw[lineno:], g, k)
         if words is None:
             words = _parse_orientation_blocks(list(lines), g, k)
-        return OrientationCover.from_words((g.n, g.m), k, words, kind)
+        return OrientationCover((g.n, g.m), k, words, kind)
     body = list(lines)
     return _parse_eyebrow(body, g, k) if kind == "eyebrow" else _parse_equivalence(body, g, k)
 
@@ -336,7 +351,7 @@ def _random_cover_text(rng, k):
     g = Graph(n, rng.sample(pairs, rng.randrange(1, len(pairs) + 1)))
     words = [rng.getrandbits(k) if k else 0 for _ in range(g.m)]
     kind = rng.choice(("orientation", "elbow"))
-    return g, words, write_cover_for(g, OrientationCover.from_words((g.n, g.m), k, words, kind))
+    return g, words, write_cover_for(g, OrientationCover((g.n, g.m), k, words, kind))
 
 
 def _cover_corruptions(rng, g, text):
@@ -400,7 +415,7 @@ def test_parse_cover_matches_reference_decode():
     for n, k in ((0, 0), (3, 0), (3, 2), (1, 9)):
         g = Graph(n, [])  # m = 0: every block is its header alone
         for kind in ("orientation", "elbow"):
-            text = write_cover_for(g, OrientationCover.from_words((n, 0), k, [], kind))
+            text = write_cover_for(g, OrientationCover((n, 0), k, [], kind))
             cases.extend((g, t) for t in [text] + _layout_variants(text, g))
     got = [_cover_outcome(text, g) for g, text in cases]
     assert got == [_cover_outcome(text, g, _reference_parse_cover) for g, text in cases]

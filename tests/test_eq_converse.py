@@ -3,14 +3,15 @@ work on the per-edge words.
 
 ``orientation_cover_from_eq_cover`` emits one orientation per
 equivalence subgraph made of stars and three per subgraph with a
-triangle class.  The reference copies below are the earlier
-``Orientation``-based converters, verbatim: a size-preserving one that
-rejected hosts with a triangle, and a general one that emitted three
-orientations for every subgraph.  On a triangle-free host the words must
-equal the first's; on any host they must equal the second's with each
-star-only triple collapsed to one orientation.  The word-based
-``recheck`` of the orientation and elbow violations must agree with the
-earlier ``Orientation``-based copies on every candidate witness.
+triangle class.  The reference copies below are the earlier converters,
+which built one orientation at a time from its direction bits: a
+size-preserving one that rejected hosts with a triangle, and a general
+one that emitted three orientations for every subgraph.  On a
+triangle-free host the words must equal the first's; on any host they
+must equal the second's with each star-only triple collapsed to one
+orientation.  The word-based ``recheck`` of the orientation and elbow
+violations must agree with copies that read each orientation's arrows
+on every candidate witness.
 """
 
 import random
@@ -21,7 +22,6 @@ from eqcover import (
     EquivalenceCover,
     Graph,
     InvalidCoverError,
-    Orientation,
     OrientationCover,
     cover_via_coloring,
     decide_eq,
@@ -37,9 +37,12 @@ from eqcover.covers import ElbowViolation, OrientationViolation
 from eqcover.exact import _greedy_matching_cover
 from eqcover.linegraph import LineGraphMap
 
+from cover_words import arrow, cover_from_directions
+
 
 # ---------------------------------------------------------------------------
-# reference copies of the Orientation-based converters and rechecks
+# reference copies of the converters and rechecks, one orientation at a
+# time (direction bits and arrows, not words)
 # ---------------------------------------------------------------------------
 
 
@@ -113,10 +116,8 @@ def reference_trifree(
     orientations = []
     for sub in c.subgraphs:
         bits = _class_direction_bits(host, lm, sub)
-        orientations.append(
-            Orientation(shape, [0 if b is None else b for b in bits])
-        )
-    return OrientationCover(shape, orientations, "orientation")
+        orientations.append([0 if b is None else b for b in bits])
+    return cover_from_directions(shape, orientations)
 
 
 def reference_general(
@@ -168,10 +169,8 @@ def reference_general(
                     e = host.index_of(src, x)
                     bits[e] = 0 if host.edges[e][0] == src else 1
                 bits[host.index_of(rest[0], rest[1])] = 0
-            orientations.append(
-                Orientation(shape, [0 if b is None else b for b in bits])
-            )
-    return OrientationCover(shape, orientations, "orientation")
+            orientations.append([0 if b is None else b for b in bits])
+    return cover_from_directions(shape, orientations)
 
 
 def reference_orientation_recheck(self: OrientationViolation, g: Graph, cover: OrientationCover) -> bool:
@@ -180,8 +179,8 @@ def reference_orientation_recheck(self: OrientationViolation, g: Graph, cover: O
     if ei == fi or self.vertex not in self.e or self.vertex not in self.f:
         return False
     return not any(
-        o.directs_out_of(g, ei, self.vertex) and o.directs_out_of(g, fi, self.vertex)
-        for o in cover.orientations
+        arrow(g, cover, i, ei)[0] == self.vertex and arrow(g, cover, i, fi)[0] == self.vertex
+        for i in range(cover.k)
     )
 
 
@@ -190,9 +189,9 @@ def reference_elbow_recheck(self: ElbowViolation, g: Graph, cover: OrientationCo
     if u == w or not (g.has_edge(u, v) and g.has_edge(v, w)):
         return False
     ei, fi = g.index_of(u, v), g.index_of(v, w)
-    for o in cover.orientations:
-        forward = o.arrow(g, ei) == (u, v) and o.arrow(g, fi) == (v, w)
-        backward = o.arrow(g, fi) == (w, v) and o.arrow(g, ei) == (v, u)
+    for i in range(cover.k):
+        forward = arrow(g, cover, i, ei) == (u, v) and arrow(g, cover, i, fi) == (v, w)
+        backward = arrow(g, cover, i, fi) == (w, v) and arrow(g, cover, i, ei) == (v, u)
         if not (forward or backward):
             return False
     return True
@@ -325,7 +324,7 @@ def test_every_host_matches_the_general_reference_collapsed():
 
 
 def _random_words_cover(rng: random.Random, g: Graph, k: int, kind: str) -> OrientationCover:
-    return OrientationCover.from_words((g.n, g.m), k, [rng.randrange(1 << k) for _ in range(g.m)], kind)
+    return OrientationCover((g.n, g.m), k, [rng.randrange(1 << k) for _ in range(g.m)], kind)
 
 
 def test_word_rechecks_match_the_orientation_reference():

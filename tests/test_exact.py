@@ -22,6 +22,7 @@ from eqcover import (
 )
 
 import oracles
+from cover_words import directions, ranking_cover
 
 
 def test_sigma_triangle():
@@ -313,22 +314,14 @@ def test_eye_upper_witness_matches_complete_graph_ranks():
     # the ranks of each orientation of the explicit K4 -> K16 -> K256
     # elbow_double chain, from the K4 vertex orders (0,1,2,3), (2,0,3,1),
     # restricted to the first n vertices by index
-    from eqcover import (
-        OrientationCover,
-        Permutation,
-        elbow_double,
-        permutation_to_orientation,
-        restrict_cover_to_induced,
-    )
+    from eqcover import Permutation, elbow_double, restrict_cover_to_induced
     from eqcover.exact import _upper_witness
 
     k4 = generate_family("complete", 4)
     k16 = generate_family("complete", 16)
     k256 = generate_family("complete", 256)
     orders = ((0, 1, 2, 3), (2, 0, 3, 1))
-    c4 = OrientationCover(
-        (4, 6), [permutation_to_orientation(k4, Permutation.from_order(o)) for o in orders], "elbow"
-    )
+    c4 = ranking_cover(k4, [Permutation.from_order(o).values for o in orders], "elbow")
     c16 = elbow_double(k4, c4)
     c256 = elbow_double(k16, c16)
     for n in [*range(3, 41), *range(41, 255, 7), 255, 256]:
@@ -356,9 +349,7 @@ def test_determinism():
     a = decide_sigma(k4, 3)
     b = decide_sigma(k4, 3)
     assert a.nodes == b.nodes
-    assert [o.direction for o in a.witness.orientations] == [
-        o.direction for o in b.witness.orientations
-    ]
+    assert a.witness.words == b.witness.words
     ga = generate_family("mycielski-iterate", 4)
     assert exact_chromatic(ga).witness.colors == exact_chromatic(ga).witness.colors
 
@@ -367,9 +358,7 @@ def test_solver_reproduces_pinned_k4_cover():
     from eqcover import k4_sigma3_cover
 
     res = decide_sigma(generate_family("complete", 4), 3)
-    found = tuple(o.direction for o in res.witness.orientations)
-    pinned = tuple(o.direction for o in k4_sigma3_cover().orientations)
-    assert found == pinned
+    assert directions(res.witness) == directions(k4_sigma3_cover())
 
 
 def test_greedy_coloring_proper(corpus):
@@ -551,7 +540,7 @@ _KINDS = (
 def _oracle_rows(witness):
     if hasattr(witness, "permutations"):
         return [p.values for p in witness.permutations]
-    return [o.direction for o in witness.orientations]
+    return directions(witness)
 
 
 @pytest.mark.parametrize("n", sorted(_COMPLETE_SIZES))

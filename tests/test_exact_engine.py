@@ -16,6 +16,7 @@ import pytest
 
 import eqcover.exact as exact_mod
 import oracles
+from cover_words import directions
 from eqcover import (
     Budget,
     EquivalenceCover,
@@ -313,7 +314,7 @@ def test_large_k_needs_no_full_size_domains():
                 res = decide(g, k, Budget(max_nodes=0))
                 assert (res.status, res.nodes, res.witness.k) == ("sat", 0, k)
                 assert verify(g, res.witness) is None
-                assert oracle(g, [o.direction for o in res.witness.orientations])
+                assert oracle(g, directions(res.witness))
 
 
 def test_clock_trips_at_the_same_node():

@@ -2,10 +2,10 @@
 
 ``coloring_from_elbow_cover`` and ``coloring_from_orientation_cover``
 key each vertex by the set of masks with bit 0 clear that it sees.  The
-reference copies below are the earlier signature-based versions,
-verbatim: they key a vertex by its side of every representative subset
-(2^(k-1) of them) and run the orientation extraction on a relabelled
-core graph.  Both must give the same Coloring.  The faster
+reference copies below are the earlier versions, which read one mask
+per incidence (``cover_words.out_mask``): they key a vertex by its side
+of every representative subset (2^(k-1) of them) and run the
+orientation extraction on a relabelled core graph.  Both must give the same Coloring.  The faster
 EquivalenceCover._from_sorted must give the covers the validating
 constructor gives.
 """
@@ -32,7 +32,6 @@ from eqcover import (
     elbow_cover_via_coloring,
     eq_cover_from_orientation_cover,
     generate_family,
-    incidence_signatures,
     line_graph,
     parse_cover,
     restrict_cover_to_induced,
@@ -48,9 +47,11 @@ from eqcover.construct import (
 )
 from eqcover.exact import _greedy_matching_cover
 
+from cover_words import out_mask
+
 
 # ---------------------------------------------------------------------------
-# reference copies of the signature-based extractions
+# reference copies of the per-incidence extractions
 # ---------------------------------------------------------------------------
 
 
@@ -92,12 +93,11 @@ def reference_elbow(g: Graph, c: OrientationCover) -> Coloring:
         if g.m == 0:
             return Coloring([0] * g.n)
         raise ValueError("a zero-orientation covering only colors edgeless graphs")
-    sig = incidence_signatures(g, c)
     reps = _representative_subsets(k)
     palette: Dict[Tuple[int, ...], int] = {}
     colors = []
     for v in range(g.n):
-        key = _sides([sig.mask(v, e) for e in g.incident(v)], reps, sig.full)
+        key = _sides([out_mask(g, c, v, e) for e in g.incident(v)], reps, (1 << k) - 1)
         colors.append(palette.setdefault(key, len(palette)))
     coloring = Coloring(colors)
     coloring.require_proper(g)
@@ -119,14 +119,10 @@ def reference_orientation(g: Graph, c: OrientationCover) -> Coloring:
     core_vertices = [v for v in range(g.n) if v not in gone]
     if core_vertices:
         core, core_cover = restrict_cover_to_induced(g, c, core_vertices)
-        sig = incidence_signatures(core, core_cover)
         reserved: Dict[int, int] = {}
         for v in range(core.n):
-            singles = [
-                (sig.mask(v, e)).bit_length() - 1
-                for e in core.incident(v)
-                if bin(sig.mask(v, e)).count("1") == 1
-            ]
+            masks = [out_mask(core, core_cover, v, e) for e in core.incident(v)]
+            singles = [x.bit_length() - 1 for x in masks if bin(x).count("1") == 1]
             if singles:
                 reserved[v] = min(singles)
         for u, v in core.edges:
@@ -140,7 +136,9 @@ def reference_orientation(g: Graph, c: OrientationCover) -> Coloring:
             if v in reserved:
                 colors[orig] = reserved[v]
                 continue
-            key = _sides([sig.mask(v, e) for e in core.incident(v)], reps, sig.full)
+            key = _sides(
+                [out_mask(core, core_cover, v, e) for e in core.incident(v)], reps, (1 << k) - 1
+            )
             colors[orig] = k + palette.setdefault(key, len(palette))
 
     for v in reversed(peeled):
@@ -171,7 +169,7 @@ def _widen(c: OrientationCover, k: int, rng: random.Random) -> OrientationCover:
     the same kind, since adding orientations never uncovers a pair."""
     extra = k - c.k
     words = [w | rng.getrandbits(extra) << c.k if extra else w for w in c.words]
-    return OrientationCover.from_words(c.graph_shape, k, words, c.kind)
+    return OrientationCover(c.graph_shape, k, words, c.kind)
 
 
 def _shuffle_bits(c: OrientationCover, rng: random.Random) -> OrientationCover:
@@ -179,13 +177,13 @@ def _shuffle_bits(c: OrientationCover, rng: random.Random) -> OrientationCover:
     order = list(range(c.k))
     rng.shuffle(order)
     words = [sum(((w >> i) & 1) << j for j, i in enumerate(order)) for w in c.words]
-    return OrientationCover.from_words(c.graph_shape, c.k, words, c.kind)
+    return OrientationCover(c.graph_shape, c.k, words, c.kind)
 
 
 def _repeat(c: OrientationCover, k: int) -> OrientationCover:
     """The orientations of c repeated in turn up to k of them."""
     words = [sum(((w >> (i % c.k)) & 1) << i for i in range(k)) for w in c.words]
-    return OrientationCover.from_words(c.graph_shape, k, words, c.kind)
+    return OrientationCover(c.graph_shape, k, words, c.kind)
 
 
 def _one_way_bipartite(g: Graph) -> OrientationCover:
@@ -193,7 +191,7 @@ def _one_way_bipartite(g: Graph) -> OrientationCover:
     bipartite graph."""
     side = bipartition(g)
     words = [1 - side[u] for u, _ in g.edges]
-    return OrientationCover.from_words((g.n, g.m), 1, words, "elbow")
+    return OrientationCover((g.n, g.m), 1, words, "elbow")
 
 
 def _tree_with_triangle(rng: random.Random, n: int) -> Graph:
@@ -313,7 +311,7 @@ g = generate_family("mycielski-iterate", 4)
 base = cover_via_coloring(g, greedy=True)
 k = 40
 words = [sum(((w >> (i % base.k)) & 1) << i for i in range(k)) for w in base.words]
-wide = OrientationCover.from_words((g.n, g.m), k, words, "orientation")
+wide = OrientationCover((g.n, g.m), k, words, "orientation")
 assert verify_orientation_cover(g, wide) is None
 col = coloring_from_orientation_cover(g, wide)
 assert col.check_proper(g) is None

@@ -16,8 +16,6 @@ from eqcover import (
     EquivalenceCover,
     EyebrowCover,
     Graph,
-    Orientation,
-    OrientationCover,
     Permutation,
     decide_elb,
     decide_eq,
@@ -30,6 +28,7 @@ from eqcover import (
 )
 
 import oracles
+from cover_words import cover_from_directions, directions
 
 
 def random_graph(rng, max_n=5, min_n=2):
@@ -39,11 +38,8 @@ def random_graph(rng, max_n=5, min_n=2):
 
 
 def random_cover(rng, g, k, kind="orientation"):
-    orientations = [
-        Orientation((g.n, g.m), [rng.randint(0, 1) for _ in range(g.m)])
-        for _ in range(k)
-    ]
-    return OrientationCover((g.n, g.m), orientations, kind)
+    rows = [[rng.randint(0, 1) for _ in range(g.m)] for _ in range(k)]
+    return cover_from_directions((g.n, g.m), rows, kind)
 
 
 def test_sigma_solver_matches_oracle_on_random_graphs():
@@ -103,7 +99,7 @@ def test_orientation_verifier_matches_oracle_on_random_covers():
     for _ in range(150):
         g = random_graph(rng)
         cover = random_cover(rng, g, rng.randint(0, 3))
-        bits = [o.direction for o in cover.orientations]
+        bits = directions(cover)
         violation = verify_orientation_cover(g, cover)
         assert (violation is None) == oracles.orientation_cover_ok(g, bits)
         if violation is not None:
@@ -115,7 +111,7 @@ def test_elbow_verifier_matches_oracle_on_random_covers():
     for _ in range(150):
         g = random_graph(rng)
         cover = random_cover(rng, g, rng.randint(0, 3), kind="elbow")
-        bits = [o.direction for o in cover.orientations]
+        bits = directions(cover)
         violation = verify_elbow_cover(g, cover)
         assert (violation is None) == oracles.elbow_cover_ok(g, bits)
         if violation is not None:
@@ -207,7 +203,7 @@ def test_closed_form_decisions_match_oracles_on_random_graphs():
             assert (res.status == "sat", res.nodes) == (at_most(g, k), 0), (g.edges, k)
             if res.status == "sat":
                 assert res.witness.k == k
-                assert ok(g, [o.direction for o in res.witness.orientations])
+                assert ok(g, directions(res.witness))
 
 
 def test_decide_witnesses_always_verify_on_random_graphs():

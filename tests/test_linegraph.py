@@ -125,7 +125,7 @@ def test_induced_restrictions_match_validating_constructor(corpus):
             assert _fields(induced_subgraph(g, keep)) == _fields(reference)
             # restriction never verifies, so any words of the right shape do
             words = [e % 4 for e in range(g.m)]
-            cover = OrientationCover.from_words((g.n, g.m), 2, words)
+            cover = OrientationCover((g.n, g.m), 2, words)
             sub, sub_cover = restrict_cover_to_induced(g, cover, keep)
             assert _fields(sub) == _fields(reference)
             assert sub_cover.words == tuple(

@@ -13,7 +13,6 @@ from eqcover import (
     EquivalenceCover,
     EyebrowCover,
     Graph,
-    Orientation,
     OrientationCover,
     Permutation,
     ShapeError,
@@ -21,12 +20,10 @@ from eqcover import (
     elbow_cover_via_coloring,
     generate_family,
     greedy_coloring,
-    incidence_signatures,
     k16_table_cover,
     line_graph,
     parse_cover,
     parse_graph,
-    permutation_to_orientation,
     solve_invariant,
     verify_elbow_cover,
     verify_equivalence_cover,
@@ -36,7 +33,10 @@ from eqcover import (
     write_graph,
 )
 
+from eqcover.covers import _out_mask
+
 import oracles
+from cover_words import arrow, cover_from_directions, directions, ranking_cover
 
 
 def source_rotation_cover(k3):
@@ -51,21 +51,21 @@ def source_rotation_cover(k3):
                 bits.append(1)
             else:
                 bits.append(0)
-        orientations.append(Orientation((3, 3), bits))
-    return OrientationCover((3, 3), orientations)
+        orientations.append(bits)
+    return cover_from_directions((3, 3), orientations)
 
 
 def alternating_c4():
     c4 = generate_family("cycle", 4)
     # sources 0 and 2: 0->1, 0->3, 2->1, 2->3
-    return c4, OrientationCover((4, 4), [Orientation((4, 4), (0, 0, 1, 0))])
+    return c4, cover_from_directions((4, 4), [(0, 0, 1, 0)])
 
 
 def test_k3_source_rotations_valid():
     k3 = generate_family("complete", 3)
     cover = source_rotation_cover(k3)
     assert verify_orientation_cover(k3, cover) is None
-    assert oracles.orientation_cover_ok(k3, [o.direction for o in cover.orientations])
+    assert oracles.orientation_cover_ok(k3, directions(cover))
 
 
 def test_k3_any_two_orientations_fail():
@@ -73,9 +73,7 @@ def test_k3_any_two_orientations_fail():
     k3 = generate_family("complete", 3)
     for b1 in product((0, 1), repeat=3):
         for b2 in product((0, 1), repeat=3):
-            cover = OrientationCover(
-                (3, 3), [Orientation((3, 3), b1), Orientation((3, 3), b2)]
-            )
+            cover = cover_from_directions((3, 3), [b1, b2])
             violation = verify_orientation_cover(k3, cover)
             assert violation is not None
             assert violation.recheck(k3, cover)
@@ -93,29 +91,23 @@ def test_orientation_violation_is_lex_first():
     k3 = generate_family("complete", 3)
     # both orientations leave vertex 0 with no out-pair
     bits = (1, 1, 0)  # 1->0, 2->0, 1->2
-    cover = OrientationCover((3, 3), [Orientation((3, 3), bits)] * 2)
+    cover = cover_from_directions((3, 3), [bits] * 2)
     violation = verify_orientation_cover(k3, cover)
     assert violation.line() == "VIOLATION v=0 e=(0,1) f=(0,2)"
 
 
 def test_elbow_k4_two_orders_valid():
     k4 = generate_family("complete", 4)
-    cover = OrientationCover(
-        (4, 6),
-        [
-            permutation_to_orientation(k4, Permutation.from_order(o))
-            for o in ((0, 1, 2, 3), (2, 0, 3, 1))
-        ],
-        kind="elbow",
+    cover = ranking_cover(
+        k4, [Permutation.from_order(o).values for o in ((0, 1, 2, 3), (2, 0, 3, 1))], "elbow"
     )
     assert verify_elbow_cover(k4, cover) is None
-    assert oracles.elbow_cover_ok(k4, [o.direction for o in cover.orientations])
+    assert oracles.elbow_cover_ok(k4, directions(cover))
 
 
 def test_elbow_single_orientation_fails_on_k4():
     k4 = generate_family("complete", 4)
-    o = permutation_to_orientation(k4, Permutation.identity(4))
-    cover = OrientationCover((4, 6), [o], kind="elbow")
+    cover = ranking_cover(k4, [Permutation.identity(4).values], "elbow")
     violation = verify_elbow_cover(k4, cover)
     assert violation is not None
     u, v, w = violation.path
@@ -225,12 +217,16 @@ def test_equivalence_out_of_range_vertex():
         verify_equivalence_cover(c4, EquivalenceCover(4, [[(0, 9)]]))
 
 
+def _indices(mask):
+    """The orientation indices (0-based) in a mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def test_signatures_k2_single_orientation():
     k2 = generate_family("complete", 2)
-    cover = OrientationCover((2, 1), [Orientation((2, 1), (0,))])
-    sig = incidence_signatures(k2, cover)
-    assert sig.indices(0, 0) == (0,)
-    assert sig.indices(1, 0) == ()
+    cover = OrientationCover((2, 1), 1, [1])
+    assert _indices(_out_mask(k2, cover, 0, 0)) == (0,)
+    assert _indices(_out_mask(k2, cover, 0, 1)) == ()
 
 
 def test_signatures_complementation(corpus):
@@ -239,9 +235,10 @@ def test_signatures_complementation(corpus):
     for name in ("K3", "K4", "C5", "tri_pendant"):
         g = corpus[name]
         cover = cover_via_coloring(g)
-        sig = incidence_signatures(g, cover)
+        full = (1 << cover.k) - 1
         for e, (u, v) in enumerate(g.edges):
-            assert sig.mask(u, e) == sig.full ^ sig.mask(v, e)
+            assert _out_mask(g, cover, e, u) == full ^ _out_mask(g, cover, e, v)
+            assert _out_mask(g, cover, e, u) == cover.words[e]
 
 
 def test_signatures_reversal_append_closure():
@@ -249,30 +246,30 @@ def test_signatures_reversal_append_closure():
     from eqcover import k4_sigma3_cover
 
     cover = k4_sigma3_cover()
-    doubled = OrientationCover(
-        (4, 6),
-        list(cover.orientations) + [o.reversed() for o in cover.orientations],
-    )
-    sig = incidence_signatures(g, cover)
-    sig2 = incidence_signatures(g, doubled)
+    reversals = [tuple(1 - b for b in row) for row in directions(cover)]
+    doubled = cover_from_directions((4, 6), directions(cover) + reversals)
+    full = (1 << cover.k) - 1
     for e, (u, v) in enumerate(g.edges):
         for x in (u, v):
-            base = sig.mask(x, e)
-            assert sig2.mask(x, e) == base | ((sig.full ^ base) << cover.k)
+            base = _out_mask(g, cover, e, x)
+            assert _out_mask(g, doubled, e, x) == base | ((full ^ base) << cover.k)
 
 
 def test_signatures_k3_golden():
     k3 = generate_family("complete", 3)
     cover = source_rotation_cover(k3)
-    sig = incidence_signatures(k3, cover)
+
+    def sig(v, e):
+        return _indices(_out_mask(k3, cover, e, v))
+
     # orientation 0 (source 0) and orientation 2's leftover edge both
     # direct {0,1} out of 0
-    assert sig.indices(0, 0) == (0, 2)
-    assert sig.indices(0, 1) == (0, 1)
-    assert sig.indices(1, 0) == (1,)
-    assert sig.indices(1, 2) == (0, 1)
-    assert sig.indices(2, 1) == (2,)
-    assert sig.indices(2, 2) == (2,)
+    assert sig(0, 0) == (0, 2)
+    assert sig(0, 1) == (0, 1)
+    assert sig(1, 0) == (1,)
+    assert sig(1, 2) == (0, 1)
+    assert sig(2, 1) == (2,)
+    assert sig(2, 2) == (2,)
 
 
 def test_status_is_order_independent():
@@ -280,10 +277,10 @@ def test_status_is_order_independent():
     from eqcover import k4_sigma3_cover
 
     cover = k4_sigma3_cover()
-    shuffled = OrientationCover((4, 6), tuple(reversed(cover.orientations)))
+    shuffled = cover_from_directions((4, 6), directions(cover)[::-1])
     assert verify_orientation_cover(k4, shuffled) is None
-    bad = OrientationCover((4, 6), cover.orientations[:2])
-    bad_shuffled = OrientationCover((4, 6), tuple(reversed(bad.orientations)))
+    bad = cover_from_directions((4, 6), directions(cover)[:2])
+    bad_shuffled = cover_from_directions((4, 6), directions(bad)[::-1])
     v1 = verify_orientation_cover(k4, bad)
     v2 = verify_orientation_cover(k4, bad_shuffled)
     assert v1 is not None and v2 is not None
@@ -292,11 +289,11 @@ def test_status_is_order_independent():
 
 def test_zero_orientation_covers():
     matching = generate_family("path", 2)
-    empty = OrientationCover((2, 1), [])
+    empty = OrientationCover((2, 1), 0, [0])
     assert verify_orientation_cover(matching, empty) is None
     assert verify_elbow_cover(matching, empty) is None
     p3 = generate_family("path", 3)
-    empty3 = OrientationCover((3, 2), [])
+    empty3 = OrientationCover((3, 2), 0, [0, 0])
     assert verify_orientation_cover(p3, empty3) is not None
     assert verify_elbow_cover(p3, empty3) is not None
 
@@ -304,7 +301,7 @@ def test_zero_orientation_covers():
 def test_wide_cover_uses_python_fallback():
     # 63 orientations exceed the int64 mask budget
     c4, single = alternating_c4()
-    wide = OrientationCover((4, 4), list(single.orientations) * 63)
+    wide = cover_from_directions((4, 4), directions(single) * 63)
     assert verify_elbow_cover(c4, wide) is None
     # orientation covering with 63 identical orientations still misses sinks
     violation = verify_orientation_cover(c4, wide)
@@ -327,7 +324,7 @@ def test_shape_mismatch_raises():
 def _scan_witness(g, cover, elbow):
     """Witness line of a scan over every vertex and, row-major, every
     pair of its incident edges, read off the orientations' arrows."""
-    orientations = cover.orientations
+    orientations = range(cover.k)
     for v in range(g.n):
         inc = g.incident(v)
         for a in range(len(inc)):
@@ -336,13 +333,15 @@ def _scan_witness(g, cover, elbow):
                 u, w = g.other_endpoint(e, v), g.other_endpoint(f, v)
                 if elbow:
                     covered = any(
-                        {o.arrow(g, e), o.arrow(g, f)} not in ({(u, v), (v, w)}, {(w, v), (v, u)})
+                        {arrow(g, cover, o, e), arrow(g, cover, o, f)}
+                        not in ({(u, v), (v, w)}, {(w, v), (v, u)})
                         for o in orientations
                     )
                     line = f"VIOLATION path=({u},{v},{w})"
                 else:
                     covered = any(
-                        o.arrow(g, e)[0] == v and o.arrow(g, f)[0] == v for o in orientations
+                        arrow(g, cover, o, e)[0] == v and arrow(g, cover, o, f)[0] == v
+                        for o in orientations
                     )
                     (a0, a1), (b0, b1) = g.edges[e], g.edges[f]
                     line = f"VIOLATION v={v} e=({a0},{a1}) f=({b0},{b1})"
@@ -366,7 +365,7 @@ def _corrupted(rng, g, cover, elbow):
     words[e] = full if g.edges[e][1] == x else 0  # into x everywhere
     if elbow:
         words[f] = full if g.edges[f][0] == x else 0  # out of x everywhere
-    return OrientationCover.from_words(cover.graph_shape, cover.k, words, cover.kind)
+    return OrientationCover(cover.graph_shape, cover.k, words, cover.kind)
 
 
 def _cases(seed):
@@ -381,14 +380,14 @@ def _cases(seed):
         if not g.has_incidence_pairs():
             continue
         full = (1 << k) - 1
-        cases.append((g, OrientationCover.from_words((g.n, g.m), k, [rng.randint(0, full) for _ in range(g.m)])))
+        cases.append((g, OrientationCover((g.n, g.m), k, [rng.randint(0, full) for _ in range(g.m)])))
         for build, elbow in ((cover_via_coloring, False), (elbow_cover_via_coloring, True)):
             base = build(g, greedy_coloring(g))
             if base.k > k:
                 continue
             extra = [rng.randint(0, (1 << (k - base.k)) - 1) for _ in range(g.m)]
             words = [w | x << base.k for w, x in zip(base.words, extra)]
-            valid = OrientationCover.from_words((g.n, g.m), k, words, base.kind)
+            valid = OrientationCover((g.n, g.m), k, words, base.kind)
             cases.append((g, valid))
             cases.append((g, _corrupted(rng, g, valid, elbow)))
     return cases
@@ -405,7 +404,7 @@ def test_histogram_verifier_matches_scan_and_oracles():
         got = _lines(g, cover)
         assert got == (_scan_witness(g, cover, False), _scan_witness(g, cover, True)), (g, cover.words)
         if g.n <= 9:
-            bits = [o.direction for o in cover.orientations]
+            bits = directions(cover)
             assert (got[0] is None) == oracles.orientation_cover_ok(g, bits)
             assert (got[1] is None) == oracles.elbow_cover_ok(g, bits)
         kinds.add((cover.k, got[0] is None, got[1] is None))
@@ -436,9 +435,9 @@ def test_permuting_orientations_keeps_the_result():
         perm = list(range(cover.k))
         rng.shuffle(perm)
         words = [sum(1 << perm[i] for i in range(cover.k) if (w >> i) & 1) for w in cover.words]
-        shuffled = OrientationCover.from_words(cover.graph_shape, cover.k, words, cover.kind)
+        shuffled = OrientationCover(cover.graph_shape, cover.k, words, cover.kind)
         assert _lines(g, shuffled) == _lines(g, cover)
-        listed = OrientationCover(cover.graph_shape, rng.sample(cover.orientations, cover.k))
+        listed = cover_from_directions(cover.graph_shape, rng.sample(directions(cover), cover.k))
         assert _lines(g, listed) == _lines(g, cover)
 
 
