@@ -47,7 +47,7 @@ from .covers import (
     write_coloring,
     write_equivalence_cover,
 )
-from .exact import Budget, solve_invariant
+from .exact import Budget, exact_chromatic, greedy_coloring, solve_invariant
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -143,26 +143,32 @@ def _cmd_solve(args) -> int:
     return 0 if result.status == "exact" else 3
 
 
-_CONSTRUCT_NEEDS = {
-    "k16-table": (),
-    "elbow-complete": ("n",),
-    "elbow-double": ("graph", "cover"),
-    "bipartite": ("graph",),
-    "via-coloring": ("graph",),
-    "eq-from-orientation": ("graph", "cover"),
-    "orientation-from-eq": ("graph", "cover"),
-    "orientation-from-elbow": ("graph", "cover"),
-    "coloring-from-elbow": ("graph", "cover"),
-    "coloring-from-orientation": ("graph", "cover"),
+# The flags each op requires, then the optional ones it reads; every op
+# reads --output and --json, and any other flag given is refused.
+_CONSTRUCT_FLAGS = {
+    "k16-table": ((), ("perms_output",)),
+    "elbow-complete": (("n",), ()),
+    "elbow-double": (("graph", "cover"), ("graph_output",)),
+    "bipartite": (("graph",), ()),
+    "via-coloring": (("graph",), ("coloring", "greedy", "max_nodes", "max_seconds")),
+    "eq-from-orientation": (("graph", "cover"), ()),
+    "orientation-from-eq": (("graph", "cover"), ()),
+    "orientation-from-elbow": (("graph", "cover"), ()),
+    "coloring-from-elbow": (("graph", "cover"), ()),
+    "coloring-from-orientation": (("graph", "cover"), ()),
 }
+_CONSTRUCT_OP_FLAGS = sorted({f for req, opt in _CONSTRUCT_FLAGS.values() for f in req + opt})
 
 
 def _cmd_construct(args) -> int:
     op = args.op
-    needs = _CONSTRUCT_NEEDS[op]
+    needs, reads = _CONSTRUCT_FLAGS[op]
     for flag in needs:
         if getattr(args, flag) is None:
             raise ValueError(f"construct --op {op} requires --{flag}")
+    for flag in _CONSTRUCT_OP_FLAGS:
+        if flag not in needs + reads and getattr(args, flag) is not None:
+            raise ValueError(f"construct --op {op} does not read --{flag.replace('_', '-')}")
     if "graph" in needs:
         g = read_graph_file(args.graph)
     if op in ("eq-from-orientation", "orientation-from-eq"):
@@ -171,20 +177,19 @@ def _cmd_construct(args) -> int:
         base = _read_cover(args.cover, lm.line if op == "orientation-from-eq" else g)
     wrote = []
 
-    def emit_cover(ref_graph: Graph, cover) -> None:
+    def emit_cover(ref_graph: Graph, cover, path: str = args.output) -> None:
         violation = VERIFIERS[cover.kind][1](ref_graph, cover)
         if violation is not None:  # construction bug; never expected
             raise AssertionError(f"constructed cover failed verification: {violation.line()}")
-        _write_text(args.output, write_cover_for(ref_graph, cover))
-        wrote.append(args.output)
+        _write_text(path, write_cover_for(ref_graph, cover))
+        wrote.append(path)
 
     if op == "k16-table":
         perms, cover = k16_table_cover()
         g16 = generate_family("complete", 16)
         emit_cover(g16, cover)
         if args.perms_output:
-            _write_text(args.perms_output, write_cover_for(g16, EyebrowCover(16, perms)))
-            wrote.append(args.perms_output)
+            emit_cover(g16, EyebrowCover(16, perms), args.perms_output)
     elif op == "elbow-complete":
         cover = elbow_cover_complete(args.n)
         emit_cover(generate_family("complete", args.n), cover)
@@ -198,13 +203,19 @@ def _cmd_construct(args) -> int:
     elif op == "bipartite":
         emit_cover(g, bipartite_orientation_cover(g))
     elif op == "via-coloring":
-        coloring = None
         if args.coloring:
             with open(args.coloring, "r", encoding="utf-8") as fh:
                 coloring = parse_coloring(fh.read(), g.n)
-        budget = Budget(args.max_nodes, args.max_seconds)
-        cover = cover_via_coloring(g, coloring, greedy=args.greedy, budget=budget)
-        emit_cover(g, cover)
+        elif args.greedy:
+            coloring = greedy_coloring(g)
+        else:
+            chi = exact_chromatic(g, Budget(args.max_nodes, args.max_seconds))
+            if chi.status != "exact":
+                raise ValueError(
+                    "chromatic search ran out of budget; pass --greedy or --coloring"
+                )
+            coloring = chi.witness
+        emit_cover(g, cover_via_coloring(g, coloring))
     elif op == "eq-from-orientation":
         emit_cover(lm.line, eq_cover_from_orientation_cover(lm, base))
     elif op == "orientation-from-eq":
@@ -316,11 +327,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("construct", help="emit a certificate from a constructive proof")
-    p.add_argument("--op", required=True, choices=list(_CONSTRUCT_NEEDS))
+    p.add_argument("--op", required=True, choices=list(_CONSTRUCT_FLAGS))
     p.add_argument("--graph")
     p.add_argument("--cover")
     p.add_argument("--coloring")
-    p.add_argument("--greedy", action="store_true")
+    p.add_argument("--greedy", action="store_true", default=None)  # None: not given
     p.add_argument("--n", type=int)
     p.add_argument("--output", required=True)
     p.add_argument("--perms-output")

@@ -17,6 +17,8 @@ Every converter first checks its input cover with the verify module
 and raises InvalidCoverError, carrying the witness, when it fails.
 Every complete-graph base is kept as vertex rankings, so a pullback
 compares the ranks of the endpoint colors and no K_c is built.
+A pullback takes the coloring it pulls back along: the callers choose
+one (the greedy and exact colorings are in exact), so nothing here searches.
 Arbitrary direction choices are everywhere fixed as low-endpoint to
 high-endpoint, so identical inputs give identical certificates.
 """
@@ -28,7 +30,6 @@ from itertools import count, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covers import EquivalenceCover, EquivalenceSubgraph, OrientationCover, Violation
-from .exact import Budget, exact_chromatic, greedy_coloring
 from .graphs import Graph, bipartition
 from .linegraph import LineGraphMap
 from .orientations import Coloring, Permutation
@@ -353,35 +354,9 @@ def bipartite_elbow_cover(g: Graph) -> OrientationCover:
     return OrientationCover((g.n, g.m), 1, words, "elbow")
 
 
-def _resolve_coloring(
-    g: Graph, coloring: Optional[Coloring], greedy: bool, budget: Optional[Budget]
-) -> Coloring:
-    """The supplied proper coloring, densely relabeled; else the exact
-    solver's (or the greedy heuristic's when ``greedy`` is set)."""
-    if coloring is None:
-        if greedy:
-            coloring = greedy_coloring(g)
-        else:
-            result = exact_chromatic(g, budget)
-            if result.status != "exact":
-                raise ValueError(
-                    "chromatic search ran out of budget; pass greedy=True "
-                    "or supply a coloring"
-                )
-            coloring = result.witness
-    else:
-        coloring.require_proper(g)
-    return coloring.dense()
-
-
-def cover_via_coloring(
-    g: Graph,
-    coloring: Optional[Coloring] = None,
-    greedy: bool = False,
-    budget: Optional[Budget] = None,
-) -> OrientationCover:
+def cover_via_coloring(g: Graph, coloring: Coloring) -> OrientationCover:
     """Orientation covering pulled back from a covering of K_c, where c
-    is the palette size of a proper coloring of g.
+    is the palette size of the proper coloring of g.
 
     Prefers the smallest known complete-graph base: the bipartite
     construction for c <= 2, the pinned size-3 covering of K_4 for
@@ -389,10 +364,10 @@ def cover_via_coloring(
     reversal-doubled elbow covering of K_c (size 2 ceil(log2 log2 c) + 2)
     beyond.  Each base is a list of vertex rankings, so the word of an
     edge compares the ranks of its endpoint colors and no K_c is built.
-    With no coloring supplied, the exact solver provides one (or the
-    greedy heuristic when ``greedy`` is set).
+    The caller chooses the coloring; nothing here searches for one.
     """
-    dense = _resolve_coloring(g, coloring, greedy, budget)
+    coloring.require_proper(g)
+    dense = coloring.dense()
     c = dense.palette_size
     size = pullback_size(c, "elbow")
     if size == 1:
@@ -406,12 +381,7 @@ def cover_via_coloring(
     return OrientationCover((g.n, g.m), len(ranks), words, "orientation")
 
 
-def elbow_cover_via_coloring(
-    g: Graph,
-    coloring: Optional[Coloring] = None,
-    greedy: bool = False,
-    budget: Optional[Budget] = None,
-) -> OrientationCover:
+def elbow_cover_via_coloring(g: Graph, coloring: Coloring) -> OrientationCover:
     """Elbow covering pulled back from the squared-base covering of K_c,
     size ceil(log2 log2 c) + 1 for palette c >= 3; for c <= 2 the one
     orientation from color 0 to color 1.
@@ -421,7 +391,8 @@ def elbow_cover_via_coloring(
     target edge, so their masks at the center coincide and cannot
     partition the index set.
     """
-    dense = _resolve_coloring(g, coloring, greedy, budget)
+    coloring.require_proper(g)
+    dense = coloring.dense()
     c = dense.palette_size
     ranks = K2_RANKS[:1] if c <= 2 else _elbow_ranks(c)
     words = _rank_words(g.edges, dense.colors, ranks)

@@ -131,6 +131,10 @@ class EquivalenceCover:
                     raise ValueError("empty class in equivalence subgraph")
                 if len(set(cls)) < len(cls):
                     raise ValueError(f"repeated vertex in equivalence class {cls}")
+                if cls[0] < 0 or cls[-1] >= self.n:
+                    raise ValueError(
+                        f"vertex out of range 0..{self.n - 1} in equivalence class {cls}"
+                    )
                 classes.append(cls)
             subs.append(tuple(classes))
         self.subgraphs: Tuple[EquivalenceSubgraph, ...] = tuple(subs)

@@ -37,6 +37,8 @@ Both ends of k are closed forms that take no search nodes: the small k
 (sigma <= 2, elb <= 1, eye <= 1), and every k at or above the size of
 the cover of K_n, which restricted to the graph is a witness.  So the
 word search only meets k below that size, at most 11 orientations.
+The witnesses are built by the construct module, which never imports
+this one: the colorings its pullbacks take are chosen here.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from functools import lru_cache
 from itertools import permutations as iter_permutations
 from typing import Callable, List, Optional, Tuple
 
+from . import construct
 from .covers import EquivalenceCover, EyebrowCover, OrientationCover
 from .graphs import Graph, NotBipartiteError
 from .orientations import Coloring, Permutation
@@ -271,8 +274,6 @@ def _closed_form_cover(g: Graph, k: int, kind: str) -> Optional[OrientationCover
     one of two orientations (a source or a sink in one elbow orientation),
     so sigma <= 2 and elb <= 1 hold exactly on bipartite graphs.
     """
-    from . import construct  # deferred: construct imports this module
-
     if k == 0:
         if g.has_incidence_pairs():
             return None
@@ -291,23 +292,12 @@ def _closed_form_cover(g: Graph, k: int, kind: str) -> Optional[OrientationCover
         return None
 
 
-@lru_cache(maxsize=None)
-def _kn_cover_size(n: int, kind: str) -> int:
-    """Size of the cover of K_n that ``_kn_cover`` restricts; cached, as
-    the deferred import alone takes about 5% of a small query's time."""
-    from . import construct  # deferred: construct imports this module
-
-    return construct.pullback_size(n, kind)
-
-
 def _kn_cover(g: Graph, kind: str, k: int = 0):
     """The cover of K_n restricted to g, with its last member repeated up
     to size k: the pullback of the identity coloring for kinds
     'orientation' and 'elbow' (k at least its size), the permutations of
     the eyebrow rankings of K_n for 'eyebrow' (none when no edge has a
-    third vertex).  Its size is ``_kn_cover_size(g.n, kind)``."""
-    from . import construct  # deferred: construct imports this module
-
+    third vertex).  Its size is ``construct.pullback_size(g.n, kind)``."""
     if kind == "eyebrow":
         ranks = construct._elbow_ranks(g.n) if g.m and g.n >= 3 else []
         perms = [
@@ -328,7 +318,7 @@ def _decide_cover(g: Graph, k: int, budget: Optional[Budget], kind: str) -> Deci
     if k <= (1 if kind == "elbow" else 2):
         witness = _closed_form_cover(g, k, kind)
         return DecideResult("unsat" if witness is None else "sat", witness, budget.nodes)
-    if k >= _kn_cover_size(g.n, kind):
+    if k >= construct.pullback_size(g.n, kind):
         return DecideResult("sat", _kn_cover(g, kind, k), budget.nodes)
     try:
         words = _decide_words(g, k, budget, elbow=kind == "elbow")
@@ -506,7 +496,7 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
             return DecideResult("unsat", None, budget.nodes)
         cover = EyebrowCover(g.n, [Permutation.from_order(order)])
         return DecideResult("sat", cover, budget.nodes)
-    if k >= _kn_cover_size(g.n, "eyebrow"):
+    if k >= construct.pullback_size(g.n, "eyebrow"):
         return DecideResult("sat", _kn_cover(g, "eyebrow", k), budget.nodes)
     constraints = [(u, v, w) for u, v in g.edges for w in range(g.n) if w != u and w != v]
 
@@ -737,12 +727,10 @@ def _greedy_matching_cover(g: Graph) -> EquivalenceCover:
 
 def _upper_witness(g: Graph, invariant: str):
     """Constructive certificate closing the interval from above."""
-    from . import construct  # deferred: construct imports this module
-
     if invariant == "sigma":
-        return construct.cover_via_coloring(g, greedy=True)
+        return construct.cover_via_coloring(g, greedy_coloring(g))
     if invariant == "elb":
-        return construct.elbow_cover_via_coloring(g, greedy=True)
+        return construct.elbow_cover_via_coloring(g, greedy_coloring(g))
     if invariant == "eq":
         return _greedy_matching_cover(g)
     if invariant == "eye":

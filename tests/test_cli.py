@@ -454,3 +454,84 @@ def test_verify_every_kind_on_every_cover_file(tmp_path, capsys, name, kind, cod
         assert got[2] == f"error: cover file holds an {tag} cover, not an {kind} cover\n"
     else:
         assert got[2] == ""
+
+
+def test_construct_via_coloring_out_of_budget_exits_2(tmp_path, capsys):
+    # the exact chromatic search stops at its first node on the Groetzsch
+    # graph (chi 4, greedy 4, clique 2), so no coloring is pulled back
+    g = tmp_path / "m4.g"
+    run(capsys, "gen", "--family", "mycielski-iterate", "--parameter", "4", "--output", str(g))
+    out_path = tmp_path / "never.cov"
+    code, out, err = run(
+        capsys, "construct", "--op", "via-coloring", "--graph", str(g),
+        "--max-nodes", "1", "--output", str(out_path),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: chromatic search ran out of budget; pass --greedy or --coloring\n"
+    assert not out_path.exists()
+    code, out, _ = run(
+        capsys, "construct", "--op", "via-coloring", "--graph", str(g),
+        "--max-nodes", "1", "--greedy", "--output", str(out_path),
+    )
+    assert code == 0 and out == f"WROTE {out_path}\n"
+    code, out, _ = run(capsys, "verify", "--kind", "orientation", "--graph", str(g), "--cover", str(out_path))
+    assert code == 0 and out == "VALID k=3\n"
+
+
+@pytest.mark.parametrize(
+    "op,given,unread",
+    [
+        ("bipartite", ["--graph", "G"], ["--greedy"]),
+        ("bipartite", ["--graph", "G"], ["--n", "7"]),
+        ("bipartite", ["--graph", "G"], ["--perms-output", "P"]),
+        ("bipartite", ["--graph", "G"], ["--max-nodes", "3"]),
+        ("bipartite", ["--graph", "G"], ["--coloring", "nofile"]),
+        ("bipartite", ["--graph", "G"], ["--cover", "nofile"]),
+        ("k16-table", [], ["--graph", "G"]),
+        ("k16-table", [], ["--graph-output", "P"]),
+        ("elbow-complete", ["--n", "4"], ["--max-seconds", "1"]),
+        ("elbow-double", ["--graph", "G", "--cover", "C"], ["--perms-output", "P"]),
+        ("via-coloring", ["--graph", "G"], ["--cover", "C"]),
+        ("eq-from-orientation", ["--graph", "G", "--cover", "C"], ["--greedy"]),
+        ("coloring-from-elbow", ["--graph", "G", "--cover", "C"], ["--max-nodes", "0"]),
+    ],
+)
+def test_construct_refuses_flags_its_op_does_not_read(tmp_path, capsys, op, given, unread):
+    files = {"G": tmp_path / "c4.g", "C": tmp_path / "c4.cov", "P": tmp_path / "extra"}
+    run(capsys, "gen", "--family", "cycle", "--parameter", "4", "--output", str(files["G"]))
+    run(capsys, "construct", "--op", "bipartite", "--graph", str(files["G"]), "--output", str(files["C"]))
+    out_path = tmp_path / "never.out"
+    argv = [str(files.get(a, a)) for a in given + unread]
+    code, out, err = run(capsys, "construct", "--op", op, *argv, "--output", str(out_path))
+    assert code == 2 and out == ""
+    assert err == f"error: construct --op {op} does not read {unread[0]}\n"
+    assert not out_path.exists() and not files["P"].exists()
+
+
+def test_k16_table_perms_output_is_a_valid_eyebrow_cover(tmp_path, capsys):
+    g16, cov, perms = tmp_path / "k16.g", tmp_path / "k16.cov", tmp_path / "k16.eye"
+    run(capsys, "gen", "--family", "complete", "--parameter", "16", "--output", str(g16))
+    code, out, _ = run(
+        capsys, "construct", "--op", "k16-table", "--output", str(cov),
+        "--perms-output", str(perms),
+    )
+    assert code == 0 and out == f"WROTE {cov}\nWROTE {perms}\n"
+    code, out, _ = run(capsys, "verify", "--kind", "eyebrow", "--graph", str(g16), "--cover", str(perms))
+    assert code == 0 and out == "VALID k=5\n"
+
+
+def test_k16_table_perms_output_is_verified_before_it_is_written(tmp_path, capsys, monkeypatch):
+    from eqcover import cli
+    from eqcover.covers import EyebrowViolation
+
+    def reject(g, cover):
+        return EyebrowViolation((0, 1), 2)
+
+    monkeypatch.setitem(cli.VERIFIERS, "eyebrow", (cli.EyebrowCover, reject))
+    perms = tmp_path / "k16.eye"
+    code, _, err = run(
+        capsys, "construct", "--op", "k16-table", "--output", str(tmp_path / "k16.cov"),
+        "--perms-output", str(perms),
+    )
+    assert code == 4 and "failed verification" in err
+    assert not perms.exists()

@@ -266,7 +266,7 @@ def test_verify_equivalence_cover_matches_reference():
         ref = _verify_result(reference_verify_equivalence_cover, c4, cover)
         assert _verify_result(verify_equivalence_cover, c4, cover) == ref
     with pytest.raises(ShapeError):
-        verify_equivalence_cover(c4, EquivalenceCover(4, [[(0, 1)], [(0, 9)]]))
+        verify_equivalence_cover(c4, EquivalenceCover._from_sorted(4, [[(0, 1)], [(0, 9)]]))
 
 
 def test_elbow_cover_complete_matches_restricted_doubling():

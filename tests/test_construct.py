@@ -3,7 +3,9 @@ import pytest
 from eqcover import (
     Coloring,
     EquivalenceCover,
+    exact_chromatic,
     Graph,
+    greedy_coloring,
     ImproperColoringError,
     InvalidCoverError,
     NotBipartiteError,
@@ -245,7 +247,7 @@ def test_bipartite_cover():
 )
 def test_cover_via_coloring_sizes(corpus, name, expected_size):
     g = corpus[name]
-    cover = cover_via_coloring(g)
+    cover = cover_via_coloring(g, exact_chromatic(g).witness)
     assert cover.k == expected_size
     assert verify_orientation_cover(g, cover) is None
 
@@ -263,11 +265,9 @@ def test_cover_via_coloring_size_never_exceeds_base(corpus):
     sizes = {2: 2, 3: 3, 4: 3, 5: 5}
     for name in ("C4", "C5", "C6", "K4", "K5", "bull", "petersen", "tri_pendant"):
         g = corpus[name]
-        from eqcover import exact_chromatic
-
-        chi = exact_chromatic(g).value
-        cover = cover_via_coloring(g)
-        assert cover.k <= sizes[chi]
+        chi = exact_chromatic(g)
+        cover = cover_via_coloring(g, chi.witness)
+        assert cover.k <= sizes[chi.value]
 
 
 def test_cover_via_coloring_supplied_and_greedy():
@@ -276,16 +276,8 @@ def test_cover_via_coloring_supplied_and_greedy():
         cover_via_coloring(c5, Coloring((0, 0, 1, 0, 1)))
     cover = cover_via_coloring(c5, Coloring((0, 1, 0, 1, 2)))
     assert verify_orientation_cover(c5, cover) is None
-    greedy = cover_via_coloring(c5, greedy=True)
+    greedy = cover_via_coloring(c5, greedy_coloring(c5))
     assert verify_orientation_cover(c5, greedy) is None
-
-
-def test_cover_via_coloring_budget_exhausted():
-    from eqcover import Budget
-
-    grotzsch = generate_family("mycielski-iterate", 4)
-    with pytest.raises(ValueError, match="budget"):
-        cover_via_coloring(grotzsch, budget=Budget(max_nodes=1))
 
 
 def test_coloring_from_elbow_k4():
@@ -394,7 +386,7 @@ def test_peel_order_matches_scanning_loop(corpus, monkeypatch):
     for g in graphs:
         assert construct._peel_low_degree(g) == _old_peel_order(g)
     for g in graphs:
-        cover = cover_via_coloring(g, greedy=True)
+        cover = cover_via_coloring(g, greedy_coloring(g))
         if cover.k < 3:
             continue
         new = coloring_from_orientation_cover(g, cover)
@@ -408,7 +400,7 @@ def test_coloring_from_orientation_on_large_tree_plus_triangle():
     import random
 
     g = _tree_plus_triangle(random.Random(8), 8000)
-    coloring = coloring_from_orientation_cover(g, cover_via_coloring(g, greedy=True))
+    coloring = coloring_from_orientation_cover(g, cover_via_coloring(g, greedy_coloring(g)))
     assert coloring.check_proper(g) is None and coloring.palette_size == 3
 
 
@@ -429,7 +421,7 @@ def test_round_trip_soundness_over_corpus(corpus):
     # every construction's output passes the matching verifier
     for name in ("K3", "K4", "C4", "C5", "C6", "star3", "tri_pendant", "bull", "K23"):
         g = corpus[name]
-        cover = cover_via_coloring(g)
+        cover = cover_via_coloring(g, exact_chromatic(g).witness)
         assert verify_orientation_cover(g, cover) is None
         if g.m:
             lm = line_graph(g)
@@ -474,7 +466,8 @@ def test_coloring_from_orientation_k5_size4():
 
 def test_coloring_from_elbow_petersen():
     petersen = generate_family("petersen", 5)
-    cover = cover_via_coloring(petersen)  # size 3; also a valid elbow cover
+    # size 3; also a valid elbow cover
+    cover = cover_via_coloring(petersen, exact_chromatic(petersen).witness)
     coloring = coloring_from_elbow_cover(petersen, cover)
     assert coloring.check_proper(petersen) is None
     assert coloring.palette_size <= 16
@@ -499,7 +492,7 @@ def test_elbow_cover_via_coloring():
     assert verify_elbow_cover(g, cover) is None
 
     c4 = generate_family("cycle", 4)
-    one = elbow_cover_via_coloring(c4)
+    one = elbow_cover_via_coloring(c4, exact_chromatic(c4).witness)
     assert one.k == 1 and verify_elbow_cover(c4, one) is None
     res = solve_invariant(c4, "elb")
     assert (res.status, res.value, res.witness.k) == ("exact", 1, 1)

@@ -8,6 +8,7 @@ import pytest
 from eqcover import (
     CoverFormatError,
     EquivalenceCover,
+    exact_chromatic,
     EyebrowCover,
     Graph,
     OrientationCover,
@@ -142,6 +143,18 @@ def test_equivalence_cover_rejects_a_repeated_vertex():
     with pytest.raises(ValueError, match="repeated vertex"):
         EquivalenceCover(4, [[(0, 1)], [(2, 3), (1, 1)]])
     assert EquivalenceCover(3, [[(2, 0, 1)]]).subgraphs == (((0, 1, 2),),)
+
+
+def test_equivalence_cover_rejects_a_vertex_out_of_range():
+    # as the text parser does ("vertex 7 out of range"): such a class
+    # would be written to a file that parse_cover refuses
+    for cls in ((0, 7), (-1, 2), (3,)):
+        with pytest.raises(ValueError, match="out of range"):
+            EquivalenceCover(3, [[(0, 1)], [cls]])
+    assert EquivalenceCover(3, [[(0, 2)]]).subgraphs == (((0, 2),),)
+    k3 = generate_family("complete", 3)
+    with pytest.raises(CoverFormatError, match="out of range"):
+        parse_cover("cover equivalence 1 3 3\nblock 1\nclique 0 7\n", k3)
 
 
 def test_coloring_file_round_trip():
@@ -697,6 +710,14 @@ def _seeded_fault(rng, h, subgraphs):
     return subgraphs
 
 
+def _unchecked_cover(n, subgraphs):
+    """A cover holding the classes as given, sorted, out-of-range
+    vertices and all: the constructor would refuse those."""
+    return EquivalenceCover._from_sorted(
+        n, [[tuple(sorted(cls)) for cls in sub] for sub in subgraphs]
+    )
+
+
 def test_one_pass_equivalence_check_matches_scan():
     rng = random.Random(17)
     kinds = set()
@@ -706,10 +727,11 @@ def test_one_pass_equivalence_check_matches_scan():
         g = Graph(n, rng.sample(pairs, rng.randrange(1, len(pairs) + 1)))
         lm = line_graph(g)
         h = lm.line
-        valid = eq_cover_from_orientation_cover(lm, cover_via_coloring(g))
+        chi = exact_chromatic(g)
+        valid = eq_cover_from_orientation_cover(lm, cover_via_coloring(g, chi.witness))
         covers = [valid]
         for _ in range(6):
-            covers.append(EquivalenceCover(h.n, _seeded_fault(rng, h, valid.subgraphs)))
+            covers.append(_unchecked_cover(h.n, _seeded_fault(rng, h, valid.subgraphs)))
         for cover in covers:
             got = _verify_outcome(h, cover, verify_equivalence_cover)
             assert got == _verify_outcome(h, cover, _reference_verify_equivalence_cover)

@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from eqcover import (
     EquivalenceCover,
     Graph,
+    greedy_coloring,
     InvalidCoverError,
     OrientationCover,
     cover_via_coloring,
@@ -240,7 +241,10 @@ def _eq_covers(rng: random.Random, g: Graph, lm: LineGraphMap):
     the out-stars of a pullback orientation covering, a decide_eq
     witness on small line graphs, each padded with random subgraphs of
     stars and triangles and shuffled."""
-    bases = [_greedy_matching_cover(lm.line), out_star_eq_cover(g, cover_via_coloring(g, greedy=True))]
+    bases = [
+        _greedy_matching_cover(lm.line),
+        out_star_eq_cover(g, cover_via_coloring(g, greedy_coloring(g))),
+    ]
     if lm.line.m <= 14:
         for k in range(1, 5):
             res = decide_eq(lm.line, k)
@@ -333,7 +337,7 @@ def test_word_rechecks_match_the_orientation_reference():
     for _ in range(60):
         g = _random_graph(rng, rng.randrange(2, 7), rng.choice([0.4, 0.7, 1.0]))
         if rng.random() < 0.3:  # a valid covering: no orientation witness holds
-            cover = cover_via_coloring(g, greedy=True)
+            cover = cover_via_coloring(g, greedy_coloring(g))
         else:
             k = rng.randrange(0, 5)
             cover = _random_words_cover(rng, g, k, rng.choice(["orientation", "elbow"]))

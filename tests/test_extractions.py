@@ -24,6 +24,7 @@ from eqcover import (
     Coloring,
     EquivalenceCover,
     Graph,
+    greedy_coloring,
     InvalidCoverError,
     bipartition,
     OrientationCover,
@@ -208,7 +209,7 @@ def _orientation_cases():
         g = _random_graph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.9]))
         if not g.has_incidence_pairs():
             continue
-        base = cover_via_coloring(g, greedy=True)
+        base = cover_via_coloring(g, greedy_coloring(g))
         if base.k < 3:
             base = _widen(base, 3, rng)
         for k in range(max(3, base.k), 9):
@@ -217,7 +218,7 @@ def _orientation_cases():
             yield f"random{trial}-k{k}-shuffled", g, _shuffle_bits(c, rng)
     for trial in range(15):
         g = _tree_with_triangle(rng, rng.randrange(4, 60))
-        c = cover_via_coloring(g, greedy=True)
+        c = cover_via_coloring(g, greedy_coloring(g))
         yield f"tree-triangle{trial}", g, c
         yield f"tree-triangle{trial}-k6", g, _shuffle_bits(_widen(c, 6, rng), rng)
     # colourings with many colours reach the K_c elbow bases (k = 8)
@@ -232,7 +233,7 @@ def _elbow_cases():
     for trial in range(60):
         n = rng.randrange(3, 40)
         g = _random_graph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.9]))
-        base = elbow_cover_via_coloring(g, greedy=True)
+        base = elbow_cover_via_coloring(g, greedy_coloring(g))
         for k in range(base.k, 5):
             c = _widen(base, k, rng)
             yield f"random{trial}-k{k}", g, c
@@ -241,7 +242,7 @@ def _elbow_cases():
         g = _tree_with_triangle(rng, rng.randrange(4, 60)) if trial % 2 else Graph(
             30, [(u, u + 1) for u in range(29)]
         )
-        yield f"tree{trial}", g, elbow_cover_via_coloring(g, greedy=True)
+        yield f"tree{trial}", g, elbow_cover_via_coloring(g, greedy_coloring(g))
     for name, g in (
         ("C6", generate_family("cycle", 6)),
         ("K33", generate_family("complete-bipartite", 3)),
@@ -276,10 +277,10 @@ def test_extractions_match_reference_on_corpus(corpus):
     for name, g in corpus.items():
         if not g.has_incidence_pairs():
             continue
-        sigma = cover_via_coloring(g, greedy=True)
+        sigma = cover_via_coloring(g, greedy_coloring(g))
         if sigma.k >= 3:
             assert coloring_from_orientation_cover(g, sigma) == reference_orientation(g, sigma), name
-        elbow = elbow_cover_via_coloring(g, greedy=True)
+        elbow = elbow_cover_via_coloring(g, greedy_coloring(g))
         assert coloring_from_elbow_cover(g, elbow) == reference_elbow(g, elbow), name
         assert coloring_from_elbow_cover(g, sigma) == reference_elbow(g, sigma), name
 
@@ -288,7 +289,7 @@ def test_repeated_cover_keeps_the_elbow_coloring():
     # repeating orientations maps bit-0-clear masks one to one, so the
     # elbow colouring is that of the base cover
     g = _random_graph(random.Random(5), 30, 0.3)
-    base = cover_via_coloring(g, greedy=True)
+    base = cover_via_coloring(g, greedy_coloring(g))
     wide = _repeat(base, 12)
     assert verify_orientation_cover(g, wide) is None
     assert coloring_from_elbow_cover(g, wide) == coloring_from_elbow_cover(g, base)
@@ -308,7 +309,7 @@ import os, sys, tempfile
 from eqcover import *
 from eqcover.cli import main
 g = generate_family("mycielski-iterate", 4)
-base = cover_via_coloring(g, greedy=True)
+base = cover_via_coloring(g, greedy_coloring(g))
 k = 40
 words = [sum(((w >> (i % base.k)) & 1) << i for i in range(k)) for w in base.words]
 wide = OrientationCover((g.n, g.m), k, words, "orientation")
@@ -358,7 +359,7 @@ def test_from_sorted_out_star_cover_matches_constructor():
     rng = random.Random(7)
     for _ in range(20):
         g = _random_graph(rng, rng.randrange(3, 30), 0.3)
-        c = cover_via_coloring(g, greedy=True)
+        c = cover_via_coloring(g, greedy_coloring(g))
         eq = out_star_eq_cover(g, c)
         _same(eq, _validated(eq))
         lm = line_graph(g)

@@ -88,7 +88,7 @@ CASES = {
     "m13": """
         g = generate_family("mycielski-iterate", 13)
         assert find_triangle(g) is None
-        cover = cover_via_coloring(g, greedy=True)
+        cover = cover_via_coloring(g, greedy_coloring(g))
         assert cover.k == 5 and verify_orientation_cover(g, cover) is None
         assert parse_cover(write_cover_for(g, cover), g).words == cover.words
     """,

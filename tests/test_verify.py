@@ -11,6 +11,7 @@ from eqcover.covers import EyebrowViolation
 from eqcover import (
     Budget,
     EquivalenceCover,
+    exact_chromatic,
     EyebrowCover,
     Graph,
     OrientationCover,
@@ -124,7 +125,7 @@ def test_every_orientation_cover_is_elbow_cover(corpus):
 
     for name in ("K3", "K4", "C4", "C5", "star3", "tri_pendant", "petersen"):
         g = corpus[name]
-        cover = cover_via_coloring(g)
+        cover = cover_via_coloring(g, exact_chromatic(g).witness)
         assert verify_orientation_cover(g, cover) is None
         assert verify_elbow_cover(g, cover) is None
 
@@ -161,8 +162,8 @@ def test_valid_certificates_are_read_and_checked_without_derived_tables():
     for family, p in (("petersen", 5), ("mycielski-iterate", 5), ("cycle", 7)):
         g = generate_family(family, p)
         covers = [
-            cover_via_coloring(g, greedy=True),
-            elbow_cover_via_coloring(g, greedy=True),
+            cover_via_coloring(g, greedy_coloring(g)),
+            elbow_cover_via_coloring(g, greedy_coloring(g)),
             solve_invariant(g, "eye", Budget(max_nodes=1)).witness,
         ]
         for cover, verify in zip(
@@ -214,7 +215,7 @@ def test_equivalence_overlap_and_uncovered():
 def test_equivalence_out_of_range_vertex():
     c4 = generate_family("cycle", 4)
     with pytest.raises(ShapeError):
-        verify_equivalence_cover(c4, EquivalenceCover(4, [[(0, 9)]]))
+        verify_equivalence_cover(c4, EquivalenceCover._from_sorted(4, [[(0, 9)]]))
 
 
 def _indices(mask):
@@ -234,7 +235,7 @@ def test_signatures_complementation(corpus):
 
     for name in ("K3", "K4", "C5", "tri_pendant"):
         g = corpus[name]
-        cover = cover_via_coloring(g)
+        cover = cover_via_coloring(g, exact_chromatic(g).witness)
         full = (1 << cover.k) - 1
         for e, (u, v) in enumerate(g.edges):
             assert _out_mask(g, cover, e, u) == full ^ _out_mask(g, cover, e, v)
