@@ -1,13 +1,13 @@
 """Certificates and their verification.
 
 A covering claim is a set of orientations (one bit per orientation in
-each edge's word), permutations, or clique-partitions over one
+each edge's word), vertex rankings, or clique-partitions over one
 reference graph.  The verifiers either
 confirm the claim or return a self-certifying counterexample, so a
 certificate file can be trusted end to end.
 
-The centerpiece here is a hand-built table of five permutations of 16
-elements: their induced acyclic orientations cover every incidence pair
+The centerpiece here is a hand-built table of five rankings of 16
+vertices: their induced acyclic orientations cover every incidence pair
 of K_16, which pins sigma(K_16) <= 5 (two better than the generic
 doubling construction gives).
 """
@@ -21,11 +21,11 @@ from eqcover import (
 )
 
 g16 = generate_family("complete", 16)
-perms, cover = k16_table_cover()
+rankings, cover = k16_table_cover()
 
 print("The five permutations (ranks of vertices 0..15):")
-for i, p in enumerate(perms, start=1):
-    print(f"  pi_{i}: {list(p.values)}")
+for i, ranks in enumerate(rankings, start=1):
+    print(f"  pi_{i}: {list(ranks)}")
 
 violation = verify_orientation_cover(g16, cover)
 print(f"\nverify_orientation_cover(K16, table) -> {violation}  (None = valid)")

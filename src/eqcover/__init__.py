@@ -9,15 +9,16 @@ certificates for every claim:
     vertex point out of it together somewhere;
   - elb(G): minimum orientations leaving every 2-edge path non-directed
     somewhere;
-  - eye(G): minimum vertex permutations ranking, for every edge and
-    third vertex, the third vertex outside the edge's rank interval
+  - eye(G): minimum vertex rankings placing, for every edge and third
+    vertex, the third vertex outside the edge's rank interval
     somewhere.
 
-The package provides the value types (graphs, permutations, colorings,
-covers; a cover of k orientations is one k-bit word per edge),
-verifiers returning self-certifying violations, constructive
-conversions realizing the known inequalities between the invariants,
-exact solvers for small instances, and composed interval reports.
+The package provides the value types (graphs, colorings, covers; a
+cover of k orientations is one k-bit word per edge, an eyebrow cover
+k tuples of vertex ranks), verifiers returning self-certifying
+violations, constructive conversions realizing the known inequalities
+between the invariants, exact solvers for small instances, and
+composed interval reports.
 """
 
 from .bounds import AlonBounds, BoundsReport, alon_bounds, bounds_report
@@ -62,9 +63,12 @@ from .exact import (
     solve_invariant,
 )
 from .graphs import (
+    Coloring,
     Graph,
     GraphFormatError,
+    ImproperColoringError,
     NotBipartiteError,
+    ShapeError,
     bipartition,
     find_triangle,
     generate_family,
@@ -76,12 +80,6 @@ from .graphs import (
     write_graph_file,
 )
 from .linegraph import LineGraphMap, line_graph
-from .orientations import (
-    Coloring,
-    ImproperColoringError,
-    Permutation,
-    ShapeError,
-)
 from .verify import (
     verify_elbow_cover,
     verify_equivalence_cover,
@@ -107,7 +105,6 @@ __all__ = [
     "LineGraphMap",
     "NotBipartiteError",
     "OrientationCover",
-    "Permutation",
     "ShapeError",
     "SolveResult",
     "Violation",

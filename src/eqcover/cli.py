@@ -51,13 +51,14 @@ from .exact import Budget, exact_chromatic, greedy_coloring, solve_invariant
 from .graphs import (
     Graph,
     GraphFormatError,
+    ImproperColoringError,
     NotBipartiteError,
+    ShapeError,
     generate_family,
     read_graph_file,
     write_graph_file,
 )
 from .linegraph import line_graph
-from .orientations import ImproperColoringError, ShapeError
 from .verify import VERIFIERS
 
 _USAGE_ERRORS = (
@@ -163,12 +164,19 @@ _CONSTRUCT_OP_FLAGS = sorted({f for req, opt in _CONSTRUCT_FLAGS.values() for f 
 def _cmd_construct(args) -> int:
     op = args.op
     needs, reads = _CONSTRUCT_FLAGS[op]
+    given = ""
+    if op == "via-coloring" and (args.coloring is not None or args.greedy):
+        # a coloring file is read in place of --greedy, and neither searches
+        reads = ("coloring",) if args.coloring is not None else ("greedy",)
+        given = f" with --{reads[0]}"
     for flag in needs:
         if getattr(args, flag) is None:
             raise ValueError(f"construct --op {op} requires --{flag}")
     for flag in _CONSTRUCT_OP_FLAGS:
         if flag not in needs + reads and getattr(args, flag) is not None:
-            raise ValueError(f"construct --op {op} does not read --{flag.replace('_', '-')}")
+            raise ValueError(
+                f"construct --op {op}{given} does not read --{flag.replace('_', '-')}"
+            )
     if "graph" in needs:
         g = read_graph_file(args.graph)
     if op in ("eq-from-orientation", "orientation-from-eq"):
@@ -185,11 +193,11 @@ def _cmd_construct(args) -> int:
         wrote.append(path)
 
     if op == "k16-table":
-        perms, cover = k16_table_cover()
+        rankings, cover = k16_table_cover()
         g16 = generate_family("complete", 16)
         emit_cover(g16, cover)
         if args.perms_output:
-            emit_cover(g16, EyebrowCover(16, perms), args.perms_output)
+            emit_cover(g16, EyebrowCover(16, rankings), args.perms_output)
     elif op == "elbow-complete":
         cover = elbow_cover_complete(args.n)
         emit_cover(generate_family("complete", args.n), cover)
@@ -203,7 +211,7 @@ def _cmd_construct(args) -> int:
     elif op == "bipartite":
         emit_cover(g, bipartite_orientation_cover(g))
     elif op == "via-coloring":
-        if args.coloring:
+        if args.coloring is not None:
             with open(args.coloring, "r", encoding="utf-8") as fh:
                 coloring = parse_coloring(fh.read(), g.n)
         elif args.greedy:

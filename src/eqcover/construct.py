@@ -30,9 +30,8 @@ from itertools import count, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covers import EquivalenceCover, EquivalenceSubgraph, OrientationCover, Violation
-from .graphs import Graph, bipartition
+from .graphs import Coloring, Graph, bipartition
 from .linegraph import LineGraphMap
-from .orientations import Coloring, Permutation
 from .verify import (
     verify_elbow_cover,
     verify_equivalence_cover,
@@ -143,10 +142,9 @@ def _complete_cover(ranks: Sequence[Sequence[int]], kind: str) -> OrientationCov
     return OrientationCover((n, len(words)), k, words, kind)
 
 
-def k16_table_cover() -> Tuple[Tuple[Permutation, ...], OrientationCover]:
-    """The five hardcoded permutations and their induced orientations of K_16."""
-    perms = tuple(Permutation(row) for row in K16_RANK_ROWS)
-    return perms, _complete_cover(K16_RANK_ROWS, "orientation")
+def k16_table_cover() -> Tuple[Tuple[Tuple[int, ...], ...], OrientationCover]:
+    """The five hardcoded rankings of K_16 and their induced orientations."""
+    return K16_RANK_ROWS, _complete_cover(K16_RANK_ROWS, "orientation")
 
 
 def k4_sigma3_cover() -> OrientationCover:
@@ -358,20 +356,20 @@ def cover_via_coloring(g: Graph, coloring: Coloring) -> OrientationCover:
     """Orientation covering pulled back from a covering of K_c, where c
     is the palette size of the proper coloring of g.
 
-    Prefers the smallest known complete-graph base: the bipartite
-    construction for c <= 2, the pinned size-3 covering of K_4 for
-    c <= 4, the size-5 table covering of K_16 for c <= 16, and the
-    reversal-doubled elbow covering of K_c (size 2 ceil(log2 log2 c) + 2)
-    beyond.  Each base is a list of vertex rankings, so the word of an
-    edge compares the ranks of its endpoint colors and no K_c is built.
-    The caller chooses the coloring; nothing here searches for one.
+    Prefers the smallest known complete-graph base: the two rankings of
+    K_2 for c <= 2 (each color class in turn the sources, so the cover
+    follows the given coloring, not a bipartition of its own), the
+    pinned size-3 covering of K_4 for c <= 4, the size-5 table covering
+    of K_16 for c <= 16, and the reversal-doubled elbow covering of K_c
+    (size 2 ceil(log2 log2 c) + 2) beyond.  Each base is a list of vertex
+    rankings, so the word of an edge compares the ranks of its endpoint
+    colors and no K_c is built.  The caller chooses the coloring; nothing
+    here searches for one.
     """
     coloring.require_proper(g)
     dense = coloring.dense()
     c = dense.palette_size
     size = pullback_size(c, "elbow")
-    if size == 1:
-        return bipartite_orientation_cover(g)
     if size <= len(_SIGMA_BASES):
         ranks: Sequence[Sequence[int]] = _SIGMA_BASES[size - 1]
     else:

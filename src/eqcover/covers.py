@@ -1,8 +1,8 @@
 """Covering certificates and their violation witnesses.
 
 A cover is a claim: k orientations stored as one k-bit word per edge
-(orientation or elbow covering), permutations (eyebrow covering), or
-clique-partitions (equivalence covering) said to satisfy a covering
+(orientation or elbow covering), k vertex rankings (eyebrow covering),
+or clique-partitions (equivalence covering) said to satisfy a covering
 property over one reference graph.  Cover objects only carry the claim;
 the ``verify`` module checks it and returns a Violation on failure.
 
@@ -18,8 +18,7 @@ from itertools import accumulate, compress, count, islice, repeat
 from operator import eq, ge, itemgetter, lshift, or_
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .graphs import _DELETE_DIGITS, Graph, _decimal_ints
-from .orientations import Coloring, Permutation, ShapeError
+from .graphs import _DELETE_DIGITS, Coloring, Graph, ShapeError, _decimal_ints
 
 COVER_KINDS = ("orientation", "elbow", "eyebrow", "equivalence")
 
@@ -88,22 +87,50 @@ class OrientationCover:
         return f"OrientationCover(kind={self.kind}, k={self.k}, shape={self.graph_shape})"
 
 
-class EyebrowCover:
-    """k permutations of the reference graph's vertices."""
+class _PermutationView(NamedTuple):
+    """One ranking of an eyebrow cover.  Kept for ``bench/`` until
+    ROADMAP item 1 moves the benchmark to ``EyebrowCover.rankings``."""
 
-    __slots__ = ("n", "permutations")
+    values: Tuple[int, ...]
+
+
+def _check_ranking(ranks: Tuple[int, ...], n: int) -> None:
+    """Raise unless ``ranks`` is a permutation of 0..n-1."""
+    if sorted(ranks) != list(range(len(ranks))):
+        raise ValueError("values must be a permutation of 0..n-1")
+    if len(ranks) != n:
+        raise ShapeError(f"permutation length {len(ranks)} != n={n}")
+
+
+class EyebrowCover:
+    """k rankings of the reference graph's vertices: ranking r gives
+    vertex v the rank r[v], and is a permutation of 0..n-1."""
+
+    __slots__ = ("n", "rankings")
     kind = "eyebrow"
 
-    def __init__(self, n: int, permutations: Sequence[Permutation]):
-        for p in permutations:
-            if len(p) != n:
-                raise ShapeError(f"permutation length {len(p)} != n={n}")
+    def __init__(self, n: int, rankings: Sequence[Sequence[int]]):
         self.n = int(n)
-        self.permutations: Tuple[Permutation, ...] = tuple(permutations)
+        self.rankings = tuple(tuple(map(int, r)) for r in rankings)
+        for r in self.rankings:
+            _check_ranking(r, self.n)
+
+    @classmethod
+    def _from_checked(cls, n: int, rankings: List[Tuple[int, ...]]) -> "EyebrowCover":
+        """Cover of int tuples already known to permute 0..n-1."""
+        cover = cls.__new__(cls)
+        cover.n = n
+        cover.rankings = tuple(rankings)
+        return cover
+
+    @property
+    def permutations(self) -> Tuple[_PermutationView, ...]:
+        """Each ranking in a ``values`` field, built on every read."""
+        return tuple(map(_PermutationView, self.rankings))
 
     @property
     def k(self) -> int:
-        return len(self.permutations)
+        return len(self.rankings)
 
     def __repr__(self) -> str:
         return f"EyebrowCover(k={self.k}, n={self.n})"
@@ -231,7 +258,7 @@ class ElbowViolation(Violation):
 
 class EyebrowViolation(Violation):
     """An edge and a third vertex ranked strictly between its endpoints
-    by every permutation."""
+    by every ranking."""
 
     kind = "eyebrow"
 
@@ -246,9 +273,9 @@ class EyebrowViolation(Violation):
         u, v = self.edge
         if self.w in (u, v) or not g.has_edge(u, v):
             return False
-        for p in cover.permutations:
-            lo, hi = sorted((p(u), p(v)))
-            if not (lo < p(self.w) < hi):
+        for r in cover.rankings:
+            lo, hi = sorted((r[u], r[v]))
+            if not (lo < r[self.w] < hi):
                 return False
         return True
 
@@ -356,8 +383,7 @@ def write_cover_for(g: Graph, cover) -> str:
         if cover.n != g.n:
             raise ShapeError(f"cover n={cover.n} does not match graph n={g.n}")
         lines.append(f"cover eyebrow {cover.k} {g.n} {g.m}")
-        for p in cover.permutations:
-            lines.append("perm " + " ".join(str(r) for r in p.values))
+        lines.extend(["perm " + " ".join(map(str, r)) for r in cover.rankings])
     else:
         raise TypeError(f"cannot serialize {type(cover).__name__}")
     return "\n".join(lines) + "\n"
@@ -592,7 +618,7 @@ def _parse_orientation_blocks(body, g: Graph, k: int) -> List[int]:
 
 
 def _parse_eyebrow(body, g: Graph, k: int) -> EyebrowCover:
-    perms = []
+    rankings = []
     if len(body) != k:
         raise CoverFormatError(f"expected {k} 'perm' lines, found {len(body)}")
     for lineno, line in body:
@@ -602,14 +628,15 @@ def _parse_eyebrow(body, g: Graph, k: int) -> EyebrowCover:
                 f"line {lineno}: expected 'perm' followed by {g.n} ranks"
             )
         try:
-            ranks = [int(x) for x in parts[1:]]
+            ranks = tuple(map(int, parts[1:]))
         except ValueError:
             raise CoverFormatError(f"line {lineno}: non-integer rank") from None
         try:
-            perms.append(Permutation(ranks))
+            _check_ranking(ranks, g.n)
         except ValueError as exc:
             raise CoverFormatError(f"line {lineno}: {exc}") from None
-    return EyebrowCover(g.n, perms)
+        rankings.append(ranks)
+    return EyebrowCover._from_checked(g.n, rankings)
 
 
 def _parse_equivalence(body, g: Graph, k: int) -> EquivalenceCover:

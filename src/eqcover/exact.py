@@ -18,7 +18,7 @@ reduction: orientations are interchangeable, so the orientation blocks
 are required to be lexicographically nondecreasing as direction
 bit-vectors.  The same lexicographic block reduction (and nothing else,
 since label classes are interchangeable too) applies to equivalence
-coverings and to eyebrow permutation tuples.
+coverings and to eyebrow ranking tuples.
 
 The orientation/elbow search runs on bitsets over the words: each
 vertex keeps a domain of the words still allowed on its incident edges
@@ -52,8 +52,7 @@ from typing import Callable, List, Optional, Tuple
 
 from . import construct
 from .covers import EquivalenceCover, EyebrowCover, OrientationCover
-from .graphs import Graph, NotBipartiteError
-from .orientations import Coloring, Permutation
+from .graphs import Coloring, Graph, NotBipartiteError
 
 
 class _OutOfBudget(Exception):
@@ -292,18 +291,21 @@ def _closed_form_cover(g: Graph, k: int, kind: str) -> Optional[OrientationCover
         return None
 
 
+def _ranking(order: List[int]) -> Tuple[int, ...]:
+    """The ranking that lists the vertices in ``order``, rank 0 first."""
+    return tuple(sorted(range(len(order)), key=order.__getitem__))
+
+
 def _kn_cover(g: Graph, kind: str, k: int = 0):
     """The cover of K_n restricted to g, with its last member repeated up
     to size k: the pullback of the identity coloring for kinds
-    'orientation' and 'elbow' (k at least its size), the permutations of
-    the eyebrow rankings of K_n for 'eyebrow' (none when no edge has a
-    third vertex).  Its size is ``construct.pullback_size(g.n, kind)``."""
+    'orientation' and 'elbow' (k at least its size), the eyebrow
+    rankings of K_n, ties broken by vertex, for 'eyebrow' (none when no
+    edge has a third vertex).  Its size is ``construct.pullback_size``."""
     if kind == "eyebrow":
         ranks = construct._elbow_ranks(g.n) if g.m and g.n >= 3 else []
-        perms = [
-            Permutation.from_order(sorted(range(g.n), key=r.__getitem__)) for r in ranks
-        ]
-        return EyebrowCover(g.n, perms + perms[-1:] * (k - len(perms)))
+        rankings = [_ranking(sorted(range(g.n), key=r.__getitem__)) for r in ranks]
+        return EyebrowCover(g.n, rankings + rankings[-1:] * (k - len(rankings)))
     pull = construct.elbow_cover_via_coloring if kind == "elbow" else construct.cover_via_coloring
     cover = pull(g, Coloring(range(g.n)))
     last, top = 1 << (cover.k - 1), (1 << k) - (1 << cover.k)
@@ -472,29 +474,28 @@ def _path_order(g: Graph) -> Optional[List[int]]:
 
 
 def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult:
-    """Can k vertex permutations rank, for every edge uv and third
-    vertex w, some pi with pi(w) outside the interval of pi(u), pi(v)?
+    """Are there k vertex rankings such that, for every edge uv and third
+    vertex w, some ranking r puts r[w] outside the interval of r[u], r[v]?
 
     k <= 1 is answered in closed form, without search nodes: with an
-    edge and a third vertex, k = 0 fails, and one permutation works
+    edge and a third vertex, k = 0 fails, and one ranking works
     exactly when every edge joins consecutive ranks, that is when g is
     a linear forest (the witness lists the vertices path by path).  So
     is every k at or above the number of eyebrow rankings of K_n.
     Larger k is brute force over lexicographically nondecreasing
-    k-tuples of permutations, pruning on the constraints still
+    k-tuples of rankings, pruning on the constraints still
     uncovered; intended for small n.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     budget = budget or Budget()
     if g.m == 0 or g.n < 3:  # no edge has a third vertex
-        perms = [Permutation.identity(g.n)] * k
-        return DecideResult("sat", EyebrowCover(g.n, perms), budget.nodes)
+        return DecideResult("sat", EyebrowCover(g.n, [range(g.n)] * k), budget.nodes)
     if k <= 1:
         order = _path_order(g) if k == 1 else None
         if order is None:
             return DecideResult("unsat", None, budget.nodes)
-        cover = EyebrowCover(g.n, [Permutation.from_order(order)])
+        cover = EyebrowCover(g.n, [_ranking(order)])
         return DecideResult("sat", cover, budget.nodes)
     if k >= construct.pullback_size(g.n, "eyebrow"):
         return DecideResult("sat", _kn_cover(g, "eyebrow", k), budget.nodes)
@@ -541,7 +542,7 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
         return DecideResult("timeout", None, budget.nodes)
     if not sat:
         return DecideResult("unsat", None, budget.nodes)
-    cover = EyebrowCover(g.n, [Permutation(r) for r in chosen])
+    cover = EyebrowCover(g.n, chosen)
     return DecideResult("sat", cover, budget.nodes)
 
 

@@ -3,9 +3,9 @@
 Vertices are the integers 0..n-1.  Edges are unordered pairs stored
 normalized (u < v) and sorted lexicographically; the index of an edge is
 its position in that sorted list.  Every other object in this package
-(orientations, covers, colorings) refers to edges by these indices, so
-the indexing must be reproducible: identical inputs always produce the
-same edge order.
+(covers, colorings) refers to edges by these indices, so the indexing
+must be reproducible: identical inputs always produce the same edge
+order.  Colorings and the shape and coloring errors live here too.
 
 A graph stores only n and the sorted edges.  Adjacency, incidence and
 the edge-to-index map are each derived the first time something reads
@@ -42,6 +42,18 @@ class NotBipartiteError(ValueError):
     def __init__(self, cycle: Sequence[int]):
         self.cycle = tuple(cycle)
         super().__init__(f"graph is not bipartite: odd cycle {self.cycle}")
+
+
+class ShapeError(ValueError):
+    """A cover, ranking or coloring does not fit its graph."""
+
+
+class ImproperColoringError(ValueError):
+    """A supplied coloring gives both endpoints of ``self.edge`` one color."""
+
+    def __init__(self, edge: Tuple[int, int]):
+        self.edge = edge
+        super().__init__(f"coloring is not proper: edge {edge} is monochromatic")
 
 
 class Graph:
@@ -176,6 +188,52 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class Coloring:
+    """A vertex coloring; palette_size counts the distinct colors used."""
+
+    __slots__ = ("colors", "palette_size")
+
+    def __init__(self, colors: Iterable[int]):
+        cols = tuple(int(c) for c in colors)
+        if any(c < 0 for c in cols):
+            raise ValueError("colors must be nonnegative")
+        self.colors = cols
+        self.palette_size = len(set(cols))
+
+    def check_proper(self, g: Graph) -> Optional[Tuple[int, int]]:
+        """First monochromatic edge, or None when the coloring is proper."""
+        if len(self.colors) != g.n:
+            raise ShapeError(f"coloring has {len(self.colors)} entries, graph has {g.n}")
+        for u, v in g.edges:
+            if self.colors[u] == self.colors[v]:
+                return (u, v)
+        return None
+
+    def require_proper(self, g: Graph) -> None:
+        bad = self.check_proper(g)
+        if bad is not None:
+            raise ImproperColoringError(bad)
+
+    def dense(self) -> "Coloring":
+        """Relabel colors to 0..palette_size-1 by first occurrence."""
+        remap: dict[int, int] = {}
+        out = []
+        for c in self.colors:
+            if c not in remap:
+                remap[c] = len(remap)
+            out.append(remap[c])
+        return Coloring(out)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Coloring) and self.colors == other.colors
+
+    def __hash__(self) -> int:
+        return hash(self.colors)
+
+    def __repr__(self) -> str:
+        return f"Coloring(palette={self.palette_size}, n={len(self.colors)})"
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:

@@ -27,14 +27,14 @@ stops.  Only at that vertex does the row-major pair scan run, to pick
 the witness, on its edges read off the sorted edge list.  Covers with
 more than eight orientations, which would need a larger table, are
 scanned vertex by vertex instead.  An eyebrow cover is checked with
-vertex bitsets: per permutation, the vertices ranked strictly between
+vertex bitsets: per ranking, the vertices ranked strictly between
 u and v are a difference of two prefix sets.
 
 Verifiers return None for a valid cover and the lexicographically first
 Violation otherwise (smallest vertex, then smallest pair of edge
 indices; for eyebrow coverings, smallest edge index then third vertex).
 They are pure: permuting the cover's orientations (one bit order for
-every word) never changes the result status.
+every word) or its rankings never changes the result status.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ from .covers import (
     OrientationCover,
     OrientationViolation,
 )
-from .graphs import Graph
-from .orientations import ShapeError
+from .graphs import Graph, ShapeError
 
 _TABLE_MAX_K = 8  # a 2^k x 2^k bad-pair table; wider covers are scanned
 
@@ -156,17 +155,17 @@ def verify_elbow_cover(g: Graph, cover: OrientationCover) -> Optional[ElbowViola
 
 
 def verify_eyebrow_cover(g: Graph, cover: EyebrowCover) -> Optional[EyebrowViolation]:
-    """None if for every edge uv and third vertex w some permutation
-    ranks w outside the open interval spanned by u and v."""
+    """None if for every edge uv and third vertex w some ranking ranks
+    w outside the open interval spanned by u and v."""
     if cover.n != g.n:
         raise ShapeError(f"cover n={cover.n} does not match graph n={g.n}")
-    spans = []  # per permutation: ranks, and below[r] = vertices ranked below r
-    for p in cover.permutations:
+    spans = []  # per ranking: the ranks, and below[r] = vertices ranked below r
+    for ranks in cover.rankings:
         below, acc = [], 0
-        for v in p.order():
+        for v in sorted(range(g.n), key=ranks.__getitem__):
             below.append(acc)
             acc |= 1 << v
-        spans.append((p.values, below))
+        spans.append((ranks, below))
     everyone = (1 << g.n) - 1
     for u, v in g.edges:
         between = everyone ^ (1 << u) ^ (1 << v)

@@ -29,6 +29,15 @@ def ranking_cover(g, rankings, kind="orientation"):
     return cover_from_directions((g.n, g.m), rows, kind)
 
 
+def ranking(order):
+    """The vertex ranking that lists the vertices in ``order``: the
+    vertex at position i of the order gets rank i."""
+    ranks = [0] * len(order)
+    for rank, v in enumerate(order):
+        ranks[v] = rank
+    return tuple(ranks)
+
+
 def arrow(g, cover, i, e):
     """Edge e as a (tail, head) pair in orientation i."""
     u, v = g.edges[e]

@@ -46,12 +46,12 @@ def report(number: int, description: str, ok: bool) -> None:
 
 def test_criterion_01_k16_table_certificate():
     g = generate_family("complete", 16)
-    perms, cover = k16_table_cover()
+    rankings, cover = k16_table_cover()
     # orientation i runs each edge out of the end that row i ranks lower
     rebuilt = [tuple(0 if r[u] < r[v] else 1 for u, v in g.edges) for r in K16_RANK_ROWS]
     ok = (
         cover.k == 5
-        and [p.values for p in perms] == list(K16_RANK_ROWS)
+        and rankings == K16_RANK_ROWS
         and directions(cover) == rebuilt
         and verify_orientation_cover(g, cover) is None
     )

@@ -471,11 +471,45 @@ def test_construct_via_coloring_out_of_budget_exits_2(tmp_path, capsys):
     assert not out_path.exists()
     code, out, _ = run(
         capsys, "construct", "--op", "via-coloring", "--graph", str(g),
-        "--max-nodes", "1", "--greedy", "--output", str(out_path),
+        "--greedy", "--output", str(out_path),
     )
     assert code == 0 and out == f"WROTE {out_path}\n"
     code, out, _ = run(capsys, "verify", "--kind", "orientation", "--graph", str(g), "--cover", str(out_path))
     assert code == 0 and out == "VALID k=3\n"
+
+
+@pytest.mark.parametrize(
+    "source,unread",
+    [
+        (["--coloring", "COL"], ["--greedy"]),
+        (["--coloring", "COL"], ["--max-nodes", "1"]),
+        (["--coloring", "COL"], ["--max-seconds", "1"]),
+        (["--coloring", "COL"], ["--greedy", "--max-nodes", "1"]),
+        (["--greedy"], ["--max-nodes", "1"]),
+        (["--greedy"], ["--max-seconds", "1"]),
+    ],
+)
+def test_via_coloring_refuses_the_flags_its_coloring_source_does_not_read(
+    tmp_path, capsys, source, unread
+):
+    # a coloring file is read in place of --greedy, and neither takes a
+    # search budget; a refused flag exits 2 and writes nothing
+    g, col, out_path = tmp_path / "p.g", tmp_path / "p.col", tmp_path / "never.cov"
+    run(capsys, "gen", "--family", "petersen", "--parameter", "5", "--output", str(g))
+    col.write_text("".join(f"{v} {c}\n" for v, c in enumerate((0, 1, 0, 1, 2, 1, 2, 2, 0, 0))))
+    argv = [str(col) if a == "COL" else a for a in source + unread]
+    code, out, err = run(
+        capsys, "construct", "--op", "via-coloring", "--graph", str(g), *argv,
+        "--output", str(out_path),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: construct --op via-coloring with {source[0]} does not read {unread[0]}\n"
+    assert not out_path.exists()
+    code, out, _ = run(
+        capsys, "construct", "--op", "via-coloring", "--graph", str(g), *argv[: len(source)],
+        "--output", str(out_path),
+    )
+    assert code == 0 and out == f"WROTE {out_path}\n"
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from eqcover import (
 )
 from eqcover.construct import elbow_double, k4_elbow_base, restrict_cover_to_induced
 from eqcover.covers import EquivalenceViolation
-from eqcover.orientations import Coloring, ShapeError
+from eqcover.graphs import Coloring, ShapeError
 
 BUDGETS = (None, 1, 7, 50, 300)
 

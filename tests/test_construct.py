@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from eqcover import (
@@ -10,7 +12,6 @@ from eqcover import (
     InvalidCoverError,
     NotBipartiteError,
     OrientationCover,
-    Permutation,
     ShapeError,
     bipartite_orientation_cover,
     coloring_from_elbow_cover,
@@ -35,7 +36,7 @@ from eqcover import (
 )
 from eqcover.construct import _out_classes
 
-from cover_words import arrow, cover_from_directions, directions, ranking_cover
+from cover_words import arrow, cover_from_directions, directions, ranking, ranking_cover
 
 
 # The analogue of an orientation: its out-stars, an equivalence subgraph
@@ -57,7 +58,7 @@ def test_analogue_of_matching():
 def test_analogue_k4_identity_class_sizes():
     k4 = generate_family("complete", 4)
     lm = line_graph(k4)
-    cover = ranking_cover(k4, [Permutation.identity(4).values])
+    cover = ranking_cover(k4, [range(4)])
     classes = _out_classes(k4, cover.words, 0)
     assert sorted(len(c) for c in classes) == [1, 2, 3]
     # classes are disjoint and induce cliques of the line graph
@@ -169,7 +170,7 @@ def test_elbow_double_shapes_and_validity():
 
 def test_elbow_double_rejects_bad_base():
     g4 = generate_family("complete", 4)
-    one = ranking_cover(g4, [Permutation.identity(4).values], "elbow")
+    one = ranking_cover(g4, [range(4)], "elbow")
     with pytest.raises(InvalidCoverError):
         elbow_double(g4, one)
     with pytest.raises(ValueError):
@@ -212,7 +213,7 @@ def test_orientation_from_elbow():
 
 def test_orientation_from_elbow_rejects_invalid():
     k4 = generate_family("complete", 4)
-    one = ranking_cover(k4, [Permutation.identity(4).values], "elbow")
+    one = ranking_cover(k4, [range(4)], "elbow")
     with pytest.raises(InvalidCoverError):
         orientation_cover_from_elbow(k4, one)
 
@@ -278,6 +279,29 @@ def test_cover_via_coloring_supplied_and_greedy():
     assert verify_orientation_cover(c5, cover) is None
     greedy = cover_via_coloring(c5, greedy_coloring(c5))
     assert verify_orientation_cover(c5, greedy) is None
+
+
+def test_cover_via_coloring_follows_a_given_two_coloring():
+    # the second edge's colors run against a breadth-first bipartition,
+    # which would start each component at color 0
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    assert cover_via_coloring(two_edges, Coloring([0, 1, 1, 0])).words == (1, 2)
+    # orientation i runs every edge out of its end of (dense) color i
+    rng = random.Random(404)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        side = [rng.randrange(2) for _ in range(n)]
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if side[u] != side[v] and rng.random() < 0.4
+        ]
+        g = Graph(n, edges)
+        coloring = Coloring([5 * s for s in side])
+        dense = coloring.dense().colors
+        cover = cover_via_coloring(g, coloring)
+        assert cover.k == 2
+        assert cover.words == tuple(1 << dense[u] for u, _ in g.edges)
+        assert verify_orientation_cover(g, cover) is None
 
 
 def test_coloring_from_elbow_k4():
@@ -411,9 +435,9 @@ def test_coloring_from_orientation_requires_k3():
 
 
 def test_k16_table_rows():
-    perms, cover = k16_table_cover()
-    assert perms[0] == Permutation.identity(16)
-    assert perms[1].values == (12, 10, 9, 5, 3, 8, 4, 2, 6, 1, 11, 7, 13, 14, 15, 0)
+    rankings, cover = k16_table_cover()
+    assert rankings[0] == tuple(range(16))
+    assert rankings[1] == (12, 10, 9, 5, 3, 8, 4, 2, 6, 1, 11, 7, 13, 14, 15, 0)
     assert cover.k == 5
 
 
@@ -516,9 +540,9 @@ def test_rank_pullbacks_match_explicit_base_pullback():
     k256 = generate_family("complete", 256)
     rows = ((0, 0, 0, 1, 1, 0), (1, 1, 1, 0, 0, 0), (1, 1, 1, 1, 1, 1))
     sigma4 = cover_from_directions((4, 6), rows)
-    sigma16 = ranking_cover(k16, [p.values for p in k16_table_cover()[0]])
+    sigma16 = ranking_cover(k16, k16_table_cover()[0])
     orders = ((0, 1, 2, 3), (2, 0, 3, 1))
-    elbow4 = ranking_cover(k4, [Permutation.from_order(o).values for o in orders], "elbow")
+    elbow4 = ranking_cover(k4, [ranking(o) for o in orders], "elbow")
     elbow16 = elbow_double(k4, elbow4)
     elbow256 = elbow_double(k16, elbow16)
 

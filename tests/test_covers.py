@@ -12,7 +12,6 @@ from eqcover import (
     EyebrowCover,
     Graph,
     OrientationCover,
-    Permutation,
     ShapeError,
     cover_via_coloring,
     eq_cover_from_orientation_cover,
@@ -28,7 +27,7 @@ from eqcover import (
     write_cover_for,
 )
 from eqcover.covers import write_equivalence_cover
-from eqcover.orientations import Coloring
+from eqcover.graphs import Coloring
 
 from cover_words import arrow, directions
 
@@ -53,11 +52,11 @@ def test_elbow_kind_preserved():
 
 def test_eyebrow_round_trip():
     g = generate_family("path", 3)
-    cover = EyebrowCover(3, [Permutation.identity(3), Permutation((2, 1, 0))])
+    cover = EyebrowCover(3, [range(3), (2, 1, 0)])
     text = write_cover_for(g, cover)
     assert "perm 0 1 2" in text
     again = parse_cover(text, g)
-    assert [p.values for p in again.permutations] == [(0, 1, 2), (2, 1, 0)]
+    assert again.rankings == ((0, 1, 2), (2, 1, 0))
 
 
 def test_equivalence_round_trip():
@@ -93,6 +92,13 @@ def test_arrows_in_any_order_accepted():
         ),
         ("cover eyebrow 1 3 2\nperm 0 1\n", "expected 'perm'"),
         ("cover eyebrow 1 3 2\nperm 0 0 1\n", "permutation"),
+        # the whole message, line number included, for each bad ranking line
+        ("cover eyebrow 2 3 2\nperm 0 1 2\nperm 1 2 3\n",
+         r"^line 3: values must be a permutation of 0\.\.n-1$"),
+        ("cover eyebrow 2 3 2\nperm 0 1 2\nperm 0 1 2 3\n",
+         r"^line 3: expected 'perm' followed by 3 ranks$"),
+        ("cover eyebrow 2 3 2\nperm 0 1 2\nperm 0 x 2\n", r"^line 3: non-integer rank$"),
+        ("cover eyebrow 2 3 2\nperm 0 1 2\n", r"^expected 2 'perm' lines, found 1$"),
         ("cover equivalence 1 3 2\nclique 0 1\n", "before any 'block'"),
         ("cover equivalence 1 3 2\nblock 1\nclique\n", "empty clique"),
         ("cover equivalence 1 3 2\nblock 1\nclique 0 0\n", "repeated vertex"),
@@ -118,7 +124,7 @@ def test_cover_shape_validation_on_write():
     with pytest.raises(ShapeError):
         write_cover_for(g, k4_sigma3_cover())
     with pytest.raises(ShapeError):
-        write_cover_for(g, EyebrowCover(4, [Permutation.identity(4)]))
+        write_cover_for(g, EyebrowCover(4, [range(4)]))
 
 
 def test_orientation_cover_constructor_checks():
@@ -190,7 +196,21 @@ def test_empty_cover_round_trip():
 
 def test_eyebrow_cover_constructor_shape():
     with pytest.raises(ShapeError):
-        EyebrowCover(4, [Permutation.identity(3)])
+        EyebrowCover(4, [range(3)])
+
+
+def test_eyebrow_cover_constructor_errors():
+    # the types and messages that a permutation object of a given length
+    # raised before rankings were stored as plain tuples
+    with pytest.raises(ShapeError, match=r"^permutation length 4 != n=3$"):
+        EyebrowCover(3, [(0, 1, 2), (3, 1, 0, 2)])
+    for n, bad in ((3, (0, 0, 1)), (4, (0, 0, 1)), (3, (1, 2, 3)), (2, (-1, 0))):
+        with pytest.raises(ValueError, match=r"^values must be a permutation of 0\.\.n-1$") as info:
+            EyebrowCover(n, [range(n), bad])
+        assert type(info.value) is ValueError
+    cover = EyebrowCover(3, [[2, 0, 1], range(3)])
+    assert cover.rankings == ((2, 0, 1), (0, 1, 2)) and cover.k == 2
+    assert [p.values for p in cover.permutations] == list(cover.rankings)
 
 
 def test_violation_recheck_rejects_wrong_witnesses():

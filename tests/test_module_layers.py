@@ -1,7 +1,7 @@
 """The package's modules import one another in one direction only:
 
-    graphs -> orientations, linegraph -> covers -> verify -> construct
-    -> exact -> bounds -> cli
+    graphs -> linegraph -> covers -> verify -> construct -> exact
+    -> bounds -> cli
 
 so a construction never reaches a search, and no import is deferred
 into a function to get round a cycle."""
@@ -14,7 +14,6 @@ import pytest
 SRC = Path(__file__).parent.parent / "src" / "eqcover"
 ORDER = (
     "graphs",
-    "orientations",
     "linegraph",
     "covers",
     "verify",

@@ -7,7 +7,6 @@ from eqcover import (
     EyebrowCover,
     ImproperColoringError,
     OrientationCover,
-    Permutation,
     ShapeError,
     bipartite_orientation_cover,
     bipartition,
@@ -36,26 +35,17 @@ def test_orientation_validation():
     assert (cover.graph_shape, cover.k, cover.words, cover.kind) == ((3, 3), 2, (1, 2, 3), "elbow")
 
 
-def test_permutation_basics():
-    p = Permutation.from_order((2, 0, 3, 1))
-    assert p.values == (1, 3, 0, 2)
-    assert p.order() == (2, 0, 3, 1)
-    assert p.reversed().order() == (1, 3, 0, 2)
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
-
-
 def test_identity_permutation_orients_low_to_high():
     g = generate_family("complete", 3)
-    cover = OrientationCover((3, 3), 1, _ranked(g, Permutation.identity(3).values))
+    cover = OrientationCover((3, 3), 1, _ranked(g, range(3)))
     assert [arrow(g, cover, 0, e) for e in range(3)] == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_k16_table_row_two_direction():
     # vertex 15 has rank 0 under the second table row, so {0,15} points 15 -> 0
     g = generate_family("complete", 16)
-    perms, cover = k16_table_cover()
-    assert perms[1].values[15] == 0
+    rankings, cover = k16_table_cover()
+    assert rankings[1][15] == 0
     assert arrow(g, cover, 1, g.index_of(0, 15)) == (15, 0)
 
 
@@ -63,10 +53,10 @@ def test_reversed_permutation_reverses_orientation(corpus):
     for g in corpus.values():
         if g.n == 0:
             continue
-        # arbitrary but fixed permutations: identity and a rotation
+        # arbitrary but fixed rankings: identity and a rotation
         for values in (tuple(range(g.n)), tuple((i + 1) % g.n for i in range(g.n))):
-            p = Permutation(values)
-            assert _ranked(g, p.reversed().values) == [1 - w for w in _ranked(g, p.values)]
+            reversed_values = tuple(g.n - 1 - r for r in values)
+            assert _ranked(g, reversed_values) == [1 - w for w in _ranked(g, values)]
 
 
 def test_permutation_orientations_are_acyclic(corpus):
@@ -77,7 +67,7 @@ def test_permutation_orientations_are_acyclic(corpus):
         for _ in range(100):
             values = list(range(g.n))
             rng.shuffle(values)
-            cover = OrientationCover((g.n, g.m), 1, _ranked(g, Permutation(values).values))
+            cover = OrientationCover((g.n, g.m), 1, _ranked(g, values))
             assert _is_acyclic(g.n, [arrow(g, cover, 0, e) for e in range(g.m)])
 
 
@@ -101,7 +91,7 @@ def _is_acyclic(n, arrows):
 
 def test_permutation_length_mismatch():
     with pytest.raises(ShapeError):
-        EyebrowCover(3, [Permutation.identity(4)])
+        EyebrowCover(3, [range(4)])
 
 
 def test_pullback_two_coloring():

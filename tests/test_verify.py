@@ -15,7 +15,6 @@ from eqcover import (
     EyebrowCover,
     Graph,
     OrientationCover,
-    Permutation,
     ShapeError,
     cover_via_coloring,
     elbow_cover_via_coloring,
@@ -37,7 +36,7 @@ from eqcover import (
 from eqcover.covers import _out_mask
 
 import oracles
-from cover_words import arrow, cover_from_directions, directions, ranking_cover
+from cover_words import arrow, cover_from_directions, directions, ranking, ranking_cover
 
 
 def source_rotation_cover(k3):
@@ -99,16 +98,14 @@ def test_orientation_violation_is_lex_first():
 
 def test_elbow_k4_two_orders_valid():
     k4 = generate_family("complete", 4)
-    cover = ranking_cover(
-        k4, [Permutation.from_order(o).values for o in ((0, 1, 2, 3), (2, 0, 3, 1))], "elbow"
-    )
+    cover = ranking_cover(k4, [ranking(o) for o in ((0, 1, 2, 3), (2, 0, 3, 1))], "elbow")
     assert verify_elbow_cover(k4, cover) is None
     assert oracles.elbow_cover_ok(k4, directions(cover))
 
 
 def test_elbow_single_orientation_fails_on_k4():
     k4 = generate_family("complete", 4)
-    cover = ranking_cover(k4, [Permutation.identity(4).values], "elbow")
+    cover = ranking_cover(k4, [range(4)], "elbow")
     violation = verify_elbow_cover(k4, cover)
     assert violation is not None
     u, v, w = violation.path
@@ -132,18 +129,15 @@ def test_every_orientation_cover_is_elbow_cover(corpus):
 
 def test_eyebrow_path_single_permutation():
     p3 = generate_family("path", 3)
-    cover = EyebrowCover(3, [Permutation.identity(3)])
+    cover = EyebrowCover(3, [range(3)])
     assert verify_eyebrow_cover(p3, cover) is None
 
 
 def test_eyebrow_k4_two_orders_valid_one_fails():
     k4 = generate_family("complete", 4)
-    two = EyebrowCover(
-        4,
-        [Permutation.from_order((0, 1, 2, 3)), Permutation.from_order((2, 0, 3, 1))],
-    )
+    two = EyebrowCover(4, [ranking((0, 1, 2, 3)), ranking((2, 0, 3, 1))])
     assert verify_eyebrow_cover(k4, two) is None
-    one = EyebrowCover(4, [Permutation.identity(4)])
+    one = EyebrowCover(4, [range(4)])
     violation = verify_eyebrow_cover(k4, one)
     assert violation is not None
     assert violation.recheck(k4, one)
@@ -317,7 +311,7 @@ def test_shape_mismatch_raises():
     with pytest.raises(ShapeError):
         verify_orientation_cover(k3, k4_sigma3_cover())
     with pytest.raises(ShapeError):
-        verify_eyebrow_cover(k4, EyebrowCover(3, [Permutation.identity(3)]))
+        verify_eyebrow_cover(k4, EyebrowCover(3, [range(3)]))
     with pytest.raises(ShapeError):
         verify_equivalence_cover(k4, EquivalenceCover(3, [[(0, 1)]]))
 
@@ -444,13 +438,13 @@ def test_permuting_orientations_keeps_the_result():
 
 def _eyebrow_scan(g, cover):
     """The eyebrow verifier's earlier pure-Python loop: every edge, then
-    every third vertex, tested against each permutation's span."""
+    every third vertex, tested against each ranking's span."""
     if g.n < 3 or g.m == 0:
         return None
     if cover.k == 0:
         u, v = g.edges[0]
         return EyebrowViolation((u, v), min(x for x in range(g.n) if x != u and x != v))
-    rows = [p.values for p in cover.permutations]
+    rows = cover.rankings
     for u, v in g.edges:
         spans = [(min(r[u], r[v]), max(r[u], r[v])) for r in rows]
         for w in range(g.n):
@@ -468,31 +462,82 @@ def test_eyebrow_bitsets_match_scan_and_oracle():
         else:
             g = _random_graph(rng, rng.randint(1, 16), rng.choice((0.2, 0.5, 0.9)))
         k = trial % 5
-        cases.append((g, EyebrowCover(g.n, [Permutation(rng.sample(range(g.n), g.n)) for _ in range(k)])))
+        cases.append((g, EyebrowCover(g.n, [rng.sample(range(g.n), g.n) for _ in range(k)])))
         valid = solve_invariant(g, "eye", Budget(max_nodes=1)).witness
         cases.append((g, valid))
         if valid.k and g.n >= 2:
-            # swap two vertices adjacent in one permutation's order
-            perms = list(valid.permutations)
-            i = rng.randrange(len(perms))
-            order = list(perms[i].order())
+            # swap two vertices adjacent in one ranking's order
+            rankings = list(valid.rankings)
+            i = rng.randrange(len(rankings))
+            order = sorted(range(g.n), key=rankings[i].__getitem__)
             r = rng.randrange(g.n - 1)
             order[r], order[r + 1] = order[r + 1], order[r]
-            perms[i] = Permutation.from_order(order)
-            cases.append((g, EyebrowCover(g.n, perms)))
+            rankings[i] = ranking(order)
+            cases.append((g, EyebrowCover(g.n, rankings)))
     n5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    cases.append((n5, EyebrowCover(5, [Permutation.identity(5), Permutation((4, 3, 2, 1, 0))])))
+    cases.append((n5, EyebrowCover(5, [range(5), (4, 3, 2, 1, 0)])))
     seen = set()
     for g, cover in cases:
         got = verify_eyebrow_cover(g, cover)
         want = _eyebrow_scan(g, cover)
         assert (None if got is None else got.line()) == (None if want is None else want.line())
-        assert (got is None) == oracles.eyebrow_cover_ok(g, [p.values for p in cover.permutations])
+        assert (got is None) == oracles.eyebrow_cover_ok(g, cover.rankings)
         seen.add((cover.k, g.m > 64, got is None))
     # violations at every k, and valid covers, on graphs with at most and
     # with more than 64 edges
     assert {(k, big) for k, big, ok in seen if not ok} == set(product(range(5), (False, True)))
     assert {big for _, big, ok in seen if ok} == {False, True}
+
+
+def _move_between(rankings, u, v, w):
+    """The rankings with w moved, in each, to just after the earlier of
+    u and v in its vertex order, so every ranking puts w between them."""
+    out = []
+    for r in rankings:
+        order = [x for x in sorted(range(len(r)), key=r.__getitem__) if x != w]
+        order.insert(min(order.index(u), order.index(v)) + 1, w)
+        out.append(ranking(order))
+    return out
+
+
+def test_eyebrow_status_survives_relabelling_and_reordering():
+    # valid covers (the K_n rankings, and exact witnesses), random ones,
+    # and each broken by one third vertex moved between an edge's ends
+    rng = random.Random(1913)
+    seen = set()
+    for trial in range(120):
+        g = _random_graph(rng, rng.randint(3, 7), rng.choice((0.3, 0.6, 0.9)))
+        if g.m == 0:
+            continue
+        valid = [
+            solve_invariant(g, "eye", Budget(max_nodes=1)).witness.rankings,
+            solve_invariant(g, "eye", Budget(max_nodes=200)).witness.rankings,
+        ]
+        random_rows = [tuple(rng.sample(range(g.n), g.n)) for _ in range(rng.randint(1, 3))]
+        u, v = rng.choice(g.edges)
+        w = rng.choice([x for x in range(g.n) if x not in (u, v)])
+        for rows in valid + [random_rows] + [_move_between(r, u, v, w) for r in valid]:
+            cover = EyebrowCover(g.n, rows)
+            status = verify_eyebrow_cover(g, cover) is None
+            assert status == oracles.eyebrow_cover_ok(g, rows)
+            seen.add(status)
+            # reorder the rankings
+            shuffled = EyebrowCover(g.n, rng.sample(rows, len(rows)))
+            assert (verify_eyebrow_cover(g, shuffled) is None) == status
+            # relabel graph and rankings together: vertex x becomes pi[x]
+            pi = rng.sample(range(g.n), g.n)
+            h = Graph(g.n, [(pi[a], pi[b]) for a, b in g.edges])
+            moved = []
+            for r in rows:
+                r2 = [0] * g.n
+                for x in range(g.n):
+                    r2[pi[x]] = r[x]
+                moved.append(r2)
+            violation = verify_eyebrow_cover(h, EyebrowCover(g.n, moved))
+            assert (violation is None) == status
+            assert violation is None or violation.recheck(h, EyebrowCover(g.n, moved))
+        assert verify_eyebrow_cover(g, EyebrowCover(g.n, _move_between(valid[0], u, v, w)))
+    assert seen == {True, False}
 
 
 def test_small_certificates_do_not_load_numpy():
