@@ -698,4 +698,4 @@ def parse_coloring(text: str, n: int) -> Coloring:
         count += 1
     if count != n:
         raise CoverFormatError(f"expected {n} colored vertices, found {count}")
-    return Coloring([c for c in colors])
+    return Coloring(colors)

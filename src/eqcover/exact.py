@@ -552,16 +552,19 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
 
 
 def greedy_clique(g: Graph) -> Tuple[int, ...]:
-    """Deterministic greedy clique (seeded at the max-degree vertex)."""
+    """Deterministic greedy clique (seeded at the max-degree vertex):
+    by decreasing degree, lower index first, a vertex joins when it lies
+    in the set of common neighbors of the clique so far."""
     if g.n == 0:
         return ()
     adj = g.adjacency
-    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
+    order = sorted(range(g.n), key=[-len(a) for a in adj].__getitem__)
     clique = [order[0]]
-    adjsets = [set(a) for a in adj]
+    common = set(adj[order[0]])
     for v in order[1:]:
-        if all(v in adjsets[u] for u in clique):
+        if v in common:
             clique.append(v)
+            common.intersection_update(adj[v])
     return tuple(sorted(clique))
 
 
@@ -570,24 +573,31 @@ def greedy_coloring(g: Graph) -> Coloring:
 
     Each step gives the smallest free color to the uncolored vertex
     with the most distinct colors among its neighbors; ties go to the
-    higher degree, then to the lower index.  A lazy-deletion heap keyed
-    (-saturation, -degree, vertex) holds one live entry per uncolored
-    vertex (a vertex is pushed again when its saturation rises) and the
-    neighbor colors are int bitsets, so the run takes O((n + m) log n)
-    time.
+    higher degree, then to the lower index.  The vertices are ranked
+    once by (-degree, vertex); bucket s is a heap of the ranks pushed
+    while a vertex had saturation s, and the highest non-empty bucket
+    is popped, skipping entries whose vertex is colored or has moved
+    to a higher bucket.  Neighbor colors are int bitsets, so the run
+    takes O((n + m) log n) time.
     """
     n = g.n
     adj = g.adjacency
+    order = sorted(range(n), key=[-len(a) for a in adj].__getitem__)
+    rank = sorted(range(n), key=order.__getitem__)  # inverse of order
     colors = [-1] * n
     used = [0] * n  # bitset of the colors on each vertex's neighbors
     sat = [0] * n
-    heap = [(0, -len(adj[v]), v) for v in range(n)]
-    heapq.heapify(heap)
+    buckets = [list(range(n))]  # sorted, so already a heap
+    top = 0
     pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        s, _, v = pop(heap)
-        if colors[v] >= 0 or -s != sat[v]:
-            continue  # colored, or superseded by a higher saturation
+    while top >= 0:
+        bucket = buckets[top]
+        if not bucket:
+            top -= 1
+            continue
+        v = order[pop(bucket)]
+        if colors[v] >= 0 or sat[v] != top:
+            continue  # colored, or moved to a higher bucket
         taken = used[v]
         c = (~taken & (taken + 1)).bit_length() - 1
         colors[v] = c
@@ -595,8 +605,12 @@ def greedy_coloring(g: Graph) -> Coloring:
         for u in adj[v]:
             if colors[u] < 0 and not used[u] & bit:
                 used[u] |= bit
-                sat[u] += 1
-                push(heap, (-sat[u], -len(adj[u]), u))
+                s = sat[u] = sat[u] + 1
+                if s == len(buckets):
+                    buckets.append([])
+                push(buckets[s], rank[u])
+                if s > top:
+                    top = s
     return Coloring(colors)
 
 
@@ -609,11 +623,11 @@ def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
     level), trying its colors in increasing order, one node each.  The
     colors in use all lie below the cap of allowed colors, so that is
     the vertex with the most forbidden colors: the top of a
-    lazy-deletion heap keyed (-forbidden count, vertex), which gets a
-    fresh entry whenever a vertex's forbidden set changes or it is
-    uncolored again, and is rebuilt when stale entries pile up.  The
-    stack is explicit, one frame per colored vertex, so the depth (n) is
-    not bounded by Python's recursion limit.
+    lazy-deletion heap of the ints (k - forbidden count) * n + vertex,
+    which gets a fresh entry whenever a vertex's forbidden set changes
+    or it is uncolored again, and is rebuilt when stale entries pile
+    up.  The stack is explicit, one frame per colored vertex, so the
+    depth (n) is not bounded by Python's recursion limit.
     """
     n = g.n
     if k <= 0:
@@ -621,10 +635,10 @@ def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
     adj = g.adjacency
     colors = [-1] * n
     forbid = [0] * n
-    key = [0] * n  # minus the number of forbidden colors
+    entry = list(range(k * n, k * n + n))  # each vertex's live heap entry
     full = (1 << k) - 1
     spend = budget.spend
-    heap = [(0, v) for v in range(n)]  # sorted, so already a heap
+    heap = entry[:]  # sorted, so already a heap
     pop, push = heapq.heappop, heapq.heappush
     # frames [vertex, colors left to try, neighbors its color touched,
     # colors in use below it]
@@ -634,11 +648,12 @@ def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
         if len(stack) == n:
             return Coloring(colors)
         if len(heap) > 4 * n + 64:
-            heap = [(key[v], v) for v in range(n) if colors[v] < 0]
+            heap = [e for e, c in zip(entry, colors) if c < 0]
             heapq.heapify(heap)
         while True:
-            top, best = heap[0]
-            if colors[best] < 0 and top == key[best]:
+            top = heap[0]
+            best = top % n
+            if colors[best] < 0 and top == entry[best]:
                 break
             pop(heap)  # colored, or its forbidden set has changed since
         cap = full & ((2 << maxused) - 1)  # used colors and one fresh one
@@ -653,8 +668,8 @@ def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
                 colors[v] = -1
                 for u in touched:
                     forbid[u] &= off
-                    key[u] += 1
-                    push(heap, (key[u], u))
+                    entry[u] += n
+                    push(heap, entry[u])
             if left:
                 low = left & -left
                 c = low.bit_length() - 1
@@ -663,13 +678,13 @@ def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
                 touched = [u for u in adj[v] if colors[u] < 0 and not forbid[u] & low]
                 for u in touched:
                     forbid[u] |= low
-                    key[u] -= 1
-                    push(heap, (key[u], u))
+                    entry[u] -= n
+                    push(heap, entry[u])
                 frame[1], frame[2] = left ^ low, touched
                 maxused = max(below, c + 1)
                 break
             stack.pop()
-            push(heap, (key[v], v))  # uncolored again
+            push(heap, entry[v])  # uncolored again
             if not stack:
                 return None
 

@@ -196,8 +196,8 @@ class Coloring:
     __slots__ = ("colors", "palette_size")
 
     def __init__(self, colors: Iterable[int]):
-        cols = tuple(int(c) for c in colors)
-        if any(c < 0 for c in cols):
+        cols = tuple(map(int, colors))
+        if cols and min(cols) < 0:
             raise ValueError("colors must be nonnegative")
         self.colors = cols
         self.palette_size = len(set(cols))
@@ -218,13 +218,8 @@ class Coloring:
 
     def dense(self) -> "Coloring":
         """Relabel colors to 0..palette_size-1 by first occurrence."""
-        remap: dict[int, int] = {}
-        out = []
-        for c in self.colors:
-            if c not in remap:
-                remap[c] = len(remap)
-            out.append(remap[c])
-        return Coloring(out)
+        remap = {c: i for i, c in enumerate(dict.fromkeys(self.colors))}
+        return Coloring(map(remap.__getitem__, self.colors))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Coloring) and self.colors == other.colors

@@ -1,9 +1,11 @@
 """Differential tests of the colouring engine and its neighbours.
 
-The quadratic greedy colouring, the recursive k-colouring search and
-the two-pass equivalence verifier they replaced are kept below,
-verbatim, as the reference.  The heap-based greedy colouring must give
-the same colouring; the iterative search must walk the same tree (same
+The quadratic greedy colouring, the recursive k-colouring search, the
+set-per-vertex greedy clique, the loop that relabelled colours densely
+and the two-pass equivalence verifier they replaced are kept below,
+verbatim, as the reference.  The bucketed DSATUR colouring must give
+the same colouring and the common-neighbour clique the same clique; the
+iterative search on integer heap entries must walk the same tree (same
 status, witness and node count, and a budget that trips at the same
 node); the verifier must report the same witness.  The complete-graph
 elbow cover, which now reads its prefix words by index, is compared
@@ -12,7 +14,7 @@ with the restriction of the whole doubled cover.
 
 import random
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Tuple
 
 import pytest
 
@@ -30,6 +32,7 @@ from eqcover import (
 )
 from eqcover.construct import elbow_double, k4_elbow_base, restrict_cover_to_induced
 from eqcover.covers import EquivalenceViolation
+from eqcover.exact import greedy_clique
 from eqcover.graphs import Coloring, ShapeError
 
 BUDGETS = (None, 1, 7, 50, 300)
@@ -56,6 +59,31 @@ def reference_greedy_coloring(g: Graph) -> Coloring:
         for u in g.adjacency[v]:
             neighbor_colors[u].add(c)
     return Coloring(colors) if g.n else Coloring([])
+
+
+def reference_greedy_clique(g: Graph) -> Tuple[int, ...]:
+    """Deterministic greedy clique (seeded at the max-degree vertex)."""
+    if g.n == 0:
+        return ()
+    adj = g.adjacency
+    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
+    clique = [order[0]]
+    adjsets = [set(a) for a in adj]
+    for v in order[1:]:
+        if all(v in adjsets[u] for u in clique):
+            clique.append(v)
+    return tuple(sorted(clique))
+
+
+def reference_dense(coloring: Coloring) -> Coloring:
+    """Relabel colors to 0..palette_size-1 by first occurrence."""
+    remap: dict[int, int] = {}
+    out = []
+    for c in coloring.colors:
+        if c not in remap:
+            remap[c] = len(remap)
+        out.append(remap[c])
+    return Coloring(out)
 
 
 def reference_k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
@@ -155,10 +183,13 @@ def reference_verify_equivalence_cover(
 # ---------------------------------------------------------------------------
 
 
+def _dense_graph(rng, n, p):
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
 def _random_graph(rng, max_n=10):
     n = rng.randint(1, max_n)
-    p = rng.choice((0.2, 0.35, 0.5, 0.7))
-    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+    return _dense_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
 
 
 def _sparse_graph(rng, n, m):
@@ -191,8 +222,36 @@ def test_greedy_coloring_matches_reference(corpus):
     graphs += [_sparse_graph(rng, n, 3 * n) for n in (100, 200, 300)]
     graphs += list(corpus.values())
     graphs += [Graph(0, []), generate_family("mycielski-iterate", 5)]
+    # dense graphs open more than 16 saturation buckets
+    graphs += [_dense_graph(rng, n, p) for n in (30, 60, 90) for p in (0.6, 0.8, 0.95)]
+    graphs.append(generate_family("complete", 40))
+    graphs += [Graph(g.n + 3, g.edges) for g in graphs[:20] + [_sparse_graph(rng, 50, 40)]]
+    graphs.append(Graph(7, []))
+    palettes = []
     for g in graphs:
-        assert greedy_coloring(g).colors == reference_greedy_coloring(g).colors, (g.n, g.edges)
+        got = greedy_coloring(g)
+        assert got.colors == reference_greedy_coloring(g).colors, (g.n, g.edges)
+        palettes.append(got.palette_size)
+        # a non-contiguous relabelling of the colours, made dense again
+        spread = Coloring([3 * c * c + rng.choice((0, 1)) * 1000 for c in got.colors])
+        assert spread.dense() == reference_dense(spread), (g.n, g.edges)
+    assert max(palettes) >= 40
+    with pytest.raises(ValueError, match="^colors must be nonnegative$"):
+        Coloring([0, 2, -1])
+    empty = Coloring([])
+    assert (empty.palette_size, empty.dense().colors) == (0, ())
+
+
+def test_greedy_clique_matches_reference(corpus):
+    rng = random.Random(20261019)
+    graphs = [_random_graph(rng, max_n=40) for _ in range(300)]
+    graphs += [_sparse_graph(rng, n, 3 * n) for n in (100, 200, 300)]
+    graphs += list(corpus.values())
+    graphs += [generate_family("mycielski-iterate", t) for t in (5, 6)]
+    graphs += [generate_family("complete", n) for n in (1, 2, 5, 40)]
+    graphs += [Graph(9, []), Graph(0, [])]
+    for g in graphs:
+        assert greedy_clique(g) == reference_greedy_clique(g), (g.n, g.edges)
 
 
 def test_chromatic_search_matches_recursive_reference(monkeypatch, corpus):
