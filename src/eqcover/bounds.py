@@ -13,15 +13,17 @@ Relations used (n = vertex count, c = chromatic number):
   - elb <= 1 exactly for bipartite graphs: one orientation from one
     side to the other directs every 2-edge path into or out of its
     middle vertex;
+  - past that, elb <= k exactly when c <= 2^(2^(k-1)), so elb is read
+    off c by that integer rule (``exact.elb_from_chi``, shared with
+    ``solve_invariant``), with c raised to 3 off bipartite graphs;
   - sigma = 3 exactly when 3 <= c <= 4, sigma = 4 exactly when
     5 <= c <= 12 (the upper half of the second window is known
     non-constructively);
   - any graph with a size-k orientation covering, k >= 3, satisfies
     c <= k + 2^(2^(k-1)-k-1), which lower-bounds sigma from c;
-  - ceil(log2 log2 c) + 1 <= sigma <= 2 ceil(log2 log2 c) + 2 and
-    elb = ceil(log2 log2 c) + 1 for c >= 3; above c = 12 the pullback
-    witness meets this upper bound, or beats it for c <= 16, so its size
-    is the upper end of sigma;
+  - elb <= sigma <= 2 elb; above c = 12 the pullback witness meets
+    this upper bound, or beats it for c <= 16, so its size is the upper
+    end of sigma;
   - eq(L) <= sigma <= 3 eq(L), with equality eq(L) = sigma on
     triangle-free graphs;
   - the degree-based equivalence-number window
@@ -38,14 +40,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
 
-from .construct import (
-    bipartite_orientation_cover,
-    cover_via_coloring,
-    elbow_cover_via_coloring,
-    out_star_eq_cover,
-)
+from .construct import bipartite_orientation_cover, cover_via_coloring, out_star_eq_cover
 from .covers import OrientationCover
-from .exact import Budget, SolveResult, decide_elb, decide_sigma, exact_chromatic
+from .exact import Budget, SolveResult, decide_sigma, elb_from_chi, exact_chromatic, greedy_clique
 from .graphs import Graph, find_triangle
 
 
@@ -73,20 +70,13 @@ def alon_bounds(n: int, delta: int) -> AlonBounds:
     return AlonBounds(lower, upper, False)
 
 
-def loglog_plus_one(c: int) -> int:
-    """ceil(log2 log2 c) + 1 for c >= 3."""
-    if c < 3:
-        raise ValueError("defined for c >= 3")
-    return math.ceil(math.log2(math.log2(c))) + 1
-
-
 def sigma_lower_from_chi(c: int) -> int:
     """Smallest k >= 3 admitting a c-chromatic graph with a size-k
     orientation covering (c >= 3)."""
     k = 3
     while c > k + (1 << ((1 << (k - 1)) - k - 1)):
         k += 1
-    return max(k, loglog_plus_one(c))
+    return k
 
 
 @dataclass(frozen=True)
@@ -216,11 +206,16 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
     if chi_exact:
         chi = _exact_bv(chi_res.lo, "exact search")
     else:
-        chi = BoundValue(chi_res.lo, chi_res.hi, "clique bound", "greedy coloring")
+        # the search starts at the clique bound and refutes each k it passes
+        from_clique = chi_res.lo == max(2, len(greedy_clique(g)))
+        lo_provenance = "clique bound" if from_clique else "coloring search"
+        chi = BoundValue(chi_res.lo, chi_res.hi, lo_provenance, "greedy coloring")
         notes.append("chromatic search truncated by budget")
 
-    elb1 = decide_elb(g, 1)  # sat exactly on bipartite graphs, in closed form
-    bipartite = elb1.status == "sat"
+    elb_res = elb_from_chi(g, chi_res)
+    if g.has_incidence_pairs():
+        witnesses["elb"] = elb_res.witness
+    bipartite = elb_res.hi <= 1  # elb <= 1 exactly on bipartite graphs
     if not bipartite and chi.lo < 3:
         chi = BoundValue(3, chi.hi, "contains an odd cycle", chi.hi_provenance)
 
@@ -238,7 +233,6 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
             )
             witnesses["sigma"] = bipartite_orientation_cover(g)
         elb = BoundValue(1, 1, "has 2-edge paths", "one-way bipartite orientation")
-        witnesses["elb"] = elb1.witness
     else:
         lo_formula = sigma_lower_from_chi(chi.lo)
         sigma_lo, sigma_lo_prov = max(
@@ -256,15 +250,14 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
         sigma = BoundValue(sigma_lo, sigma_hi, sigma_lo_prov, sigma_hi_prov)
 
         if chi_exact:
-            elb = _exact_bv(loglog_plus_one(chi.lo), "loglog formula on exact chi")
+            elb = _exact_bv(elb_res.lo, "loglog formula on exact chi")
         else:
             elb = BoundValue(
-                loglog_plus_one(chi.lo),
-                loglog_plus_one(chi.hi),
+                elb_res.lo,
+                elb_res.hi,
                 "loglog formula at chi lower bound",
                 "loglog formula at chi upper bound",
             )
-        witnesses["elb"] = elbow_cover_via_coloring(g, chi_res.witness)
 
     if not g.has_incidence_pairs():
         eq_line = _exact_bv(0, "line graph has no edges")

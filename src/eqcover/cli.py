@@ -81,19 +81,21 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _read_cover(path: str, g: Graph):
+def _read_cover(path: str, g: Graph, kind: str):
+    """The file's cover, of the class ``kind``'s verifier reads: so an
+    orientation file serves as an elbow cover."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_cover(fh.read(), g)
+        cover = parse_cover(fh.read(), g)
+    if not isinstance(cover, VERIFIERS[kind][0]):
+        raise CoverFormatError(f"cover file holds an {cover.kind} cover, not an {kind} cover")
+    return cover
 
 
 def _cmd_verify(args) -> int:
     g = read_graph_file(args.graph)
-    cover = _read_cover(args.cover, g)
     kind = args.kind
-    cover_type, verifier = VERIFIERS[kind]
-    if not isinstance(cover, cover_type):
-        raise CoverFormatError(f"cover file holds an {cover.kind} cover, not an {kind} cover")
-    violation = verifier(g, cover)
+    cover = _read_cover(args.cover, g, kind)
+    violation = VERIFIERS[kind][1](g, cover)
     if violation is None:
         if args.json:
             _emit_json({"status": "valid", "kind": kind, "k": cover.k})
@@ -144,26 +146,26 @@ def _cmd_solve(args) -> int:
     return 0 if result.status == "exact" else 3
 
 
-# The flags each op requires, then the optional ones it reads; every op
-# reads --output and --json, and any other flag given is refused.
+# The kind of cover each op reads (None: none), the flags it requires, then the optional
+# ones it reads; every op reads --output and --json, and any other flag given is refused.
 _CONSTRUCT_FLAGS = {
-    "k16-table": ((), ("perms_output",)),
-    "elbow-complete": (("n",), ()),
-    "elbow-double": (("graph", "cover"), ("graph_output",)),
-    "bipartite": (("graph",), ()),
-    "via-coloring": (("graph",), ("coloring", "greedy", "max_nodes", "max_seconds")),
-    "eq-from-orientation": (("graph", "cover"), ()),
-    "orientation-from-eq": (("graph", "cover"), ()),
-    "orientation-from-elbow": (("graph", "cover"), ()),
-    "coloring-from-elbow": (("graph", "cover"), ()),
-    "coloring-from-orientation": (("graph", "cover"), ()),
+    "k16-table": (None, (), ("perms_output",)),
+    "elbow-complete": (None, ("n",), ()),
+    "elbow-double": ("elbow", ("graph", "cover"), ("graph_output",)),
+    "bipartite": (None, ("graph",), ()),
+    "via-coloring": (None, ("graph",), ("coloring", "greedy", "max_nodes", "max_seconds")),
+    "eq-from-orientation": ("orientation", ("graph", "cover"), ()),
+    "orientation-from-eq": ("equivalence", ("graph", "cover"), ()),
+    "orientation-from-elbow": ("elbow", ("graph", "cover"), ()),
+    "coloring-from-elbow": ("elbow", ("graph", "cover"), ()),
+    "coloring-from-orientation": ("orientation", ("graph", "cover"), ()),
 }
-_CONSTRUCT_OP_FLAGS = sorted({f for req, opt in _CONSTRUCT_FLAGS.values() for f in req + opt})
+_CONSTRUCT_OP_FLAGS = sorted({f for _, req, opt in _CONSTRUCT_FLAGS.values() for f in req + opt})
 
 
 def _cmd_construct(args) -> int:
     op = args.op
-    needs, reads = _CONSTRUCT_FLAGS[op]
+    cover_kind, needs, reads = _CONSTRUCT_FLAGS[op]
     given = ""
     if op == "via-coloring" and (args.coloring is not None or args.greedy):
         # a coloring file is read in place of --greedy, and neither searches
@@ -181,8 +183,8 @@ def _cmd_construct(args) -> int:
         g = read_graph_file(args.graph)
     if op in ("eq-from-orientation", "orientation-from-eq"):
         lm = line_graph(g)
-    if "cover" in needs:  # orientation-from-eq reads a cover of L(G)
-        base = _read_cover(args.cover, lm.line if op == "orientation-from-eq" else g)
+    if cover_kind is not None:  # orientation-from-eq reads a cover of L(G)
+        base = _read_cover(args.cover, lm.line if op == "orientation-from-eq" else g, cover_kind)
     wrote = []
 
     def emit_cover(ref_graph: Graph, cover, path: str = args.output) -> None:

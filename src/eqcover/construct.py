@@ -129,6 +129,30 @@ def _rank_words(
     return out
 
 
+def _base_ranks(c: int, kind: str) -> Sequence[Sequence[int]]:
+    """The smallest known covering of K_c of the kind, as rankings: for
+    'elbow' one ranking of K_2, else the squared K_4 ones; for 'orientation'
+    the pinned K_2, K_4 and K_16 bases, else the elbow rankings and their
+    reversals.  Their number is ``pullback_size(c, kind)``."""
+    size = pullback_size(c, "elbow")
+    if kind == "elbow":
+        return K2_RANKS[:1] if size == 1 else _elbow_ranks(c)
+    if size <= len(_SIGMA_BASES):
+        return _SIGMA_BASES[size - 1]
+    elbow = _elbow_ranks(c)
+    return elbow + [[-x for x in r] for r in elbow]
+
+
+def _pullback(
+    g: Graph, colors: Sequence[int], ranks: Sequence[Sequence[int]], kind: str, k: int = 0
+) -> OrientationCover:
+    """The cover of g pulled back from the base ``ranks`` along the dense
+    proper coloring ``colors`` (the callers check it), its last ranking
+    repeated up to size k: every cover built from a coloring is made here."""
+    ranks = [*ranks, *ranks[-1:] * (k - len(ranks))]
+    return OrientationCover((g.n, g.m), len(ranks), _rank_words(g.edges, colors, ranks), kind)
+
+
 def _complete_cover(ranks: Sequence[Sequence[int]], kind: str) -> OrientationCover:
     """The covering of K_n, n = len(ranks[0]), given by the rankings,
     filled one row of the edge list at a time; ``pack`` maps the tuple
@@ -339,50 +363,27 @@ def bipartite_orientation_cover(g: Graph) -> OrientationCover:
     """Size-two covering of a bipartite graph: all of side A sources,
     then all of side B."""
     side = bipartition(g)  # NotBipartiteError carries an odd cycle
-    words = _rank_words(g.edges, side, K2_RANKS)
-    return OrientationCover((g.n, g.m), 2, words, "orientation")
-
-
-def bipartite_elbow_cover(g: Graph) -> OrientationCover:
-    """Size-one elbow covering of a bipartite graph: every edge from
-    side A to side B, so each 2-edge path points into or out of its
-    middle vertex."""
-    side = bipartition(g)  # NotBipartiteError carries an odd cycle
-    words = _rank_words(g.edges, side, K2_RANKS[:1])
-    return OrientationCover((g.n, g.m), 1, words, "elbow")
+    return _pullback(g, side, K2_RANKS, "orientation")
 
 
 def cover_via_coloring(g: Graph, coloring: Coloring) -> OrientationCover:
-    """Orientation covering pulled back from a covering of K_c, where c
-    is the palette size of the proper coloring of g.
+    """Orientation covering pulled back from the covering of K_c
+    (``_base_ranks``), c the palette size of the proper coloring of g.
 
-    Prefers the smallest known complete-graph base: the two rankings of
-    K_2 for c <= 2 (each color class in turn the sources, so the cover
-    follows the given coloring, not a bipartition of its own), the
-    pinned size-3 covering of K_4 for c <= 4, the size-5 table covering
-    of K_16 for c <= 16, and the reversal-doubled elbow covering of K_c
-    (size 2 ceil(log2 log2 c) + 2) beyond.  Each base is a list of vertex
-    rankings, so the word of an edge compares the ranks of its endpoint
-    colors and no K_c is built.  The caller chooses the coloring; nothing
-    here searches for one.
+    On two colors each color class in turn is the sources, so the cover
+    follows the given coloring, not a bipartition of its own.  The word
+    of an edge compares the ranks of its endpoint colors, so no K_c is
+    built.  The caller chooses the coloring; nothing here searches.
     """
     coloring.require_proper(g)
     dense = coloring.dense()
-    c = dense.palette_size
-    size = pullback_size(c, "elbow")
-    if size <= len(_SIGMA_BASES):
-        ranks: Sequence[Sequence[int]] = _SIGMA_BASES[size - 1]
-    else:
-        elbow = _elbow_ranks(c)
-        ranks = elbow + [[-x for x in r] for r in elbow]
-    words = _rank_words(g.edges, dense.colors, ranks)
-    return OrientationCover((g.n, g.m), len(ranks), words, "orientation")
+    ranks = _base_ranks(dense.palette_size, "orientation")
+    return _pullback(g, dense.colors, ranks, "orientation")
 
 
 def elbow_cover_via_coloring(g: Graph, coloring: Coloring) -> OrientationCover:
-    """Elbow covering pulled back from the squared-base covering of K_c,
-    size ceil(log2 log2 c) + 1 for palette c >= 3; for c <= 2 the one
-    orientation from color 0 to color 1.
+    """Elbow covering pulled back from the elbow covering of K_c
+    (``_base_ranks``), c the palette size of the proper coloring of g.
 
     The pullback stays an elbow covering even though distinct endpoints
     of a 2-edge path may share a color: the two edges then pull from one
@@ -391,10 +392,7 @@ def elbow_cover_via_coloring(g: Graph, coloring: Coloring) -> OrientationCover:
     """
     coloring.require_proper(g)
     dense = coloring.dense()
-    c = dense.palette_size
-    ranks = K2_RANKS[:1] if c <= 2 else _elbow_ranks(c)
-    words = _rank_words(g.edges, dense.colors, ranks)
-    return OrientationCover((g.n, g.m), len(ranks), words, "elbow")
+    return _pullback(g, dense.colors, _base_ranks(dense.palette_size, "elbow"), "elbow")
 
 
 def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:

@@ -38,7 +38,9 @@ Both ends of k are closed forms that take no search nodes: the small k
 the cover of K_n, which restricted to the graph is a witness.  So the
 word search only meets k below that size, at most 11 orientations.
 The witnesses are built by the construct module, which never imports
-this one: the colorings its pullbacks take are chosen here.
+this one: the colorings its pullbacks take are chosen here.  The
+value of elb is read off chi by an integer rule (``elb_from_chi``); the
+word search of ``decide_elb`` is kept as a check on it.
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as iter_permutations
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import construct
 from .covers import EquivalenceCover, EyebrowCover, OrientationCover
-from .graphs import Coloring, Graph, NotBipartiteError
+from .graphs import Coloring, Graph, NotBipartiteError, bipartition
 
 
 class _OutOfBudget(Exception):
@@ -284,11 +286,10 @@ def _closed_form_cover(g: Graph, k: int, kind: str) -> Optional[OrientationCover
         words = [int(deg[v] < 2) for _, v in g.edges]
         return OrientationCover((g.n, g.m), 1, words)
     try:
-        if kind == "elbow":
-            return construct.bipartite_elbow_cover(g)
-        return construct.bipartite_orientation_cover(g)
+        side = bipartition(g)
     except NotBipartiteError:
         return None
+    return construct._pullback(g, side, construct.K2_RANKS[:k], kind)
 
 
 def _ranking(order: List[int]) -> Tuple[int, ...]:
@@ -306,11 +307,7 @@ def _kn_cover(g: Graph, kind: str, k: int = 0):
         ranks = construct._elbow_ranks(g.n) if g.m and g.n >= 3 else []
         rankings = [_ranking(sorted(range(g.n), key=r.__getitem__)) for r in ranks]
         return EyebrowCover(g.n, rankings + rankings[-1:] * (k - len(rankings)))
-    pull = construct.elbow_cover_via_coloring if kind == "elbow" else construct.cover_via_coloring
-    cover = pull(g, Coloring(range(g.n)))
-    last, top = 1 << (cover.k - 1), (1 << k) - (1 << cover.k)
-    words = [w | top if w & last else w for w in cover.words]
-    return OrientationCover((g.n, g.m), k, words, kind)
+    return construct._pullback(g, range(g.n), construct._base_ranks(g.n, kind), kind, k)
 
 
 def _decide_cover(g: Graph, k: int, budget: Optional[Budget], kind: str) -> DecideResult:
@@ -718,6 +715,24 @@ def exact_chromatic(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
     return SolveResult("chi", ub, ub, "exact", greedy, budget.nodes)
 
 
+def elb_from_chi(g: Graph, chi: SolveResult) -> SolveResult:
+    """elb(g) read off the chromatic result ``chi``, with no search of its own.
+
+    Past the closed forms at k <= 1, elb <= k exactly when
+    chi <= 2^(2^(k-1)) (both ways constructive: the elbow pullback and
+    ``coloring_from_elbow_cover``), so chi's interval, raised to 3 off
+    bipartite graphs, maps to elb's; the pullback of chi's coloring is
+    the witness."""
+    for k in (0, 1):
+        witness = _closed_form_cover(g, k, "elbow")
+        if witness is not None:
+            return SolveResult("elb", k, k, "exact", witness, chi.nodes)
+    witness = construct.elbow_cover_via_coloring(g, chi.witness)
+    lo = construct.pullback_size(max(chi.lo, 3), "elbow")
+    status = "exact" if lo == witness.k else chi.status
+    return SolveResult("elb", lo, witness.k, status, witness, chi.nodes)
+
+
 # ---------------------------------------------------------------------------
 # minimization loops
 # ---------------------------------------------------------------------------
@@ -745,8 +760,6 @@ def _upper_witness(g: Graph, invariant: str):
     """Constructive certificate closing the interval from above."""
     if invariant == "sigma":
         return construct.cover_via_coloring(g, greedy_coloring(g))
-    if invariant == "elb":
-        return construct.elbow_cover_via_coloring(g, greedy_coloring(g))
     if invariant == "eq":
         return _greedy_matching_cover(g)
     if invariant == "eye":
@@ -754,33 +767,25 @@ def _upper_witness(g: Graph, invariant: str):
     raise ValueError(f"unknown invariant {invariant!r}")
 
 
-_DECIDERS: dict = {
-    "sigma": decide_sigma,
-    "elb": decide_elb,
-    "eq": decide_eq,
-    "eye": decide_eyebrow,
-}
-
-
 def solve_invariant(
     g: Graph, invariant: str, budget: Optional[Budget] = None
 ) -> SolveResult:
     """Minimize one invariant by deciding k = 0, 1, 2, ... in turn.
 
-    The values are tiny, so no binary search.  For 'eq' the graph is
-    the host itself (pass a line graph to compute eq(L(G))).  Only the
-    k below the constructive cover's size are decided: when all of them
-    are unsatisfiable, that cover is the exact witness.  When the budget
-    runs out, the cover certifies the interval's upper end and is
-    returned as the witness.
+    The values are tiny, so no binary search; 'elb' is read off 'chi'.
+    For 'eq' the graph is the host itself (pass a line graph to compute
+    eq(L(G))).  Only the k below the constructive cover's size are
+    decided: when all of them are unsatisfiable, that cover is the exact
+    witness.  When the budget runs out, the cover certifies the
+    interval's upper end and is returned as the witness.
     """
     if invariant == "chi":
         return exact_chromatic(g, budget)
-    if invariant not in _DECIDERS:
-        raise ValueError(f"unknown invariant {invariant!r}")
+    if invariant == "elb":
+        return elb_from_chi(g, exact_chromatic(g, budget))
+    upper = _upper_witness(g, invariant)  # ValueError for an unknown invariant
     budget = budget or Budget()
-    decide: Callable = _DECIDERS[invariant]
-    upper = _upper_witness(g, invariant)
+    decide = {"sigma": decide_sigma, "eq": decide_eq, "eye": decide_eyebrow}[invariant]
     for k in range(upper.k):
         res = decide(g, k, budget)
         if res.status == "sat":

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
-from eqcover import Graph, generate_family
+from eqcover import Graph, decide_elb, generate_family
 
 
 def build_corpus():
@@ -31,6 +31,15 @@ def build_corpus():
         "grotzsch": generate_family("mycielski-iterate", 4),
     }
     return g
+
+
+def least_elb_by_word_search(g):
+    """elb(g) as the least k at which ``decide_elb``, the per-edge word
+    search, is sat: a reference that does not read elb off chi."""
+    k = 0
+    while decide_elb(g, k).status != "sat":
+        k += 1
+    return k
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,10 @@ from eqcover import (
     verify_orientation_cover,
     line_graph,
 )
+from eqcover.bounds import sigma_lower_from_chi
+from eqcover.construct import pullback_size
+
+from conftest import least_elb_by_word_search
 
 
 def test_alon_values():
@@ -128,6 +132,25 @@ def test_report_respects_budget():
     assert any("truncated" in note for note in rep.notes)
 
 
+def test_truncated_chi_lower_end_names_its_source():
+    # the coloring search starts at the clique bound and refutes each k
+    # below the one it stops at: M5 (greedy clique 2) stops at k = 4, and
+    # C5 with a hub (greedy clique 3) at its first node
+    m5 = generate_family("mycielski-iterate", 5)
+    chi = bounds_report(m5, Budget(max_nodes=200)).chi
+    assert (chi.render(), chi.provenance()) == ("4..5", "lo: coloring search; hi: greedy coloring")
+    wheel = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+    chi = bounds_report(wheel, Budget(max_nodes=1)).chi
+    assert (chi.render(), chi.provenance()) == ("3..4", "lo: clique bound; hi: greedy coloring")
+
+
+def test_sigma_lower_bound_is_never_below_elb():
+    # k + 2^(2^(k-1)-k-1) <= 2^(2^(k-1)), so a chi that needs k
+    # orientations by the coloring bound needs no more elbow ones
+    for c in range(3, 70_000):
+        assert sigma_lower_from_chi(c) >= pullback_size(c, "elbow"), c
+
+
 def test_report_lines_and_dict_are_deterministic():
     g = generate_family("triangle-plus-pendant")
     a, b = bounds_report(g), bounds_report(g)
@@ -145,7 +168,7 @@ def test_report_interval_consistency_over_corpus(corpus):
         g = corpus[name]
         rep = bounds_report(g)
         sigma = solve_invariant(g, "sigma").value
-        elb = solve_invariant(g, "elb").value
+        elb = least_elb_by_word_search(g)
         assert rep.sigma.lo <= sigma <= rep.sigma.hi
         assert rep.elb.lo <= elb <= rep.elb.hi
         if g.m:
@@ -171,7 +194,7 @@ def test_report_consistent_on_random_graphs():
         rep = bounds_report(g)
         assert rep.chi.lo <= exact_chromatic(g).value <= rep.chi.hi
         assert rep.sigma.lo <= solve_invariant(g, "sigma").value <= rep.sigma.hi
-        assert rep.elb.lo <= solve_invariant(g, "elb").value <= rep.elb.hi
+        assert rep.elb.lo <= least_elb_by_word_search(g) <= rep.elb.hi
         if "sigma" in rep.witnesses:
             assert verify_orientation_cover(g, rep.witnesses["sigma"]) is None
 
@@ -188,7 +211,7 @@ def test_report_truncated_budget_stays_sound():
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.7])
         rep = bounds_report(g, Budget(max_nodes=rng.choice((1, 5, 20))))
         assert rep.sigma.lo <= solve_invariant(g, "sigma").value <= rep.sigma.hi
-        assert rep.elb.lo <= solve_invariant(g, "elb").value <= rep.elb.hi
+        assert rep.elb.lo <= least_elb_by_word_search(g) <= rep.elb.hi
 
 
 def test_report_elbow_witness_matches_upper_endpoint(corpus):

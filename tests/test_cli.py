@@ -456,6 +456,70 @@ def test_verify_every_kind_on_every_cover_file(tmp_path, capsys, name, kind, cod
         assert got[2] == ""
 
 
+@pytest.mark.parametrize(
+    "op, kind",
+    [
+        ("elbow-double", "elbow"),
+        ("eq-from-orientation", "orientation"),
+        ("orientation-from-eq", "equivalence"),
+        ("orientation-from-elbow", "elbow"),
+        ("coloring-from-elbow", "elbow"),
+        ("coloring-from-orientation", "orientation"),
+    ],
+)
+def test_construct_refuses_a_cover_of_another_class(tmp_path, capsys, op, kind):
+    # the class rule of verify --kind: a cover of any class its kind's
+    # verifier does not read exits 2 and writes nothing
+    from eqcover import (
+        EquivalenceCover,
+        EyebrowCover,
+        OrientationCover,
+        generate_family,
+        line_graph,
+        write_cover_for,
+        write_graph_file,
+    )
+
+    g = generate_family("complete", 4)
+    ref = line_graph(g).line if op == "orientation-from-eq" else g
+    covers = {
+        "orientation": OrientationCover((ref.n, ref.m), 1, [0] * ref.m),
+        "eyebrow": EyebrowCover(ref.n, [range(ref.n)]),
+        "equivalence": EquivalenceCover(ref.n, [[e] for e in ref.edges]),
+    }
+    gpath, cpath = tmp_path / "k4.g", tmp_path / "wrong.cov"
+    out_path, big = tmp_path / "never.out", tmp_path / "never.g"
+    write_graph_file(str(gpath), g)
+    extra = ["--graph-output", str(big)] if op == "elbow-double" else []
+    # an orientation file serves the elbow ops, as in verify
+    refused = ("orientation", "eyebrow") if kind == "equivalence" else ("eyebrow", "equivalence")
+    for name in refused:
+        cpath.write_text(write_cover_for(ref, covers[name]))
+        code, out, err = run(
+            capsys, "construct", "--op", op, "--graph", str(gpath), "--cover", str(cpath),
+            "--output", str(out_path), *extra,
+        )
+        assert (code, out) == (2, ""), name
+        assert err == f"error: cover file holds an {name} cover, not an {kind} cover\n"
+        assert not out_path.exists() and not big.exists()
+
+
+def test_construct_elbow_ops_read_an_orientation_file(tmp_path, capsys):
+    # every orientation covering is an elbow covering, and verify --kind
+    # elbow accepts the file, so the elbow ops do too
+    from eqcover import generate_family, k4_sigma3_cover, write_cover_for, write_graph_file
+
+    g = generate_family("complete", 4)
+    gpath, cpath, out_path = tmp_path / "k4.g", tmp_path / "k4.cov", tmp_path / "k4.col"
+    write_graph_file(str(gpath), g)
+    cpath.write_text(write_cover_for(g, k4_sigma3_cover()))
+    code, out, err = run(
+        capsys, "construct", "--op", "coloring-from-elbow", "--graph", str(gpath),
+        "--cover", str(cpath), "--output", str(out_path),
+    )
+    assert (code, out, err) == (0, f"WROTE {out_path}\n", "")
+
+
 def test_construct_via_coloring_out_of_budget_exits_2(tmp_path, capsys):
     # the exact chromatic search stops at its first node on the Groetzsch
     # graph (chi 4, greedy 4, clique 2), so no coloring is pulled back

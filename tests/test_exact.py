@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -22,6 +23,7 @@ from eqcover import (
 )
 
 import oracles
+from conftest import least_elb_by_word_search
 from cover_words import directions, ranking, ranking_cover
 
 
@@ -233,7 +235,9 @@ def test_closed_interval_is_exact_without_deciding_the_upper_end():
     # every k below the constructive cover's size is refuted within the
     # budget, so the cover is the exact witness; deciding k = 3 as well
     # used to run out of nodes and report [3, 3] as "bounded".  K4's
-    # sigma <= 2 and K9's elb <= 1 are refuted in closed form, no nodes
+    # sigma <= 2 is refuted in closed form, no nodes.  K9's elb is read
+    # off chi, whose search takes no nodes (clique 9 = DSATUR 9); the
+    # per-k word search took 212,484 nodes to refute elb <= 2
     k4 = generate_family("complete", 4)
     res = solve_invariant(k4, "sigma", Budget(max_nodes=20))
     assert (res.status, res.lo, res.hi, res.nodes) == ("exact", 3, 3, 0)
@@ -242,7 +246,7 @@ def test_closed_interval_is_exact_without_deciding_the_upper_end():
     k9 = generate_family("complete", 9)
     budget = Budget(212485)
     res = solve_invariant(k9, "elb", budget)
-    assert (res.status, res.lo, res.hi, res.nodes) == ("exact", 3, 3, 212484)
+    assert (res.status, res.lo, res.hi, res.nodes) == ("exact", 3, 3, 0)
     assert budget.exhausted is None
     assert res.witness.k == 3 and verify_elbow_cover(k9, res.witness) is None
 
@@ -298,8 +302,9 @@ def test_truncated_solves_carry_verifying_upper_witnesses(corpus):
         for invariant, verifier in budgets.items():
             res = solve_invariant(g, invariant, Budget(max_nodes=1))
             # sigma <= 2 and elb <= 1 fail in closed form off bipartite
-            # graphs, which closes sigma = 3 and elb = 2 on these two
-            closed = name != "K5" and invariant != "eye"
+            # graphs, which closes sigma = 3 and elb = 2 on these two;
+            # elb is read off chi, which K5 settles with no node (clique 5)
+            closed = invariant == "elb" or (name != "K5" and invariant != "eye")
             assert res.status == ("exact" if closed else "bounded")
             assert res.witness.k == res.hi
             assert verifier(g, res.witness) is None
@@ -365,6 +370,26 @@ def test_greedy_coloring_proper(corpus):
     for g in corpus.values():
         coloring = greedy_coloring(g)
         assert coloring.check_proper(g) is None
+
+
+def test_elb_read_off_chi_matches_the_least_sat_word_search(corpus):
+    # solve_invariant reads elb off chi; decide_elb still searches words,
+    # so the least k it accepts is a reference that shares no rule with it
+    rng = random.Random(8128)
+    graphs = list(corpus.values())
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        p = rng.choice((0.2, 0.4, 0.6, 0.8, 0.95))
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for g in graphs:
+        want = least_elb_by_word_search(g)
+        res = solve_invariant(g, "elb")
+        assert (res.status, res.value, res.witness.k) == ("exact", want, want)
+        assert verify_elbow_cover(g, res.witness) is None
+        for nodes in (1, 5, 20):
+            res = solve_invariant(g, "elb", Budget(max_nodes=nodes))
+            assert res.lo <= want <= res.hi == res.witness.k
+            assert verify_elbow_cover(g, res.witness) is None
 
 
 def test_elb_homomorphism_bound(corpus):
