@@ -13,12 +13,19 @@ can be trusted without re-running the full verifier.
 
 from __future__ import annotations
 
-import re
 from itertools import accumulate, compress, count, islice, repeat
 from operator import eq, ge, itemgetter, lshift, or_
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .graphs import _DELETE_DIGITS, Coloring, Graph, ShapeError, _decimal_ints
+from .graphs import (
+    _DELETE_DIGITS,
+    Coloring,
+    Graph,
+    ShapeError,
+    _decimal_ints,
+    _first_line_header,
+    _significant_lines,
+)
 
 COVER_KINDS = ("orientation", "elbow", "eyebrow", "equivalence")
 
@@ -402,33 +409,9 @@ def write_equivalence_cover(n: int, m: int, cover: EquivalenceCover) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _significant_lines(raw: List[str]):
-    for lineno, line in enumerate(raw, start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
-
-
-def parse_cover(text: str, g: Graph):
-    """Parse a cover file against its reference graph.
-
-    Returns an OrientationCover, EyebrowCover, or EquivalenceCover
-    according to the header kind.  Raises CoverFormatError with 1-based
-    line numbers on malformed input.
-
-    An orientation or elbow cover laid out as ``write_cover_for`` writes
-    it is decoded one block at a time, never split into lines whole, and
-    an equivalence cover laid out as ``write_equivalence_cover`` writes
-    it is decoded in bulk; every other text gives the same cover, or
-    error, line by line.
-    """
-    cover = _parse_written_cover(text, g)
-    if cover is None:
-        cover = _parse_written_equivalence(text, g)
-    if cover is not None:
-        return cover
-    raw = text.splitlines()
-    lines = _significant_lines(raw)
+def _cover_header(lines: Iterator[Tuple[int, str]], g: Graph) -> Tuple[str, int]:
+    """The kind and k of the header "cover <kind> <k> <n> <m>", the
+    first of the significant ``lines``, whose shape must be g's."""
     first = next(lines, None)
     if first is None:
         raise CoverFormatError("missing 'cover <kind> <k> <n> <m>' header")
@@ -450,34 +433,39 @@ def parse_cover(text: str, g: Graph):
             f"line {lineno}: header shape ({n}, {m}) does not match graph "
             f"({g.n}, {g.m})"
         )
-    if kind in ("orientation", "elbow"):
-        words = _parse_orientation_blocks(list(lines), g, k)
-        return OrientationCover((g.n, g.m), k, words, kind)
+    return kind, k
+
+
+def parse_cover(text: str, g: Graph):
+    """Parse a cover file against its reference graph.
+
+    Returns an OrientationCover, EyebrowCover, or EquivalenceCover
+    according to the header kind.  Raises CoverFormatError with 1-based
+    line numbers on malformed input.
+
+    When the header is the first line, an orientation or elbow body laid
+    out as ``write_cover_for`` writes it is decoded one block at a time,
+    never split into lines whole, and an equivalence body laid out as
+    ``write_equivalence_cover`` writes it is decoded in bulk; every other
+    text gives the same cover, or error, line by line.
+    """
+    start = _first_line_header(text)
+    if start:
+        kind, k = _cover_header(_significant_lines([text[:start]]), g)
+        if kind in ("orientation", "elbow"):
+            words = _canonical_words(text, start, g, k)
+            if words is not None:
+                return OrientationCover((g.n, g.m), k, words, kind)
+        elif kind == "equivalence":
+            cover = _written_classes(text, start, g, k)
+            if cover is not None:
+                return cover
+    lines = _significant_lines(text.splitlines())
+    kind, k = _cover_header(lines, g)
     body = list(lines)
+    if kind in ("orientation", "elbow"):
+        return OrientationCover((g.n, g.m), k, _parse_orientation_blocks(body, g, k), kind)
     return _parse_eyebrow(body, g, k) if kind == "eyebrow" else _parse_equivalence(body, g, k)
-
-
-_COVER_HEADER = re.compile(r"cover (orientation|elbow) ([0-9]+) ([0-9]+) ([0-9]+)\n")
-
-
-def _parse_written_cover(text: str, g: Graph) -> Optional[OrientationCover]:
-    """The orientation or elbow cover of a text whose first line is its
-    header, exactly as ``write_cover_for`` writes it, and whose blocks
-    ``_canonical_words`` decodes; None for any other text, left to the
-    line-by-line reader."""
-    header = _COVER_HEADER.match(text)
-    if header is None:
-        return None
-    try:
-        k, n, m = int(header[2]), int(header[3]), int(header[4])
-    except ValueError:  # a number past the int string-conversion limit
-        return None
-    if (n, m) != (g.n, g.m):
-        return None
-    words = _canonical_words(text, header.end(), g, k)
-    if words is None:
-        return None
-    return OrientationCover((n, m), k, words, header[1])
 
 
 def _canonical_words(text: str, start: int, g: Graph, k: int) -> Optional[List[int]]:
@@ -520,30 +508,21 @@ def _canonical_words(text: str, start: int, g: Graph, k: int) -> Optional[List[i
     return words if pos == len(text) else None
 
 
-_EQUIVALENCE_HEADER = re.compile(r"cover equivalence ([0-9]+) [0-9]+ [0-9]+\n")
+def _written_classes(text: str, start: int, g: Graph, k: int) -> Optional[EquivalenceCover]:
+    """The equivalence cover whose k blocks make up ``text[start:]``
+    when they are laid out exactly as ``write_equivalence_cover`` writes
+    them: "block i" for i = 1..k, each followed by lines
+    "clique v_1 ... v_r" with 0 <= v_1 < ... < v_r < n, single spaces,
+    each line ending in a newline.  None for any other text, left to the
+    line-by-line reader.
 
-
-def _parse_written_equivalence(text: str, g: Graph) -> Optional[EquivalenceCover]:
-    """The equivalence cover of a text laid out exactly as
-    ``write_equivalence_cover`` writes it: its header, then "block i"
-    for i = 1..k, each followed by lines "clique v_1 ... v_r" with
-    0 <= v_1 < ... < v_r < n, single spaces and a final newline.  None
-    for any other text, left to the line-by-line reader.
-
-    The text is checked and decoded whole: it is split into blocks at
+    The body is checked and decoded whole: it is split into blocks at
     "block ", the clique lines of all blocks are joined, and their
     vertices are decoded by one ``_decimal_ints`` call, then cut into
     classes by the number of spaces on each line.
     """
-    header = _EQUIVALENCE_HEADER.match(text)
-    if header is None or not text.endswith("\n"):
-        return None
-    try:
-        k = int(header[1])
-    except ValueError:  # a number past the int string-conversion limit
-        return None
-    blocks = text[header.end() :].split("block ")
-    if header[0] != f"cover equivalence {k} {g.n} {g.m}\n" or len(blocks) != k + 1 or blocks[0]:
+    blocks = text[start:].split("block ")
+    if len(blocks) != k + 1 or blocks[0]:
         return None
     sizes = []  # the number of classes of each block
     for i in range(1, k + 1):

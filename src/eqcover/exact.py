@@ -63,13 +63,18 @@ class _OutOfBudget(Exception):
 
 
 class Budget:
-    """Search budget: node count (deterministic) and optional wall clock."""
+    """Search budget: node count (deterministic) and optional wall clock.
+    Each limit given must be >= 0; a NaN clock limit is refused too."""
 
     __slots__ = ("max_nodes", "max_seconds", "nodes", "exhausted", "_deadline")
 
     def __init__(
         self, max_nodes: Optional[int] = None, max_seconds: Optional[float] = None
     ):
+        if max_nodes is not None and max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
+        if max_seconds is not None and not max_seconds >= 0:
+            raise ValueError(f"max_seconds must be >= 0, got {max_seconds}")
         self.max_nodes = max_nodes
         self.max_seconds = max_seconds
         self.nodes = 0

@@ -23,7 +23,7 @@ import json
 import re
 from itertools import groupby
 from operator import itemgetter, lt
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -411,7 +411,6 @@ def generate_family(family: str, parameter: Optional[int] = None) -> Graph:
     return makers[name](parameter)
 
 
-_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
 _DELETE_DIGITS = str.maketrans("", "", "0123456789")
 _DECIMAL_TEXT = re.compile(r"[0-9 \n]*")
 _SEPARATORS_TO_COMMAS = {32: 44, 10: 44}
@@ -436,29 +435,63 @@ def _decimal_ints(text: str) -> Optional[List[int]]:
         return None
 
 
-def _parse_written_graph(text: str) -> Optional[Graph]:
-    """The graph of a text laid out exactly as ``write_graph`` writes it
-    without a comment ("p n m", then m sorted lines "u v" with u < v < n,
-    ASCII digits, single spaces, a final newline); None for any other
-    text, left to the line-by-line reader.
+def _significant_lines(raw: Iterable[str]) -> Iterator[Tuple[int, str]]:
+    """Each line of ``raw`` that is neither blank nor a "#" comment,
+    stripped, with its 1-based line number."""
+    for lineno, line in enumerate(raw, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
-    The layout is checked on the whole text at once: with its digits
-    deleted, the header line must read "p  " and every later line one
-    space.  The endpoints are decoded by ``_decimal_ints``.
-    """
-    header = _HEADER.match(text)
-    if header is None or not text.endswith("\n"):
-        return None
+
+def _first_line_header(text: str) -> int:
+    """The offset past the text's first line when the line-by-line
+    reader would read that line, as line 1, as the header: it ends in
+    "\n", is one line under ``str.splitlines`` and is neither blank nor
+    a comment.  0 otherwise, when only that reader can find the header.
+
+    Past this offset a bulk decoder reads the body alone, so it never
+    splits the whole text into lines."""
+    end = text.find("\n") + 1
+    raw = text[:end].splitlines()
+    return end if len(raw) == 1 and any(_significant_lines(raw)) else 0
+
+
+def _graph_header(lines: Iterator[Tuple[int, str]]) -> Tuple[int, int]:
+    """n and m from the header "p <n> <m>", the first of the significant
+    ``lines``."""
+    first = next(lines, None)
+    if first is None:
+        raise GraphFormatError("missing 'p <n> <m>' header")
+    lineno, line = first
+    parts = line.split()
+    if parts[0] != "p" or len(parts) != 3:
+        raise GraphFormatError(f"line {lineno}: expected header 'p <n> <m>'")
     try:
-        n, m = int(header[1]), int(header[2])
-    except ValueError:  # a number past the int string-conversion limit
-        return None
-    shape = text.translate(_DELETE_DIGITS)
+        n, m = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: non-integer header") from None
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"line {lineno}: negative header value")
+    return n, m
+
+
+def _written_edges(text: str, start: int, n: int, m: int) -> Optional[List[Edge]]:
+    """The edges of ``text[start:]`` when it is laid out as
+    ``write_graph`` writes a body (m sorted lines "u v" with
+    u < v < n, ASCII digits, single spaces, each line ending in a
+    newline); None for any other body, left to the line-by-line reader.
+
+    The layout is checked on the whole body at once: with its digits
+    deleted, every line must read one space.  The endpoints are decoded
+    by ``_decimal_ints``.
+    """
+    shape = text[start:].translate(_DELETE_DIGITS)
     # the length test first: a forged header m builds no long string
-    if len(shape) != 4 + 2 * m or shape != "p  \n" + " \n" * m:
+    if len(shape) != 2 * m or shape != " \n" * m:
         return None
     del shape
-    ends = _decimal_ints(text[header.end() : -1])
+    ends = _decimal_ints(text[start:-1])
     if ends is None:
         return None
     # each list is dropped as soon as the next one is built, which keeps
@@ -469,9 +502,7 @@ def _parse_written_graph(text: str) -> Optional[Graph]:
         return None
     edges = list(zip(low, high))
     del low, high
-    if not all(map(lt, edges, edges[1:])):
-        return None
-    return Graph._from_sorted(n, edges)
+    return edges if all(map(lt, edges, edges[1:])) else None
 
 
 def parse_graph(text: str) -> Graph:
@@ -483,38 +514,27 @@ def parse_graph(text: str) -> Graph:
     order.  Violations raise GraphFormatError naming the 1-based line
     number.
 
-    A text laid out as ``write_graph`` writes it is decoded in bulk;
-    every other accepted layout gives the same graph line by line.
+    When the header is the first line, a body laid out as
+    ``write_graph`` writes it is decoded in bulk; every other accepted
+    layout gives the same graph line by line.
     """
-    g = _parse_written_graph(text)
-    if g is not None:
-        return g
-    header: Optional[Tuple[int, int]] = None
-    edges: List[Edge] = []
+    start = _first_line_header(text)
+    if start:
+        n, m = _graph_header(_significant_lines([text[:start]]))
+        edges = _written_edges(text, start, n, m)
+        if edges is not None:
+            return Graph._from_sorted(n, edges)
+    lines = _significant_lines(text.splitlines())
+    n, m = _graph_header(lines)
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in lines:
         parts = line.split()
-        if header is None:
-            if parts[0] != "p" or len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: expected header 'p <n> <m>'")
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer header") from None
-            if n < 0 or m < 0:
-                raise GraphFormatError(f"line {lineno}: negative header value")
-            header = (n, m)
-            continue
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected '<u> <v>'")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
-        n = header[0]
         if not (0 <= u < v < n):
             raise GraphFormatError(
                 f"line {lineno}: edge ({u}, {v}) must satisfy 0 <= u < v < {n}"
@@ -522,15 +542,10 @@ def parse_graph(text: str) -> Graph:
         if (u, v) in seen:
             raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
         seen.add((u, v))
-        edges.append((u, v))
-    if header is None:
-        raise GraphFormatError("missing 'p <n> <m>' header")
-    if len(edges) != header[1]:
-        raise GraphFormatError(
-            f"header declares m={header[1]} but found {len(edges)} edge lines"
-        )
+    if len(seen) != m:
+        raise GraphFormatError(f"header declares m={m} but found {len(seen)} edge lines")
     # every edge is checked above: normalized, in range and not repeated
-    return Graph._from_sorted(header[0], sorted(edges))
+    return Graph._from_sorted(n, sorted(seen))
 
 
 def write_graph(g: Graph, comment: Optional[str] = None) -> str:

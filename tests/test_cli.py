@@ -542,6 +542,25 @@ def test_construct_via_coloring_out_of_budget_exits_2(tmp_path, capsys):
     assert code == 0 and out == "VALID k=3\n"
 
 
+@pytest.mark.parametrize("limit", [["--max-nodes", "-1"], ["--max-seconds", "-1"], ["--max-seconds", "nan"]])
+def test_budget_verbs_refuse_a_negative_or_nan_limit(tmp_path, capsys, limit):
+    # the parent printed "chi in [2, 4]" and exited 3 for --max-nodes -1
+    g = tmp_path / "m4.g"
+    run(capsys, "gen", "--family", "mycielski-iterate", "--parameter", "4", "--output", str(g))
+    out_path = tmp_path / "never.out"
+    witnesses = tmp_path / "witnesses"
+    for argv in [
+        ["solve", "--invariant", "chi", "--graph", str(g), "--output", str(out_path)],
+        ["construct", "--op", "via-coloring", "--graph", str(g), "--output", str(out_path)],
+        ["bounds", "--graph", str(g), "--witness-dir", str(witnesses)],
+    ]:
+        code, out, err = run(capsys, *argv, *limit)
+        assert (code, out) == (2, ""), argv
+        name = limit[0][2:].replace("-", "_")
+        assert err.startswith(f"error: {name} must be >= 0, got "), err
+        assert not out_path.exists() and not witnesses.exists()
+
+
 @pytest.mark.parametrize(
     "source,unread",
     [

@@ -349,6 +349,23 @@ def test_wall_clock_budget():
     assert res.status == "timeout"
 
 
+def test_budget_refuses_negative_and_nan_limits():
+    for kwargs, message in [
+        ({"max_nodes": -1}, "max_nodes must be >= 0, got -1"),
+        ({"max_seconds": -0.5}, "max_seconds must be >= 0, got -0.5"),
+        ({"max_seconds": float("nan")}, "max_seconds must be >= 0, got nan"),
+        ({"max_nodes": 5, "max_seconds": -1.0}, "max_seconds must be >= 0, got -1.0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            Budget(**kwargs)
+        assert str(info.value) == message
+    # zero and infinity are limits: no node, and no clock
+    assert Budget(max_nodes=0, max_seconds=0.0).max_nodes == 0
+    m4 = generate_family("mycielski-iterate", 4)
+    res = exact_chromatic(m4, Budget(max_nodes=10**6, max_seconds=float("inf")))
+    assert (res.status, res.value) == ("exact", 4)
+
+
 def test_determinism():
     k4 = generate_family("complete", 4)
     a = decide_sigma(k4, 3)

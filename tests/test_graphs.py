@@ -19,6 +19,7 @@ from eqcover import (
 )
 
 import oracles
+from line_readers import reference_graph, reference_parse_graph
 
 
 def test_edges_normalized_and_sorted():
@@ -234,72 +235,9 @@ def test_induced_subgraph_rejects_out_of_range():
 
 # ---------------------------------------------------------------------------
 # Differential tests: the graph reader and Graph(n, edges) against verbatim
-# copies of the line-by-line reader and of the sort-and-scan constructor that
-# preceded the bulk decode.  Every text and edge list must give the same
-# graph, or the same exception type and message.
-
-
-def _reference_graph(n, edges):
-    # Graph.__init__ before the already-sorted fast path
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
-    norm = []
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        norm.append((u, v) if u < v else (v, u))
-    norm.sort()
-    for i in range(1, len(norm)):
-        if norm[i] == norm[i - 1]:
-            raise ValueError(f"duplicate edge {norm[i]}")
-    return Graph._from_sorted(n, norm)
-
-
-def _reference_parse_graph(text):
-    # parse_graph before the bulk decode
-    header = None
-    edges = []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if parts[0] != "p" or len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: expected header 'p <n> <m>'")
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer header") from None
-            if n < 0 or m < 0:
-                raise GraphFormatError(f"line {lineno}: negative header value")
-            header = (n, m)
-            continue
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected '<u> <v>'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
-        n = header[0]
-        if not (0 <= u < v < n):
-            raise GraphFormatError(
-                f"line {lineno}: edge ({u}, {v}) must satisfy 0 <= u < v < {n}"
-            )
-        if (u, v) in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        edges.append((u, v))
-    if header is None:
-        raise GraphFormatError("missing 'p <n> <m>' header")
-    if len(edges) != header[1]:
-        raise GraphFormatError(
-            f"header declares m={header[1]} but found {len(edges)} edge lines"
-        )
-    return _reference_graph(header[0], edges)
+# copies (in line_readers.py) of the line-by-line reader and of the
+# sort-and-scan constructor that preceded the bulk decode.  Every text and
+# edge list must give the same graph, or the same exception type and message.
 
 
 def _outcome(build, *args):
@@ -390,7 +328,7 @@ def test_parse_graph_matches_reference_reader():
             texts.extend(_corruptions(rng, n, edges))
     bulk = 0
     for text in texts:
-        expected = _outcome(_reference_parse_graph, text)
+        expected = _outcome(reference_parse_graph, text)
         assert _outcome(parse_graph, text) == expected, text
         bulk += expected[0] == "graph" and write_graph(parse_graph(text)) == text
     assert bulk >= 60  # the layout write_graph produces is among the texts
@@ -399,7 +337,7 @@ def test_parse_graph_matches_reference_reader():
 def test_parse_graph_handles_numbers_past_the_conversion_limit():
     huge = "9" * 5000
     for text in (f"p {huge} 0\n", f"p 3 1\n0 {huge}\n"):
-        assert _outcome(parse_graph, text) == _outcome(_reference_parse_graph, text)
+        assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
 
 
 def test_graph_constructor_matches_reference():
@@ -416,7 +354,7 @@ def test_graph_constructor_matches_reference():
             cases.append((n, sorted(edges) + [(n - 1, n)]))
             cases.append((n, [(0, 0)] + sorted(edges)))
     for n, edges in cases:
-        assert _outcome(Graph, n, edges) == _outcome(_reference_graph, n, edges), (n, edges)
+        assert _outcome(Graph, n, edges) == _outcome(reference_graph, n, edges), (n, edges)
 
 
 def _eager_tables(n, edges):
@@ -479,4 +417,4 @@ def test_parse_graph_peak_memory_no_higher_than_reference():
         finally:
             tracemalloc.stop()
 
-    assert peak(parse_graph) <= peak(_reference_parse_graph)
+    assert peak(parse_graph) <= peak(reference_parse_graph)
