@@ -13,8 +13,8 @@ can be trusted without re-running the full verifier.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, count, islice, repeat
-from operator import eq, ge, itemgetter, lshift, or_
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import and_, ge, getitem, itemgetter, lshift, or_, rshift
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import (
@@ -23,7 +23,7 @@ from .graphs import (
     Graph,
     ShapeError,
     _decimal_ints,
-    _first_line_header,
+    _header_end,
     _significant_lines,
 )
 
@@ -363,6 +363,12 @@ class EquivalenceViolation(Violation):
 # ---------------------------------------------------------------------------
 
 
+# Byte maps of _canonical_words: a newline to 0xFF and every other
+# byte to 0; a line's "not the low arrow" byte, 0 or 1, to its flag.
+_NEWLINES_TO_FF = bytes(0xFF if b == 10 else 0 for b in range(256))
+_LOW_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
 def _arrow_lines(g: Graph) -> Tuple[List[str], List[str]]:
     """Each edge's arrow line out of its low endpoint and out of its high
     one, joined from one decimal string per vertex."""
@@ -381,11 +387,20 @@ def write_cover_for(g: Graph, cover) -> str:
         cover.require_match(g)
         lines.append(f"cover {cover.kind} {cover.k} {g.n} {g.m}")
         out_of_low, out_of_high = _arrow_lines(g)
-        for i in range(cover.k):
-            lines.append(f"block {i + 1}")
-            lines.extend(
-                [a if (w >> i) & 1 else b for a, b, w in zip(out_of_low, out_of_high, cover.words)]
-            )
+        arrows = list(zip(out_of_high, out_of_low))  # edge e's arrow for a 0 bit and a 1 bit
+        ones = int.from_bytes(b"\x01" * g.m, "little")
+        for lane in range(0, cover.k, 8):
+            # bits lane..lane+7 of every word, one byte per edge: with
+            # k <= 8, the words themselves
+            if cover.k <= 8:
+                octets = bytes(cover.words)
+            else:
+                octets = bytes(map(and_, map(rshift, cover.words, repeat(lane)), repeat(0xFF)))
+            acc = int.from_bytes(octets, "little")
+            for i in range(lane, min(cover.k, lane + 8)):
+                lines.append(f"block {i + 1}")
+                bits = (acc >> (i - lane) & ones).to_bytes(g.m, "little")  # bit i of every word
+                lines.extend(map(getitem, arrows, bits))
     elif isinstance(cover, EyebrowCover):
         if cover.n != g.n:
             raise ShapeError(f"cover n={cover.n} does not match graph n={g.n}")
@@ -443,15 +458,16 @@ def parse_cover(text: str, g: Graph):
     according to the header kind.  Raises CoverFormatError with 1-based
     line numbers on malformed input.
 
-    When the header is the first line, an orientation or elbow body laid
-    out as ``write_cover_for`` writes it is decoded one block at a time,
-    never split into lines whole, and an equivalence body laid out as
+    When every line up to the header ends in "\n" and holds no other
+    line break, an orientation or elbow body laid out as
+    ``write_cover_for`` writes it is decoded one block at a time, never
+    split into lines, and an equivalence body laid out as
     ``write_equivalence_cover`` writes it is decoded in bulk; every other
     text gives the same cover, or error, line by line.
     """
-    start = _first_line_header(text)
+    start = _header_end(text)
     if start:
-        kind, k = _cover_header(_significant_lines([text[:start]]), g)
+        kind, k = _cover_header(_significant_lines(text[:start].splitlines()), g)
         if kind in ("orientation", "elbow"):
             words = _canonical_words(text, start, g, k)
             if words is not None:
@@ -476,16 +492,28 @@ def _canonical_words(text: str, start: int, g: Graph, k: int) -> Optional[List[i
     line-by-line reader, which accepts the arrows of a block in any
     order.
 
-    An arrow and its reverse have the same length, so each block's
-    extent is known before it is read, and only one block at a time is
-    split into lines.  Decoded by position: block i's flags "line e
-    runs out of the low endpoint" become one byte per edge, shifted to
-    bit i mod 8 and summed into one integer per eight blocks, so no bit
-    carries into the next edge's byte.
+    An arrow and its reverse have the same length, so every block has
+    the width of the all-low block, and its newlines sit where that
+    block's do.  A block is never split into lines: its bytes become
+    one integer, byte j at bits 8j..8j+7, and each step below acts on
+    every byte at once.  The test is per line, not per byte: the line
+    "15 15" differs from both "12 15" and "15 12", but never at the same
+    byte.  Line e's flag "runs out of the low endpoint" becomes byte e
+    of the block's flags, shifted to bit i mod 8 and summed into one
+    integer per eight blocks, so no bit carries into the next edge's
+    byte.
     """
     m = g.m
-    out_of_low, out_of_high = _arrow_lines(g)
-    width = sum(map(len, out_of_low)) + m  # one block's arrows with their newlines
+    ends = list(chain.from_iterable(g.edges))
+    written = b"%d %d\n" * m % tuple(ends)  # the all-low block
+    width = len(written)
+    low = int.from_bytes(written, "little")
+    ends[0::2], ends[1::2] = ends[1::2], ends[0::2]
+    high = int.from_bytes(b"%d %d\n" * m % tuple(ends), "little")
+    del ends
+    newlines = int.from_bytes(written.translate(_NEWLINES_TO_FF), "little")
+    del written
+    fill = ((1 << 8 * width) - 1) ^ newlines  # 0xFF in every byte but a newline
     words = [0] * m
     pos = start
     for lane in range(0, k, 8):
@@ -494,17 +522,29 @@ def _canonical_words(text: str, start: int, g: Graph, k: int) -> Optional[List[i
             head = f"block {i + 1}\n"
             if not text.startswith(head, pos):
                 return None
-            pos += len(head) + width
-            # a block ending in a newline splits into m lines and ""
-            block = text[pos - width : pos].split("\n")
-            if len(block) != m + 1 or block.pop():
+            pos += len(head) + width  # past the text's end only if short, so None below
+            try:
+                block = int.from_bytes(text[pos - width : pos].encode("ascii"), "little")
+            except UnicodeEncodeError:
                 return None
-            low = list(map(eq, block, out_of_low))
-            high = sum(map(eq, block, out_of_high))
-            if sum(low) + high != m:
+            x = block ^ low
+            if x & newlines:  # a newline moved
                 return None
-            acc += int.from_bytes(bytes(low), "little") << (i - lane)
-        words = list(map(or_, words, map(lshift, acc.to_bytes(m, "little"), repeat(lane))))
+            # Adding 0xFF to each byte of a line but its newline carries
+            # a 1 from the line's first nonzero byte of x through the
+            # rest onto its newline byte, where x and fill are 0, so
+            # the carry stops there: a newline byte of not_low reads 1
+            # when its line is not the low arrow, 0 when it is.
+            not_low = x + fill
+            not_high = (block ^ high) + fill
+            if not_low & not_high & newlines:  # a line that is neither arrow
+                return None
+            # with every byte but the newlines made 0xFF, the translate
+            # drops those and turns each newline byte into its flag
+            flags = (not_low | fill).to_bytes(width, "little").translate(_LOW_FLAGS, b"\xff")
+            acc += int.from_bytes(flags, "little") << (i - lane)
+        lanes = acc.to_bytes(m, "little")
+        words = list(map(or_, words, map(lshift, lanes, repeat(lane)))) if lane else list(lanes)
     return words if pos == len(text) else None
 
 

@@ -444,17 +444,24 @@ def _significant_lines(raw: Iterable[str]) -> Iterator[Tuple[int, str]]:
             yield lineno, line
 
 
-def _first_line_header(text: str) -> int:
-    """The offset past the text's first line when the line-by-line
-    reader would read that line, as line 1, as the header: it ends in
-    "\n", is one line under ``str.splitlines`` and is neither blank nor
-    a comment.  0 otherwise, when only that reader can find the header.
+def _header_end(text: str) -> int:
+    """The offset past the header line when the line-by-line reader
+    would number the lines up to it alike: the header and the blank and
+    "#" comment lines before it each end in "\n" and are one line under
+    ``str.splitlines``.  0 otherwise, when only that reader can find the
+    header.
 
     Past this offset a bulk decoder reads the body alone, so it never
     splits the whole text into lines."""
-    end = text.find("\n") + 1
-    raw = text[:end].splitlines()
-    return end if len(raw) == 1 and any(_significant_lines(raw)) else 0
+    start = 0
+    while True:
+        end = text.find("\n", start) + 1
+        raw = text[start:end].splitlines()
+        if len(raw) != 1:
+            return 0
+        if any(_significant_lines(raw)):
+            return end
+        start = end
 
 
 def _graph_header(lines: Iterator[Tuple[int, str]]) -> Tuple[int, int]:
@@ -514,13 +521,14 @@ def parse_graph(text: str) -> Graph:
     order.  Violations raise GraphFormatError naming the 1-based line
     number.
 
-    When the header is the first line, a body laid out as
-    ``write_graph`` writes it is decoded in bulk; every other accepted
-    layout gives the same graph line by line.
+    When every line up to the header ends in "\n" and holds no other
+    line break, a body laid out as ``write_graph`` writes it is decoded
+    in bulk; every other accepted layout gives the same graph line by
+    line.
     """
-    start = _first_line_header(text)
+    start = _header_end(text)
     if start:
-        n, m = _graph_header(_significant_lines([text[:start]]))
+        n, m = _graph_header(_significant_lines(text[:start].splitlines()))
         edges = _written_edges(text, start, n, m)
         if edges is not None:
             return Graph._from_sorted(n, edges)

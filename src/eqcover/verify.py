@@ -68,37 +68,43 @@ def _first_bad_pair(viewed: List[int], full: int, elbow: bool) -> Optional[Tuple
 
 
 @lru_cache(maxsize=None)
-def _bad_rows(k: int, elbow: bool) -> Tuple[int, ...]:
-    """Row x is the bitset of the k-bit masks y that make (x, y) a bad
-    pair, by the same predicate as _first_bad_pair."""
+def _word_tables(k: int, elbow: bool) -> Tuple[Tuple[int, ...], ...]:
+    """Indexed by an edge's word w: the bad-pair rows of the masks that
+    its low and its high endpoint see, w and its complement, and the
+    one-hot bit of each.  Row x is the bitset of the k-bit masks y that
+    make (x, y) a bad pair, by the same predicate as _first_bad_pair."""
     full = (1 << k) - 1
-    return tuple(
-        sum(
-            1 << y
-            for y in range(full + 1)
-            if x & y == 0 and (not elbow or x | y == full)
-        )
-        for x in range(full + 1)
+    masks = range(full + 1)
+    rows = tuple(
+        sum(1 << y for y in masks if x & y == 0 and (not elbow or x | y == full))
+        for x in masks
+    )
+    high = [full ^ w for w in masks]
+    return (
+        rows,
+        tuple(map(rows.__getitem__, high)),
+        tuple(1 << w for w in masks),
+        tuple(1 << x for x in high),
     )
 
 
 def _first_bad_vertex(g: Graph, cover: OrientationCover, elbow: bool) -> Optional[int]:
     """The first vertex with a bad pair of incident edges, or None, by
     one pass over the edges against the bad-pair table (k <= 8)."""
-    rows = _bad_rows(cover.k, elbow)
-    full = (1 << cover.k) - 1
+    low_rows, high_rows, low_bits, high_bits = _word_tables(cover.k, elbow)
     seen = [0] * g.n
     first = g.n
-    for (u, v), x in zip(g.edges, cover.words):
+    for (u, v), w in zip(g.edges, cover.words):
         if u >= first:
             break
-        if seen[u] & rows[x]:
+        at = seen[u]
+        if at & low_rows[w]:
             first = u
-        seen[u] |= 1 << x
-        x ^= full
-        if seen[v] & rows[x] and v < first:
+        seen[u] = at | low_bits[w]
+        at = seen[v]
+        if at & high_rows[w] and v < first:
             first = v
-        seen[v] |= 1 << x
+        seen[v] = at | high_bits[w]
     return first if first < g.n else None
 
 

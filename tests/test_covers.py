@@ -422,6 +422,75 @@ def test_positional_decode_matches_line_reader_for_k_up_to_12():
             assert _parse_orientation_blocks(list(_significant_lines(raw)), g, k) == words
 
 
+def _boundary_graphs():
+    """Graphs whose arrow lines cross the digit-count boundaries, the
+    graph of the edge (12, 15), and graphs with m = 0, 1, 2."""
+    yield Graph(16, [(12, 15)])
+    for b in (10, 100, 1000):
+        vs = (b - 2, b - 1, b, b + 1)
+        yield Graph(b + 2, [(0, b)] + [(u, v) for u in vs for v in vs if u < v])
+    for m in (0, 1, 2):
+        yield Graph(3, [(0, 1), (1, 2)][:m])
+
+
+def _block_edits(rng, text):
+    """Texts that differ from a written cover text at one arrow line,
+    or around it; the comment on each names the edit."""
+    lines = text.split("\n")
+    arrows = [i for i, line in enumerate(lines) if line[:1].isdigit()]
+    a = rng.choice(arrows)
+    t, h = lines[a].split()
+
+    def edit(line):
+        return "\n".join(lines[:a] + [line] + lines[a + 1 :])
+
+    yield edit(f"{h} {h}")  # "15 15" for (12, 15): off each arrow at another byte
+    yield edit(f"{t} {t}")
+    j = rng.choice([i for i, c in enumerate(lines[a]) if c.isdigit()])
+    d = int(lines[a][j])
+    yield edit(lines[a][:j] + str((d + 1) % 10) + lines[a][j + 1 :])  # one digit off
+    yield edit(lines[a][:j] + chr(0x660 + d) + lines[a][j + 1 :])  # a non-ASCII digit
+    yield edit(lines[a] + "\r")  # one CRLF line end
+    # a newline made a vertical tab, one byte off it: to the line reader,
+    # still a line break
+    yield "\n".join(lines[:a] + [lines[a] + "\x0b" + lines[a + 1]] + lines[a + 2 :])
+    yield text.replace("\n", "\r\n")
+    yield edit(lines[a][:-1])  # the block one byte short
+    yield edit(lines[a] + " ")  # the block one byte long
+    yield edit(lines[a][:-1] + "\n" + lines[a][-1])  # a newline moved up a byte
+    if a + 1 in arrows:  # a newline moved down a byte
+        yield "\n".join(lines[:a] + [lines[a] + lines[a + 1][0], lines[a + 1][1:]] + lines[a + 2 :])
+
+
+def test_block_decode_takes_exactly_the_written_texts():
+    # The block decoder returns words for a text exactly when
+    # write_cover_for writes that text from them; parse_cover gives the
+    # same cover, or error, as the reference decode and the line reader.
+    from eqcover.covers import _canonical_words
+
+    from line_readers import reference_parse_cover
+
+    rng = random.Random(23)
+    for g in _boundary_graphs():
+        for k in (0, 1, 8, 9, 16):
+            words = [rng.getrandbits(k) if k else 0 for _ in range(g.m)]
+            text = write_cover_for(g, OrientationCover((g.n, g.m), k, words, "elbow"))
+            start = text.index("\n") + 1
+            assert _canonical_words(text, start, g, k) == words
+            edits = list(_block_edits(rng, text)) if k and g.m else []
+            for t in [text, text[:-1], text + "\n"] + edits:
+                outcome = _cover_outcome(t, g)
+                assert outcome == _cover_outcome(t, g, _reference_parse_cover), t
+                assert outcome == _cover_outcome(t, g, reference_parse_cover), t
+                decoded = _canonical_words(t, start, g, k)
+                if outcome[0] == "raised":
+                    assert decoded is None, t
+                    continue
+                cover = OrientationCover((g.n, g.m), k, outcome[3], "elbow")
+                written = write_cover_for(g, cover) == t
+                assert decoded == (list(outcome[3]) if written else None), t
+
+
 def _layout_variants(text, g):
     """The same cover with CRLF line ends, with no final newline and
     with a trailing comment line; then with trailing content, and with a
@@ -623,15 +692,16 @@ def _equivalence_mutations(rng, text, h):
 
 
 def _written_classes_of(text, h):
-    """The equivalence body decoder's cover of a text whose first line
-    is a header of h's shape, or None when the decoder leaves the text
-    to the line reader or the header is not the first line."""
+    """The equivalence body decoder's cover of a text whose header has
+    h's shape, or None when the decoder leaves the text to the line
+    reader or the lines up to the header cannot be told from the body
+    without splitting the whole text."""
     from eqcover.covers import _cover_header, _written_classes
-    from eqcover.graphs import _first_line_header, _significant_lines
+    from eqcover.graphs import _header_end, _significant_lines
 
-    start = _first_line_header(text)
+    start = _header_end(text)
     try:
-        kind, k = _cover_header(_significant_lines([text[:start]]), h)
+        kind, k = _cover_header(_significant_lines(text[:start].splitlines()), h)
     except CoverFormatError:
         return None
     assert kind == "equivalence"
@@ -639,6 +709,8 @@ def _written_classes_of(text, h):
 
 
 def test_parse_equivalence_cover_matches_line_reader():
+    from eqcover.graphs import _header_end
+
     rng = random.Random(13)
     written, cases = [], []
     for trial in range(60):
@@ -667,7 +739,7 @@ def test_parse_equivalence_cover_matches_line_reader():
             bulk += 1
             # the body decoder reads the body alone, as it was written
             body = write_equivalence_cover(h.n, h.m, cover).partition("\n")[2]
-            assert body == text.partition("\n")[2]
+            assert body == text[_header_end(text) :]
     assert all(_written_classes_of(text, h) is not None for h, text in written)
     assert bulk >= 500
 

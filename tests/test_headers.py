@@ -25,7 +25,7 @@ from eqcover import (
     write_graph,
 )
 from eqcover.covers import COVER_KINDS, write_equivalence_cover
-from eqcover.graphs import _first_line_header
+from eqcover.graphs import _header_end
 from line_readers import reference_parse_cover, reference_parse_graph
 
 
@@ -144,21 +144,22 @@ def test_cover_header_corpus_matches_line_reader():
 
 
 def test_the_bulk_path_needs_only_the_body_in_the_written_layout(monkeypatch):
-    # A header that the line reader reads on line 1 is enough for the
-    # bulk decoders, which never split the whole text into lines; the
+    # A header that the line reader reads as such, after any comment and
+    # blank lines that are each one line, is enough for the bulk
+    # decoders, which never split the whole text into lines; the
     # package's own texts take the same path.
     import eqcover.covers as covers
     import eqcover.graphs as graphs
 
     original = graphs._significant_lines
 
-    def one_line_only(raw):
-        raw = list(raw)
-        assert len(raw) <= 1, "the whole text was split into lines"
-        return original(raw)
+    def header_only(raw):
+        lines = list(original(raw))
+        assert len(lines) <= 1, "the whole text was split into lines"
+        return iter(lines)
 
-    monkeypatch.setattr(graphs, "_significant_lines", one_line_only)
-    monkeypatch.setattr(covers, "_significant_lines", one_line_only)
+    monkeypatch.setattr(graphs, "_significant_lines", header_only)
+    monkeypatch.setattr(covers, "_significant_lines", header_only)
     cases = [(lambda t: _graph_outcome(parse_graph, t), write_graph(g)) for g in _graphs()]
     for h, text in _written_covers():
         if not text.startswith("cover eyebrow"):  # read line by line, having no bulk decoder
@@ -168,7 +169,8 @@ def test_the_bulk_path_needs_only_the_body_in_the_written_layout(monkeypatch):
         assert expected[0] != "raised", expected
         header, _, body = text.partition("\n")
         fields = header.split()
-        for form in _number_forms(int(fields[-1]))[:-1]:
-            variant = "  " + " ".join(fields[:-1] + [form]) + " \t\n" + body
-            assert _first_line_header(variant) == len(variant) - len(body)
-            assert outcome(variant) == expected, variant[:80]
+        for prefix in ("", "# M13\n", "\n \t\n# a comment\r\n\n"):
+            for form in _number_forms(int(fields[-1]))[:-1]:
+                variant = prefix + "  " + " ".join(fields[:-1] + [form]) + " \t\n" + body
+                assert _header_end(variant) == len(variant) - len(body)
+                assert outcome(variant) == expected, variant[:80]
