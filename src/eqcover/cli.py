@@ -48,28 +48,13 @@ from .covers import (
     write_equivalence_cover,
 )
 from .exact import Budget, exact_chromatic, greedy_coloring, solve_invariant
-from .graphs import (
-    Graph,
-    GraphFormatError,
-    ImproperColoringError,
-    NotBipartiteError,
-    ShapeError,
-    generate_family,
-    read_graph_file,
-    write_graph_file,
-)
+from .graphs import Graph, generate_family, read_graph_file, write_graph_file
 from .linegraph import line_graph
 from .verify import VERIFIERS
 
-_USAGE_ERRORS = (
-    GraphFormatError,
-    CoverFormatError,
-    ShapeError,
-    ImproperColoringError,
-    NotBipartiteError,
-    ValueError,
-    OSError,
-)
+# GraphFormatError, CoverFormatError, ShapeError, ImproperColoringError and
+# NotBipartiteError all subclass ValueError
+_USAGE_ERRORS = (ValueError, OSError)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -234,9 +219,7 @@ def _cmd_construct(args) -> int:
         emit_cover(g, orientation_cover_from_elbow(g, base))
     else:  # coloring-from-elbow or coloring-from-orientation
         extract = (
-            coloring_from_elbow_cover
-            if op == "coloring-from-elbow"
-            else coloring_from_orientation_cover
+            coloring_from_elbow_cover if cover_kind == "elbow" else coloring_from_orientation_cover
         )
         _write_text(args.output, write_coloring(extract(g, base)))
         wrote.append(args.output)
@@ -259,17 +242,16 @@ def _cmd_bounds(args) -> int:
         for key in sorted(report.witnesses):
             w = report.witnesses[key]
             if isinstance(w, OrientationCover):
-                path = os.path.join(args.witness_dir, f"{key}.cov")
-                _write_text(path, write_cover_for(g, w))
+                suffix, text = "cov", write_cover_for(g, w)
             elif isinstance(w, EquivalenceCover):
                 # a cover of L(G), whose n is g.m and whose m counts the
                 # pairs of edges at each vertex; L(G) itself is not built
-                path = os.path.join(args.witness_dir, f"{key}.cov")
                 line_m = sum(d * (d - 1) // 2 for d in g.degrees())
-                _write_text(path, write_equivalence_cover(g.m, line_m, w))
+                suffix, text = "cov", write_equivalence_cover(g.m, line_m, w)
             else:
-                path = os.path.join(args.witness_dir, f"{key}.col")
-                _write_text(path, write_coloring(w))
+                suffix, text = "col", write_coloring(w)
+            path = os.path.join(args.witness_dir, f"{key}.{suffix}")
+            _write_text(path, text)
             witness_files[key] = path
     if args.json:
         payload = report.to_dict()
@@ -304,7 +286,7 @@ def _cmd_linegraph(args) -> int:
 
 def _cmd_gen(args) -> int:
     g = generate_family(args.family, args.parameter)
-    write_graph_file(args.output, g, comment=None)
+    write_graph_file(args.output, g)
     if args.json:
         _emit_json({"wrote": [args.output], "n": g.n, "m": g.m})
     return 0
@@ -319,24 +301,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verify, solve, and construct graph covering certificates",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    # every verb reads --json; solve, construct and bounds also take a budget
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+    budget_flags = argparse.ArgumentParser(add_help=False, parents=[json_flag])
+    budget_flags.add_argument("--max-nodes", type=int)
+    budget_flags.add_argument("--max-seconds", type=float)
 
-    p = sub.add_parser("verify", help="check a cover file against a graph file")
+    def verb(name: str, func, shared: argparse.ArgumentParser, help: str):
+        p = sub.add_parser(name, parents=[shared], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = verb("verify", _cmd_verify, json_flag, "check a cover file against a graph file")
     p.add_argument("--kind", required=True, choices=list(VERIFIERS))
     p.add_argument("--graph", required=True)
     p.add_argument("--cover", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("solve", help="compute an invariant exactly")
+    p = verb("solve", _cmd_solve, budget_flags, "compute an invariant exactly")
     p.add_argument("--invariant", required=True, choices=["sigma", "elb", "eq", "eye", "chi"])
     p.add_argument("--graph", required=True)
     p.add_argument("--output", help="witness path (default: derived from the graph path)")
-    p.add_argument("--max-nodes", type=int)
-    p.add_argument("--max-seconds", type=float)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("construct", help="emit a certificate from a constructive proof")
+    p = verb(
+        "construct", _cmd_construct, budget_flags, "emit a certificate from a constructive proof"
+    )
     p.add_argument("--op", required=True, choices=list(_CONSTRUCT_FLAGS))
     p.add_argument("--graph")
     p.add_argument("--cover")
@@ -346,31 +335,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--perms-output")
     p.add_argument("--graph-output")
-    p.add_argument("--max-nodes", type=int)
-    p.add_argument("--max-seconds", type=float)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("bounds", help="interval report for chi, sigma, elb, eq(L)")
+    p = verb("bounds", _cmd_bounds, budget_flags, "interval report for chi, sigma, elb, eq(L)")
     p.add_argument("--graph", required=True)
-    p.add_argument("--max-nodes", type=int)
-    p.add_argument("--max-seconds", type=float)
     p.add_argument("--witness-dir")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("linegraph", help="write the line graph and its edge index")
+    p = verb("linegraph", _cmd_linegraph, json_flag, "write the line graph and its edge index")
     p.add_argument("--graph", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_linegraph)
 
-    p = sub.add_parser("gen", help="write a named family graph")
+    p = verb("gen", _cmd_gen, json_flag, "write a named family graph")
     p.add_argument("--family", required=True)
     p.add_argument("--parameter", type=int)
     p.add_argument("--output", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_gen)
 
     return parser
 

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import heapq
 from itertools import count, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .covers import EquivalenceCover, EquivalenceSubgraph, OrientationCover, Violation
-from .graphs import Coloring, Graph, bipartition
+from .graphs import Coloring, Graph, bipartition, induced_subgraph
 from .linegraph import LineGraphMap
 from .verify import (
     verify_elbow_cover,
@@ -308,25 +308,20 @@ def elbow_double(g: Graph, base: OrientationCover) -> OrientationCover:
 
 
 def restrict_cover_to_induced(
-    g: Graph, cover: OrientationCover, vertices: Sequence[int]
+    g: Graph, cover: OrientationCover, vertices: Iterable[int]
 ) -> Tuple[Graph, OrientationCover]:
-    """Restrict orientations to an induced subgraph (relabeled 0..len-1).
+    """Restrict orientations to an induced subgraph (relabeled 0..len-1,
+    as ``induced_subgraph`` does; a vertex outside 0..n-1 raises
+    ValueError).
 
     Restriction preserves both covering properties: every constraint of
     the subgraph is a constraint of the original graph.
     """
     cover.require_match(g)
-    keep = sorted(set(vertices))
-    relabel = {v: i for i, v in enumerate(keep)}
-    kept_edges = [
-        (e, relabel[u], relabel[v])
-        for e, (u, v) in enumerate(g.edges)
-        if u in relabel and v in relabel
-    ]
-    # normalized edges keep their endpoint order, and the edge list its
-    # sort order, under monotone relabeling
-    sub = Graph._from_sorted(len(keep), [(u, v) for _, u, v in kept_edges])
-    words = [cover.words[e] for e, _, _ in kept_edges]
+    keep = set(vertices)
+    sub = induced_subgraph(g, keep)
+    # a monotone relabeling keeps the kept edges in g's order
+    words = [w for (u, v), w in zip(g.edges, cover.words) if u in keep and v in keep]
     return sub, OrientationCover((sub.n, sub.m), cover.k, words, cover.kind)
 
 

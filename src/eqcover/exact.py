@@ -483,9 +483,12 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
     edge and a third vertex, k = 0 fails, and one ranking works
     exactly when every edge joins consecutive ranks, that is when g is
     a linear forest (the witness lists the vertices path by path).  So
-    is every k at or above the number of eyebrow rankings of K_n.
-    Larger k is brute force over lexicographically nondecreasing
-    k-tuples of rankings, pruning on the constraints still
+    is every k at or above the number of eyebrow rankings of K_n, and
+    k >= 2 on a bipartite graph: side 0, then side 1, once each ascending
+    and once each descending (a third vertex between an edge's ends is
+    above the end on its side in one ranking, below it in the other).
+    Larger k on other graphs is brute force over lexicographically
+    nondecreasing k-tuples of rankings, pruning on the constraints still
     uncovered; intended for small n.
     """
     if k < 0:
@@ -501,6 +504,13 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
         return DecideResult("sat", cover, budget.nodes)
     if k >= construct.pullback_size(g.n, "eyebrow"):
         return DecideResult("sat", _kn_cover(g, "eyebrow", k), budget.nodes)
+    try:
+        side = bipartition(g)
+    except NotBipartiteError:
+        pass
+    else:
+        up, down = (_ranking(sorted(range(g.n), key=lambda v: (side[v], s * v))) for s in (1, -1))
+        return DecideResult("sat", EyebrowCover(g.n, [up] + [down] * (k - 1)), budget.nodes)
     constraints = [(u, v, w) for u, v in g.edges for w in range(g.n) if w != u and w != v]
 
     chosen: List[Tuple[int, ...]] = []

@@ -556,12 +556,8 @@ def parse_graph(text: str) -> Graph:
     return Graph._from_sorted(n, sorted(seen))
 
 
-def write_graph(g: Graph, comment: Optional[str] = None) -> str:
-    lines = []
-    if comment:
-        for c in comment.splitlines():
-            lines.append(f"# {c}")
-    lines.append(f"p {g.n} {g.m}")
+def write_graph(g: Graph) -> str:
+    lines = [f"p {g.n} {g.m}"]
     for u, v in g.edges:
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
@@ -572,6 +568,6 @@ def read_graph_file(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
-def write_graph_file(path: str, g: Graph, comment: Optional[str] = None) -> None:
+def write_graph_file(path: str, g: Graph) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(write_graph(g, comment))
+        fh.write(write_graph(g))

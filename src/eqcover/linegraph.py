@@ -19,23 +19,16 @@ builds L(G).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .graphs import Graph
 
 
-class LineGraphMap:
+class LineGraphMap(NamedTuple):
     """A host graph together with its line graph."""
 
-    __slots__ = ("host", "line")
-
-    def __init__(self, host: Graph, line: Graph):
-        self.host = host
-        self.line = line
-
-    def __repr__(self) -> str:
-        return (
-            f"LineGraphMap(host=({self.host.n},{self.host.m}), "
-            f"line=({self.line.n},{self.line.m}))"
-        )
+    host: Graph
+    line: Graph
 
 
 def line_graph(g: Graph) -> LineGraphMap:

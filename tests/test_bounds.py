@@ -144,6 +144,13 @@ def test_truncated_chi_lower_end_names_its_source():
     assert (chi.render(), chi.provenance()) == ("3..4", "lo: clique bound; hi: greedy coloring")
 
 
+def test_truncated_chi_on_an_odd_cycle_is_raised_to_three():
+    # the coloring search stops at k = 2, which the odd cycle rules out
+    lines = bounds_report(generate_family("cycle", 5), Budget(max_nodes=1)).lines()
+    assert "chi: 3 [lo: contains an odd cycle; hi: greedy coloring]" in lines
+    assert "note: chromatic search truncated by budget" in lines
+
+
 def test_sigma_lower_bound_is_never_below_elb():
     # k + 2^(2^(k-1)-k-1) <= 2^(2^(k-1)), so a chi that needs k
     # orientations by the coloring bound needs no more elbow ones

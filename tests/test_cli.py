@@ -652,3 +652,34 @@ def test_k16_table_perms_output_is_verified_before_it_is_written(tmp_path, capsy
     )
     assert code == 4 and "failed verification" in err
     assert not perms.exists()
+
+
+def _verb_argv(tmp_path, capsys):
+    g, cov = tmp_path / "c4.g", tmp_path / "c4.cov"
+    run(capsys, "gen", "--family", "cycle", "--parameter", "4", "--output", str(g))
+    run(capsys, "construct", "--op", "bipartite", "--graph", str(g), "--output", str(cov))
+    return {
+        "verify": ["--kind", "orientation", "--graph", str(g), "--cover", str(cov)],
+        "solve": ["--invariant", "chi", "--graph", str(g), "--output", str(tmp_path / "w")],
+        "construct": ["--op", "bipartite", "--graph", str(g), "--output", str(tmp_path / "w")],
+        "bounds": ["--graph", str(g)],
+        "linegraph": ["--graph", str(g), "--output", str(tmp_path / "w")],
+        "gen": ["--family", "path", "--parameter", "3", "--output", str(tmp_path / "w")],
+    }
+
+
+def test_every_verb_accepts_json(tmp_path, capsys):
+    for verb, argv in _verb_argv(tmp_path, capsys).items():
+        code, out, err = run(capsys, verb, *argv, "--json")
+        assert (code, err) == (0, ""), verb
+        assert isinstance(json.loads(out), dict)
+
+
+@pytest.mark.parametrize("verb", ["verify", "linegraph", "gen"])
+@pytest.mark.parametrize("flag", ["--max-nodes", "--max-seconds"])
+def test_verbs_that_never_search_refuse_budget_flags(tmp_path, capsys, verb, flag):
+    argv = _verb_argv(tmp_path, capsys)[verb]
+    code, out, err = run(capsys, verb, *argv, flag, "5")
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag} 5" in err
+    assert not (tmp_path / "w").exists()

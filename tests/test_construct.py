@@ -226,6 +226,46 @@ def test_restriction_keeps_elbow_property():
         assert verify_elbow_cover(sub, restricted) is None
 
 
+def _reference_restriction(g, cover, vertices):
+    """The relabelling that restrict_cover_to_induced did on its own
+    before it took its subgraph from induced_subgraph: the sorted
+    distinct vertices, and the words of the edges between them."""
+    keep = sorted(set(vertices))
+    relabel = {v: i for i, v in enumerate(keep)}
+    kept = [
+        (e, relabel[u], relabel[v])
+        for e, (u, v) in enumerate(g.edges)
+        if u in relabel and v in relabel
+    ]
+    return Graph(len(keep), [(u, v) for _, u, v in kept]), tuple(cover.words[e] for e, _, _ in kept)
+
+
+def test_restriction_matches_reference_relabelling():
+    rng = random.Random(2024)
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        k = rng.randint(0, 4)
+        words = [rng.randrange(1 << k) for _ in range(g.m)]
+        cover = OrientationCover((g.n, g.m), k, words, rng.choice(("orientation", "elbow")))
+        vertices = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))]  # with repeats
+        # a generator can be read only once
+        given = (v for v in vertices) if trial % 2 else vertices
+        sub, restricted = restrict_cover_to_induced(g, cover, given)
+        want_sub, want_words = _reference_restriction(g, cover, vertices)
+        assert sub == want_sub
+        assert restricted.words == want_words
+        assert (restricted.k, restricted.kind) == (cover.k, cover.kind)
+
+
+@pytest.mark.parametrize("vertices", [[0, 1, 7], [-1, 0, 2], [4], range(-3, 0)])
+def test_restriction_refuses_vertices_out_of_range(vertices):
+    # these once gave Graph(n=3, m=1), with phantom isolated vertices
+    k4 = generate_family("complete", 4)
+    with pytest.raises(ValueError, match="vertex out of range"):
+        restrict_cover_to_induced(k4, k4_sigma3_cover(), vertices)
+
+
 def test_bipartite_cover():
     c4 = generate_family("cycle", 4)
     cover = bipartite_orientation_cover(c4)

@@ -7,6 +7,7 @@ import pytest
 from eqcover import (
     Budget,
     Graph,
+    bipartition,
     decide_elb,
     decide_eq,
     decide_eyebrow,
@@ -21,6 +22,7 @@ from eqcover import (
     verify_eyebrow_cover,
     verify_orientation_cover,
 )
+from eqcover.construct import pullback_size
 
 import oracles
 from conftest import least_elb_by_word_search
@@ -557,6 +559,42 @@ def test_eyebrow_k1_witness_lists_paths_in_turn():
     assert res.witness.rankings == (ranking((0, 5, 1, 2, 6, 3, 4)),)
     assert decide_eyebrow(generate_family("cycle", 5), 1).status == "unsat"
     assert decide_eyebrow(generate_family("star", 3), 1).status == "unsat"
+
+
+def test_eyebrow_on_bipartite_graphs_is_closed_form():
+    # below the K_n cover's size, k >= 2 on a bipartite graph needs no
+    # search: side 0 then side 1, each ascending, then each descending
+    rng = random.Random(2718)
+    for trial in range(300):
+        n = rng.randint(3, 40)
+        side = [rng.randrange(2) for _ in range(n)]
+        p = rng.choice((0.1, 0.3, 0.7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+        g = Graph(n, [e for e in pairs if rng.random() < p])
+        sides = bipartition(g)
+        up = ranking(sorted(range(n), key=lambda v: (sides[v], v)))
+        down = ranking(sorted(range(n), key=lambda v: (sides[v], -v)))
+        for k in range(2, pullback_size(n, "eyebrow")):
+            res = decide_eyebrow(g, k, Budget(max_nodes=0))
+            assert (res.status, res.nodes, res.witness.k) == ("sat", 0, k)
+            assert verify_eyebrow_cover(g, res.witness) is None
+            if g.m:
+                assert res.witness.rankings == (up,) + (down,) * (k - 1)
+            if n <= 7:
+                assert oracles.eyebrow_cover_ok(g, res.witness.rankings)
+
+
+def test_eyebrow_search_stays_off_bipartite_graphs():
+    # C6 at k = 2 took 35 search nodes before the closed form; C5 and
+    # C7, which have odd cycles, still search
+    c6 = generate_family("cycle", 6)
+    res = decide_eyebrow(c6, 2)
+    assert (res.status, res.nodes) == ("sat", 0)
+    assert res.witness.rankings == (ranking((0, 2, 4, 1, 3, 5)), ranking((4, 2, 0, 5, 3, 1)))
+    for n in (5, 7):
+        res = decide_eyebrow(generate_family("cycle", n), 2)
+        assert res.status == "sat" and res.nodes > 0
+        assert verify_eyebrow_cover(generate_family("cycle", n), res.witness) is None
 
 
 # Size of the K_n cover that answers every k at or above it: the identity

@@ -19,6 +19,14 @@ def test_k4_line_graph_is_4_regular():
     assert set(lm.line.degrees()) == {4}
 
 
+def test_line_graph_pair_unpacks_as_host_and_line():
+    g = generate_family("cycle", 5)
+    lm = line_graph(g)
+    host, line = lm
+    assert host is g is lm.host and line is lm.line
+    assert line == Graph(5, [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4)])
+
+
 def test_edgeless_host():
     lm = line_graph(Graph(3, []))
     assert (lm.line.n, lm.line.m) == (0, 0)

@@ -53,6 +53,13 @@ CASES = {
         assert (res.status, res.value, res.nodes) == ("exact", 1, 0)
         assert verify_eyebrow_cover(g, res.witness) is None
     """,
+    # eye <= 2 on a bipartite graph is decided in closed form too
+    "solve-eye-cycle1000": """
+        g = generate_family("cycle", 1000)
+        res = solve_invariant(g, "eye", Budget(max_nodes=1))
+        assert (res.status, res.value, res.nodes) == ("exact", 2, 0)
+        assert verify_eyebrow_cover(g, res.witness) is None
+    """,
     "elbow-complete-300": """
         cover = elbow_cover_complete(300)
         assert cover.k == 5
