@@ -14,7 +14,7 @@ can be trusted without re-running the full verifier.
 from __future__ import annotations
 
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import and_, ge, getitem, itemgetter, lshift, or_, rshift
+from operator import and_, ge, getitem, lshift, or_, rshift
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import (
@@ -369,15 +369,6 @@ _NEWLINES_TO_FF = bytes(0xFF if b == 10 else 0 for b in range(256))
 _LOW_FLAGS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def _arrow_lines(g: Graph) -> Tuple[List[str], List[str]]:
-    """Each edge's arrow line out of its low endpoint and out of its high
-    one, joined from one decimal string per vertex."""
-    names = list(map(str, range(g.n)))
-    low = list(map(names.__getitem__, map(itemgetter(0), g.edges)))
-    high = list(map(names.__getitem__, map(itemgetter(1), g.edges)))
-    return list(map(" ".join, zip(low, high))), list(map(" ".join, zip(high, low)))
-
-
 def write_cover_for(g: Graph, cover) -> str:
     """Serialize a cover against its reference graph."""
     if isinstance(cover, EquivalenceCover):
@@ -386,8 +377,9 @@ def write_cover_for(g: Graph, cover) -> str:
     if isinstance(cover, OrientationCover):
         cover.require_match(g)
         lines.append(f"cover {cover.kind} {cover.k} {g.n} {g.m}")
-        out_of_low, out_of_high = _arrow_lines(g)
-        arrows = list(zip(out_of_high, out_of_low))  # edge e's arrow for a 0 bit and a 1 bit
+        out_of_low, out_of_high = g._arrow_blocks
+        # edge e's arrow for a 0 bit and a 1 bit
+        arrows = list(zip(out_of_high.splitlines(), out_of_low.splitlines()))
         ones = int.from_bytes(b"\x01" * g.m, "little")
         for lane in range(0, cover.k, 8):
             # bits lane..lane+7 of every word, one byte per edge: with
@@ -417,11 +409,14 @@ def write_equivalence_cover(n: int, m: int, cover: EquivalenceCover) -> str:
     be written without building the line graph."""
     if cover.n != n:
         raise ShapeError(f"cover n={cover.n} does not match graph n={n}")
-    lines = [f"cover equivalence {cover.k} {n} {m}"]
+    # one line template per class width; a block is filled by one format
+    widths = set(map(len, chain.from_iterable(cover.subgraphs)))
+    line = {r: "clique" + " %d" * r + "\n" for r in widths}
+    parts = [f"cover equivalence {cover.k} {n} {m}\n"]
     for i, sub in enumerate(cover.subgraphs, start=1):
-        lines.append(f"block {i}")
-        lines.extend(["clique " + " ".join(map(str, cls)) for cls in sub])
-    return "\n".join(lines) + "\n"
+        template = "".join(map(line.__getitem__, map(len, sub)))
+        parts.append(f"block {i}\n" + template % tuple(chain.from_iterable(sub)))
+    return "".join(parts)
 
 
 def _cover_header(lines: Iterator[Tuple[int, str]], g: Graph) -> Tuple[str, int]:
@@ -494,7 +489,8 @@ def _canonical_words(text: str, start: int, g: Graph, k: int) -> Optional[List[i
 
     An arrow and its reverse have the same length, so every block has
     the width of the all-low block, and its newlines sit where that
-    block's do.  A block is never split into lines: its bytes become
+    block's do.  Both the all-low and the all-high block are g's, made
+    once per graph.  A block is never split into lines: its bytes become
     one integer, byte j at bits 8j..8j+7, and each step below acts on
     every byte at once.  The test is per line, not per byte: the line
     "15 15" differs from both "12 15" and "15 12", but never at the same
@@ -504,13 +500,11 @@ def _canonical_words(text: str, start: int, g: Graph, k: int) -> Optional[List[i
     byte.
     """
     m = g.m
-    ends = list(chain.from_iterable(g.edges))
-    written = b"%d %d\n" * m % tuple(ends)  # the all-low block
+    low_text, high_text = g._arrow_blocks
+    written = low_text.encode("ascii")
     width = len(written)
     low = int.from_bytes(written, "little")
-    ends[0::2], ends[1::2] = ends[1::2], ends[0::2]
-    high = int.from_bytes(b"%d %d\n" * m % tuple(ends), "little")
-    del ends
+    high = int.from_bytes(high_text.encode("ascii"), "little")
     newlines = int.from_bytes(written.translate(_NEWLINES_TO_FF), "little")
     del written
     fill = ((1 << 8 * width) - 1) ^ newlines  # 0xFF in every byte but a newline

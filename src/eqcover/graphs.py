@@ -7,10 +7,10 @@ its position in that sorted list.  Every other object in this package
 must be reproducible: identical inputs always produce the same edge
 order.  Colorings and the shape and coloring errors live here too.
 
-A graph stores only n and the sorted edges.  Adjacency, incidence and
-the edge-to-index map are each derived the first time something reads
-them, then cached: reading and checking a valid orientation, elbow or
-eyebrow certificate reads none of them, so it never builds them.
+A graph stores only n and the sorted edges.  Adjacency, incidence, the
+edge-to-index map and the edge-line text are each derived on first read,
+then cached: reading and checking a valid orientation, elbow or eyebrow
+certificate builds none of the first three.
 
 Self-loops and duplicate edges are rejected.  Graphs with two vertices
 sharing a closed neighborhood need no special treatment here; callers
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter, lt
 from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -64,11 +64,13 @@ class Graph:
         edges: tuple of (u, v) pairs with u < v, lexicographically sorted.
         adjacency: per-vertex tuple of sorted neighbors, derived on first
             use, then cached, like the incidence rows behind
-            ``incident`` and the edge index behind ``index_of`` and
-            ``has_edge``.
+            ``incident``, the edge index behind ``index_of`` and
+            ``has_edge``, and the pair of edge-line texts behind
+            ``_low_arrows`` and ``_arrow_blocks``.  ``parse_graph``
+            seeds the first text of that pair with the body it read.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_inc", "_idx")
+    __slots__ = ("n", "edges", "_adj", "_inc", "_idx", "_arrows")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -101,6 +103,7 @@ class Graph:
         self._adj: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._inc: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._idx: Optional[Dict[Edge, int]] = None
+        self._arrows: Tuple[Optional[str], Optional[str]] = (None, None)
 
     # Rows come out ascending because the edges are sorted: the edges
     # (u, x) with u < x precede the edges (x, w), each group in order.
@@ -132,6 +135,26 @@ class Graph:
         if self._idx is None:
             self._idx = dict(zip(self.edges, range(len(self.edges))))
         return self._idx
+
+    @property
+    def _low_arrows(self) -> str:
+        """Each edge's line "u v\n" out of its low endpoint, in index
+        order: the body ``write_graph`` writes, and the all-low block of
+        an orientation or elbow cover file."""
+        if self._arrows[0] is None:
+            self._arrows = ("%d %d\n" * self.m % tuple(chain.from_iterable(self.edges)), None)
+        return self._arrows[0]
+
+    @property
+    def _arrow_blocks(self) -> Tuple[str, str]:
+        """The all-low block and the all-high block, each edge's line
+        "v u\n" out of its high endpoint, in index order."""
+        low, high = self._low_arrows, self._arrows[1]
+        if high is None:
+            ends = list(chain.from_iterable(self.edges))
+            ends[0::2], ends[1::2] = ends[1::2], ends[0::2]
+            self._arrows = (low, "%d %d\n" * self.m % tuple(ends))
+        return self._arrows
 
     @property
     def m(self) -> int:
@@ -523,15 +546,19 @@ def parse_graph(text: str) -> Graph:
 
     When every line up to the header ends in "\n" and holds no other
     line break, a body laid out as ``write_graph`` writes it is decoded
-    in bulk; every other accepted layout gives the same graph line by
-    line.
+    in bulk and kept as the graph's all-low arrow block; every other
+    accepted layout gives the same graph line by line.
     """
     start = _header_end(text)
     if start:
         n, m = _graph_header(_significant_lines(text[:start].splitlines()))
         edges = _written_edges(text, start, n, m)
         if edges is not None:
-            return Graph._from_sorted(n, edges)
+            g = Graph._from_sorted(n, edges)
+            # the body passed the layout test and the JSON decode, which
+            # rejects leading zeros: it is the all-low block byte for byte
+            g._arrows = (text[start:], None)
+            return g
     lines = _significant_lines(text.splitlines())
     n, m = _graph_header(lines)
     seen = set()
@@ -557,10 +584,7 @@ def parse_graph(text: str) -> Graph:
 
 
 def write_graph(g: Graph) -> str:
-    lines = [f"p {g.n} {g.m}"]
-    for u, v in g.edges:
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    return f"p {g.n} {g.m}\n" + g._low_arrows
 
 
 def read_graph_file(path: str) -> Graph:

@@ -22,14 +22,23 @@ from eqcover import (
     line_graph,
     parse_coloring,
     parse_cover,
+    parse_graph,
     write_coloring,
+    verify_elbow_cover,
     verify_equivalence_cover,
+    verify_orientation_cover,
     write_cover_for,
+    write_graph,
 )
 from eqcover.covers import write_equivalence_cover
 from eqcover.graphs import Coloring
 
 from cover_words import arrow, directions
+from writers import (
+    reference_write_cover_for,
+    reference_write_equivalence_cover,
+    reference_write_graph,
+)
 
 
 def test_orientation_cover_round_trip():
@@ -306,13 +315,14 @@ def test_orientations_view_matches_words():
 
 
 def _reference_positional_words(raw, g, k):
-    # _canonical_words before the block-at-a-time decode
-    from eqcover.covers import _arrow_lines
+    # _canonical_words before the block-at-a-time decode, with arrows
+    # formatted apart from the graph's cached blocks
+    from writers import reference_arrow_lines
 
     m = g.m
     if len(raw) != k * (m + 1):
         return None
-    out_of_low, out_of_high = _arrow_lines(g)
+    out_of_low, out_of_high = reference_arrow_lines(g)
     words = [0] * m
     for lane in range(0, k, 8):
         acc = 0
@@ -521,6 +531,109 @@ def test_parse_cover_matches_reference_decode():
             cases.extend((g, t) for t in [text] + _layout_variants(text, g))
     got = [_cover_outcome(text, g) for g, text in cases]
     assert got == [_cover_outcome(text, g, _reference_parse_cover) for g, text in cases]
+
+
+def _three_graphs(n, edges):
+    """One graph three ways: parsed from its written text, which seeds
+    its all-low block; built from its edges, which formats both blocks
+    on first read; and parsed by the line reader from a text with a
+    comment line after the edges and CRLF line ends, which seeds
+    nothing."""
+    text = reference_write_graph(Graph(n, edges))
+    seeded = parse_graph(text)
+    line_read = parse_graph((text + "# line ends CRLF\n").replace("\n", "\r\n"))
+    assert seeded._arrows[0] is not None and line_read._arrows == (None, None)
+    return [seeded, Graph(n, edges), line_read]
+
+
+def _read_and_checked(text, g):
+    """parse_cover's outcome on text, and the verifier's verdict on the
+    cover it reads."""
+    outcome = _cover_outcome(text, g)
+    if outcome[0] == "raised":
+        return outcome, None
+    cover = OrientationCover((g.n, g.m), outcome[2], outcome[3], outcome[1])
+    verify = verify_orientation_cover if cover.kind == "orientation" else verify_elbow_cover
+    violation = verify(g, cover)
+    return outcome, violation and violation.line()
+
+
+def test_covers_read_and_written_alike_whatever_built_the_graph():
+    # The cached arrow blocks must not change what parse_cover reads or
+    # the verifier finds, nor what write_cover_for writes, whichever way
+    # the graph came to be and whichever of the two reads its blocks first.
+    rng = random.Random(47)
+    for k in range(13):  # past 8 blocks the words fill a second 8-bit lane
+        for kind in ("orientation", "elbow"):
+            n = rng.choice((5, 40, 1100))  # labels of 1 to 4 digits
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(301))]
+            edges = list({(min(e), max(e)): e for e in pairs}.values())
+            graphs = _three_graphs(n, edges)
+            base = graphs[1]
+            cover = OrientationCover((n, base.m), k, [rng.getrandbits(k) for _ in edges], kind)
+            text = reference_write_cover_for(base, cover)
+            texts = [text] + _layout_variants(text, base)
+            if k and base.m:
+                texts += _cover_corruptions(rng, base, text)
+            want = [_cover_outcome(t, base, _reference_parse_cover) for t in texts]
+            results = []
+            for i, g in enumerate(graphs):
+                if (i + k) % 2:
+                    assert write_cover_for(g, cover) == text
+                results.append([_read_and_checked(t, g) for t in texts])
+                assert [outcome for outcome, _ in results[-1]] == want
+                assert write_cover_for(g, cover) == text
+            assert results[0] == results[1] == results[2]
+
+
+def test_writers_match_reference_copies(corpus):
+    rng = random.Random(53)
+    for g in corpus.values():
+        covers = [
+            OrientationCover((g.n, g.m), k, [rng.getrandbits(k) for _ in g.edges], kind)
+            for k in (0, 1, 3, 9)
+            for kind in ("orientation", "elbow")
+        ]
+        covers.append(EyebrowCover(g.n, [rng.sample(range(g.n), g.n) for _ in range(3)]))
+        covers.append(EquivalenceCover(g.n, [[[u, v]] for u, v in g.edges]))
+        for h in _three_graphs(g.n, g.edges):
+            assert write_graph(h) == reference_write_graph(g)
+            for cover in covers:
+                assert write_cover_for(h, cover) == reference_write_cover_for(g, cover)
+
+
+def test_equivalence_writer_matches_reference_copy():
+    # k = 0, empty subgraphs, singleton classes and classes as wide as
+    # the host, with vertex labels of 1 to 4 digits
+    rng = random.Random(59)
+    covers = [EquivalenceCover(0, []), EquivalenceCover(3, [[], []])]
+    for _ in range(200):
+        n = rng.choice((1, 9, 90, 2000))
+        subgraphs = []
+        for _ in range(rng.randrange(6)):
+            free = rng.sample(range(n), rng.randrange(min(n, 50) + 1))
+            classes = []
+            while free:
+                width = rng.choice((1, 1, 2, 3, len(free)))
+                classes.append(free[:width])
+                free = free[width:]
+            subgraphs.append(classes)
+        covers.append(EquivalenceCover(n, subgraphs))
+    covers.append(EquivalenceCover(2000, [[range(2000)], [[v] for v in range(2000)]]))
+    for cover in covers:
+        m = rng.randrange(100)
+        want = reference_write_equivalence_cover(cover.n, m, cover)
+        assert write_equivalence_cover(cover.n, m, cover) == want
+        assert _outcome_of(write_equivalence_cover, cover.n + 1, m, cover) == _outcome_of(
+            reference_write_equivalence_cover, cover.n + 1, m, cover
+        )
+
+
+def _outcome_of(write, *args):
+    try:
+        return ("text", write(*args))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
 
 
 # ---------------------------------------------------------------------------

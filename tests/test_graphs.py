@@ -20,6 +20,7 @@ from eqcover import (
 
 import oracles
 from line_readers import reference_graph, reference_parse_graph
+from writers import reference_write_graph
 
 
 def test_edges_normalized_and_sorted():
@@ -127,6 +128,37 @@ def test_parse_write_round_trip(corpus):
         again = parse_graph(f"# {name}\n" + text)
         assert again == g
         assert write_graph(again) == text
+
+
+def _sparse_edges(rng, n, m):
+    """Up to m distinct random edges of a graph on n vertices, each
+    pair in a random order."""
+    pairs = {tuple(rng.sample(range(n), 2)) for _ in range(m)}
+    return list({(min(p), max(p)): p for p in pairs}.values())
+
+
+def test_arrow_blocks_match_a_fresh_format(corpus):
+    # Both blocks must equal the edges formatted afresh, out of the low
+    # endpoint and out of the high one, whether parse_graph seeded the
+    # low block with the body it read, Graph formats it on first read,
+    # or the line reader read the text; write_graph must match the
+    # reference writer, which formats every line itself.
+    rng = random.Random(31)
+    graphs = list(corpus.values()) + [Graph(1, []), Graph(7, [])]
+    for n in (10, 100, 1000, 10000):  # labels of 1 to 4 digits
+        graphs += [Graph(n, _sparse_edges(rng, n, rng.randrange(60))) for _ in range(6)]
+    for g in graphs:
+        text = write_graph(g)
+        assert text == reference_write_graph(g)
+        seeded = parse_graph(text)
+        line_read = parse_graph(text + "# a comment line\n")
+        assert seeded._arrows[0] is not None and line_read._arrows == (None, None)
+        low = "".join(f"{u} {v}\n" for u, v in g.edges)
+        high = "".join(f"{v} {u}\n" for u, v in g.edges)
+        for h in (seeded, line_read, Graph(g.n, reversed(g.edges))):
+            assert h == g
+            assert h._arrow_blocks == (low, high)
+            assert write_graph(h) == text
 
 
 def test_parse_rejects_with_line_numbers():
