@@ -17,11 +17,11 @@ rotations, hence the factor three, which a triangle-free host never pays.
 
 from eqcover import (
     decide_eq,
-    eq_cover_from_orientation_cover,
     generate_family,
     k4_sigma3_cover,
     line_graph,
     orientation_cover_from_eq_cover,
+    out_star_eq_cover,
     verify_equivalence_cover,
     verify_orientation_cover,
 )
@@ -31,7 +31,7 @@ lm = line_graph(k4)
 print(f"L(K4) has {lm.line.n} vertices and {lm.line.m} edges")
 
 cover = k4_sigma3_cover()
-eq = eq_cover_from_orientation_cover(lm, cover)
+eq = out_star_eq_cover(k4, cover)
 print("\nout-stars of the three covering orientations of K4:")
 for classes in eq.subgraphs:
     print(f"  classes (as host edge indices): {classes}")

@@ -37,7 +37,7 @@ from .construct import (
     k16_table_cover,
     orientation_cover_from_elbow,
     orientation_cover_from_eq_cover,
-    restrict_cover_to_induced,
+    out_star_eq_cover,
 )
 from .covers import (
     CoverFormatError,
@@ -135,11 +135,11 @@ __all__ = [
     "mycielskian",
     "orientation_cover_from_elbow",
     "orientation_cover_from_eq_cover",
+    "out_star_eq_cover",
     "parse_coloring",
     "parse_cover",
     "parse_graph",
     "read_graph_file",
-    "restrict_cover_to_induced",
     "solve_invariant",
     "verify_elbow_cover",
     "verify_equivalence_cover",

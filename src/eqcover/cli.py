@@ -31,10 +31,10 @@ from .construct import (
     cover_via_coloring,
     elbow_cover_complete,
     elbow_double,
-    eq_cover_from_orientation_cover,
     k16_table_cover,
     orientation_cover_from_elbow,
     orientation_cover_from_eq_cover,
+    out_star_eq_cover,
 )
 from .covers import (
     CoverFormatError,
@@ -212,7 +212,7 @@ def _cmd_construct(args) -> int:
             coloring = chi.witness
         emit_cover(g, cover_via_coloring(g, coloring))
     elif op == "eq-from-orientation":
-        emit_cover(lm.line, eq_cover_from_orientation_cover(lm, base))
+        emit_cover(lm.line, out_star_eq_cover(g, base))
     elif op == "orientation-from-eq":
         emit_cover(g, orientation_cover_from_eq_cover(lm, base))
     elif op == "orientation-from-elbow":

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import heapq
 from itertools import count, product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covers import EquivalenceCover, EquivalenceSubgraph, OrientationCover, Violation
-from .graphs import Coloring, Graph, bipartition, induced_subgraph
+from .graphs import Coloring, Graph, bipartition
 from .linegraph import LineGraphMap
 from .verify import (
     verify_elbow_cover,
@@ -212,8 +212,8 @@ def out_star_eq_cover(g: Graph, c: OrientationCover) -> EquivalenceCover:
 def eq_cover_from_orientation_cover(
     lm: LineGraphMap, c: OrientationCover
 ) -> EquivalenceCover:
-    """Size-preserving conversion: the out-stars of a valid orientation
-    covering cover all edges of L(G) (see ``out_star_eq_cover``)."""
+    """``out_star_eq_cover(lm.host, c)``.  Kept for ``bench/`` until
+    ROADMAP item 1 moves the benchmark to ``out_star_eq_cover``."""
     return out_star_eq_cover(lm.host, c)
 
 
@@ -305,24 +305,6 @@ def elbow_double(g: Graph, base: OrientationCover) -> OrientationCover:
             for c in range(a + 1, n):
                 words.extend([across[a, c]] * n)
     return OrientationCover((n * n, len(words)), k + 1, words, "elbow")
-
-
-def restrict_cover_to_induced(
-    g: Graph, cover: OrientationCover, vertices: Iterable[int]
-) -> Tuple[Graph, OrientationCover]:
-    """Restrict orientations to an induced subgraph (relabeled 0..len-1,
-    as ``induced_subgraph`` does; a vertex outside 0..n-1 raises
-    ValueError).
-
-    Restriction preserves both covering properties: every constraint of
-    the subgraph is a constraint of the original graph.
-    """
-    cover.require_match(g)
-    keep = set(vertices)
-    sub = induced_subgraph(g, keep)
-    # a monotone relabeling keeps the kept edges in g's order
-    words = [w for (u, v), w in zip(g.edges, cover.words) if u in keep and v in keep]
-    return sub, OrientationCover((sub.n, sub.m), cover.k, words, cover.kind)
 
 
 def elbow_cover_complete(n: int) -> OrientationCover:

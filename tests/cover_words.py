@@ -4,7 +4,7 @@ directs e out of its low endpoint.  Each is written from that
 definition alone, so tests can use them as references.
 """
 
-from eqcover import OrientationCover
+from eqcover import Graph, OrientationCover
 
 
 def directions(cover):
@@ -48,3 +48,32 @@ def out_mask(g, cover, v, e):
     """The orientations of the cover directing edge e out of its
     endpoint v, as a bit mask."""
     return sum(1 << i for i in range(cover.k) if arrow(g, cover, i, e)[0] == v)
+
+
+def out_stars(g, cover):
+    """The subgraphs of an equivalence cover of L(g), one per
+    orientation: in subgraph i, the class of v holds the edges that
+    orientation i directs out of v, in index order, and vertices with
+    no such edge have no class."""
+    subgraphs = []
+    for i in range(cover.k):
+        tails = [arrow(g, cover, i, e)[0] for e in range(g.m)]
+        classes = (tuple(e for e, t in enumerate(tails) if t == v) for v in range(g.n))
+        subgraphs.append(tuple(filter(None, classes)))
+    return tuple(subgraphs)
+
+
+def restrict(g, cover, vertices):
+    """The subgraph of g induced on the distinct given vertices,
+    relabelled 0..len-1 in increasing order, and the cover of it made
+    of the words of the edges between them."""
+    keep = sorted(set(vertices))
+    relabel = {v: i for i, v in enumerate(keep)}
+    kept = [
+        (e, relabel[u], relabel[v])
+        for e, (u, v) in enumerate(g.edges)
+        if u in relabel and v in relabel
+    ]
+    sub = Graph(len(keep), [(u, v) for _, u, v in kept])
+    words = [cover.words[e] for e, _, _ in kept]
+    return sub, OrientationCover((sub.n, sub.m), cover.k, words, cover.kind)

@@ -301,10 +301,19 @@ def test_construct_missing_required_flags_exit_2(tmp_path, capsys):
 
 
 def test_public_api_all_resolves():
+    import types
+
     import eqcover
 
     missing = [name for name in eqcover.__all__ if not hasattr(eqcover, name)]
     assert missing == []
+    # a stale export fails, and so does a name imported but not listed
+    bound = {
+        name
+        for name, value in vars(eqcover).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(eqcover.__all__) == sorted(bound)
 
 
 def test_solve_eq_and_eye_write_witness_files(tmp_path, capsys):

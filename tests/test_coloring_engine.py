@@ -30,10 +30,12 @@ from eqcover import (
     line_graph,
     verify_equivalence_cover,
 )
-from eqcover.construct import elbow_double, k4_elbow_base, restrict_cover_to_induced
+from eqcover.construct import elbow_double, k4_elbow_base
 from eqcover.covers import EquivalenceViolation
 from eqcover.exact import greedy_clique
 from eqcover.graphs import Coloring, ShapeError
+
+from cover_words import restrict
 
 BUDGETS = (None, 1, 7, 50, 300)
 
@@ -338,7 +340,7 @@ def test_elbow_cover_complete_matches_restricted_doubling():
     # restriction of K256 takes tens of milliseconds)
     for n in [*range(3, 41), *range(41, 255, 13), 255, 256]:
         big, cover = (k4, k4_elbow_base()) if n <= 4 else (k16, c16) if n <= 16 else (k256, c256)
-        _, expected = restrict_cover_to_induced(big, cover, range(n))
+        _, expected = restrict(big, cover, range(n))
         got = elbow_cover_complete(n)
         assert (list(got.words), got.k, got.kind, got.graph_shape) == (
             list(expected.words), expected.k, expected.kind, expected.graph_shape

@@ -21,22 +21,22 @@ from eqcover import (
     decide_sigma,
     elbow_cover_complete,
     elbow_double,
-    eq_cover_from_orientation_cover,
     generate_family,
+    induced_subgraph,
     k4_elbow_base,
     k4_sigma3_cover,
     k16_table_cover,
     line_graph,
     orientation_cover_from_elbow,
     orientation_cover_from_eq_cover,
-    restrict_cover_to_induced,
+    out_star_eq_cover,
     verify_elbow_cover,
     verify_equivalence_cover,
     verify_orientation_cover,
 )
 from eqcover.construct import _out_classes
 
-from cover_words import arrow, cover_from_directions, directions, ranking, ranking_cover
+from cover_words import arrow, cover_from_directions, directions, ranking, ranking_cover, restrict
 
 
 # The analogue of an orientation: its out-stars, an equivalence subgraph
@@ -76,7 +76,7 @@ def test_eq_cover_from_k3_rotations():
     k3 = generate_family("complete", 3)
     lm = line_graph(k3)
     res = decide_sigma(k3, 3)
-    eq = eq_cover_from_orientation_cover(lm, res.witness)
+    eq = out_star_eq_cover(k3, res.witness)
     assert eq.k == 3
     assert verify_equivalence_cover(lm.line, eq) is None
 
@@ -85,25 +85,33 @@ def test_eq_cover_from_k16_table():
     g = generate_family("complete", 16)
     lm = line_graph(g)
     _, cover = k16_table_cover()
-    eq = eq_cover_from_orientation_cover(lm, cover)
+    eq = out_star_eq_cover(g, cover)
     assert eq.k == 5
     assert verify_equivalence_cover(lm.line, eq) is None
+
+
+def test_bench_wrapper_forwards_to_out_star_eq_cover():
+    from eqcover import eq_cover_from_orientation_cover
+
+    g = generate_family("complete", 16)
+    _, cover = k16_table_cover()
+    got = eq_cover_from_orientation_cover(line_graph(g), cover)
+    assert (got.n, got.subgraphs) == (g.m, out_star_eq_cover(g, cover).subgraphs)
 
 
 def test_eq_cover_from_bipartite_c4():
     c4 = generate_family("cycle", 4)
     lm = line_graph(c4)
-    eq = eq_cover_from_orientation_cover(lm, bipartite_orientation_cover(c4))
+    eq = out_star_eq_cover(c4, bipartite_orientation_cover(c4))
     assert eq.k == 2
     assert verify_equivalence_cover(lm.line, eq) is None
 
 
 def test_eq_cover_rejects_invalid_input():
     k3 = generate_family("complete", 3)
-    lm = line_graph(k3)
     too_small = OrientationCover((3, 3), 1, [1, 1, 1])
     with pytest.raises(InvalidCoverError) as info:
-        eq_cover_from_orientation_cover(lm, too_small)
+        out_star_eq_cover(k3, too_small)
     assert info.value.violation.recheck(k3, too_small)
 
 
@@ -222,40 +230,19 @@ def test_restriction_keeps_elbow_property():
     g16 = generate_family("complete", 16)
     cover = elbow_cover_complete(16)
     for keep in ([0, 1, 2, 3, 4], [3, 7, 11, 15], list(range(10))):
-        sub, restricted = restrict_cover_to_induced(g16, cover, keep)
+        sub, restricted = restrict(g16, cover, keep)
+        assert sub == induced_subgraph(g16, keep)
         assert verify_elbow_cover(sub, restricted) is None
 
 
-def _reference_restriction(g, cover, vertices):
-    """The relabelling that restrict_cover_to_induced did on its own
-    before it took its subgraph from induced_subgraph: the sorted
-    distinct vertices, and the words of the edges between them."""
-    keep = sorted(set(vertices))
-    relabel = {v: i for i, v in enumerate(keep)}
-    kept = [
-        (e, relabel[u], relabel[v])
-        for e, (u, v) in enumerate(g.edges)
-        if u in relabel and v in relabel
-    ]
-    return Graph(len(keep), [(u, v) for _, u, v in kept]), tuple(cover.words[e] for e, _, _ in kept)
-
-
-def test_restriction_matches_reference_relabelling():
-    rng = random.Random(2024)
-    for trial in range(300):
-        n = rng.randint(1, 12)
-        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
-        k = rng.randint(0, 4)
-        words = [rng.randrange(1 << k) for _ in range(g.m)]
-        cover = OrientationCover((g.n, g.m), k, words, rng.choice(("orientation", "elbow")))
-        vertices = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))]  # with repeats
-        # a generator can be read only once
-        given = (v for v in vertices) if trial % 2 else vertices
-        sub, restricted = restrict_cover_to_induced(g, cover, given)
-        want_sub, want_words = _reference_restriction(g, cover, vertices)
-        assert sub == want_sub
-        assert restricted.words == want_words
-        assert (restricted.k, restricted.kind) == (cover.k, cover.kind)
+def test_restriction_keeps_orientation_property():
+    # every constraint of an induced subgraph is one of the whole graph
+    g16 = generate_family("complete", 16)
+    _, cover = k16_table_cover()
+    for keep in ([0, 1, 2, 3, 4], [3, 7, 11, 15], list(range(10))):
+        sub, restricted = restrict(g16, cover, keep)
+        assert sub == induced_subgraph(g16, keep)
+        assert verify_orientation_cover(sub, restricted) is None
 
 
 @pytest.mark.parametrize("vertices", [[0, 1, 7], [-1, 0, 2], [4], range(-3, 0)])
@@ -263,7 +250,7 @@ def test_restriction_refuses_vertices_out_of_range(vertices):
     # these once gave Graph(n=3, m=1), with phantom isolated vertices
     k4 = generate_family("complete", 4)
     with pytest.raises(ValueError, match="vertex out of range"):
-        restrict_cover_to_induced(k4, k4_sigma3_cover(), vertices)
+        induced_subgraph(k4, vertices)
 
 
 def test_bipartite_cover():
@@ -489,7 +476,7 @@ def test_round_trip_soundness_over_corpus(corpus):
         assert verify_orientation_cover(g, cover) is None
         if g.m:
             lm = line_graph(g)
-            eq = eq_cover_from_orientation_cover(lm, cover)
+            eq = out_star_eq_cover(g, cover)
             assert verify_equivalence_cover(lm.line, eq) is None
             back = orientation_cover_from_eq_cover(lm, eq)
             assert back.k <= 3 * eq.k
@@ -593,7 +580,7 @@ def test_rank_pullbacks_match_explicit_base_pullback():
             big, base = k16, sigma16
         else:
             big, base = (k4, elbow4) if c <= 4 else (k16, elbow16) if c <= 16 else (k256, elbow256)
-            big, base = restrict_cover_to_induced(big, base, range(c))
+            big, base = restrict(big, base, range(c))
             if not elbow:
                 base = orientation_cover_from_elbow(big, base)
         # edge uv takes the base word of f(u)f(v), flipped when f(u) > f(v)
@@ -655,8 +642,8 @@ _SHAPE = "cover shape (4, 4) does not match graph (4, 6)"
         (orientation_cover_from_elbow, _K4, _words((4, 4), 1, 1, "elbow"), ShapeError, _SHAPE),
         (orientation_cover_from_elbow, _K4, _words((4, 6), 1, 1, "elbow"),
          InvalidCoverError, "input cover is invalid: VIOLATION path=(0,1,2)"),
-        (eq_cover_from_orientation_cover, _LK4, _words((4, 4), 3, 0), ShapeError, _SHAPE),
-        (eq_cover_from_orientation_cover, _LK4, _words((4, 6), 3, 0),
+        (out_star_eq_cover, _K4, _words((4, 4), 3, 0), ShapeError, _SHAPE),
+        (out_star_eq_cover, _K4, _words((4, 6), 3, 0),
          InvalidCoverError, "input cover is invalid: VIOLATION v=0 e=(0,1) f=(0,2)"),
         (orientation_cover_from_eq_cover, _LK4, EquivalenceCover(5, [[]]),
          ShapeError, "cover n=5 does not match graph n=6"),

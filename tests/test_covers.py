@@ -14,12 +14,12 @@ from eqcover import (
     OrientationCover,
     ShapeError,
     cover_via_coloring,
-    eq_cover_from_orientation_cover,
     generate_family,
     k4_elbow_base,
     k4_sigma3_cover,
     k16_table_cover,
     line_graph,
+    out_star_eq_cover,
     parse_coloring,
     parse_cover,
     parse_graph,
@@ -946,10 +946,9 @@ def test_one_pass_equivalence_check_matches_scan():
         n = rng.randrange(3, 9)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = Graph(n, rng.sample(pairs, rng.randrange(1, len(pairs) + 1)))
-        lm = line_graph(g)
-        h = lm.line
+        h = line_graph(g).line
         chi = exact_chromatic(g)
-        valid = eq_cover_from_orientation_cover(lm, cover_via_coloring(g, chi.witness))
+        valid = out_star_eq_cover(g, cover_via_coloring(g, chi.witness))
         covers = [valid]
         for _ in range(6):
             covers.append(_unchecked_cover(h.n, _seeded_fault(rng, h, valid.subgraphs)))

@@ -26,7 +26,7 @@ from eqcover.construct import pullback_size
 
 import oracles
 from conftest import least_elb_by_word_search
-from cover_words import directions, ranking, ranking_cover
+from cover_words import directions, ranking, ranking_cover, restrict
 
 
 def test_sigma_triangle():
@@ -321,7 +321,7 @@ def test_eye_upper_witness_matches_complete_graph_ranks():
     # the ranks of each orientation of the explicit K4 -> K16 -> K256
     # elbow_double chain, from the K4 vertex orders (0,1,2,3), (2,0,3,1),
     # restricted to the first n vertices by index
-    from eqcover import elbow_double, restrict_cover_to_induced
+    from eqcover import elbow_double
     from eqcover.exact import _upper_witness
 
     k4 = generate_family("complete", 4)
@@ -333,7 +333,7 @@ def test_eye_upper_witness_matches_complete_graph_ranks():
     c256 = elbow_double(k16, c16)
     for n in [*range(3, 41), *range(41, 255, 7), 255, 256]:
         big, cover = (k4, c4) if n <= 4 else (k16, c16) if n <= 16 else (k256, c256)
-        complete, base = restrict_cover_to_induced(big, cover, range(n))
+        complete, base = restrict(big, cover, range(n))
         want = []
         for i in range(base.k):
             out = [0] * n
