@@ -6,10 +6,12 @@ the edges whose incidence signature matches the pair form a bipartite
 subgraph with locally forced sides, and the product of the side choices
 separates every edge.  K_4 and K_16 meet the bound with equality.
 
-Orientation coverings say more.  With k >= 3 of them, vertices seeing a
-singleton signature absorb k reserved colors and the remainder needs
-only the middling subset pairs, giving k + 2^(2^(k-1)-k-1) colors; at
-k = 3 that is 4, which is why sigma = 3 forces chi <= 4.
+Orientation coverings say more.  With k >= 3 of them, the masks a vertex
+of degree >= 2 sees pairwise intersect, so they span a maximal
+intersecting family on [k], and adjacent vertices span different ones.
+That gives at most M(k) colors, M(k) the number of such families (4, 12,
+81, 2646 for k = 3..6); at k = 3 that is 4, which is why sigma = 3 forces
+chi <= 4.
 """
 
 from eqcover import (
@@ -35,7 +37,7 @@ cover = decide_sigma(k4, 3).witness
 coloring = coloring_from_orientation_cover(k4, cover)
 print(
     f"\nK_4: size-3 orientation covering -> proper coloring with "
-    f"{coloring.palette_size} colors (bound 3 + 2^0 = 4)"
+    f"{coloring.palette_size} colors (bound M(3) = 4)"
 )
 
 c5 = generate_family("cycle", 5)
@@ -43,5 +45,5 @@ cover = decide_sigma(c5, 3).witness
 coloring = coloring_from_orientation_cover(c5, cover)
 print(
     f"C_5: size-3 orientation covering -> proper coloring with "
-    f"{coloring.palette_size} colors (chi(C5) = 3, bound 4)"
+    f"{coloring.palette_size} colors (chi(C5) = 3, bound M(3) = 4)"
 )

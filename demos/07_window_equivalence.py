@@ -4,7 +4,8 @@ Three orientations suffice exactly for the graphs with chromatic number
 3 or 4, and four exactly for 5 through 12.  The upper halves come from
 pullbacks (sigma(K_4) = 3 and a known size-4 covering of K_12); the
 lower halves from the coloring extracted out of any size-k covering,
-which needs at most k + 2^(2^(k-1)-k-1) colors.
+which needs at most M(k) colors, M(k) the number of maximal
+intersecting families on [k]: M(3) = 4 and M(4) = 12.
 
 Here the first window is checked against brute force: for a sample of
 small connected non-bipartite graphs, the exhaustive decision search
@@ -67,5 +68,5 @@ for g in sample:
         print(f"  DISAGREEMENT on n={g.n} m={g.m} chi={chi}")
 
 print(f"{len(sample)} connected non-bipartite graphs, chi histogram {histogram}")
-print(f"decide(sigma<=3) agreed with 'chi in {{3,4}}' on {agree}/{len(sample)}")
+print(f"decide(sigma<=3) agreed with 'chi in {{3,4}}' (4 = M(3)) on {agree}/{len(sample)}")
 assert agree == len(sample)

@@ -20,7 +20,8 @@ Relations used (n = vertex count, c = chromatic number):
     5 <= c <= 12 (the upper half of the second window is known
     non-constructively);
   - any graph with a size-k orientation covering, k >= 3, satisfies
-    c <= k + 2^(2^(k-1)-k-1), which lower-bounds sigma from c;
+    c <= M(k), the number of maximal intersecting families on [k]
+    (4, 12, 81, 2646 for k = 3..6), which lower-bounds sigma from c;
   - elb <= sigma <= 2 elb; above c = 12 the pullback witness meets
     this upper bound, or beats it for c <= 16, so its size is the upper
     end of sigma;
@@ -70,11 +71,16 @@ def alon_bounds(n: int, delta: int) -> AlonBounds:
     return AlonBounds(lower, upper, False)
 
 
+# M(k), the number of maximal intersecting families on [k], for k = 1..6
+# (OEIS A001206); above that, 2^(2^(k-1)) bounds it from above.
+MAXIMAL_INTERSECTING = (1, 2, 4, 12, 81, 2646)
+
+
 def sigma_lower_from_chi(c: int) -> int:
-    """Smallest k >= 3 admitting a c-chromatic graph with a size-k
-    orientation covering (c >= 3)."""
+    """Least k >= 3 with M(k) >= c (c >= 3): a size-k orientation
+    covering yields a proper coloring with at most M(k) colors."""
     k = 3
-    while c > k + (1 << ((1 << (k - 1)) - k - 1)):
+    while c > (MAXIMAL_INTERSECTING[k - 1] if k <= 6 else 1 << (1 << (k - 1))):
         k += 1
     return k
 

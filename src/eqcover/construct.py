@@ -9,6 +9,8 @@ invariants:
     elb(G) <= sigma(G) <= 2 elb(G)           (reversal doubling)
     elb(K_n) = ceil(log2 log2 n) + 1, n >= 3 (self-composition doubling)
     sigma(G) <= sigma(K_c) for any proper c-coloring (pullback)
+    chi(G) <= M(k) for a size-k orientation covering, k >= 3, M(k) the
+        number of maximal intersecting families on [k] (extraction)
 
 The converse from an equivalence covering of L(G) spends three
 orientations only on a subgraph with a triangle class, so on a
@@ -25,7 +27,6 @@ high-endpoint, so identical inputs give identical certificates.
 
 from __future__ import annotations
 
-import heapq
 from itertools import count, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -372,121 +373,88 @@ def elbow_cover_via_coloring(g: Graph, coloring: Coloring) -> OrientationCover:
     return _pullback(g, dense.colors, _base_ranks(dense.palette_size, "elbow"), "elbow")
 
 
+def _bit0_clear_masks(g: Graph, c: OrientationCover) -> List[set]:
+    """Each vertex's set of bit-0-clear masks, in one pass: an edge shows
+    the mask of the orientations directing it out of each end (its word
+    at the low end, the complement at the high end), and hands the one
+    with bit 0 clear to the endpoint that sees it."""
+    full = (1 << c.k) - 1
+    seen: List[set] = [set() for _ in range(g.n)]
+    for (u, v), x in zip(g.edges, c.words):
+        if x & 1:
+            seen[v].add(full ^ x)
+        else:
+            seen[u].add(x)
+    return seen
+
+
 def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:
     """Proper coloring with at most 2^(2^(k-1)) colors from a valid
     size-k elbow covering.
 
-    Every edge shows the mask of the orientations directing it out of
-    each endpoint (its word at the low end, the complement at the high
-    end); exactly one of the two has bit 0 clear, and that one goes to
-    the endpoint that sees it.  A vertex's color is the set of the
-    bit-0-clear masks it sees, numbered by first occurrence.  Adjacent
+    A vertex's color is the set of the bit-0-clear masks it sees
+    (``_bit0_clear_masks``), numbered by first occurrence.  Adjacent
     vertices differ: the edge's mask X with bit 0 clear is seen at one
     end, and the other end sees its complement, so it cannot also see X
     (the two would partition [k], leaving a 2-edge path uncovered).
     One pass over the edges, so no work grows with 2^k.
     """
     _require_valid(verify_elbow_cover(g, c))
-    k = c.k
-    if k == 0:
+    if c.k == 0:
         if g.m == 0:
             return Coloring([0] * g.n)
         raise ValueError("a zero-orientation covering only colors edgeless graphs")
-    full = (1 << k) - 1
-    seen: List[set] = [set() for _ in range(g.n)]  # bit-0-clear masks per vertex
-    for (u, v), x in zip(g.edges, c.words):
-        if x & 1:
-            seen[v].add(full ^ x)
-        else:
-            seen[u].add(x)
     palette: Dict[frozenset, int] = {}
-    coloring = Coloring([palette.setdefault(frozenset(s), len(palette)) for s in seen])
+    coloring = Coloring(
+        [palette.setdefault(frozenset(s), len(palette)) for s in _bit0_clear_masks(g, c)]
+    )
     coloring.require_proper(g)
     return coloring
 
 
-def _peel_low_degree(g: Graph) -> List[int]:
-    """Vertices in peeling order: repeatedly remove the smallest vertex
-    of degree <= 1 in what is left.
-
-    Degrees only fall, so a min-heap holding exactly the remaining
-    vertices of degree <= 1 gives that order: a vertex enters once,
-    when its degree first reaches 1 or below.
-    """
-    adj = g.adjacency
-    deg = list(map(len, adj))
-    ready = [v for v in range(g.n) if deg[v] <= 1]  # ascending: a heap
-    alive = [True] * g.n
-    peeled: List[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        alive[v] = False
-        peeled.append(v)
-        for u in adj[v]:
-            if alive[u]:
-                deg[u] -= 1
-                if deg[u] == 1:
-                    heapq.heappush(ready, u)
-    return peeled
+def _minimal_masks(masks: frozenset) -> frozenset:
+    """The masks that contain no other mask of the set."""
+    kept: List[int] = []
+    for x in sorted(masks, key=int.bit_count):
+        if all(y & ~x for y in kept):
+            kept.append(x)
+    return frozenset(kept)
 
 
 def coloring_from_orientation_cover(g: Graph, c: OrientationCover) -> Coloring:
-    """Proper coloring with at most k + 2^(2^(k-1)-k-1) colors from a
-    valid orientation covering of size k >= 3.
+    """Proper coloring with at most M(k) colors from a valid orientation
+    covering of size k >= 3, M(k) the number of maximal intersecting
+    families on [k] (4, 12, 81, 2646 for k = 3..6).
 
-    Vertices of degree <= 1 are peeled first (marked, not removed) and
-    greedily recolored last.  One pass over the edges of the remaining
-    core hands each endpoint its single-bit masks and hands the
-    bit-0-clear mask of the edge, when it has 2..k-2 bits, to the
-    endpoint that sees it.  A core vertex seeing a single-bit mask {i}
-    takes the reserved color i, the lowest such i (each such set is
-    stable); the rest are colored k + the index, by first occurrence, of
-    the set of their middling bit-0-clear masks, which stays proper
-    exactly as in the elbow extraction.  No work grows with 2^k.
+    The masks a vertex of degree >= 2 sees are non-empty and pairwise
+    intersecting, so its bit-0-clear ones, S, span the maximal
+    intersecting family Up(S) with, from each pair {y, [k] \\ y} that
+    Up(S) leaves out, the member containing 0.  That family is the
+    vertex's color; the minimal elements of S stand for it, numbered by
+    first occurrence and computed once per distinct S.  Adjacent
+    vertices differ: the edge's bit-0-clear mask X at u lies in u's
+    family, while every other mask v sees meets the complement of X, so
+    none lies inside X.  Vertices of degree <= 1 are then colored
+    greedily in vertex order, so they use colors 0 and 1 only.  No work
+    grows with 2^k.
     """
     if c.k < 3:
         raise ValueError("needs a covering of size at least 3")
     _require_valid(verify_orientation_cover(g, c))
-    n, k = g.n, c.k
-    full = (1 << k) - 1
-
-    peeled = _peel_low_degree(g)
-    core = [True] * n
-    for v in peeled:
-        core[v] = False
-    singles = [0] * n  # union of the single-bit masks seen in the core
-    seen: List[set] = [set() for _ in range(n)]  # middling bit-0-clear masks
-    for (u, v), x in zip(g.edges, c.words):
-        if core[u] and core[v]:
-            y = full ^ x
-            if not x & (x - 1):
-                singles[u] |= x
-            if not y & (y - 1):
-                singles[v] |= y
-            if x & 1:
-                u, x = v, y
-            if 2 <= x.bit_count() <= k - 2:
-                seen[u].add(x)
-    colors = [-1] * n
-    palette: Dict[frozenset, int] = {}
-    for v in range(n):
-        if core[v]:
-            s = singles[v]
-            if s:
-                colors[v] = (s & -s).bit_length() - 1
-            else:
-                colors[v] = k + palette.setdefault(frozenset(seen[v]), len(palette))
     adj = g.adjacency
-    for v in reversed(peeled):
-        taken = {colors[u] for u in adj[v]}
-        pick = 0
-        while pick in taken:
-            pick += 1
-        colors[v] = pick
-
+    colors = [-1] * g.n
+    families: Dict[frozenset, int] = {}  # minimal masks -> color
+    memo: Dict[frozenset, int] = {}  # bit-0-clear masks seen -> color
+    for v, s in enumerate(_bit0_clear_masks(g, c)):
+        if len(adj[v]) >= 2:
+            s = frozenset(s)
+            color = memo.get(s)
+            if color is None:
+                color = memo[s] = families.setdefault(_minimal_masks(s), len(families))
+            colors[v] = color
+    for v in range(g.n):
+        if colors[v] < 0:  # degree <= 1: color 0 unless its neighbor has it
+            colors[v] = int(any(colors[u] == 0 for u in adj[v]))
     coloring = Coloring(colors)
     coloring.require_proper(g)
-    # palette <= k + 2^e, e = 2^(k-1) - k - 1, without building 2^e
-    excess = coloring.palette_size - k
-    assert excess <= 0 or (excess - 1).bit_length() <= (1 << (k - 1)) - k - 1
     return coloring

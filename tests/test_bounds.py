@@ -152,9 +152,17 @@ def test_truncated_chi_on_an_odd_cycle_is_raised_to_three():
     assert "note: chromatic search truncated by budget" in lines
 
 
+def test_sigma_lower_bound_is_the_least_k_with_enough_maximal_families():
+    # M(5) = 81 and M(6) = 2646; above k = 6 the bound 2^(2^(k-1)) stands in
+    pins = {3: 3, 4: 3, 5: 4, 12: 4, 13: 5, 81: 5, 82: 6, 2646: 6, 2647: 7}
+    assert {c: sigma_lower_from_chi(c) for c in pins} == pins
+    lines = bounds_report(generate_family("complete", 82)).lines()
+    assert "sigma: 6..8 [lo: coloring bound for size-k coverings; hi: constructive pullback witness]" in lines
+
+
 def test_sigma_lower_bound_is_never_below_elb():
-    # k + 2^(2^(k-1)-k-1) <= 2^(2^(k-1)), so a chi that needs k
-    # orientations by the coloring bound needs no more elbow ones
+    # M(k) <= 2^(2^(k-1)), so a chi that needs k orientations by the
+    # coloring bound needs no more elbow ones
     for c in range(3, 70_000):
         assert sigma_lower_from_chi(c) >= pullback_size(c, "elbow"), c
 

@@ -387,30 +387,12 @@ def test_coloring_from_orientation_k3():
     assert coloring.palette_size <= 4
 
 
-def test_coloring_from_orientation_peels_pendants():
+def test_coloring_from_orientation_colors_pendants_last():
     g = generate_family("triangle-plus-pendant")
     cover = decide_sigma(g, 3).witness
     coloring = coloring_from_orientation_cover(g, cover)
     assert coloring.check_proper(g) is None
     assert coloring.palette_size <= 4
-
-
-def _old_peel_order(g):
-    """The peeling loop as it was before the heap: one scan over all
-    vertices per peeled vertex."""
-    alive = [True] * g.n
-    deg = list(g.degrees())
-    peeled = []
-    while True:
-        target = next((v for v in range(g.n) if alive[v] and deg[v] <= 1), None)
-        if target is None:
-            break
-        alive[target] = False
-        peeled.append(target)
-        for u in g.adjacency[target]:
-            if alive[u]:
-                deg[u] -= 1
-    return peeled
 
 
 def _tree_plus_triangle(rng, n):
@@ -420,31 +402,6 @@ def _tree_plus_triangle(rng, n):
     a, b, c = sorted(rng.sample(range(n), 3))
     edges |= {(a, b), (a, c), (b, c)}
     return Graph(n, edges)
-
-
-def test_peel_order_matches_scanning_loop(corpus, monkeypatch):
-    import random
-
-    from eqcover import Graph, construct
-
-    rng = random.Random(2024)
-    graphs = list(corpus.values())
-    graphs += [_tree_plus_triangle(rng, n) for n in (3, 5, 20, 60, 200)]
-    for _ in range(150):
-        n = rng.randint(1, 30)
-        p = rng.choice((0.05, 0.1, 0.2, 0.5))
-        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
-    for g in graphs:
-        assert construct._peel_low_degree(g) == _old_peel_order(g)
-    for g in graphs:
-        cover = cover_via_coloring(g, greedy_coloring(g))
-        if cover.k < 3:
-            continue
-        new = coloring_from_orientation_cover(g, cover)
-        with monkeypatch.context() as m:
-            m.setattr(construct, "_peel_low_degree", _old_peel_order)
-            old = coloring_from_orientation_cover(g, cover)
-        assert new == old
 
 
 def test_coloring_from_orientation_on_large_tree_plus_triangle():
@@ -484,7 +441,8 @@ def test_round_trip_soundness_over_corpus(corpus):
 
 
 def test_coloring_from_orientation_forest_core_empty():
-    # trees peel away completely; colors come from the greedy unpeel alone
+    # the inner vertices see one family per side of the path; each end
+    # takes whichever of colors 0 and 1 its neighbor lacks
     p5 = generate_family("path", 5)
     two = bipartite_orientation_cover(p5)
     padded = cover_from_directions((5, 4), directions(two) + directions(two)[:1])
@@ -511,7 +469,7 @@ def test_coloring_from_orientation_k5_size4():
     cover = decide_sigma(k5, 4).witness
     coloring = coloring_from_orientation_cover(k5, cover)
     assert coloring.check_proper(k5) is None
-    # bound at k = 4: 4 + 2^(2^3 - 5) = 12
+    # M(4) = 12 maximal intersecting families on [4]
     assert coloring.palette_size <= 12
 
 

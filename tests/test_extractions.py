@@ -1,11 +1,13 @@
 """The colour extractions read the per-edge words in one pass.
 
-``coloring_from_elbow_cover`` and ``coloring_from_orientation_cover``
-key each vertex by the set of masks with bit 0 clear that it sees.  The
-reference copies below are the earlier versions, which read one mask
-per incidence (``cover_words.out_mask``): they key a vertex by its side
-of every representative subset (2^(k-1) of them) and run the
-orientation extraction on a relabelled core graph.  Both must give the same Coloring.  The faster
+``coloring_from_elbow_cover`` keys each vertex by the set of masks with
+bit 0 clear that it sees, and ``coloring_from_orientation_cover`` by
+the minimal elements of that set.  The reference copies below read one
+mask per incidence (``cover_words.out_mask``).  The elbow one is the
+earlier version, which keys a vertex by its side of every
+representative subset (2^(k-1) of them); the orientation one builds
+each vertex's maximal intersecting family over all 2^k masks, from the
+definition.  Both must give the same Coloring.  The faster
 EquivalenceCover._from_sorted must give the covers the validating
 constructor gives.
 """
@@ -16,6 +18,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -39,15 +42,15 @@ from eqcover import (
     verify_orientation_cover,
     write_cover_for,
 )
+from eqcover.bounds import MAXIMAL_INTERSECTING
 from eqcover.construct import (
-    _peel_low_degree,
     coloring_from_elbow_cover,
     coloring_from_orientation_cover,
     out_star_eq_cover,
 )
 from eqcover.exact import _greedy_matching_cover
 
-from cover_words import out_mask, out_stars, restrict
+from cover_words import out_mask, out_stars
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +107,15 @@ def reference_elbow(g: Graph, c: OrientationCover) -> Coloring:
     return coloring
 
 
+def _maximal_family(masks: Sequence[int], k: int) -> frozenset:
+    """Up(S), S the masks with bit 0 clear, together with every mask
+    containing 0 such that neither it nor its complement lies in Up(S)."""
+    full = (1 << k) - 1
+    clear = [x for x in masks if not x & 1]
+    up = {y for y in range(1 << k) if any(x & y == x for x in clear)}
+    return frozenset(up | {y for y in range(1 << k) if y & 1 and y not in up and full ^ y not in up})
+
+
 def reference_orientation(g: Graph, c: OrientationCover) -> Coloring:
     if c.k < 3:
         raise ValueError("needs a covering of size at least 3")
@@ -111,48 +123,51 @@ def reference_orientation(g: Graph, c: OrientationCover) -> Coloring:
     violation = verify_orientation_cover(g, c)
     if violation is not None:
         raise InvalidCoverError(violation)
-    k = c.k
-
-    peeled = _peel_low_degree(g)
+    palette: Dict[frozenset, int] = {}
     colors: Dict[int, int] = {}
-    gone = set(peeled)
-    core_vertices = [v for v in range(g.n) if v not in gone]
-    if core_vertices:
-        core, core_cover = restrict(g, c, core_vertices)
-        reserved: Dict[int, int] = {}
-        for v in range(core.n):
-            masks = [out_mask(core, core_cover, v, e) for e in core.incident(v)]
-            singles = [x.bit_length() - 1 for x in masks if bin(x).count("1") == 1]
-            if singles:
-                reserved[v] = min(singles)
-        for u, v in core.edges:
-            assert not (
-                u in reserved and v in reserved and reserved[u] == reserved[v]
-            ), "reserved-signature sets must be stable for a verified covering"
-        reps = _representative_subsets(k, min_size=2, max_size=k - 2)
-        palette: Dict[Tuple[int, ...], int] = {}
-        for v in range(core.n):
-            orig = core_vertices[v]
-            if v in reserved:
-                colors[orig] = reserved[v]
-                continue
-            key = _sides(
-                [out_mask(core, core_cover, v, e) for e in core.incident(v)], reps, (1 << k) - 1
-            )
-            colors[orig] = k + palette.setdefault(key, len(palette))
-
-    for v in reversed(peeled):
-        taken = {colors[u] for u in g.adjacency[v] if u in colors}
-        pick = 0
-        while pick in taken:
-            pick += 1
-        colors[v] = pick
-
+    for v in range(g.n):
+        if g.degree(v) >= 2:
+            family = _maximal_family([out_mask(g, c, v, e) for e in g.incident(v)], c.k)
+            if family not in palette:
+                assert all(a & b for a, b in combinations(family, 2)), "not intersecting"
+                assert len(family) == 1 << (c.k - 1)
+                palette[family] = len(palette)
+            colors[v] = palette[family]
+    for v in range(g.n):
+        if v not in colors:
+            taken = {colors.get(u) for u in g.adjacency[v]}
+            pick = 0
+            while pick in taken:
+                pick += 1
+            colors[v] = pick
     coloring = Coloring([colors[v] for v in range(g.n)])
     coloring.require_proper(g)
-    bound = k + (1 << ((1 << (k - 1)) - k - 1))
-    assert coloring.palette_size <= bound
     return coloring
+
+
+def _maximal_intersecting_count(k: int) -> int:
+    """M(k) by brute force: the intersecting families holding one set
+    from each complementary pair of subsets of [k]."""
+    reps = _representative_subsets(k)
+    full = (1 << k) - 1
+
+    def extend(chosen: List[int], i: int) -> int:
+        if i == len(reps):
+            return 1
+        return sum(
+            extend(chosen + [y], i + 1)
+            for y in (reps[i], full ^ reps[i])
+            if y and all(y & x for x in chosen)
+        )
+
+    return extend([], 0)
+
+
+BRUTE_M = {k: _maximal_intersecting_count(k) for k in range(1, 6)}
+
+
+def test_maximal_intersecting_table_matches_brute_force():
+    assert list(BRUTE_M.values()) == list(MAXIMAL_INTERSECTING[:5])
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +273,9 @@ def test_orientation_extraction_matches_reference():
     count = 0
     for name, g, c in _orientation_cases():
         assert verify_orientation_cover(g, c) is None, name
-        assert coloring_from_orientation_cover(g, c) == reference_orientation(g, c), name
+        coloring = coloring_from_orientation_cover(g, c)
+        assert coloring == reference_orientation(g, c), name
+        assert coloring.palette_size <= BRUTE_M.get(c.k, coloring.palette_size), name
         count += 1
     assert count > 400
 
@@ -278,20 +295,24 @@ def test_extractions_match_reference_on_corpus(corpus):
             continue
         sigma = cover_via_coloring(g, greedy_coloring(g))
         if sigma.k >= 3:
-            assert coloring_from_orientation_cover(g, sigma) == reference_orientation(g, sigma), name
+            coloring = coloring_from_orientation_cover(g, sigma)
+            assert coloring == reference_orientation(g, sigma), name
+            assert coloring.palette_size <= BRUTE_M.get(sigma.k, coloring.palette_size), name
         elbow = elbow_cover_via_coloring(g, greedy_coloring(g))
         assert coloring_from_elbow_cover(g, elbow) == reference_elbow(g, elbow), name
         assert coloring_from_elbow_cover(g, sigma) == reference_elbow(g, sigma), name
 
 
 def test_repeated_cover_keeps_the_elbow_coloring():
-    # repeating orientations maps bit-0-clear masks one to one, so the
-    # elbow colouring is that of the base cover
+    # repeating orientations maps bit-0-clear masks one to one, keeping
+    # which contains which, so both colourings are those of the base cover
     g = _random_graph(random.Random(5), 30, 0.3)
     base = cover_via_coloring(g, greedy_coloring(g))
+    assert base.k >= 3
     wide = _repeat(base, 12)
     assert verify_orientation_cover(g, wide) is None
     assert coloring_from_elbow_cover(g, wide) == coloring_from_elbow_cover(g, base)
+    assert coloring_from_orientation_cover(g, wide) == coloring_from_orientation_cover(g, base)
     assert coloring_from_orientation_cover(g, wide) == reference_orientation(g, wide)
 
 
