@@ -493,7 +493,9 @@ def test_free_edges_take_no_search_nodes(j):
 def test_pinned_node_counts_eq_and_budget():
     k5 = generate_family("complete", 5)
     res = decide_eq(line_graph(k5).line, 3)
-    assert (res.status, res.nodes) == ("unsat", 33061)
+    assert (res.status, res.nodes) == ("unsat", 6334)
+    res = decide_eyebrow(k5, 2)
+    assert (res.status, res.nodes) == ("unsat", 1890)
     budget = Budget(max_nodes=50)
     res = decide_sigma(k5, 3, budget)
     assert (res.status, res.nodes, budget.nodes, budget.exhausted) == (
@@ -595,6 +597,24 @@ def test_eyebrow_search_stays_off_bipartite_graphs():
         res = decide_eyebrow(generate_family("cycle", n), 2)
         assert res.status == "sat" and res.nodes > 0
         assert verify_eyebrow_cover(generate_family("cycle", n), res.witness) is None
+
+
+def test_eyebrow_search_ranks_vertex_0_below_vertex_1():
+    # a ranking and its reverse cover the same triples, so the search
+    # tries only the rankings with vertex 0 below vertex 1, and pads
+    # with the last of them; the closed forms take no node
+    rng = random.Random(3141)
+    searched = 0
+    for _ in range(100):
+        g = _random_small_graph(rng, rng.randint(5, 7))
+        res = decide_eyebrow(g, 2, Budget(max_nodes=5000))
+        if res.status == "sat" and res.nodes:
+            searched += 1
+            assert res.witness.k == 2
+            assert all(r[0] < r[1] for r in res.witness.rankings), g.edges
+            assert verify_eyebrow_cover(g, res.witness) is None
+            assert oracles.eyebrow_cover_ok(g, res.witness.rankings)
+    assert searched >= 10
 
 
 # Size of the K_n cover that answers every k at or above it: the identity

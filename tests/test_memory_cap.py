@@ -60,6 +60,20 @@ CASES = {
         assert (res.status, res.value, res.nodes) == ("exact", 2, 0)
         assert verify_eyebrow_cover(g, res.witness) is None
     """,
+    # an odd cycle keeps the eyebrow search, whose first slot lists only
+    # the triples each ranking leaves uncovered: all m(n - 2) of them
+    # would take about 109 MB here
+    "solve-eye-cycle1001": """
+        g = generate_family("cycle", 1001)
+        res = solve_invariant(g, "eye", Budget(max_nodes=1))
+        assert (res.status, res.lo, res.hi) == ("bounded", 2, 5)
+        assert verify_eyebrow_cover(g, res.witness) is None
+        # the peak RSS of this process image: on Linux ru_maxrss also
+        # keeps that of the test process this one was forked from
+        with open("/proc/self/status") as fh:
+            peak_kb = int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+        assert peak_kb < 64 << 10, peak_kb
+    """,
     "elbow-complete-300": """
         cover = elbow_cover_complete(300)
         assert cover.k == 5
