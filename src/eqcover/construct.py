@@ -151,7 +151,8 @@ def _pullback(
     proper coloring ``colors`` (the callers check it), its last ranking
     repeated up to size k: every cover built from a coloring is made here."""
     ranks = [*ranks, *ranks[-1:] * (k - len(ranks))]
-    return OrientationCover((g.n, g.m), len(ranks), _rank_words(g.edges, colors, ranks), kind)
+    words = _rank_words(g.edges, colors, ranks)
+    return OrientationCover._from_words((g.n, g.m), len(ranks), words, kind)
 
 
 def _complete_cover(ranks: Sequence[Sequence[int]], kind: str) -> OrientationCover:
@@ -164,7 +165,7 @@ def _complete_cover(ranks: Sequence[Sequence[int]], kind: str) -> OrientationCov
     for a in range(n - 1):
         row = zip(*(map(r[a].__lt__, r[a + 1 :]) for r in ranks))
         words.extend(map(pack.__getitem__, row))
-    return OrientationCover((n, len(words)), k, words, kind)
+    return OrientationCover._from_words((n, len(words)), k, words, kind)
 
 
 def k16_table_cover() -> Tuple[Tuple[Tuple[int, ...], ...], OrientationCover]:

@@ -75,6 +75,20 @@ class OrientationCover:
         self.words = words
         self.kind = kind
 
+    @classmethod
+    def _from_words(
+        cls, graph_shape: Tuple[int, int], k: int, words: Sequence[int], kind: str
+    ) -> "OrientationCover":
+        """Cover of one int word in [0, 2^k) per edge of a graph of shape
+        (n, m) of ints, kind 'orientation' or 'elbow'; none of that is
+        checked."""
+        cover = cls.__new__(cls)
+        cover.graph_shape = graph_shape
+        cover.k = k
+        cover.words = tuple(words)
+        cover.kind = kind
+        return cover
+
     @property
     def orientations(self) -> Tuple[_OrientationView, ...]:
         """Each orientation's direction bits, derived from the words on

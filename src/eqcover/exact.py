@@ -23,7 +23,8 @@ each edge's labels forward, as labels required on the edges that close
 its triangles and labels forbidden on its neighbours that close none,
 and fails a branch as soon as an edge has no label set left.  The
 eyebrow search also tries only one of each ranking and its reverse,
-which leave the same vertices between each edge's ends.
+which leave the same vertices between each edge's ends, and starts
+each slot's enumeration at the ranking of the slot before.
 
 The orientation/elbow search runs on bitsets over the words: each
 vertex keeps a domain of the words still allowed on its incident edges
@@ -55,7 +56,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as iter_permutations
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from . import construct
 from .covers import EquivalenceCover, EyebrowCover, OrientationCover
@@ -228,13 +229,11 @@ def _decide_words(
     words = [0] * m
     size = 1 << k
     lex_rows, rows = _word_tables(k, elbow)
-    dom = [(1 << (2 * size)) - 1] * g.n
-    if not elbow:
-        # a never-out mask at a vertex with 2+ edges kills a pair: mask 0
-        # is word 0 at the low end and full at the high end
-        for v, dv in enumerate(deg):
-            if dv >= 2:
-                dom[v] ^= 1 | 1 << (2 * size - 1)
+    whole = (1 << (2 * size)) - 1
+    # for orientations, a never-out mask at a vertex with 2+ edges kills a
+    # pair: mask 0 is word 0 at the low end and full at the high end
+    pruned = whole if elbow else whole ^ (1 | 1 << (2 * size - 1))
+    dom = [whole if dv < 2 else pruned for dv in deg]
     spend = budget.spend
     rest = [0] * m  # candidates above words[d] left at depth d
     lexes = [0] * m  # lex state on reaching depth d
@@ -330,12 +329,12 @@ def _decide_cover(g: Graph, k: int, budget: Optional[Budget], kind: str) -> Deci
     if k >= construct.pullback_size(g.n, kind):
         return DecideResult("sat", _kn_cover(g, kind, k), budget.nodes)
     try:
-        words = _decide_words(g, k, budget, elbow=kind == "elbow")
+        words = _decide_words(g, k, budget, kind == "elbow")
     except _OutOfBudget:
         return DecideResult("timeout", None, budget.nodes)
     if words is None:
         return DecideResult("unsat", None, budget.nodes)
-    witness = OrientationCover((g.n, g.m), k, words, kind)
+    witness = OrientationCover._from_words((g.n, g.m), k, words, kind)
     return DecideResult("sat", witness, budget.nodes)
 
 
@@ -511,6 +510,19 @@ def _path_order(g: Graph) -> Optional[List[int]]:
     return order if len(order) == g.n else None
 
 
+def _permutations_from(floor: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+    """The permutations of 0..n-1 from ``floor`` on, in lexicographic
+    order: ``floor``, then, for each position i from the last but one to
+    the first, the blocks that keep floor[:i] and put a larger value at
+    i, each block an ``itertools.permutations`` run over what is left."""
+    yield floor
+    for i in range(len(floor) - 2, -1, -1):
+        tail = sorted(floor[i:])
+        for c in tail[tail.index(floor[i]) + 1:]:
+            head = floor[:i] + (c,)
+            yield from map(head.__add__, iter_permutations([x for x in tail if x != c]))
+
+
 def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult:
     """Are there k vertex rankings such that, for every edge uv and third
     vertex w, some ranking r puts r[w] outside the interval of r[u], r[v]?
@@ -530,7 +542,10 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
     tries only the rankings that put vertex 0 below vertex 1, and the
     witness ranks vertex 0 below vertex 1 in each of its rankings.  The
     first slot lists the triples a ranking leaves uncovered from its
-    vertex order, so no list of all m(n - 2) triples is built.
+    vertex order, so no list of all m(n - 2) triples is built.  Each
+    later slot starts its enumeration at the ranking of the slot before
+    (``_permutations_from``), and the last one only tests whether a
+    ranking covers every triple left, up to the first it leaves open.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -576,19 +591,33 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
                 out.append((u, v, w))
         return out
 
+    def covers_all(uncovered, ranks):
+        """Does ranks cover every triple left, putting no third vertex
+        strictly between the ends of its edge?"""
+        for u, v, w in uncovered:
+            lo, hi = ranks[u], ranks[v]
+            if lo < ranks[w] < hi or hi < ranks[w] < lo:
+                return False
+        return True
+
     def rec(slot: int, uncovered, floor: Tuple[int, ...]) -> bool:
         if not uncovered:
             # covered early: pad with repeats to honor the requested size
             while len(chosen) < k:
                 chosen.append(chosen[-1])
             return True
-        if slot == k:
-            return False
-        for ranks in iter_permutations(range(g.n)):
+        last = slot == k - 1
+        for ranks in _permutations_from(floor):
             # a ranking and its reverse cover the same triples
-            if ranks[0] > ranks[1] or ranks < floor:
+            if ranks[0] > ranks[1]:
                 continue
             budget.spend()
+            if last:
+                # the last slot succeeds only by covering every triple left
+                if covers_all(uncovered, ranks):
+                    chosen.append(ranks)
+                    return True
+                continue
             rest = still_uncovered(uncovered, ranks) if slot else between(ranks)
             if len(rest) == len(uncovered):
                 # covers nothing new; a minimal covering multiset has no
@@ -603,7 +632,7 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
     try:
         # before the first slot all m(n - 2) triples are uncovered; the
         # first slot reads only their number, so a range stands for them
-        sat = rec(0, range(g.m * (g.n - 2)), ())
+        sat = rec(0, range(g.m * (g.n - 2)), tuple(range(g.n)))
     except _OutOfBudget:
         return DecideResult("timeout", None, budget.nodes)
     if not sat:

@@ -164,7 +164,7 @@ class Graph:
         return len(self.adjacency[v])
 
     def degrees(self) -> Tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        return tuple(map(len, self.adjacency))
 
     def min_degree(self) -> int:
         return min(self.degrees()) if self.n else 0

@@ -6,6 +6,7 @@ from operator import eq, lshift, or_
 import pytest
 
 from eqcover import (
+    Budget,
     CoverFormatError,
     EquivalenceCover,
     exact_chromatic,
@@ -14,6 +15,8 @@ from eqcover import (
     OrientationCover,
     ShapeError,
     cover_via_coloring,
+    decide_elb,
+    decide_sigma,
     generate_family,
     k4_elbow_base,
     k4_sigma3_cover,
@@ -30,6 +33,7 @@ from eqcover import (
     write_cover_for,
     write_graph,
 )
+from eqcover import construct
 from eqcover.covers import write_equivalence_cover
 from eqcover.graphs import Coloring
 
@@ -147,6 +151,37 @@ def test_orientation_cover_constructor_checks():
         OrientationCover((3, 3), 2, [0, -1, 1])
     with pytest.raises(ValueError):
         EquivalenceCover(3, [[()]])
+
+
+def test_trusted_orientation_covers_pass_the_public_constructor():
+    # the pullback, the complete-graph covers and the word search build
+    # their covers through OrientationCover._from_words, which checks
+    # nothing; the checking constructor must accept each one as it is
+    rng = random.Random(2029)
+    covers = []
+    for _ in range(40):
+        n, c = rng.randint(1, 9), rng.randint(1, 6)
+        colors = [rng.randrange(c) for _ in range(n)]
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if colors[u] != colors[v] and rng.random() < 0.6])
+        for kind in ("orientation", "elbow"):
+            for k in range(13):
+                ranks = [rng.sample(range(c), c) for _ in range(k)]
+                covers.append(construct._pullback(g, colors, ranks, kind))
+                covers.append(construct._pullback(g, colors, ranks[:1], kind, k))
+                if c >= 2 and k:
+                    covers.append(construct._complete_cover(ranks, kind))
+                for decide in (decide_sigma, decide_elb):
+                    res = decide(g, k, Budget(max_nodes=2000))
+                    if res.witness is not None:
+                        covers.append(res.witness)
+    assert len(covers) > 2000
+    for cover in covers:
+        fields = (cover.graph_shape, cover.k, cover.words, cover.kind)
+        public = OrientationCover(*fields)
+        assert (public.graph_shape, public.k, public.words, public.kind) == fields, cover
+        assert type(cover.words) is tuple and all(type(w) is int for w in cover.words)
+        assert all(type(x) is int for x in cover.graph_shape)
 
 
 def test_equivalence_cover_rejects_a_repeated_vertex():

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -129,6 +129,25 @@ def test_elb_against_enumeration(corpus, name, k):
     g = corpus[name]
     expected = oracles.elb_at_most(g, k)
     assert (decide_elb(g, k).status == "sat") == expected
+
+
+def test_oracle_searches_match_plain_enumeration():
+    # the sigma and elb oracles prune their enumeration; on graphs small
+    # enough for every multiset of k orientations they must agree with it
+    rng = random.Random(1980)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        every = list(product((0, 1), repeat=g.m))
+        for k in range(4):
+            if g.m * k > 12:
+                continue
+            combos = list(combinations_with_replacement(every, k))
+            for at_most, ok in (
+                (oracles.sigma_at_most, oracles.orientation_cover_ok),
+                (oracles.elb_at_most, oracles.elbow_cover_ok),
+            ):
+                assert at_most(g, k) == any(ok(g, c) for c in combos), (g.edges, k)
 
 
 @pytest.mark.parametrize(
@@ -658,11 +677,9 @@ def test_complete_cover_size_is_decided_without_search(n):
 def test_just_below_the_complete_cover_size_matches_enumeration(n):
     g = generate_family("complete", n)
     sigma, elb, eye = (s - 1 for s in _COMPLETE_SIZES[n])
-    # the brute force takes about 6 s for elb(K5) <= 2 and over a minute
-    # for sigma(K5) <= 4, so K5 reads the known values: elb(K5) = 3 by
-    # the loglog formula, sigma(K5) = 4 (chi = 5 lies in the window 5..12)
-    expect_sigma = oracles.sigma_at_most(g, sigma) if n <= 4 else True
-    expect_elb = oracles.elb_at_most(g, elb) if n <= 4 else False
+    expect_sigma, expect_elb = oracles.sigma_at_most(g, sigma), oracles.elb_at_most(g, elb)
+    if n == 5:  # sigma(K5) = 4 (chi = 5 lies in the window 5..12), elb(K5) = 3
+        assert (expect_sigma, expect_elb) == (True, False)
     assert (decide_sigma(g, sigma).status == "sat") == expect_sigma
     assert (decide_elb(g, elb).status == "sat") == expect_elb
     if eye >= 0:

@@ -304,6 +304,33 @@ def test_word_search_matches_recursive_reference(elbow):
     assert statuses == {"sat", "unsat", "timeout"}
 
 
+def _planted_graph(rng, n, c):
+    """n vertices, n + n // 2 edges, with a planted c-clique and a planted
+    proper c-colouring (vertex v in class v % c)."""
+    edges = {(u, v) for u in range(c) for v in range(u + 1, c)}
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if (v - u) % c]
+    rng.shuffle(pairs)
+    edges.update(pairs[: n + n // 2 - len(edges)])
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("decide,k,elbow", [(decide_sigma, 3, False), (decide_elb, 2, True)])
+def test_small_decisions_match_reference_on_planted_graphs(decide, k, elbow):
+    # the sweep of sigma <= 3 and elb <= 2 on n = 7..10: the public
+    # decision keeps the reference's status, words and node count
+    rng = random.Random(29)
+    statuses = set()
+    for trial in range(240):
+        g = _planted_graph(rng, 7 + trial % 4, 2 + trial // 4 % 3)
+        for max_nodes in (None, 7):
+            ref = _run_words(reference_without_free_edges, g, k, elbow, Budget(max_nodes))
+            res = decide(g, k, Budget(max_nodes))
+            words = None if res.witness is None else list(res.witness.words)
+            assert (res.status, words, res.nodes) == ref[:3], (g.edges, max_nodes)
+            statuses.add(res.status)
+    assert statuses == {"sat", "timeout"}
+
+
 def test_large_k_needs_no_full_size_domains():
     # every k at or above the size of the K_n cover (5 orientations for
     # sigma, 3 for elb at n <= 16) is answered by that cover, padded to
