@@ -17,6 +17,8 @@ orientations only on a subgraph with a triangle class, so on a
 triangle-free host, where eq(L(G)) = sigma(G), it preserves size.
 Every converter first checks its input cover with the verify module
 and raises InvalidCoverError, carrying the witness, when it fails.
+The colour extractions take each vertex's masks from that check's table
+pass up to eight orientations, and from one more set pass above that.
 Every complete-graph base is kept as vertex rankings, so a pullback
 compares the ranks of the endpoint colors and no K_c is built.
 A pullback takes the coloring it pulls back along: the callers choose
@@ -34,6 +36,8 @@ from .covers import EquivalenceCover, EquivalenceSubgraph, OrientationCover, Vio
 from .graphs import Coloring, Graph, bipartition
 from .linegraph import LineGraphMap
 from .verify import (
+    _TABLE_MAX_K,
+    _first_bad_vertex,
     verify_elbow_cover,
     verify_equivalence_cover,
     verify_orientation_cover,
@@ -374,19 +378,29 @@ def elbow_cover_via_coloring(g: Graph, coloring: Coloring) -> OrientationCover:
     return _pullback(g, dense.colors, _base_ranks(dense.palette_size, "elbow"), "elbow")
 
 
-def _bit0_clear_masks(g: Graph, c: OrientationCover) -> List[set]:
-    """Each vertex's set of bit-0-clear masks, in one pass: an edge shows
-    the mask of the orientations directing it out of each end (its word
-    at the low end, the complement at the high end), and hands the one
-    with bit 0 clear to the endpoint that sees it."""
+_EVEN_MASKS = int("01" * (1 << _TABLE_MAX_K - 1), 2)  # the masks with bit 0 clear, as a bitset
+
+
+def _bit0_clear_masks(g: Graph, c: OrientationCover, elbow: bool) -> list:
+    """Per vertex, a key for the set of bit-0-clear masks it sees (an edge
+    shows its word at the low end, the complement at the high end), once
+    c is checked valid.  Up to _TABLE_MAX_K orientations: the bitset of
+    those masks from the verifier's table pass; a wider cover, whose
+    2^k-bit bitsets would not fit, takes one set pass to frozensets."""
+    if c.k <= _TABLE_MAX_K:
+        c.require_match(g)
+        bad, seen = _first_bad_vertex(g, c, elbow)
+        if bad is None:
+            return [s & _EVEN_MASKS for s in seen]
+    _require_valid((verify_elbow_cover if elbow else verify_orientation_cover)(g, c))
     full = (1 << c.k) - 1
-    seen: List[set] = [set() for _ in range(g.n)]
+    sets: List[set] = [set() for _ in range(g.n)]
     for (u, v), x in zip(g.edges, c.words):
         if x & 1:
-            seen[v].add(full ^ x)
+            sets[v].add(full ^ x)
         else:
-            seen[u].add(x)
-    return seen
+            sets[u].add(x)
+    return list(map(frozenset, sets))
 
 
 def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:
@@ -398,25 +412,26 @@ def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:
     vertices differ: the edge's mask X with bit 0 clear is seen at one
     end, and the other end sees its complement, so it cannot also see X
     (the two would partition [k], leaving a 2-edge path uncovered).
-    One pass over the edges, so no work grows with 2^k.
+    One pass over the edges, so no work grows with 2^k beyond k = 8.
     """
-    _require_valid(verify_elbow_cover(g, c))
+    keys = _bit0_clear_masks(g, c, elbow=True)
     if c.k == 0:
         if g.m == 0:
             return Coloring([0] * g.n)
         raise ValueError("a zero-orientation covering only colors edgeless graphs")
-    palette: Dict[frozenset, int] = {}
-    coloring = Coloring(
-        [palette.setdefault(frozenset(s), len(palette)) for s in _bit0_clear_masks(g, c)]
-    )
+    palette: Dict[object, int] = {}
+    colors = [palette.setdefault(s, len(palette)) for s in keys]
+    coloring = Coloring._from_dense(colors, len(palette))
     coloring.require_proper(g)
     return coloring
 
 
-def _minimal_masks(masks: frozenset) -> frozenset:
-    """The masks that contain no other mask of the set."""
+def _minimal_masks(key) -> frozenset:
+    """The masks of a ``_bit0_clear_masks`` key that contain no other."""
+    if not isinstance(key, frozenset):
+        key = [x for x in range(key.bit_length()) if key >> x & 1]
     kept: List[int] = []
-    for x in sorted(masks, key=int.bit_count):
+    for x in sorted(key, key=int.bit_count):
         if all(y & ~x for y in kept):
             kept.append(x)
     return frozenset(kept)
@@ -436,19 +451,18 @@ def coloring_from_orientation_cover(g: Graph, c: OrientationCover) -> Coloring:
     vertices differ: the edge's bit-0-clear mask X at u lies in u's
     family, while every other mask v sees meets the complement of X, so
     none lies inside X.  Vertices of degree <= 1 are then colored
-    greedily in vertex order, so they use colors 0 and 1 only.  No work
-    grows with 2^k.
+    greedily in vertex order, so they use colors 0 and 1 only.  Past
+    k = 8 no work grows with 2^k.
     """
     if c.k < 3:
         raise ValueError("needs a covering of size at least 3")
-    _require_valid(verify_orientation_cover(g, c))
+    keys = _bit0_clear_masks(g, c, elbow=False)
     adj = g.adjacency
     colors = [-1] * g.n
     families: Dict[frozenset, int] = {}  # minimal masks -> color
-    memo: Dict[frozenset, int] = {}  # bit-0-clear masks seen -> color
-    for v, s in enumerate(_bit0_clear_masks(g, c)):
+    memo: Dict[object, int] = {}  # key of the bit-0-clear masks seen -> color
+    for v, s in enumerate(keys):
         if len(adj[v]) >= 2:
-            s = frozenset(s)
             color = memo.get(s)
             if color is None:
                 color = memo[s] = families.setdefault(_minimal_masks(s), len(families))

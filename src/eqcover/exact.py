@@ -706,7 +706,8 @@ def greedy_coloring(g: Graph) -> Coloring:
                 push(buckets[s], rank[u])
                 if s > top:
                     top = s
-    return Coloring(colors)
+    # each vertex takes the smallest color free at it, so 0..max are all used
+    return Coloring._from_dense(colors, max(colors, default=-1) + 1)
 
 
 def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:

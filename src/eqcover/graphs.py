@@ -225,6 +225,14 @@ class Coloring:
         self.colors = cols
         self.palette_size = len(set(cols))
 
+    @classmethod
+    def _from_dense(cls, colors: Iterable[int], palette_size: int) -> "Coloring":
+        """Coloring of ints using each of 0..palette_size-1; unchecked."""
+        coloring = cls.__new__(cls)
+        coloring.colors = tuple(colors)
+        coloring.palette_size = palette_size
+        return coloring
+
     def check_proper(self, g: Graph) -> Optional[Tuple[int, int]]:
         """First monochromatic edge, or None when the coloring is proper."""
         if len(self.colors) != g.n:
@@ -242,7 +250,7 @@ class Coloring:
     def dense(self) -> "Coloring":
         """Relabel colors to 0..palette_size-1 by first occurrence."""
         remap = {c: i for i, c in enumerate(dict.fromkeys(self.colors))}
-        return Coloring(map(remap.__getitem__, self.colors))
+        return Coloring._from_dense(map(remap.__getitem__, self.colors), len(remap))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Coloring) and self.colors == other.colors

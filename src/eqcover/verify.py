@@ -26,7 +26,9 @@ vertex found, every vertex below it has been seen whole and the pass
 stops.  Only at that vertex does the row-major pair scan run, to pick
 the witness, on its edges read off the sorted edge list.  Covers with
 more than eight orientations, which would need a larger table, are
-scanned vertex by vertex instead.  An eyebrow cover is checked with
+scanned vertex by vertex instead.  The colour extractions in construct
+read their masks off the same table pass, since a valid cover leaves
+every vertex's bitset whole.  An eyebrow cover is checked with
 vertex bitsets: per ranking, the vertices ranked strictly between
 u and v are a difference of two prefix sets.
 
@@ -88,9 +90,11 @@ def _word_tables(k: int, elbow: bool) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-def _first_bad_vertex(g: Graph, cover: OrientationCover, elbow: bool) -> Optional[int]:
+def _first_bad_vertex(g: Graph, cover: OrientationCover, elbow: bool) -> Tuple[Optional[int], list]:
     """The first vertex with a bad pair of incident edges, or None, by
-    one pass over the edges against the bad-pair table (k <= 8)."""
+    one pass over the edges against the bad-pair table (k <= 8), and
+    per vertex the bitset of the masks it met (bit x for mask x), which
+    is whole for every vertex when none is bad."""
     low_rows, high_rows, low_bits, high_bits = _word_tables(cover.k, elbow)
     seen = [0] * g.n
     first = g.n
@@ -105,7 +109,7 @@ def _first_bad_vertex(g: Graph, cover: OrientationCover, elbow: bool) -> Optiona
         if at & high_rows[w] and v < first:
             first = v
         seen[v] = at | high_bits[w]
-    return first if first < g.n else None
+    return (first if first < g.n else None), seen
 
 
 def _edges_at(g: Graph, v: int) -> List[int]:
@@ -128,7 +132,7 @@ def _first_violation(g: Graph, cover: OrientationCover, elbow: bool):
     if cover.k > _TABLE_MAX_K:
         suspects = enumerate(g._incident)
     else:
-        v = _first_bad_vertex(g, cover, elbow)
+        v = _first_bad_vertex(g, cover, elbow)[0]
         suspects = () if v is None else ((v, _edges_at(g, v)),)
     for v, inc in suspects:
         masks = [words[e] if edges[e][0] == v else full ^ words[e] for e in inc]

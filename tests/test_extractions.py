@@ -37,6 +37,7 @@ from eqcover import (
     generate_family,
     line_graph,
     parse_cover,
+    ShapeError,
     verify_elbow_cover,
     verify_equivalence_cover,
     verify_orientation_cover,
@@ -240,6 +241,12 @@ def _orientation_cases():
         g = _random_graph(rng, n, 0.3)
         c = cover_via_coloring(g, Coloring(range(n)))
         yield f"identity{n}", g, c
+    # wider than the verifier's bad-pair table: the masks come from a set pass
+    for k in range(9, 13):
+        g = _random_graph(rng, rng.randrange(6, 16), 0.4)
+        base = cover_via_coloring(g, greedy_coloring(g))
+        yield f"wide-k{k}", g, _widen(base, k, rng)
+        yield f"wide-k{k}-repeated", g, _shuffle_bits(_repeat(base, k), rng)
 
 
 def _elbow_cases():
@@ -248,7 +255,7 @@ def _elbow_cases():
         n = rng.randrange(3, 40)
         g = _random_graph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.9]))
         base = elbow_cover_via_coloring(g, greedy_coloring(g))
-        for k in range(base.k, 5):
+        for k in range(base.k, 9):
             c = _widen(base, k, rng)
             yield f"random{trial}-k{k}", g, c
             yield f"random{trial}-k{k}-shuffled", g, _shuffle_bits(c, rng)
@@ -267,26 +274,37 @@ def _elbow_cases():
     for n in (17, 40):
         g = _random_graph(rng, n, 0.5)
         yield f"identity{n}", g, elbow_cover_via_coloring(g, Coloring(range(n)))
+    for k in range(9, 13):
+        g = _random_graph(rng, rng.randrange(6, 30), 0.4)
+        base = elbow_cover_via_coloring(g, greedy_coloring(g))
+        yield f"wide-k{k}", g, _widen(base, k, rng)
+        yield f"wide-k{k}-repeated", g, _shuffle_bits(_repeat(base, k), rng)
 
 
 def test_orientation_extraction_matches_reference():
     count = 0
+    widths = set()
     for name, g, c in _orientation_cases():
+        widths.add(c.k)
         assert verify_orientation_cover(g, c) is None, name
         coloring = coloring_from_orientation_cover(g, c)
         assert coloring == reference_orientation(g, c), name
         assert coloring.palette_size <= BRUTE_M.get(c.k, coloring.palette_size), name
         count += 1
     assert count > 400
+    assert widths == set(range(3, 13))
 
 
 def test_elbow_extraction_matches_reference():
     count = 0
+    widths = set()
     for name, g, c in _elbow_cases():
+        widths.add(c.k)
         assert verify_elbow_cover(g, c) is None, name
         assert coloring_from_elbow_cover(g, c) == reference_elbow(g, c), name
         count += 1
     assert count > 300
+    assert widths == set(range(1, 13))
 
 
 def test_extractions_match_reference_on_corpus(corpus):
@@ -314,6 +332,90 @@ def test_repeated_cover_keeps_the_elbow_coloring():
     assert coloring_from_elbow_cover(g, wide) == coloring_from_elbow_cover(g, base)
     assert coloring_from_orientation_cover(g, wide) == coloring_from_orientation_cover(g, base)
     assert coloring_from_orientation_cover(g, wide) == reference_orientation(g, wide)
+
+
+def _broken_at(g: Graph, c: OrientationCover, x: int, elbow: bool) -> OrientationCover:
+    """c broken at x: its first edge runs into x in every orientation
+    and, for an elbow cover, its second edge out of x in every one."""
+    full = (1 << c.k) - 1
+    words = list(c.words)
+    e, f = g.incident(x)[:2]
+    words[e] = full if g.edges[e][1] == x else 0
+    if elbow:
+        words[f] = full if g.edges[f][0] == x else 0
+    return OrientationCover(c.graph_shape, c.k, words, c.kind)
+
+
+def test_invalid_covers_raise_the_verifiers_witness():
+    # on both mask paths (the table pass up to k = 8, the set pass above),
+    # a bad vertex first, in the middle or last raises InvalidCoverError
+    # with the witness the public verifier names
+    rng = random.Random(30)
+    g = _random_graph(rng, 30, 0.3)
+    centers = [v for v in range(g.n) if g.degree(v) >= 2]
+    places = (centers[0], centers[len(centers) // 2], centers[-1])
+    builds = (
+        (coloring_from_orientation_cover, verify_orientation_cover, cover_via_coloring, False),
+        (coloring_from_elbow_cover, verify_elbow_cover, elbow_cover_via_coloring, True),
+    )
+    found = set()
+    for extract, verify, build, elbow in builds:
+        base = build(g, greedy_coloring(g))
+        assert base.k <= 5
+        for k in (base.k, 5, 8, 9, 12):
+            for x in places:
+                bad = _broken_at(g, _widen(base, k, rng), x, elbow)
+                violation = verify(g, bad)
+                assert violation is not None
+                with pytest.raises(InvalidCoverError) as info:
+                    extract(g, bad)
+                assert info.value.violation.line() == violation.line()
+                assert str(info.value) == f"input cover is invalid: {violation.line()}"
+                found.add(violation.path[1] if elbow else violation.vertex)
+    assert set(places) <= found
+
+
+def test_extractions_refuse_a_shape_mismatch_and_a_cover_too_small():
+    k3, k4 = generate_family("complete", 3), generate_family("complete", 4)
+    rng = random.Random(31)
+    for k in (3, 9):
+        sigma = _widen(cover_via_coloring(k4, greedy_coloring(k4)), k, rng)
+        elbow = _widen(elbow_cover_via_coloring(k4, greedy_coloring(k4)), k, rng)
+        with pytest.raises(ShapeError):
+            coloring_from_orientation_cover(k3, sigma)
+        with pytest.raises(ShapeError):
+            coloring_from_elbow_cover(k3, elbow)
+    matching = Graph(6, [(0, 1), (2, 3), (4, 5)])
+    empty = OrientationCover((6, 3), 0, [0, 0, 0], "elbow")
+    assert verify_elbow_cover(matching, empty) is None
+    with pytest.raises(ValueError, match="zero-orientation covering only colors edgeless"):
+        coloring_from_elbow_cover(matching, empty)
+    with pytest.raises(ValueError, match="size at least 3"):
+        coloring_from_orientation_cover(matching, empty)
+    edgeless = Graph(4, [])
+    assert coloring_from_elbow_cover(edgeless, OrientationCover((4, 0), 0, [], "elbow")) == Coloring([0] * 4)
+
+
+def test_trusted_colorings_pass_the_public_constructor():
+    # greedy_coloring, Coloring.dense and the elbow extraction build their
+    # colourings through Coloring._from_dense, which checks nothing; the
+    # public constructor must give the same colours and palette size
+    rng = random.Random(2030)
+    colorings = []
+    for n in range(61):
+        g = _random_graph(rng, n, rng.choice([0.05, 0.2, 0.5, 0.9]))
+        colorings.append(greedy_coloring(g))
+        colorings.append(Coloring([rng.randrange(1, 3 * n + 2) for _ in range(n)]).dense())
+    for _, g, c in _elbow_cases():
+        colorings.append(coloring_from_elbow_cover(g, c))
+    for _, g, c in _orientation_cases():
+        if c.k <= 6:
+            colorings.append(coloring_from_orientation_cover(g, c))
+    assert len(colorings) > 700
+    for coloring in colorings:
+        public = Coloring(coloring.colors)
+        assert (public.colors, public.palette_size) == (coloring.colors, coloring.palette_size)
+        assert type(coloring.colors) is tuple and all(type(x) is int for x in coloring.colors)
 
 
 PRELUDE = f"""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import eqcover.verify as verify_mod
 from eqcover.covers import EyebrowViolation
 from eqcover import (
     Budget,
@@ -36,7 +37,7 @@ from eqcover import (
 from eqcover.covers import _out_mask
 
 import oracles
-from cover_words import arrow, cover_from_directions, directions, ranking, ranking_cover
+from cover_words import arrow, cover_from_directions, directions, out_mask, ranking, ranking_cover
 
 
 def source_rotation_cover(k3):
@@ -345,6 +346,14 @@ def _scan_witness(g, cover, elbow):
     return None
 
 
+def _witness_vertex(line):
+    """The vertex a scan witness line names: v= of an orientation
+    witness, the middle of an elbow path."""
+    if line.startswith("VIOLATION v="):
+        return int(line.split()[1][2:])
+    return int(line[line.index("(") + 1 : -1].split(",")[1])
+
+
 def _random_graph(rng, n, p):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
@@ -414,6 +423,10 @@ def test_corrupted_certificates_name_the_scan_witness_without_incidence_table():
     checked = set()
     for g, cover in _cases(77):
         want = (_scan_witness(g, cover, False), _scan_witness(g, cover, True))
+        # the table pass names the witness's vertex, its seen bitsets aside
+        for elbow, line in zip((False, True), want):
+            vertex = None if line is None else _witness_vertex(line)
+            assert verify_mod._first_bad_vertex(g, cover, elbow)[0] == vertex
         if want == (None, None):
             continue
         h = parse_graph(write_graph(g))
@@ -422,6 +435,33 @@ def test_corrupted_certificates_name_the_scan_witness_without_incidence_table():
         assert h._inc is None
         checked.update(kind for kind, line in zip(("orientation", "elbow"), want) if line)
     assert checked == {"orientation", "elbow"}
+
+
+def _masks_met(g, cover):
+    """Per vertex, the bitset (bit x for mask x) of the masks its edges
+    show it, by the definition."""
+    return [sum({1 << out_mask(g, cover, v, e) for e in g.incident(v)}) for v in range(g.n)]
+
+
+def test_table_pass_keeps_the_masks_each_vertex_meets():
+    # the colour extractions read a valid cover's masks off these bitsets
+    rng = random.Random(2031)
+    graphs = [Graph(6, [(0, 1), (2, 3), (4, 5)]), generate_family("cycle", 6), generate_family("path", 7)]
+    graphs += [_random_graph(rng, rng.randint(3, 30), rng.choice((0.2, 0.4, 0.7))) for _ in range(20)]
+    checked = set()
+    for g in graphs:
+        covers = [OrientationCover((g.n, g.m), 0, [0] * g.m, kind) for kind in ("orientation", "elbow")]
+        for build in (cover_via_coloring, elbow_cover_via_coloring):
+            base = build(g, greedy_coloring(g))
+            for k in range(base.k, 9):
+                words = [w | rng.getrandbits(k - base.k) << base.k for w in base.words]
+                covers.append(OrientationCover((g.n, g.m), k, words, base.kind))
+        for cover in covers:
+            for elbow, verify in ((False, verify_orientation_cover), (True, verify_elbow_cover)):
+                if verify(g, cover) is None:
+                    assert verify_mod._first_bad_vertex(g, cover, elbow) == (None, _masks_met(g, cover))
+                    checked.add((cover.k, elbow))
+    assert checked == {(k, elbow) for k in range(9) for elbow in (False, True)}
 
 
 def test_permuting_orientations_keeps_the_result():
