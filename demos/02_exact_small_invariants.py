@@ -26,6 +26,8 @@ GALLERY = [
     ("K_{2,3}", Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])),
     ("bull", Graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])),
     ("2-edge matching", Graph(4, [(0, 1), (2, 3)])),
+    ("Petersen", generate_family("petersen", 5)),
+    ("Grotzsch (M4)", generate_family("mycielski-iterate", 4)),
 ]
 
 header = f"{'graph':>18} | {'chi':>3} {'sigma':>5} {'elb':>3} {'eye':>3} {'eq(L)':>5} | tri-free"

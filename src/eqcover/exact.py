@@ -5,9 +5,9 @@ All searches are deterministic backtracking with budgets measured in
 search nodes (one node per candidate value tried), plus an optional
 wall-clock cap.  Budget exhaustion is a first-class result status, not
 an error.  The orientation, elbow and equivalence searches (one level
-per edge) and the k-coloring search (one level per vertex) keep their
-stack explicitly, so their depth is not bounded by Python's recursion
-limit.
+per edge) and the k-coloring and eyebrow searches (one level per
+vertex) keep their stack explicitly, so their depth is not bounded by
+Python's recursion limit.
 
 Orientation and elbow coverings are searched edge-major: each edge gets
 a k-bit word whose bit i records its direction in orientation i, and
@@ -17,14 +17,17 @@ the space of k-tuples of orientations, with one sound symmetry
 reduction: orientations are interchangeable, so the orientation blocks
 are required to be lexicographically nondecreasing as direction
 bit-vectors.  The same lexicographic block reduction applies to
-equivalence coverings, since label classes are interchangeable too,
-and to eyebrow ranking tuples.  The equivalence search also propagates
-each edge's labels forward, as labels required on the edges that close
-its triangles and labels forbidden on its neighbours that close none,
-and fails a branch as soon as an edge has no label set left.  The
-eyebrow search also tries only one of each ranking and its reverse,
-which leave the same vertices between each edge's ends, and starts
-each slot's enumeration at the ranking of the slot before.
+equivalence coverings, since label classes are interchangeable too.
+The equivalence search also propagates each edge's labels forward, as
+labels required on the edges that close its triangles and labels
+forbidden on its neighbours that close none, and fails a branch as soon
+as an edge has no label set left.  The eyebrow search inserts the
+vertices one at a time into k orders, each begun with vertex 0 before
+vertex 1 (a ranking and its reverse leave the same vertices between
+each edge's ends), and fails an insertion as soon as a triple it
+completes lies between its edge's ends in every order.  Its orders are
+interchangeable, so those placed alike so far take their insertion
+points in nondecreasing order.
 
 The orientation/elbow search runs on bitsets over the words: each
 vertex keeps a domain of the words still allowed on its incident edges
@@ -53,10 +56,12 @@ from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations as iter_permutations
-from typing import Iterator, List, Optional, Tuple
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import and_, xor
+from typing import List, Optional, Tuple
 
 from . import construct
 from .covers import EquivalenceCover, EyebrowCover, OrientationCover
@@ -64,8 +69,7 @@ from .graphs import Coloring, Graph, NotBipartiteError, bipartition
 
 
 class _OutOfBudget(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason  # 'nodes' or 'clock'
+    """Raised by ``Budget.spend``; ``Budget.exhausted`` says which limit."""
 
 
 class Budget:
@@ -106,11 +110,11 @@ class Budget:
         ):
             self.nodes = tick
             self.exhausted = "clock"
-            raise _OutOfBudget("clock")
+            raise _OutOfBudget
         self.nodes = nodes
         if over:
             self.exhausted = "nodes"
-            raise _OutOfBudget("nodes")
+            raise _OutOfBudget
 
 
 @dataclass(frozen=True)
@@ -510,19 +514,6 @@ def _path_order(g: Graph) -> Optional[List[int]]:
     return order if len(order) == g.n else None
 
 
-def _permutations_from(floor: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-    """The permutations of 0..n-1 from ``floor`` on, in lexicographic
-    order: ``floor``, then, for each position i from the last but one to
-    the first, the blocks that keep floor[:i] and put a larger value at
-    i, each block an ``itertools.permutations`` run over what is left."""
-    yield floor
-    for i in range(len(floor) - 2, -1, -1):
-        tail = sorted(floor[i:])
-        for c in tail[tail.index(floor[i]) + 1:]:
-            head = floor[:i] + (c,)
-            yield from map(head.__add__, iter_permutations([x for x in tail if x != c]))
-
-
 def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult:
     """Are there k vertex rankings such that, for every edge uv and third
     vertex w, some ranking r puts r[w] outside the interval of r[u], r[v]?
@@ -535,17 +526,21 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
     k >= 2 on a bipartite graph: side 0, then side 1, once each ascending
     and once each descending (a third vertex between an edge's ends is
     above the end on its side in one ranking, below it in the other).
-    Larger k on other graphs is brute force over lexicographically
-    nondecreasing k-tuples of rankings, pruning on the constraints still
-    uncovered; intended for small n.  A ranking and its reverse leave
-    the same vertices strictly between each edge's ends, so every slot
-    tries only the rankings that put vertex 0 below vertex 1, and the
-    witness ranks vertex 0 below vertex 1 in each of its rankings.  The
-    first slot lists the triples a ranking leaves uncovered from its
-    vertex order, so no list of all m(n - 2) triples is built.  Each
-    later slot starts its enumeration at the ranking of the slot before
-    (``_permutations_from``), and the last one only tests whether a
-    ranking covers every triple left, up to the first it leaves open.
+
+    Other graphs are searched by inserting the vertices 2, 3, ... in
+    index order into k vertex orders, each begun as [0, 1]: a ranking
+    and its reverse leave the same vertices between each edge's ends, so
+    every ranking of the witness puts vertex 0 below vertex 1.  A level
+    tries the k-tuples of insertion points in lexicographic order, one
+    node each, and keeps the first under which every (edge, third
+    vertex) triple that the new vertex completes lies outside its edge
+    in some order; later insertions keep the relative order of the
+    vertices already placed, so the triple stays covered.  Orders are
+    interchangeable, so two orders placed alike so far take their
+    insertion points in nondecreasing order, and the other tuples cost
+    no node.  The stack is explicit, one level per vertex.  Petersen
+    and the Grötzsch graph are satisfied at k = 2 in 40 and 112 nodes,
+    and K5 at k = 2 is refuted in 354.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -567,77 +562,69 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
     else:
         up, down = (_ranking(sorted(range(g.n), key=lambda v: (side[v], s * v))) for s in (1, -1))
         return DecideResult("sat", EyebrowCover(g.n, [up] + [down] * (k - 1)), budget.nodes)
-    chosen: List[Tuple[int, ...]] = []
-
-    def between(ranks):
-        """The (edge, third vertex) triples that ranks leaves uncovered:
-        the vertices ranked strictly between each edge's ends."""
-        order = sorted(range(g.n), key=ranks.__getitem__)
-        out = []
-        for u, v in g.edges:
-            lo, hi = ranks[u], ranks[v]
-            if lo > hi:
-                lo, hi = hi, lo
-            out += [(u, v, w) for w in order[lo + 1:hi]]
-        return out
-
-    def still_uncovered(uncovered, ranks):
-        out = []
-        for u, v, w in uncovered:
-            lo, hi = ranks[u], ranks[v]
-            if lo > hi:
-                lo, hi = hi, lo
-            if lo < ranks[w] < hi:
-                out.append((u, v, w))
-        return out
-
-    def covers_all(uncovered, ranks):
-        """Does ranks cover every triple left, putting no third vertex
-        strictly between the ends of its edge?"""
-        for u, v, w in uncovered:
-            lo, hi = ranks[u], ranks[v]
-            if lo < ranks[w] < hi or hi < ranks[w] < lo:
-                return False
-        return True
-
-    def rec(slot: int, uncovered, floor: Tuple[int, ...]) -> bool:
-        if not uncovered:
-            # covered early: pad with repeats to honor the requested size
-            while len(chosen) < k:
-                chosen.append(chosen[-1])
-            return True
-        last = slot == k - 1
-        for ranks in _permutations_from(floor):
-            # a ranking and its reverse cover the same triples
-            if ranks[0] > ranks[1]:
-                continue
-            budget.spend()
-            if last:
-                # the last slot succeeds only by covering every triple left
-                if covers_all(uncovered, ranks):
-                    chosen.append(ranks)
-                    return True
-                continue
-            rest = still_uncovered(uncovered, ranks) if slot else between(ranks)
-            if len(rest) == len(uncovered):
-                # covers nothing new; a minimal covering multiset has no
-                # such member, and padding restores the requested size
-                continue
-            chosen.append(ranks)
-            if rec(slot + 1, rest, ranks):
-                return True
-            chosen.pop()
-        return False
-
+    n, adj = g.n, g.adjacency
+    # the edges by their higher end, so those below v come first; at[x]
+    # has bit e for each edge e at x
+    edges = sorted(g.edges, key=lambda e: e[::-1])
+    ends = [b for _, b in edges]
+    at = [0] * n
+    for e, (a, b) in enumerate(edges):
+        at[a] |= 1 << e
+        at[b] |= 1 << e
+    orders = [[0, 1] for _ in range(k)]
+    stack: List[Tuple[List[int], int]] = []  # (points, ties) of each vertex placed
+    v, points, ties = 2, [0] * k, (1 << (k - 1)) - 1  # bit i: orders i, i + 1 alike
+    spend = budget.spend
     try:
-        # before the first slot all m(n - 2) triples are uncovered; the
-        # first slot reads only their number, so a range stands for them
-        sat = rec(0, range(g.m * (g.n - 2)), tuple(range(g.n)))
+        while v < n:
+            # tables[i][p]: the bitset of the triples completed at v that
+            # order i leaves open with v inserted at point p.  A vertex
+            # lies between an edge's ends when it comes before exactly one
+            # of them, so for the j-th of v's d lower neighbours u, bit
+            # j * v + w (edge uv, third vertex w) is [w before v] ^
+            # [w before u], and bit d * v + e (edge e = ab below v, third
+            # vertex v) is [a before v] ^ [b before v].  The terms in v are
+            # the steps of the vertices before p; the rest is a fixed base.
+            lower = [u for u in adj[v] if u < v]
+            d = len(lower)
+            old = (1 << bisect_left(ends, v)) - 1  # the edges below v
+            ones = sum(1 << (j * v) for j in range(d))
+            steps = [(at[x] & old) << (d * v) | ones << x for x in range(v)]
+            for j, u in enumerate(lower):
+                steps[u] ^= 1 << (j * v + u)  # u is no third vertex of uv
+            tables = []
+            for order in orders:
+                base = sum(
+                    sum(1 << w for w in order[:order.index(u)]) << (j * v)
+                    for j, u in enumerate(lower)
+                )
+                tables.append(list(accumulate(map(steps.__getitem__, order), xor, initial=base)))
+            level = v
+            while v == level:
+                spend()
+                if not reduce(and_, map(list.__getitem__, tables, points)):
+                    for order, p in zip(orders, points):
+                        order.insert(p, v)
+                    stack.append((points, ties))
+                    ties &= sum(1 << i for i in range(k - 1) if points[i] == points[i + 1])
+                    v, points = v + 1, [0] * k
+                    continue
+                while min(points) == v:  # the level's last tuple: backtrack
+                    if not stack:
+                        return DecideResult("unsat", None, budget.nodes)
+                    v -= 1
+                    points, ties = stack.pop()
+                    for order, p in zip(orders, points):
+                        del order[p]
+                # the next tuple: raise the last point below v, and give
+                # each later one its least value
+                i = max(i for i in range(k) if points[i] < v)
+                points[i] += 1
+                for j in range(i + 1, k):
+                    points[j] = points[j - 1] if ties >> (j - 1) & 1 else 0
     except _OutOfBudget:
         return DecideResult("timeout", None, budget.nodes)
-    if not sat:
-        return DecideResult("unsat", None, budget.nodes)
-    cover = EyebrowCover(g.n, chosen)
+    cover = EyebrowCover._from_checked(n, [_ranking(order) for order in orders])
     return DecideResult("sat", cover, budget.nodes)
 
 
@@ -805,9 +792,9 @@ def exact_chromatic(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
     for k in range(lb, ub):
         try:
             witness = _k_colorable(g, k, budget)
-        except _OutOfBudget as exc:
+        except _OutOfBudget:
             return SolveResult(
-                "chi", k, ub, _timeout_status(exc.reason), greedy, budget.nodes
+                "chi", k, ub, _timeout_status(budget.exhausted), greedy, budget.nodes
             )
         if witness is not None:
             return SolveResult("chi", k, k, "exact", witness, budget.nodes)
@@ -894,7 +881,7 @@ def solve_invariant(
                 invariant,
                 k,
                 upper.k,
-                _timeout_status(budget.exhausted or "nodes"),
+                _timeout_status(budget.exhausted),
                 upper,
                 budget.nodes,
             )

@@ -514,7 +514,7 @@ def test_pinned_node_counts_eq_and_budget():
     res = decide_eq(line_graph(k5).line, 3)
     assert (res.status, res.nodes) == ("unsat", 6334)
     res = decide_eyebrow(k5, 2)
-    assert (res.status, res.nodes) == ("unsat", 1890)
+    assert (res.status, res.nodes) == ("unsat", 354)
     budget = Budget(max_nodes=50)
     res = decide_sigma(k5, 3, budget)
     assert (res.status, res.nodes, budget.nodes, budget.exhausted) == (
@@ -532,6 +532,11 @@ def test_searches_deeper_than_the_recursion_limit():
     res = solve_invariant(odd, "sigma")
     assert res.value == 3
     assert verify_orientation_cover(odd, res.witness) is None
+    # and one level per vertex: the eyebrow search inserts 1001 of them
+    odd = generate_family("cycle", 1001)
+    res = decide_eyebrow(odd, 2)
+    assert (res.status, res.nodes) == ("sat", 1997)
+    assert verify_eyebrow_cover(odd, res.witness) is None
 
 
 def test_chromatic_search_deeper_than_the_recursion_limit():
@@ -618,10 +623,22 @@ def test_eyebrow_search_stays_off_bipartite_graphs():
         assert verify_eyebrow_cover(generate_family("cycle", n), res.witness) is None
 
 
+@pytest.mark.parametrize("family, parameter, nodes", [
+    ("petersen", 5, 40), ("mycielski-iterate", 4, 112), ("cycle", 61, 117),
+])
+def test_eye_is_two_on_petersen_groetzsch_and_an_odd_cycle(family, parameter, nodes):
+    # eye >= 2 off linear forests, and the eyebrow search finds two
+    # rankings
+    g = generate_family(family, parameter)
+    res = solve_invariant(g, "eye")
+    assert (res.status, res.value, res.nodes) == ("exact", 2, nodes)
+    assert verify_eyebrow_cover(g, res.witness) is None
+    assert oracles.eyebrow_cover_ok(g, res.witness.rankings)
+
+
 def test_eyebrow_search_ranks_vertex_0_below_vertex_1():
-    # a ranking and its reverse cover the same triples, so the search
-    # tries only the rankings with vertex 0 below vertex 1, and pads
-    # with the last of them; the closed forms take no node
+    # a ranking and its reverse cover the same triples, so each order of
+    # the search begins as [0, 1]; the closed forms take no node
     rng = random.Random(3141)
     searched = 0
     for _ in range(100):
@@ -693,9 +710,7 @@ def test_relabelling_keeps_every_decision():
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
         perm = rng.sample(range(n), n)
         h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
-        # K_6's cover sizes are K_5's; eye is brute force over n! orders
+        # K_6's cover sizes are K_5's
         for (decide, _, _), s in zip(_KINDS, _COMPLETE_SIZES[min(n, 5)]):
-            if decide is decide_eyebrow and n > 5:
-                continue
             for k in range(s + 2):
                 assert decide(g, k).status == decide(h, k).status, (g.edges, perm, k)

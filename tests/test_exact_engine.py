@@ -8,12 +8,17 @@ its forward check prunes part of the reference's tree, so it must find
 the same status and first witness with no more nodes.  The word search
 leaves out the edges whose ends both have degree 1 and gives them word
 0, so the reference runs behind the same rule
-(``reference_without_free_edges``).
+(``reference_without_free_edges``).  The eyebrow search inserts
+vertices into k orders where the slot search it replaced enumerates
+whole rankings, so the two walk different trees: they must give the
+same status wherever both finish, and every witness must pass the
+verifier and the oracle.
 """
 
 import random
 from itertools import combinations
-from typing import List, Optional, Tuple
+from itertools import permutations as iter_permutations
+from typing import Iterator, List, Optional, Tuple
 
 import pytest
 
@@ -23,15 +28,27 @@ from cover_words import directions
 from eqcover import (
     Budget,
     EquivalenceCover,
+    EyebrowCover,
     Graph,
     decide_elb,
+    decide_eyebrow,
     decide_sigma,
     generate_family,
     line_graph,
     verify_elbow_cover,
+    verify_eyebrow_cover,
     verify_orientation_cover,
 )
-from eqcover.exact import DecideResult, _OutOfBudget, decide_eq
+from eqcover.construct import pullback_size
+from eqcover.exact import (
+    DecideResult,
+    _kn_cover,
+    _OutOfBudget,
+    _path_order,
+    _ranking,
+    decide_eq,
+)
+from eqcover.graphs import NotBipartiteError, bipartition
 
 BUDGETS = (None, 1, 7, 100, 2500)
 
@@ -249,6 +266,119 @@ def reference_decide_eq(h: Graph, k: int, budget: Optional[Budget] = None) -> De
     )
 
 
+def _permutations_from(floor: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+    """The permutations of 0..n-1 from ``floor`` on, in lexicographic
+    order: ``floor``, then, for each position i from the last but one to
+    the first, the blocks that keep floor[:i] and put a larger value at
+    i, each block an ``itertools.permutations`` run over what is left."""
+    yield floor
+    for i in range(len(floor) - 2, -1, -1):
+        tail = sorted(floor[i:])
+        for c in tail[tail.index(floor[i]) + 1:]:
+            head = floor[:i] + (c,)
+            yield from map(head.__add__, iter_permutations([x for x in tail if x != c]))
+
+
+def reference_decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideResult:
+    """The slot search: brute force over lexicographically nondecreasing
+    k-tuples of rankings, pruning on the constraints still uncovered.
+    Every slot tries only the rankings that put vertex 0 below vertex 1,
+    starts at the ranking of the slot before, and the last one only
+    tests whether a ranking covers every triple left.  The closed forms
+    in front are those of ``decide_eyebrow``."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    budget = budget or Budget()
+    if g.m == 0 or g.n < 3:  # no edge has a third vertex
+        return DecideResult("sat", EyebrowCover(g.n, [range(g.n)] * k), budget.nodes)
+    if k <= 1:
+        order = _path_order(g) if k == 1 else None
+        if order is None:
+            return DecideResult("unsat", None, budget.nodes)
+        cover = EyebrowCover(g.n, [_ranking(order)])
+        return DecideResult("sat", cover, budget.nodes)
+    if k >= pullback_size(g.n, "eyebrow"):
+        return DecideResult("sat", _kn_cover(g, "eyebrow", k), budget.nodes)
+    try:
+        side = bipartition(g)
+    except NotBipartiteError:
+        pass
+    else:
+        up, down = (_ranking(sorted(range(g.n), key=lambda v: (side[v], s * v))) for s in (1, -1))
+        return DecideResult("sat", EyebrowCover(g.n, [up] + [down] * (k - 1)), budget.nodes)
+    chosen: List[Tuple[int, ...]] = []
+
+    def between(ranks):
+        """The (edge, third vertex) triples that ranks leaves uncovered:
+        the vertices ranked strictly between each edge's ends."""
+        order = sorted(range(g.n), key=ranks.__getitem__)
+        out = []
+        for u, v in g.edges:
+            lo, hi = ranks[u], ranks[v]
+            if lo > hi:
+                lo, hi = hi, lo
+            out += [(u, v, w) for w in order[lo + 1:hi]]
+        return out
+
+    def still_uncovered(uncovered, ranks):
+        out = []
+        for u, v, w in uncovered:
+            lo, hi = ranks[u], ranks[v]
+            if lo > hi:
+                lo, hi = hi, lo
+            if lo < ranks[w] < hi:
+                out.append((u, v, w))
+        return out
+
+    def covers_all(uncovered, ranks):
+        """Does ranks cover every triple left, putting no third vertex
+        strictly between the ends of its edge?"""
+        for u, v, w in uncovered:
+            lo, hi = ranks[u], ranks[v]
+            if lo < ranks[w] < hi or hi < ranks[w] < lo:
+                return False
+        return True
+
+    def rec(slot: int, uncovered, floor: Tuple[int, ...]) -> bool:
+        if not uncovered:
+            # covered early: pad with repeats to honor the requested size
+            while len(chosen) < k:
+                chosen.append(chosen[-1])
+            return True
+        last = slot == k - 1
+        for ranks in _permutations_from(floor):
+            # a ranking and its reverse cover the same triples
+            if ranks[0] > ranks[1]:
+                continue
+            budget.spend()
+            if last:
+                # the last slot succeeds only by covering every triple left
+                if covers_all(uncovered, ranks):
+                    chosen.append(ranks)
+                    return True
+                continue
+            rest = still_uncovered(uncovered, ranks) if slot else between(ranks)
+            if len(rest) == len(uncovered):
+                # covers nothing new; a minimal covering multiset has no
+                # such member, and padding restores the requested size
+                continue
+            chosen.append(ranks)
+            if rec(slot + 1, rest, ranks):
+                return True
+            chosen.pop()
+        return False
+
+    try:
+        # before the first slot all m(n - 2) triples are uncovered; the
+        # first slot reads only their number, so a range stands for them
+        sat = rec(0, range(g.m * (g.n - 2)), tuple(range(g.n)))
+    except _OutOfBudget:
+        return DecideResult("timeout", None, budget.nodes)
+    if not sat:
+        return DecideResult("unsat", None, budget.nodes)
+    return DecideResult("sat", EyebrowCover(g.n, chosen), budget.nodes)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -421,3 +551,39 @@ def test_decide_eq_on_line_graph_of_k6_matches_reference(k, status):
     got = _eq_result(decide_eq, h, k, None)
     assert ref[0] == status
     assert got[:2] == ref[:2] and got[2] < ref[2]
+
+
+def test_decide_eyebrow_matches_slot_reference():
+    # the insertion search and the slot search walk different trees, so
+    # only the statuses are compared, wherever both finish in 200k nodes
+    rng = random.Random(31)
+    both, only_new, only_ref = {}, 0, 0
+    for trial in range(120):
+        n = 3 + trial % 6
+        p = rng.choice((0.3, 0.6, 0.9))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        perm = rng.sample(range(n), n)
+        h = Graph(n, [tuple(sorted((perm[u], perm[v]))) for u, v in g.edges])
+        for k in range(4):
+            ref = reference_decide_eyebrow(g, k, Budget(200_000))
+            got = decide_eyebrow(g, k, Budget(200_000))
+            moved = decide_eyebrow(h, k, Budget(200_000))
+            case = (g.edges, k)
+            for graph, res in ((g, got), (h, moved)):
+                if res.status == "sat":
+                    assert res.witness.k == k, case
+                    assert verify_eyebrow_cover(graph, res.witness) is None, case
+                    assert oracles.eyebrow_cover_ok(graph, res.witness.rankings), case
+            if "timeout" not in (got.status, moved.status):
+                assert moved.status == got.status, (case, perm)
+            if "timeout" not in (ref.status, got.status):
+                assert got.status == ref.status, case
+                if got.nodes:
+                    both[got.status] = both.get(got.status, 0) + 1
+            else:
+                only_new += ref.status == "timeout" != got.status
+                only_ref += got.status == "timeout" != ref.status
+    # searched decisions of both answers, and none the slot search
+    # settles that the insertion search does not
+    assert both.get("sat", 0) >= 10 and both.get("unsat", 0) >= 3, both
+    assert only_ref == 0 and only_new > 0, (only_new, only_ref)

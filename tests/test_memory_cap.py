@@ -60,9 +60,9 @@ CASES = {
         assert (res.status, res.value, res.nodes) == ("exact", 2, 0)
         assert verify_eyebrow_cover(g, res.witness) is None
     """,
-    # an odd cycle keeps the eyebrow search, whose first slot lists only
-    # the triples each ranking leaves uncovered: all m(n - 2) of them
-    # would take about 109 MB here
+    # an odd cycle keeps the eyebrow search, which holds bitsets only of
+    # the triples its current vertex completes: a list of all m(n - 2)
+    # triples would take about 109 MB here
     "solve-eye-cycle1001": """
         g = generate_family("cycle", 1001)
         res = solve_invariant(g, "eye", Budget(max_nodes=1))

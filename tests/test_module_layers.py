@@ -58,6 +58,35 @@ def test_no_import_inside_a_function(module):
     assert bad == [], f"{module}.py imports inside a function at lines {bad}"
 
 
+def _calls_itself(function):
+    """Does function call its own name, plainly or on self or cls?"""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == function.name:
+                return True
+            if (
+                isinstance(f, ast.Attribute)
+                and f.attr == function.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+            ):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("module", ORDER)
+def test_no_function_calls_itself(module):
+    # the searches keep explicit stacks, so no input's depth meets
+    # Python's recursion limit
+    bad = [
+        node.name
+        for node in ast.walk(_trees()[module])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(node)
+    ]
+    assert bad == [], f"{module}.py has functions that call themselves: {bad}"
+
+
 def test_imports_form_an_acyclic_graph_that_keeps_construct_below_exact():
     graph = {name: _relative_imports(tree) for name, tree in _trees().items()}
     assert "exact" not in graph["construct"]
