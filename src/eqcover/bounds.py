@@ -41,10 +41,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
 
-from .construct import bipartite_orientation_cover, cover_via_coloring, out_star_eq_cover
+from .construct import cover_via_coloring, out_star_eq_cover
 from .covers import OrientationCover
 from .exact import Budget, SolveResult, decide_sigma, elb_from_chi, exact_chromatic, greedy_clique
-from .graphs import Graph, find_triangle
+from .graphs import Coloring, Graph, find_triangle
 
 
 class AlonBounds(NamedTuple):
@@ -152,11 +152,7 @@ class BoundsReport:
 
     def _witness_size(self, key: str) -> str:
         w = self.witnesses[key]
-        if hasattr(w, "k"):
-            return f"size {w.k}"
-        if hasattr(w, "palette_size"):
-            return f"palette {w.palette_size}"
-        return "present"
+        return f"palette {w.palette_size}" if isinstance(w, Coloring) else f"size {w.k}"
 
     def to_dict(self) -> dict:
         def bv(b: BoundValue) -> dict:
@@ -202,13 +198,11 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
     """
     budget = budget or Budget()
     notes: List[str] = []
-    witnesses: Dict[str, object] = {}
 
     triangle_free = find_triangle(g) is None
     chi_res: SolveResult = exact_chromatic(g, budget)
     chi_exact = chi_res.status == "exact"
-    if chi_res.witness is not None:
-        witnesses["chi"] = chi_res.witness
+    witnesses: Dict[str, object] = {"chi": chi_res.witness}
     if chi_exact:
         chi = _exact_bv(chi_res.lo, "exact search")
     else:
@@ -219,25 +213,26 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
         notes.append("chromatic search truncated by budget")
 
     elb_res = elb_from_chi(g, chi_res)
-    if g.has_incidence_pairs():
+    pairs = g.has_incidence_pairs()
+    if pairs:
         witnesses["elb"] = elb_res.witness
     bipartite = elb_res.hi <= 1  # elb <= 1 exactly on bipartite graphs
     if not bipartite and chi.lo < 3:
         chi = BoundValue(3, chi.hi, "contains an odd cycle", chi.hi_provenance)
 
-    if not g.has_incidence_pairs():
+    if not pairs:
         sigma = _exact_bv(0, "no incident edge pairs")
         elb = _exact_bv(0, "no 2-edge paths")
     elif bipartite:
-        res1 = decide_sigma(g, 1, budget)
-        if res1.status == "sat":
+        res = decide_sigma(g, 1, budget)
+        if res.status == "sat":
             sigma = _exact_bv(1, "closed form at k=1")
-            witnesses["sigma"] = res1.witness
         else:
+            res = decide_sigma(g, 2, budget)  # the two-source pullback of the bipartition
             sigma = BoundValue(
                 2, 2, "closed form at k=1", "two-source bipartite covering"
             )
-            witnesses["sigma"] = bipartite_orientation_cover(g)
+        witnesses["sigma"] = res.witness
         elb = BoundValue(1, 1, "has 2-edge paths", "one-way bipartite orientation")
     else:
         lo_formula = sigma_lower_from_chi(chi.lo)
@@ -265,7 +260,7 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
                 "loglog formula at chi upper bound",
             )
 
-    if not g.has_incidence_pairs():
+    if not pairs:
         eq_line = _exact_bv(0, "line graph has no edges")
     elif triangle_free:
         eq_line = BoundValue(

@@ -33,7 +33,7 @@ from itertools import count, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .covers import EquivalenceCover, EquivalenceSubgraph, OrientationCover, Violation
-from .graphs import Coloring, Graph, bipartition
+from .graphs import Coloring, Graph, _require_buildable_complete, bipartition
 from .linegraph import LineGraphMap
 from .verify import (
     _TABLE_MAX_K,
@@ -291,12 +291,14 @@ def elbow_double(g: Graph, base: OrientationCover) -> OrientationCover:
     Orientation i <= k composes base orientation i with itself
     (first coordinate decides, ties broken by the second); the extra
     orientation composes base orientation 1 with its own reversal.
+    A K_{n*n} over ``graphs.MAX_COMPLETE_EDGES`` edges is refused.
     """
     _require_complete(g)
     base.require_match(g)
     if base.k == 0:
         raise ValueError("doubling needs at least one orientation")
     _require_valid(verify_elbow_cover(g, base))
+    _require_buildable_complete(g.n * g.n)
     n, k = g.n, base.k
     # the extra orientation follows base orientation 0 across blocks and
     # its reversal within a block
@@ -318,10 +320,12 @@ def elbow_cover_complete(n: int) -> OrientationCover:
 
     K_1 and K_2 have no 2-edge path and take the empty covering; larger
     n reads the squared K_4 rankings of ``_elbow_ranks`` off K_n's edges,
-    so no larger complete graph is built.
+    so no larger complete graph is built.  A K_n over
+    ``graphs.MAX_COMPLETE_EDGES`` edges is refused.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    _require_buildable_complete(n)
     if n <= 2:
         m = n * (n - 1) // 2
         return OrientationCover((n, m), 0, [0] * m, "elbow")

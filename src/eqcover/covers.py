@@ -24,6 +24,7 @@ from .graphs import (
     ShapeError,
     _decimal_ints,
     _header_end,
+    _int_fields,
     _significant_lines,
 )
 
@@ -446,10 +447,7 @@ def _cover_header(lines: Iterator[Tuple[int, str]], g: Graph) -> Tuple[str, int]
     kind = parts[1]
     if kind not in COVER_KINDS:
         raise CoverFormatError(f"line {lineno}: unknown cover kind {kind!r}")
-    try:
-        k, n, m = int(parts[2]), int(parts[3]), int(parts[4])
-    except ValueError:
-        raise CoverFormatError(f"line {lineno}: non-integer header field") from None
+    k, n, m = _int_fields(CoverFormatError, lineno, parts[2:], "header field")
     if k < 0:
         raise CoverFormatError(f"line {lineno}: negative k")
     if (n, m) != (g.n, g.m):
@@ -619,13 +617,7 @@ def _parse_orientation_blocks(body, g: Graph, k: int) -> List[int]:
                 raise CoverFormatError(f"block {i}: expected {g.m} arrow lines")
             lineno, line = body[pos]
             pos += 1
-            parts = line.split()
-            if len(parts) != 2:
-                raise CoverFormatError(f"line {lineno}: expected '<u> <v>'")
-            try:
-                t, h = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise CoverFormatError(f"line {lineno}: non-integer endpoint") from None
+            t, h = _int_fields(CoverFormatError, lineno, line.split(), "endpoint", "'<u> <v>'")
             e = index.get((t, h) if t < h else (h, t))
             if e is None:
                 raise CoverFormatError(
@@ -654,10 +646,7 @@ def _parse_eyebrow(body, g: Graph, k: int) -> EyebrowCover:
             raise CoverFormatError(
                 f"line {lineno}: expected 'perm' followed by {g.n} ranks"
             )
-        try:
-            ranks = tuple(map(int, parts[1:]))
-        except ValueError:
-            raise CoverFormatError(f"line {lineno}: non-integer rank") from None
+        ranks = _int_fields(CoverFormatError, lineno, parts[1:], "rank")
         try:
             _check_ranking(ranks, g.n)
         except ValueError as exc:
@@ -683,10 +672,7 @@ def _parse_equivalence(body, g: Graph, k: int) -> EquivalenceCover:
                 raise CoverFormatError(f"line {lineno}: 'clique' before any 'block'")
             if len(parts) < 2:
                 raise CoverFormatError(f"line {lineno}: empty clique")
-            try:
-                vs = [int(x) for x in parts[1:]]
-            except ValueError:
-                raise CoverFormatError(f"line {lineno}: non-integer vertex") from None
+            vs = _int_fields(CoverFormatError, lineno, parts[1:], "vertex")
             if len(set(vs)) != len(vs):
                 raise CoverFormatError(f"line {lineno}: repeated vertex in clique")
             for v in vs:
@@ -708,13 +694,7 @@ def parse_coloring(text: str, n: int) -> Coloring:
     colors: List[Optional[int]] = [None] * n
     count = 0
     for lineno, line in _significant_lines(text.splitlines()):
-        parts = line.split()
-        if len(parts) != 2:
-            raise CoverFormatError(f"line {lineno}: expected '<v> <color>'")
-        try:
-            v, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise CoverFormatError(f"line {lineno}: non-integer field") from None
+        v, c = _int_fields(CoverFormatError, lineno, line.split(), "field", "'<v> <color>'")
         if not (0 <= v < n):
             raise CoverFormatError(f"line {lineno}: vertex {v} out of range")
         if colors[v] is not None:

@@ -357,9 +357,24 @@ def mycielskian(g: Graph) -> Graph:
     return Graph(2 * n + 1, edges)
 
 
+# The most edges of a complete graph that is built: K2048, with
+# 2,096,128 edges, is the largest.
+MAX_COMPLETE_EDGES = 1 << 21
+
+
+def _require_buildable_complete(n: int) -> None:
+    """Refuse K_n when it has more than ``MAX_COMPLETE_EDGES`` edges."""
+    m = n * (n - 1) // 2
+    if m > MAX_COMPLETE_EDGES:
+        raise ValueError(
+            f"complete graph on {n} vertices would have {m} edges, more than {MAX_COMPLETE_EDGES}"
+        )
+
+
 def _complete(p: int) -> Graph:
     if p < 1:
         raise ValueError("complete graph needs at least one vertex")
+    _require_buildable_complete(p)
     return Graph(p, [(u, v) for u in range(p) for v in range(u + 1, p)])
 
 
@@ -420,6 +435,7 @@ def generate_family(family: str, parameter: Optional[int] = None) -> Graph:
     Families: complete(n), cycle(n>=3), path(n>=1), star(leaves>=1),
     complete-bipartite(p) = K_{p,p}, petersen(p>=5) = GP(p,2),
     mycielski-iterate(t>=2), triangle-plus-pendant (no parameter).
+    A complete graph over ``MAX_COMPLETE_EDGES`` edges is refused.
     """
     name = family.replace("_", "-").lower()
     if name == "triangle-plus-pendant":
@@ -475,6 +491,21 @@ def _significant_lines(raw: Iterable[str]) -> Iterator[Tuple[int, str]]:
             yield lineno, line
 
 
+def _int_fields(
+    error: type, lineno: int, fields: Sequence[str], what: str, pair: str = ""
+) -> Tuple[int, ...]:
+    """The ``fields`` of line ``lineno`` as ints.  Raises ``error``
+    naming the line and ``what`` when a field is not an integer, and,
+    given a ``pair`` layout such as "'<u> <v>'", first when there are
+    not two fields."""
+    if pair and len(fields) != 2:
+        raise error(f"line {lineno}: expected {pair}")
+    try:
+        return tuple(map(int, fields))
+    except ValueError:
+        raise error(f"line {lineno}: non-integer {what}") from None
+
+
 def _header_end(text: str) -> int:
     """The offset past the header line when the line-by-line reader
     would number the lines up to it alike: the header and the blank and
@@ -505,10 +536,7 @@ def _graph_header(lines: Iterator[Tuple[int, str]]) -> Tuple[int, int]:
     parts = line.split()
     if parts[0] != "p" or len(parts) != 3:
         raise GraphFormatError(f"line {lineno}: expected header 'p <n> <m>'")
-    try:
-        n, m = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: non-integer header") from None
+    n, m = _int_fields(GraphFormatError, lineno, parts[1:], "header")
     if n < 0 or m < 0:
         raise GraphFormatError(f"line {lineno}: negative header value")
     return n, m
@@ -571,13 +599,7 @@ def parse_graph(text: str) -> Graph:
     n, m = _graph_header(lines)
     seen = set()
     for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected '<u> <v>'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
+        u, v = _int_fields(GraphFormatError, lineno, line.split(), "endpoint", "'<u> <v>'")
         if not (0 <= u < v < n):
             raise GraphFormatError(
                 f"line {lineno}: edge ({u}, {v}) must satisfy 0 <= u < v < {n}"

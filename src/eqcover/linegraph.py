@@ -8,13 +8,6 @@ certificates over L(G) human-checkable against the host edge list.
 For each host vertex v the edges incident to v, ``host.incident(v)``,
 form a clique C_v of L(G); every L(G)-vertex lies in exactly the two
 cliques of its edge's endpoints.
-
-Equivalence covers of L(G) built from orientation covers of G need no
-line graph: the classes of subgraph i are the out-stars of orientation
-i, read off bit i of the cover's per-edge words and G's edge list
-(``construct.out_star_eq_cover``).  So the bounds
-report's eq(L) witness is read off G's out-stars, and the report never
-builds L(G).
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -49,6 +50,13 @@ def test_verify_violation_line(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--kind", "orientation", "--graph", str(g3), "--cover", str(cov))
     assert code == 1
     assert out == "VIOLATION v=0 e=(0,1) f=(0,2)\n"
+    code, out, err = run(
+        capsys, "verify", "--kind", "orientation", "--graph", str(g3), "--cover", str(cov), "--json"
+    )
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "status": "violation", "kind": "orientation", "witness": "VIOLATION v=0 e=(0,1) f=(0,2)"
+    }
 
 
 def test_solve_budget_exit_code(tmp_path, capsys):
@@ -269,6 +277,24 @@ def test_elbow_complete_and_double_files(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "verify", "--kind", "elbow", "--graph", str(gbig), "--cover", str(big))
     assert code == 0 and out == "VALID k=3\n"
+
+
+def test_elbow_double_refuses_a_square_over_the_edge_limit_at_once(tmp_path, capsys):
+    g82, cov82 = tmp_path / "k82.g", tmp_path / "k82.cov"
+    run(capsys, "gen", "--family", "complete", "--parameter", "82", "--output", str(g82))
+    run(capsys, "construct", "--op", "elbow-complete", "--n", "82", "--output", str(cov82))
+    big, gbig = tmp_path / "k6724.cov", tmp_path / "k6724.g"
+    start = time.perf_counter()
+    got = run(
+        capsys, "construct", "--op", "elbow-double", "--graph", str(g82),
+        "--cover", str(cov82), "--output", str(big), "--graph-output", str(gbig),
+    )
+    # refused before K6724, 22.6M edges, is built
+    assert time.perf_counter() - start < 10
+    assert got == (
+        2, "", "error: complete graph on 6724 vertices would have 22602726 edges, more than 2097152\n"
+    )
+    assert not big.exists() and not gbig.exists()
 
 
 def test_coloring_from_elbow_file(tmp_path, capsys):

@@ -35,6 +35,7 @@ from eqcover import (
     verify_orientation_cover,
 )
 from eqcover.construct import _out_classes
+from eqcover.graphs import MAX_COMPLETE_EDGES, _require_buildable_complete
 
 from cover_words import arrow, cover_from_directions, directions, ranking, ranking_cover, restrict
 
@@ -194,6 +195,21 @@ def test_elbow_cover_complete_sizes(n, size):
     assert cover.k == size
     if n <= 17:
         assert verify_elbow_cover(generate_family("complete", n), cover) is None
+
+
+def test_complete_graphs_over_the_edge_limit_are_refused_before_building():
+    # K2048 has 2,096,128 edges and K2049 2,098,176, either side of 2^21;
+    # neither is built here
+    assert MAX_COMPLETE_EDGES == 1 << 21
+    _require_buildable_complete(2048)
+    refusal = r"^complete graph on 2049 vertices would have 2098176 edges, more than 2097152$"
+    with pytest.raises(ValueError, match=refusal):
+        generate_family("complete", 2049)
+    with pytest.raises(ValueError, match=refusal):
+        elbow_cover_complete(2049)
+    k46 = generate_family("complete", 46)  # doubled, K2116 has 2,237,670 edges
+    with pytest.raises(ValueError, match=r"^complete graph on 2116 vertices would have 2237670 "):
+        elbow_double(k46, elbow_cover_complete(46))
 
 
 def test_elbow_cover_complete_rejects_zero():

@@ -95,6 +95,7 @@ def test_arrows_in_any_order_accepted():
         ("", "header"),
         ("cover sideways 1 3 2\n", "unknown cover kind"),
         ("cover orientation 1 3 9\n", "does not match graph"),
+        ("cover orientation -1 3 2\n", r"^line 1: negative k$"),
         ("cover orientation 1 3 2\nblock 2\n", "expected 'block 1'"),
         ("cover orientation 1 3 2\nblock 1\n0 1\n", "expected 2 arrow lines"),
         ("cover orientation 1 3 2\nblock 1\n0 1\n0 2\n", "not an edge"),
@@ -138,6 +139,8 @@ def test_cover_shape_validation_on_write():
         write_cover_for(g, k4_sigma3_cover())
     with pytest.raises(ShapeError):
         write_cover_for(g, EyebrowCover(4, [range(4)]))
+    with pytest.raises(TypeError, match=r"^cannot serialize Coloring$"):
+        write_cover_for(g, Coloring((0, 1, 0)))
 
 
 def test_orientation_cover_constructor_checks():
@@ -222,6 +225,7 @@ def test_coloring_file_round_trip():
         ("0 0\n0 1\n1 0\n2 0\n", "colored twice"),
         ("0 -1\n1 0\n2 0\n3 0\n", "negative color"),
         ("0\n1 0\n2 0\n3 0\n", "expected"),
+        ("0 0\n1 x\n2 0\n3 0\n", r"^line 2: non-integer field$"),
     ],
 )
 def test_parse_coloring_rejections(text, message):
@@ -258,7 +262,12 @@ def test_eyebrow_cover_constructor_errors():
 
 
 def test_violation_recheck_rejects_wrong_witnesses():
-    from eqcover.covers import ElbowViolation, EyebrowViolation, OrientationViolation
+    from eqcover.covers import (
+        ElbowViolation,
+        EquivalenceViolation,
+        EyebrowViolation,
+        OrientationViolation,
+    )
 
     g = generate_family("complete", 3)
     cover = k4_sigma3_cover()
@@ -269,6 +278,16 @@ def test_violation_recheck_rejects_wrong_witnesses():
     assert not ElbowViolation((0, 2, 1)).recheck(g, k3_cover)
     # w cannot be an endpoint
     assert not EyebrowViolation((0, 1), 0).recheck(g, EyebrowCover(3, []))
+    # the second ranking puts vertex 2 outside the edge (0, 1)
+    assert not EyebrowViolation((0, 1), 2).recheck(g, EyebrowCover(3, [(0, 2, 1), (0, 1, 2)]))
+    # an uncovered edge must be an edge, and in no class
+    path = generate_family("path", 3)
+    one = EquivalenceCover(3, [[(0, 1)]])
+    assert not EquivalenceViolation("uncovered", edge=(0, 2)).recheck(path, one)
+    assert not EquivalenceViolation("uncovered", edge=(0, 1)).recheck(path, one)
+    assert EquivalenceViolation("uncovered", edge=(1, 2)).recheck(path, one)
+    with pytest.raises(ValueError, match=r"^unknown subkind 'missing'$"):
+        EquivalenceViolation("missing", edge=(0, 1))
 
 
 # Arrow lines that miss the parser's table of canonical "t h" strings are

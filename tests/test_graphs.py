@@ -29,6 +29,10 @@ def test_edges_normalized_and_sorted():
     assert g.index_of(2, 0) == 1
     assert g.adjacency[2] == (0, 3)
     assert g.incident(2) == (1, 2)
+    with pytest.raises(ValueError, match=r"^\(3, 1\) is not an edge$"):
+        g.index_of(3, 1)
+    with pytest.raises(ValueError, match=r"^vertex 2 is not an endpoint of edge 0$"):
+        g.other_endpoint(0, 2)
 
 
 def test_rejects_bad_edges():
@@ -84,6 +88,9 @@ def test_family_errors():
         generate_family("mycielski-iterate", 1)
     with pytest.raises(ValueError):
         generate_family("cycle")
+    for family in ("complete", "path", "star", "complete-bipartite"):
+        with pytest.raises(ValueError, match="at least one"):
+            generate_family(family, 0)
 
 
 def test_grotzsch_iterate_is_triangle_free_with_chi_4():
