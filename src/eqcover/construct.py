@@ -17,8 +17,8 @@ orientations only on a subgraph with a triangle class, so on a
 triangle-free host, where eq(L(G)) = sigma(G), it preserves size.
 Every converter first checks its input cover with the verify module
 and raises InvalidCoverError, carrying the witness, when it fails.
-The colour extractions take each vertex's masks from that check's table
-pass up to eight orientations, and from one more set pass above that.
+The colour extractions take each vertex's masks from that check's one
+pass over the edges, at every width.
 Every complete-graph base is kept as vertex rankings, so a pullback
 compares the ranks of the endpoint colors and no K_c is built.
 A pullback takes the coloring it pulls back along: the callers choose
@@ -116,24 +116,6 @@ def _elbow_ranks(n: int) -> List[List[int]]:
     return [r[:n] for r in ranks]
 
 
-def _rank_words(
-    edges: Sequence[Tuple[int, int]], colors: Sequence[int], ranks: Sequence[Sequence[int]]
-) -> List[int]:
-    """Per-edge words pulled back along a proper coloring: bit i of the
-    word of uv (u < v) is set when ranks[i] puts colors[u] below
-    colors[v].  One word is computed per distinct color pair."""
-    memo: Dict[Tuple[int, int], int] = {}
-    out = []
-    for u, v in edges:
-        key = (colors[u], colors[v])
-        w = memo.get(key)
-        if w is None:
-            a, b = key
-            w = memo[key] = sum(1 << i for i, r in enumerate(ranks) if r[a] < r[b])
-        out.append(w)
-    return out
-
-
 def _base_ranks(c: int, kind: str) -> Sequence[Sequence[int]]:
     """The smallest known covering of K_c of the kind, as rankings: for
     'elbow' one ranking of K_2, else the squared K_4 ones; for 'orientation'
@@ -152,11 +134,25 @@ def _pullback(
     g: Graph, colors: Sequence[int], ranks: Sequence[Sequence[int]], kind: str, k: int = 0
 ) -> OrientationCover:
     """The cover of g pulled back from the base ``ranks`` along the dense
-    proper coloring ``colors`` (the callers check it), its last ranking
-    repeated up to size k: every cover built from a coloring is made here."""
-    ranks = [*ranks, *ranks[-1:] * (k - len(ranks))]
-    words = _rank_words(g.edges, colors, ranks)
-    return OrientationCover._from_words((g.n, g.m), len(ranks), words, kind)
+    proper coloring ``colors`` (the callers check it): bit i of the word
+    of uv (u < v) is set when ranks[i] puts colors[u] below colors[v],
+    computed once per distinct color pair, and the last ranking repeats
+    up to size k by copying the word's last bit.  Every cover built from
+    a coloring is made here."""
+    s = len(ranks)
+    k = max(k, s)
+    pad = (1 << k) - (1 << s)
+    memo: Dict[Tuple[int, int], int] = {}
+    words = []
+    for u, v in g.edges:
+        key = (colors[u], colors[v])
+        w = memo.get(key)
+        if w is None:
+            a, b = key
+            w = sum(1 << i for i, r in enumerate(ranks) if r[a] < r[b])
+            w = memo[key] = w | pad if pad and w >> s - 1 & 1 else w
+        words.append(w)
+    return OrientationCover._from_words((g.n, g.m), k, words, kind)
 
 
 def _complete_cover(ranks: Sequence[Sequence[int]], kind: str) -> OrientationCover:
@@ -387,24 +383,14 @@ _EVEN_MASKS = int("01" * (1 << _TABLE_MAX_K - 1), 2)  # the masks with bit 0 cle
 
 def _bit0_clear_masks(g: Graph, c: OrientationCover, elbow: bool) -> list:
     """Per vertex, a key for the set of bit-0-clear masks it sees (an edge
-    shows its word at the low end, the complement at the high end), once
-    c is checked valid.  Up to _TABLE_MAX_K orientations: the bitset of
-    those masks from the verifier's table pass; a wider cover, whose
-    2^k-bit bitsets would not fit, takes one set pass to frozensets."""
-    if c.k <= _TABLE_MAX_K:
-        c.require_match(g)
-        bad, seen = _first_bad_vertex(g, c, elbow)
-        if bad is None:
-            return [s & _EVEN_MASKS for s in seen]
-    _require_valid((verify_elbow_cover if elbow else verify_orientation_cover)(g, c))
-    full = (1 << c.k) - 1
-    sets: List[set] = [set() for _ in range(g.n)]
-    for (u, v), x in zip(g.edges, c.words):
-        if x & 1:
-            sets[v].add(full ^ x)
-        else:
-            sets[u].add(x)
-    return list(map(frozenset, sets))
+    shows its word at the low end, the complement at the high end), read
+    off the verifier's pass once c is checked valid: the bitset of those
+    masks up to _TABLE_MAX_K orientations, a frozenset above that."""
+    bad, seen = _first_bad_vertex(g, c, elbow)
+    if bad is not None:
+        _require_valid((verify_elbow_cover if elbow else verify_orientation_cover)(g, c))
+    return [frozenset(x for x in s if not x & 1) if isinstance(s, dict) else s & _EVEN_MASKS
+            for s in seen]
 
 
 def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:

@@ -319,7 +319,7 @@ def _kn_cover(g: Graph, kind: str, k: int = 0):
     if kind == "eyebrow":
         ranks = construct._elbow_ranks(g.n) if g.m and g.n >= 3 else []
         rankings = [_ranking(sorted(range(g.n), key=r.__getitem__)) for r in ranks]
-        return EyebrowCover(g.n, rankings + rankings[-1:] * (k - len(rankings)))
+        return EyebrowCover._from_checked(g.n, rankings + rankings[-1:] * (k - len(rankings)))
     return construct._pullback(g, range(g.n), construct._base_ranks(g.n, kind), kind, k)
 
 
@@ -546,7 +546,8 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
         raise ValueError("k must be nonnegative")
     budget = budget or Budget()
     if g.m == 0 or g.n < 3:  # no edge has a third vertex
-        return DecideResult("sat", EyebrowCover(g.n, [range(g.n)] * k), budget.nodes)
+        cover = EyebrowCover._from_checked(g.n, [tuple(range(g.n))] * k)
+        return DecideResult("sat", cover, budget.nodes)
     if k <= 1:
         order = _path_order(g) if k == 1 else None
         if order is None:
@@ -561,7 +562,8 @@ def decide_eyebrow(g: Graph, k: int, budget: Optional[Budget] = None) -> DecideR
         pass
     else:
         up, down = (_ranking(sorted(range(g.n), key=lambda v: (side[v], s * v))) for s in (1, -1))
-        return DecideResult("sat", EyebrowCover(g.n, [up] + [down] * (k - 1)), budget.nodes)
+        cover = EyebrowCover._from_checked(g.n, [up] + [down] * (k - 1))
+        return DecideResult("sat", cover, budget.nodes)
     n, adj = g.n, g.adjacency
     # the edges by their higher end, so those below v come first; at[x]
     # has bit e for each edge e at x

@@ -23,12 +23,13 @@ table (row x is the bitset of the masks bad with x).  A mask bad with
 itself has its own bit in its row, so meeting it twice is caught too.
 Edges are sorted, so once an edge's low endpoint reaches the lowest bad
 vertex found, every vertex below it has been seen whole and the pass
-stops.  Only at that vertex does the row-major pair scan run, to pick
-the witness, on its edges read off the sorted edge list.  Covers with
-more than eight orientations, which would need a larger table, are
-scanned vertex by vertex instead.  The colour extractions in construct
-read their masks off the same table pass, since a valid cover leaves
-every vertex's bitset whole.  An eyebrow cover is checked with
+stops.  Above eight orientations, too wide for the table, the pass
+counts the masks each vertex meets, and the first bad vertex is the
+first whose distinct masks, one met twice listed twice, hold a bad
+pair.  Only at that vertex does the row-major pair scan run, to pick
+the witness, on its edges read off the sorted edge list.  The colour
+extractions in construct read their masks off the same pass, whole
+for every vertex of a valid cover.  An eyebrow cover is checked with
 vertex bitsets: per ranking, the vertices ranked strictly between
 u and v are a difference of two prefix sets.
 
@@ -58,7 +59,7 @@ from .covers import (
 )
 from .graphs import Graph, ShapeError
 
-_TABLE_MAX_K = 8  # a 2^k x 2^k bad-pair table; wider covers are scanned
+_TABLE_MAX_K = 8  # a 2^k x 2^k bad-pair table; wider covers count their masks
 
 
 def _first_bad_pair(viewed: List[int], full: int, elbow: bool) -> Optional[Tuple[int, int]]:
@@ -92,9 +93,22 @@ def _word_tables(k: int, elbow: bool) -> Tuple[Tuple[int, ...], ...]:
 
 def _first_bad_vertex(g: Graph, cover: OrientationCover, elbow: bool) -> Tuple[Optional[int], list]:
     """The first vertex with a bad pair of incident edges, or None, by
-    one pass over the edges against the bad-pair table (k <= 8), and
-    per vertex the bitset of the masks it met (bit x for mask x), which
-    is whole for every vertex when none is bad."""
+    one pass over the edges, and per vertex the masks it met, whole when
+    none is bad: a bitset (bit x for mask x) tried against the bad-pair
+    table up to _TABLE_MAX_K orientations, above that a dict from each
+    mask met to how often, a mask met twice listed twice for the pair test."""
+    cover.require_match(g)
+    if cover.k > _TABLE_MAX_K:
+        full = (1 << cover.k) - 1
+        met: List[dict] = [{} for _ in range(g.n)]
+        for (u, v), w in zip(g.edges, cover.words):
+            at = met[u]
+            at[w] = at.get(w, 0) + 1
+            at, w = met[v], full ^ w
+            at[w] = at.get(w, 0) + 1
+        listed = ([*at, *(x for x, c in at.items() if c > 1)] for at in met)
+        bad = (v for v, masks in enumerate(listed) if _first_bad_pair(masks, full, elbow))
+        return next(bad, None), met
     low_rows, high_rows, low_bits, high_bits = _word_tables(cover.k, elbow)
     seen = [0] * g.n
     first = g.n
@@ -124,22 +138,14 @@ def _edges_at(g: Graph, v: int) -> List[int]:
 
 def _first_violation(g: Graph, cover: OrientationCover, elbow: bool):
     """(v, e, f): the first vertex with a violated pair of incident
-    edges and its row-major first such pair, or None.  A cover too wide
-    for the bad-pair table has every vertex scanned, with its row of the
-    incidence table."""
-    cover.require_match(g)
-    edges, words, full = g.edges, cover.words, (1 << cover.k) - 1
-    if cover.k > _TABLE_MAX_K:
-        suspects = enumerate(g._incident)
-    else:
-        v = _first_bad_vertex(g, cover, elbow)[0]
-        suspects = () if v is None else ((v, _edges_at(g, v)),)
-    for v, inc in suspects:
-        masks = [words[e] if edges[e][0] == v else full ^ words[e] for e in inc]
-        bad = _first_bad_pair(masks, full, elbow)
-        if bad is not None:
-            return v, inc[bad[0]], inc[bad[1]]
-    return None
+    edges and its row-major first such pair, or None."""
+    v = _first_bad_vertex(g, cover, elbow)[0]
+    if v is None:
+        return None
+    inc, full = _edges_at(g, v), (1 << cover.k) - 1
+    masks = [cover.words[e] if g.edges[e][0] == v else full ^ cover.words[e] for e in inc]
+    i, j = _first_bad_pair(masks, full, elbow)
+    return v, inc[i], inc[j]
 
 
 def verify_orientation_cover(

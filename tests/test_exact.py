@@ -6,7 +6,10 @@ import pytest
 
 from eqcover import (
     Budget,
+    EyebrowCover,
     Graph,
+    NotBipartiteError,
+    OrientationCover,
     bipartition,
     decide_elb,
     decide_eq,
@@ -22,6 +25,7 @@ from eqcover import (
     verify_eyebrow_cover,
     verify_orientation_cover,
 )
+from eqcover import construct
 from eqcover.construct import pullback_size
 
 import oracles
@@ -714,3 +718,55 @@ def test_relabelling_keeps_every_decision():
         for (decide, _, _), s in zip(_KINDS, _COMPLETE_SIZES[min(n, 5)]):
             for k in range(s + 2):
                 assert decide(g, k).status == decide(h, k).status, (g.edges, perm, k)
+
+
+def _eyebrow_base(g, k):
+    """The size whose eyebrow witness a decision at k pads with its last
+    ranking, or None where k is left to the search: 1 with no third
+    vertex, the K_n cover's size from there on, else 2 on a bipartite
+    graph."""
+    size = pullback_size(g.n, "eyebrow")
+    if g.m == 0 or g.n < 3:
+        return 1
+    if k >= size:
+        return size
+    try:
+        bipartition(g)
+    except NotBipartiteError:
+        return None
+    return 2 if k >= 2 else None
+
+
+def test_padded_witnesses_repeat_the_last_ranking():
+    # up to twice the natural size, a witness padded to k (the K_n
+    # pullback, the eyebrow rankings of K_n, the bipartite and the
+    # no-third-vertex answers) equals the one built by repeating its
+    # last ranking explicitly, and the checking constructors accept it
+    rng = random.Random(4127)
+    graphs = [generate_family(f, p) for f, p in (("path", 2), ("cycle", 6), ("petersen", 5), ("complete", 5))]
+    graphs += [
+        Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        for n in (1, 2, 3, 4, 6, 7, 9, 17, 18)
+    ]
+    checked = set()
+    for g in graphs:
+        for kind, decide, closed in (("orientation", decide_sigma, 2), ("elbow", decide_elb, 1)):
+            ranks = construct._base_ranks(g.n, kind)
+            size = len(ranks)
+            for k in range(max(size, closed + 1), 2 * size + 1):
+                explicit = construct._pullback(g, range(g.n), [*ranks, *[ranks[-1]] * (k - size)], kind)
+                res = decide(g, k, Budget(max_nodes=0))
+                assert (res.status, res.witness.k, res.witness.words) == ("sat", k, explicit.words)
+                public = OrientationCover(res.witness.graph_shape, k, res.witness.words, kind)
+                assert public.words == explicit.words
+                checked.add((kind, k > size))
+        for k in range(1, 2 * pullback_size(g.n, "eyebrow") + 1):
+            base = _eyebrow_base(g, k)
+            if base is None:
+                continue
+            natural = decide_eyebrow(g, base).witness.rankings
+            rankings = decide_eyebrow(g, k, Budget(max_nodes=0)).witness.rankings
+            assert rankings == natural + natural[-1:] * (k - base), (g, k)
+            assert EyebrowCover(g.n, rankings).rankings == rankings
+            checked.add(("eyebrow", k > base))
+    assert checked == {(kind, padded) for kind in ("orientation", "elbow", "eyebrow") for padded in (False, True)}

@@ -241,7 +241,7 @@ def _orientation_cases():
         g = _random_graph(rng, n, 0.3)
         c = cover_via_coloring(g, Coloring(range(n)))
         yield f"identity{n}", g, c
-    # wider than the verifier's bad-pair table: the masks come from a set pass
+    # wider than the verifier's bad-pair table: its pass counts the masks met
     for k in range(9, 13):
         g = _random_graph(rng, rng.randrange(6, 16), 0.4)
         base = cover_via_coloring(g, greedy_coloring(g))
@@ -347,7 +347,7 @@ def _broken_at(g: Graph, c: OrientationCover, x: int, elbow: bool) -> Orientatio
 
 
 def test_invalid_covers_raise_the_verifiers_witness():
-    # on both mask paths (the table pass up to k = 8, the set pass above),
+    # at both widths of the verifier's pass (a bitset up to k = 8, counts above),
     # a bad vertex first, in the middle or last raises InvalidCoverError
     # with the witness the public verifier names
     rng = random.Random(30)

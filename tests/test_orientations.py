@@ -13,15 +13,20 @@ from eqcover import (
     generate_family,
     k16_table_cover,
 )
-from eqcover.construct import K16_RANK_ROWS, _rank_words
+from eqcover.construct import K16_RANK_ROWS, _pullback
 
 from cover_words import arrow
+
+
+def _words(g, colors, ranks):
+    """The words of g pulled back from the rankings along ``colors``."""
+    return list(_pullback(g, colors, ranks, "orientation").words)
 
 
 def _ranked(g, values):
     """The one-orientation words of g that the ranking ``values`` induces
     (pulled back along the identity coloring)."""
-    return _rank_words(g.edges, range(g.n), [values])
+    return _words(g, range(g.n), [values])
 
 
 def test_orientation_validation():
@@ -98,7 +103,7 @@ def test_pullback_two_coloring():
     # the K2 orientation 0 -> 1 pulled back along a 2-coloring
     c4 = generate_family("cycle", 4)
     side = bipartition(c4)
-    pulled = OrientationCover((c4.n, c4.m), 1, _rank_words(c4.edges, side, [(0, 1)]))
+    pulled = OrientationCover((c4.n, c4.m), 1, _words(c4, side, [(0, 1)]))
     for e in range(c4.m):
         tail, head = arrow(c4, pulled, 0, e)
         assert side[tail] == 0 and side[head] == 1
@@ -108,7 +113,7 @@ def test_pullback_two_coloring():
 def test_pullback_identity():
     # the K16 table pulled back along the identity coloring is the table
     k16 = generate_family("complete", 16)
-    assert _rank_words(k16.edges, range(16), K16_RANK_ROWS) == list(k16_table_cover()[1].words)
+    assert _words(k16, range(16), K16_RANK_ROWS) == list(k16_table_cover()[1].words)
 
 
 def test_pullback_composes(corpus):
@@ -118,7 +123,7 @@ def test_pullback_composes(corpus):
     inject = [1, 3, 4, 5]  # K4 -> K6 injection
     r6 = (3, 0, 5, 1, 4, 2)
     r4 = [r6[c] for c in inject]  # the K6 ranking pulled back to K4
-    assert _rank_words(k4.edges, inject, [r6]) == _ranked(k4, r4)
+    assert _words(k4, inject, [r6]) == _ranked(k4, r4)
     for name in ("C5", "K4", "bull", "petersen"):
         g = corpus[name]
         from eqcover import exact_chromatic
@@ -128,7 +133,7 @@ def test_pullback_composes(corpus):
             continue
         f = list(coloring.dense().colors)
         composed = [inject[c] for c in f]
-        assert _rank_words(g.edges, composed, [r6]) == _rank_words(g.edges, f, [r4])
+        assert _words(g, composed, [r6]) == _words(g, f, [r4])
 
 
 def test_coloring_properness_and_dense():

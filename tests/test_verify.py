@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -295,7 +296,7 @@ def test_zero_orientation_covers():
 
 
 def test_wide_cover_uses_python_fallback():
-    # 63 orientations exceed the int64 mask budget
+    # 63 orientations, far past the bad-pair table: the pass counts masks
     c4, single = alternating_c4()
     wide = cover_from_directions((4, 4), directions(single) * 63)
     assert verify_elbow_cover(c4, wide) is None
@@ -358,34 +359,52 @@ def _random_graph(rng, n, p):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
-def _corrupted(rng, g, cover, elbow):
-    """The cover broken at one vertex of degree >= 2: one incident edge
-    never out of it (orientation), or one path through it always
-    directed (elbow)."""
-    x = rng.choice([v for v in range(g.n) if g.degree(v) >= 2])
+def _with_masks(g, cover, x, masks):
+    """The cover with the given masks at x, one per edge: {edge: mask}."""
     full = (1 << cover.k) - 1
     words = list(cover.words)
-    e, f = rng.sample(g.incident(x), 2)
-    words[e] = full if g.edges[e][1] == x else 0  # into x everywhere
-    if elbow:
-        words[f] = full if g.edges[f][0] == x else 0  # out of x everywhere
+    for e, mask in masks.items():
+        words[e] = mask if g.edges[e][0] == x else full ^ mask
     return OrientationCover(cover.graph_shape, cover.k, words, cover.kind)
 
 
+def _corrupted(rng, g, cover, fault):
+    """The cover broken at one vertex x of degree >= 2: fault 'into' runs
+    one incident edge into x everywhere (mask 0 at x), 'twice' runs every
+    edge at x into it, of degree 2 where one has it, so that mask 0 is
+    all x meets, and 'complement' gives two incident edges complementary
+    masks at x, the path through them directed everywhere (an elbow
+    fault)."""
+    centers = [v for v in range(g.n) if g.degree(v) >= 2]
+    x = rng.choice([v for v in centers if g.degree(v) == 2] if fault == "twice" else centers)
+    e, f = rng.sample(g.incident(x), 2)
+    if fault == "into":
+        return _with_masks(g, cover, x, {e: 0})
+    if fault == "twice":
+        return _with_masks(g, cover, x, dict.fromkeys(g.incident(x), 0))
+    y = rng.getrandbits(cover.k)
+    return _with_masks(g, cover, x, {e: y, f: ((1 << cover.k) - 1) ^ y})
+
+
+_FAULTS = ("into", "complement", "twice")
+
+
 def _cases(seed):
-    """(graph, cover) pairs for k = 0..8: random words, valid pullback
-    covers padded with random orientations, and both corrupted."""
+    """(graph, cover) pairs for k = 0..12: random words, valid pullback
+    covers padded with random orientations, and those broken in turn by
+    each of the three faults of _corrupted (mask 0 met twice where a
+    vertex of degree 2 allows it)."""
     rng = random.Random(seed)
     cases = []
-    for trial in range(90):
-        k = trial % 9
+    for trial in range(130):
+        k = trial % 13
         small = trial % 3 != 2
         g = _random_graph(rng, rng.randint(3, 9) if small else rng.randint(20, 60), rng.choice((0.2, 0.4, 0.7)))
         if not g.has_incidence_pairs():
             continue
         full = (1 << k) - 1
         cases.append((g, OrientationCover((g.n, g.m), k, [rng.randint(0, full) for _ in range(g.m)])))
-        for build, elbow in ((cover_via_coloring, False), (elbow_cover_via_coloring, True)):
+        for i, build in enumerate((cover_via_coloring, elbow_cover_via_coloring)):
             base = build(g, greedy_coloring(g))
             if base.k > k:
                 continue
@@ -393,7 +412,17 @@ def _cases(seed):
             words = [w | x << base.k for w, x in zip(base.words, extra)]
             valid = OrientationCover((g.n, g.m), k, words, base.kind)
             cases.append((g, valid))
-            cases.append((g, _corrupted(rng, g, valid, elbow)))
+            fault = _FAULTS[(trial + i) % 3]
+            if fault != "twice" or 2 in g.degrees():
+                cases.append((g, _corrupted(rng, g, valid, fault)))
+    # past the bad-pair table: a 6-cycle with both edges at a vertex
+    # into it everywhere, and with a complementary pair there
+    c6 = generate_family("cycle", 6)
+    for k in range(9, 13):
+        valid = cover_via_coloring(c6, greedy_coloring(c6))
+        words = [w | rng.getrandbits(k - valid.k) << valid.k for w in valid.words]
+        valid = OrientationCover((c6.n, c6.m), k, words)
+        cases.extend((c6, _corrupted(rng, c6, valid, fault)) for fault in ("twice", "complement"))
     return cases
 
 
@@ -413,17 +442,18 @@ def test_histogram_verifier_matches_scan_and_oracles():
             assert (got[1] is None) == oracles.elbow_cover_ok(g, bits)
         kinds.add((cover.k, got[0] is None, got[1] is None))
     # every k, with valid and invalid covers of both kinds among them
-    assert {k for k, _, _ in kinds} == set(range(9))
+    assert {k for k, _, _ in kinds} == set(range(13))
     assert {(a, b) for _, a, b in kinds} >= {(True, True), (False, True), (False, False)}
 
 
 def test_corrupted_certificates_name_the_scan_witness_without_incidence_table():
     # the bad vertex's edges are read off the sorted edges, so a rejected
-    # certificate read from text leaves the incidence table unbuilt
+    # certificate read from text leaves the incidence table unbuilt, at
+    # every width
     checked = set()
     for g, cover in _cases(77):
         want = (_scan_witness(g, cover, False), _scan_witness(g, cover, True))
-        # the table pass names the witness's vertex, its seen bitsets aside
+        # the one pass names the witness's vertex, its masks aside
         for elbow, line in zip((False, True), want):
             vertex = None if line is None else _witness_vertex(line)
             assert verify_mod._first_bad_vertex(g, cover, elbow)[0] == vertex
@@ -433,18 +463,20 @@ def test_corrupted_certificates_name_the_scan_witness_without_incidence_table():
         read = parse_cover(write_cover_for(g, cover), h)
         assert _lines(h, read) == want, (g, cover.words)
         assert h._inc is None
-        checked.update(kind for kind, line in zip(("orientation", "elbow"), want) if line)
-    assert checked == {"orientation", "elbow"}
+        checked.update((kind, cover.k > 8) for kind, line in zip(("orientation", "elbow"), want) if line)
+    assert checked == {(kind, wide) for kind in ("orientation", "elbow") for wide in (False, True)}
 
 
 def _masks_met(g, cover):
-    """Per vertex, the bitset (bit x for mask x) of the masks its edges
-    show it, by the definition."""
-    return [sum({1 << out_mask(g, cover, v, e) for e in g.incident(v)}) for v in range(g.n)]
+    """Per vertex, the masks its edges show it, by the definition: up to
+    eight orientations their bitset (bit x for mask x), above that how
+    often each is met."""
+    met = [Counter(out_mask(g, cover, v, e) for e in g.incident(v)) for v in range(g.n)]
+    return [sum(1 << x for x in c) if cover.k <= 8 else dict(c) for c in met]
 
 
 def test_table_pass_keeps_the_masks_each_vertex_meets():
-    # the colour extractions read a valid cover's masks off these bitsets
+    # the colour extractions read a valid cover's masks off this pass
     rng = random.Random(2031)
     graphs = [Graph(6, [(0, 1), (2, 3), (4, 5)]), generate_family("cycle", 6), generate_family("path", 7)]
     graphs += [_random_graph(rng, rng.randint(3, 30), rng.choice((0.2, 0.4, 0.7))) for _ in range(20)]
@@ -453,7 +485,7 @@ def test_table_pass_keeps_the_masks_each_vertex_meets():
         covers = [OrientationCover((g.n, g.m), 0, [0] * g.m, kind) for kind in ("orientation", "elbow")]
         for build in (cover_via_coloring, elbow_cover_via_coloring):
             base = build(g, greedy_coloring(g))
-            for k in range(base.k, 9):
+            for k in range(base.k, 13):
                 words = [w | rng.getrandbits(k - base.k) << base.k for w in base.words]
                 covers.append(OrientationCover((g.n, g.m), k, words, base.kind))
         for cover in covers:
@@ -461,7 +493,7 @@ def test_table_pass_keeps_the_masks_each_vertex_meets():
                 if verify(g, cover) is None:
                     assert verify_mod._first_bad_vertex(g, cover, elbow) == (None, _masks_met(g, cover))
                     checked.add((cover.k, elbow))
-    assert checked == {(k, elbow) for k in range(9) for elbow in (False, True)}
+    assert checked == {(k, elbow) for k in range(13) for elbow in (False, True)}
 
 
 def test_permuting_orientations_keeps_the_result():
