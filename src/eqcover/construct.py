@@ -36,8 +36,9 @@ from .covers import EquivalenceCover, EquivalenceSubgraph, OrientationCover, Vio
 from .graphs import Coloring, Graph, _require_buildable_complete, bipartition
 from .linegraph import LineGraphMap
 from .verify import (
-    _TABLE_MAX_K,
+    _bit0_clear,
     _first_bad_vertex,
+    _key_masks,
     verify_elbow_cover,
     verify_equivalence_cover,
     verify_orientation_cover,
@@ -378,19 +379,14 @@ def elbow_cover_via_coloring(g: Graph, coloring: Coloring) -> OrientationCover:
     return _pullback(g, dense.colors, _base_ranks(dense.palette_size, "elbow"), "elbow")
 
 
-_EVEN_MASKS = int("01" * (1 << _TABLE_MAX_K - 1), 2)  # the masks with bit 0 clear, as a bitset
-
-
 def _bit0_clear_masks(g: Graph, c: OrientationCover, elbow: bool) -> list:
     """Per vertex, a key for the set of bit-0-clear masks it sees (an edge
     shows its word at the low end, the complement at the high end), read
-    off the verifier's pass once c is checked valid: the bitset of those
-    masks up to _TABLE_MAX_K orientations, a frozenset above that."""
+    off the verifier's pass once c is checked valid."""
     bad, seen = _first_bad_vertex(g, c, elbow)
     if bad is not None:
         _require_valid((verify_elbow_cover if elbow else verify_orientation_cover)(g, c))
-    return [frozenset(x for x in s if not x & 1) if isinstance(s, dict) else s & _EVEN_MASKS
-            for s in seen]
+    return list(map(_bit0_clear, seen))
 
 
 def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:
@@ -418,10 +414,8 @@ def coloring_from_elbow_cover(g: Graph, c: OrientationCover) -> Coloring:
 
 def _minimal_masks(key) -> frozenset:
     """The masks of a ``_bit0_clear_masks`` key that contain no other."""
-    if not isinstance(key, frozenset):
-        key = [x for x in range(key.bit_length()) if key >> x & 1]
     kept: List[int] = []
-    for x in sorted(key, key=int.bit_count):
+    for x in sorted(_key_masks(key), key=int.bit_count):
         if all(y & ~x for y in kept):
             kept.append(x)
     return frozenset(kept)

@@ -46,7 +46,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain, combinations, compress, islice, repeat
 from operator import eq, itemgetter
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .covers import (
     ElbowViolation,
@@ -60,6 +60,7 @@ from .covers import (
 from .graphs import Graph, ShapeError
 
 _TABLE_MAX_K = 8  # a 2^k x 2^k bad-pair table; wider covers count their masks
+_EVEN_MASKS = int("01" * (1 << _TABLE_MAX_K - 1), 2)  # the masks with bit 0 clear, as a bitset
 
 
 def _first_bad_pair(viewed: List[int], full: int, elbow: bool) -> Optional[Tuple[int, int]]:
@@ -124,6 +125,17 @@ def _first_bad_vertex(g: Graph, cover: OrientationCover, elbow: bool) -> Tuple[O
             first = v
         seen[v] = at | high_bits[w]
     return (first if first < g.n else None), seen
+
+
+def _bit0_clear(met) -> object:
+    """A hashable key for the bit-0-clear masks in a vertex's masks met by
+    _first_bad_vertex: the bitset's even bits, or a frozenset of them."""
+    return frozenset(x for x in met if not x & 1) if isinstance(met, dict) else met & _EVEN_MASKS
+
+
+def _key_masks(key) -> Iterable[int]:
+    """The masks in a _bit0_clear key."""
+    return key if isinstance(key, frozenset) else [x for x in range(key.bit_length()) if key >> x & 1]
 
 
 def _edges_at(g: Graph, v: int) -> List[int]:

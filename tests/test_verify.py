@@ -373,8 +373,8 @@ def _corrupted(rng, g, cover, fault):
     one incident edge into x everywhere (mask 0 at x), 'twice' runs every
     edge at x into it, of degree 2 where one has it, so that mask 0 is
     all x meets, and 'complement' gives two incident edges complementary
-    masks at x, the path through them directed everywhere (an elbow
-    fault)."""
+    masks at x, half the time 0 and full, the path through them directed
+    everywhere (an elbow fault)."""
     centers = [v for v in range(g.n) if g.degree(v) >= 2]
     x = rng.choice([v for v in centers if g.degree(v) == 2] if fault == "twice" else centers)
     e, f = rng.sample(g.incident(x), 2)
@@ -382,7 +382,7 @@ def _corrupted(rng, g, cover, fault):
         return _with_masks(g, cover, x, {e: 0})
     if fault == "twice":
         return _with_masks(g, cover, x, dict.fromkeys(g.incident(x), 0))
-    y = rng.getrandbits(cover.k)
+    y = rng.choice((0, rng.getrandbits(cover.k)))
     return _with_masks(g, cover, x, {e: y, f: ((1 << cover.k) - 1) ^ y})
 
 
@@ -391,9 +391,9 @@ _FAULTS = ("into", "complement", "twice")
 
 def _cases(seed):
     """(graph, cover) pairs for k = 0..12: random words, valid pullback
-    covers padded with random orientations, and those broken in turn by
-    each of the three faults of _corrupted (mask 0 met twice where a
-    vertex of degree 2 allows it)."""
+    covers padded with random orientations, and each of those broken by
+    every fault of _corrupted (mask 0 met twice where a vertex of degree
+    2 allows it)."""
     rng = random.Random(seed)
     cases = []
     for trial in range(130):
@@ -404,7 +404,7 @@ def _cases(seed):
             continue
         full = (1 << k) - 1
         cases.append((g, OrientationCover((g.n, g.m), k, [rng.randint(0, full) for _ in range(g.m)])))
-        for i, build in enumerate((cover_via_coloring, elbow_cover_via_coloring)):
+        for build in (cover_via_coloring, elbow_cover_via_coloring):
             base = build(g, greedy_coloring(g))
             if base.k > k:
                 continue
@@ -412,9 +412,8 @@ def _cases(seed):
             words = [w | x << base.k for w, x in zip(base.words, extra)]
             valid = OrientationCover((g.n, g.m), k, words, base.kind)
             cases.append((g, valid))
-            fault = _FAULTS[(trial + i) % 3]
-            if fault != "twice" or 2 in g.degrees():
-                cases.append((g, _corrupted(rng, g, valid, fault)))
+            faults = _FAULTS if 2 in g.degrees() else _FAULTS[:2]
+            cases.extend((g, _corrupted(rng, g, valid, fault)) for fault in faults)
     # past the bad-pair table: a 6-cycle with both edges at a vertex
     # into it everywhere, and with a complementary pair there
     c6 = generate_family("cycle", 6)
