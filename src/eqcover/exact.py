@@ -7,7 +7,8 @@ wall-clock cap.  Budget exhaustion is a first-class result status, not
 an error.  The orientation, elbow and equivalence searches (one level
 per edge) and the k-coloring and eyebrow searches (one level per
 vertex) keep their stack explicitly, so their depth is not bounded by
-Python's recursion limit.
+Python's recursion limit.  The k-coloring search branches as DSATUR
+does, and the greedy coloring is its first descent with n colors.
 
 Orientation and elbow coverings are searched edge-major: each edge gets
 a k-bit word whose bit i records its direction in orientation i, and
@@ -655,123 +656,101 @@ def greedy_clique(g: Graph) -> Tuple[int, ...]:
 def greedy_coloring(g: Graph) -> Coloring:
     """Saturation-guided greedy coloring (DSATUR; Brélaz, CACM 1979).
 
-    Each step gives the smallest free color to the uncolored vertex
-    with the most distinct colors among its neighbors; ties go to the
-    higher degree, then to the lower index.  The vertices are ranked
-    once by (-degree, vertex); bucket s is a heap of the ranks pushed
-    while a vertex had saturation s, and the highest non-empty bucket
-    is popped, skipping entries whose vertex is colored or has moved
-    to a higher bucket.  Neighbor colors are int bitsets, so the run
-    takes O((n + m) log n) time.
+    The first descent of the k-coloring search with a color for every
+    vertex, which never backtracks: each step gives the smallest free
+    color to the uncolored vertex with the most distinct colors among
+    its neighbors, ties to the higher degree, then to the lower index.
+    It charges no caller's budget.
     """
-    n = g.n
-    adj = g.adjacency
-    order = sorted(range(n), key=[-len(a) for a in adj].__getitem__)
-    rank = sorted(range(n), key=order.__getitem__)  # inverse of order
-    colors = [-1] * n
-    used = [0] * n  # bitset of the colors on each vertex's neighbors
-    sat = [0] * n
-    buckets = [list(range(n))]  # sorted, so already a heap
-    top = 0
-    pop, push = heapq.heappop, heapq.heappush
-    while top >= 0:
-        bucket = buckets[top]
-        if not bucket:
-            top -= 1
-            continue
-        v = order[pop(bucket)]
-        if colors[v] >= 0 or sat[v] != top:
-            continue  # colored, or moved to a higher bucket
-        taken = used[v]
-        c = (~taken & (taken + 1)).bit_length() - 1
-        colors[v] = c
-        bit = 1 << c
-        for u in adj[v]:
-            if colors[u] < 0 and not used[u] & bit:
-                used[u] |= bit
-                s = sat[u] = sat[u] + 1
-                if s == len(buckets):
-                    buckets.append([])
-                push(buckets[s], rank[u])
-                if s > top:
-                    top = s
-    # each vertex takes the smallest color free at it, so 0..max are all used
-    return Coloring._from_dense(colors, max(colors, default=-1) + 1)
+    return _k_colorable(g, g.n, Budget())
 
 
 def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
-    """Backtracking k-coloring with most-constrained-vertex branching and
-    fresh colors introduced in order (color-permutation symmetry).
+    """Backtracking k-coloring with DSATUR branching and fresh colors
+    introduced in order (color-permutation symmetry).
 
-    Each level colors the uncolored vertex with the fewest allowed
-    colors (the lowest index on ties; a vertex with none fails the
-    level), trying its colors in increasing order, one node each.  The
-    colors in use all lie below the cap of allowed colors, so that is
-    the vertex with the most forbidden colors: the top of a
-    lazy-deletion heap of the ints (k - forbidden count) * n + vertex,
-    which gets a fresh entry whenever a vertex's forbidden set changes
-    or it is uncolored again, and is rebuilt when stale entries pile
-    up.  The stack is explicit, one frame per colored vertex, so the
-    depth (n) is not bounded by Python's recursion limit.
+    Each level colors the uncolored vertex with the most distinct colors
+    among its neighbors, ties to the higher degree, then to the lower
+    index (a vertex with no color left fails the level), trying its
+    colors in increasing order, one node each.  The colors in use all
+    lie below the cap of allowed colors, so that is the vertex with the
+    fewest allowed colors.  Bucket s is a heap of the (-degree, vertex)
+    ranks pushed while a vertex had s forbidden colors; the highest
+    non-empty bucket is popped, skipping entries whose vertex is colored
+    or has moved to another bucket, and all buckets are rebuilt when
+    pushes pile up.  The stack is explicit, one frame per colored
+    vertex, so the depth (n) is not bounded by Python's recursion limit.
     """
     n = g.n
     if k <= 0:
         return Coloring([]) if n == 0 else None
     adj = g.adjacency
+    degree = [len(a) for a in adj]
+    order = sorted(range(n), key=[-d for d in degree].__getitem__)
+    rank = sorted(range(n), key=order.__getitem__)  # inverse of order
     colors = [-1] * n
-    forbid = [0] * n
-    entry = list(range(k * n, k * n + n))  # each vertex's live heap entry
+    forbid = [0] * n  # bitset of the colors on each vertex's neighbors
+    sat = [0] * n  # the size of forbid
     full = (1 << k) - 1
     spend = budget.spend
-    heap = entry[:]  # sorted, so already a heap
+    buckets = [list(range(n))] + [[] for _ in range(min(k, max(degree, default=0)))]
+    top = 0
     pop, push = heapq.heappop, heapq.heappush
-    # frames [vertex, colors left to try, neighbors its color touched,
-    # colors in use below it]
-    stack: List[list] = []
+    # frames (vertex, colors left to try, neighbors its color touched,
+    # colors in use below it)
+    stack: List[tuple] = []
     maxused = 0
-    while True:
-        if len(stack) == n:
-            return Coloring(colors)
-        if len(heap) > 4 * n + 64:
-            heap = [e for e, c in zip(entry, colors) if c < 0]
-            heapq.heapify(heap)
+    pushes = 0
+    while len(stack) < n:
+        if pushes > 4 * n + 64:
+            buckets = [[] for _ in buckets]
+            for r, u in enumerate(order):
+                if colors[u] < 0:
+                    buckets[sat[u]].append(r)
+            pushes = 0
         while True:
-            top = heap[0]
-            best = top % n
-            if colors[best] < 0 and top == entry[best]:
+            bucket = buckets[top]
+            if not bucket:
+                top -= 1
+                continue
+            v = order[pop(bucket)]
+            if colors[v] < 0 and sat[v] == top:
                 break
-            pop(heap)  # colored, or its forbidden set has changed since
-        cap = full & ((2 << maxused) - 1)  # used colors and one fresh one
-        # a vertex with no color left fails the level: its frame has
-        # nothing to try
-        stack.append([best, cap & ~forbid[best], (), maxused])
-        while True:
-            frame = stack[-1]
-            v, left, touched, below = frame
-            if colors[v] >= 0:  # undo the color tried last
-                off = ~(1 << colors[v])
-                colors[v] = -1
-                for u in touched:
-                    forbid[u] &= off
-                    entry[u] += n
-                    push(heap, entry[u])
-            if left:
-                low = left & -left
-                c = low.bit_length() - 1
-                spend()
-                colors[v] = c
-                touched = [u for u in adj[v] if colors[u] < 0 and not forbid[u] & low]
-                for u in touched:
-                    forbid[u] |= low
-                    entry[u] -= n
-                    push(heap, entry[u])
-                frame[1], frame[2] = left ^ low, touched
-                maxused = max(below, c + 1)
-                break
-            stack.pop()
-            push(heap, entry[v])  # uncolored again
+        left = full & ((2 << maxused) - 1) & ~forbid[v]  # used colors and one fresh one
+        below = maxused
+        while not left:  # backtrack: v is uncolored again, undo the frame below
+            s = sat[v]
+            push(buckets[s], rank[v])
+            if s > top:
+                top = s
             if not stack:
                 return None
+            v, left, touched, below = stack.pop()
+            off = ~(1 << colors[v])
+            colors[v] = -1
+            for u in touched:
+                forbid[u] &= off
+                s = sat[u] = sat[u] - 1
+                push(buckets[s], rank[u])
+            pushes += len(touched) + 1
+        low = left & -left
+        c = low.bit_length() - 1
+        spend()
+        colors[v] = c
+        touched = []
+        for u in adj[v]:
+            if colors[u] < 0 and not forbid[u] & low:
+                forbid[u] |= low
+                s = sat[u] = sat[u] + 1
+                push(buckets[s], rank[u])
+                if s > top:
+                    top = s
+                touched.append(u)
+        pushes += len(touched)
+        stack.append((v, left ^ low, touched, below))
+        maxused = below + 1 if c == below else below
+    # fresh colors come in order, so 0..maxused-1 are all used
+    return Coloring._from_dense(colors, maxused)
 
 
 def exact_chromatic(g: Graph, budget: Optional[Budget] = None) -> SolveResult:

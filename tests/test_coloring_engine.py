@@ -2,14 +2,17 @@
 
 The quadratic greedy colouring, the recursive k-colouring search, the
 set-per-vertex greedy clique, the loop that relabelled colours densely
-and the two-pass equivalence verifier they replaced are kept below,
-verbatim, as the reference.  The bucketed DSATUR colouring must give
-the same colouring and the common-neighbour clique the same clique; the
-iterative search on integer heap entries must walk the same tree (same
-status, witness and node count, and a budget that trips at the same
-node); the verifier must report the same witness.  The complete-graph
-elbow cover, which now reads its prefix words by index, is compared
-with the restriction of the whole doubled cover.
+and the two-pass equivalence verifier they replaced are kept below as
+the reference, verbatim but for the recursive search's tie-break: it
+breaks ties between the most constrained vertices by higher degree,
+then lower index, as the greedy colouring does.  The greedy colouring, now the
+first descent of the bucketed k-colouring search, must give the same
+colouring and the common-neighbour clique the same clique; the
+iterative search must walk the same tree (same status, witness and node
+count, and a budget that trips at the same node, a zero budget
+included); the verifier must report the same witness.  The
+complete-graph elbow cover, which now reads its prefix words by index,
+is compared with the restriction of the whole doubled cover.
 """
 
 import random
@@ -37,7 +40,7 @@ from eqcover.graphs import Coloring, ShapeError
 
 from cover_words import restrict
 
-BUDGETS = (None, 1, 7, 50, 300)
+BUDGETS = (None, 0, 1, 7, 50, 300)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +92,9 @@ def reference_dense(coloring: Coloring) -> Coloring:
 
 
 def reference_k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
-    """Backtracking k-coloring with most-constrained-vertex branching and
-    fresh colors introduced in order (color-permutation symmetry)."""
+    """Backtracking k-coloring with most-constrained-vertex branching
+    (ties to the higher degree, then the lower index) and fresh colors
+    introduced in order (color-permutation symmetry)."""
     n = g.n
     adj = g.adjacency
     colors = [-1] * n
@@ -101,15 +105,16 @@ def reference_k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring
         if depth == n:
             return True
         cap = (1 << min(maxused + 1, k)) - 1
-        best, best_count = -1, k + 2
+        best, best_key = -1, (k + 2,)
         for v in range(n):
             if colors[v] < 0:
                 allowed = full & ~forbid[v] & cap
                 cnt = bin(allowed).count("1")
                 if cnt == 0:
                     return False
-                if cnt < best_count:
-                    best, best_count = v, cnt
+                key = (cnt, -len(adj[v]), v)
+                if key < best_key:
+                    best, best_key = v, key
         v = best
         allowed = full & ~forbid[v] & cap
         c = 0
@@ -348,9 +353,9 @@ def test_elbow_cover_complete_matches_restricted_doubling():
 
 
 def test_k_colorable_matches_reference_past_heap_rebuilds():
-    # the Mycielski graphs at k = 4 and 5 backtrack long enough to push
-    # more than the 4n + 64 heap entries that trigger a rebuild of the
-    # branching heap (20 to 47 rebuilds each)
+    # the Mycielski graphs at k = 4, and M6 at k = 5, backtrack long
+    # enough to push more than the 4n + 64 entries that trigger a
+    # rebuild of the branching buckets (29 to 91 rebuilds each)
     rng = random.Random(13)
     graphs = [_sparse_graph(rng, n, 2 * n) for n in (30, 50, 80)]
     graphs += [generate_family("mycielski-iterate", t) for t in (5, 6)]

@@ -197,7 +197,7 @@ def test_chromatic_examples():
     assert exact_chromatic(generate_family("cycle", 5)).value == 3
     assert exact_chromatic(generate_family("petersen", 5)).value == 3
     res = exact_chromatic(generate_family("mycielski-iterate", 5))
-    assert (res.value, res.nodes) == (5, 1323)
+    assert (res.value, res.nodes) == (5, 932)
     assert res.witness.check_proper(generate_family("mycielski-iterate", 5)) is None
 
 

@@ -61,6 +61,8 @@ FAMILIES = {
     "S33": (shift_graph, (33,), 6),
 }
 SEARCHED = ("S9", "KG(8,3)")
+# the nodes of chi's search on the searched graphs
+CHI_NODES = {"S9": 98, "KG(8,3)": 172}
 
 
 def _build(name):
@@ -93,6 +95,7 @@ def test_exact_values_follow_from_chi(name):
     got = {inv: solve_invariant(g, inv) for inv in ("chi", "sigma", "elb")}
     assert all(r.status == "exact" for r in got.values())
     assert {inv: r.lo for inv, r in got.items()} == {"chi": chi, "sigma": 3, "elb": 2}
+    assert got["chi"].nodes == CHI_NODES[name]
     assert verify_orientation_cover(g, got["sigma"].witness) is None
     assert verify_elbow_cover(g, got["elb"].witness) is None
 
