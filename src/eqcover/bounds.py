@@ -14,8 +14,8 @@ Relations used (n = vertex count, c = chromatic number):
     side to the other directs every 2-edge path into or out of its
     middle vertex;
   - past that, elb <= k exactly when c <= 2^(2^(k-1)), so elb is read
-    off c by that integer rule (``exact.elb_from_chi``, shared with
-    ``solve_invariant``), with c raised to 3 off bipartite graphs;
+    off c by that integer rule (``exact.cover_from_chi``, which reads
+    sigma too), with c raised to 3 off bipartite graphs;
   - sigma = 3 exactly when 3 <= c <= 4, sigma = 4 exactly when
     5 <= c <= 12 (the upper half of the second window is known
     non-constructively);
@@ -41,9 +41,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
 
-from .construct import cover_via_coloring, out_star_eq_cover
-from .covers import OrientationCover
-from .exact import Budget, SolveResult, decide_sigma, elb_from_chi, exact_chromatic, greedy_clique
+from .construct import out_star_eq_cover
+from .exact import Budget, SolveResult, cover_from_chi, exact_chromatic, greedy_clique
 from .graphs import Coloring, Graph, find_triangle
 
 
@@ -69,20 +68,6 @@ def alon_bounds(n: int, delta: int) -> AlonBounds:
         return AlonBounds(math.inf, upper, True)
     lower = math.log2(n) - math.log2(n - delta - 1)
     return AlonBounds(lower, upper, False)
-
-
-# M(k), the number of maximal intersecting families on [k], for k = 1..6
-# (OEIS A001206); above that, 2^(2^(k-1)) bounds it from above.
-MAXIMAL_INTERSECTING = (1, 2, 4, 12, 81, 2646)
-
-
-def sigma_lower_from_chi(c: int) -> int:
-    """Least k >= 3 with M(k) >= c (c >= 3): a size-k orientation
-    covering yields a proper coloring with at most M(k) colors."""
-    k = 3
-    while c > (MAXIMAL_INTERSECTING[k - 1] if k <= 6 else 1 << (1 << (k - 1))):
-        k += 1
-    return k
 
 
 @dataclass(frozen=True)
@@ -212,9 +197,11 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
         chi = BoundValue(chi_res.lo, chi_res.hi, lo_provenance, "greedy coloring")
         notes.append("chromatic search truncated by budget")
 
-    elb_res = elb_from_chi(g, chi_res)
+    sigma_res = cover_from_chi(g, chi_res, "orientation")
+    elb_res = cover_from_chi(g, chi_res, "elbow")
     pairs = g.has_incidence_pairs()
     if pairs:
+        witnesses["sigma"] = sigma_res.witness
         witnesses["elb"] = elb_res.witness
     bipartite = elb_res.hi <= 1  # elb <= 1 exactly on bipartite graphs
     if not bipartite and chi.lo < 3:
@@ -224,31 +211,20 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
         sigma = _exact_bv(0, "no incident edge pairs")
         elb = _exact_bv(0, "no 2-edge paths")
     elif bipartite:
-        res = decide_sigma(g, 1, budget)
-        if res.status == "sat":
-            sigma = _exact_bv(1, "closed form at k=1")
-        else:
-            res = decide_sigma(g, 2, budget)  # the two-source pullback of the bipartition
-            sigma = BoundValue(
-                2, 2, "closed form at k=1", "two-source bipartite covering"
-            )
-        witnesses["sigma"] = res.witness
+        # sigma is 1 in closed form, else 2: the two-source pullback of the bipartition
+        hi_prov = "closed form at k=1" if sigma_res.hi == 1 else "two-source bipartite covering"
+        sigma = BoundValue(sigma_res.hi, sigma_res.hi, "closed form at k=1", hi_prov)
         elb = BoundValue(1, 1, "has 2-edge paths", "one-way bipartite orientation")
     else:
-        lo_formula = sigma_lower_from_chi(chi.lo)
-        sigma_lo, sigma_lo_prov = max(
-            (3, "not bipartite"),
-            (lo_formula, "coloring bound for size-k coverings"),
-        )
-        witness_cover: OrientationCover = cover_via_coloring(g, chi_res.witness)
-        witnesses["sigma"] = witness_cover
-        hi_candidates = [(witness_cover.k, "constructive pullback witness")]
+        bound = "coloring bound for size-k coverings"
+        sigma_lo_prov = bound if sigma_res.lo > 3 else "not bipartite"
         if chi.hi <= 4:
-            hi_candidates.append((3, "chi window 3..4"))
+            sigma_hi, sigma_hi_prov = 3, "chi window 3..4"
         elif chi.hi <= 12:
-            hi_candidates.append((4, "chi window 5..12 (non-constructive)"))
-        sigma_hi, sigma_hi_prov = min(hi_candidates)
-        sigma = BoundValue(sigma_lo, sigma_hi, sigma_lo_prov, sigma_hi_prov)
+            sigma_hi, sigma_hi_prov = 4, "chi window 5..12 (non-constructive)"
+        else:
+            sigma_hi, sigma_hi_prov = sigma_res.hi, "constructive pullback witness"
+        sigma = BoundValue(sigma_res.lo, sigma_hi, sigma_lo_prov, sigma_hi_prov)
 
         if chi_exact:
             elb = _exact_bv(elb_res.lo, "loglog formula on exact chi")

@@ -49,8 +49,8 @@ the cover of K_n, which restricted to the graph is a witness.  So the
 word search only meets k below that size, at most 11 orientations.
 The witnesses are built by the construct module, which never imports
 this one: the colorings its pullbacks take are chosen here.  The
-value of elb is read off chi by an integer rule (``elb_from_chi``); the
-word search of ``decide_elb`` is kept as a check on it.
+minimization reads sigma and elb off chi (``cover_from_chi``) and
+searches words only for the sigma values that chi leaves open.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import and_, xor
@@ -782,22 +782,41 @@ def exact_chromatic(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
     return SolveResult("chi", ub, ub, "exact", greedy, budget.nodes)
 
 
-def elb_from_chi(g: Graph, chi: SolveResult) -> SolveResult:
-    """elb(g) read off the chromatic result ``chi``, with no search of its own.
+# M(k), the number of maximal intersecting families on [k], for k = 1..6
+# (OEIS A001206); above that, 2^(2^(k-1)) bounds it from above.
+MAXIMAL_INTERSECTING = (1, 2, 4, 12, 81, 2646)
 
-    Past the closed forms at k <= 1, elb <= k exactly when
-    chi <= 2^(2^(k-1)) (both ways constructive: the elbow pullback and
-    ``coloring_from_elbow_cover``), so chi's interval, raised to 3 off
-    bipartite graphs, maps to elb's; the pullback of chi's coloring is
-    the witness."""
-    for k in (0, 1):
-        witness = _closed_form_cover(g, k, "elbow")
+
+def sigma_lower_from_chi(c: int) -> int:
+    """Least k >= 3 with M(k) >= c (c >= 3): a size-k orientation
+    covering yields a proper coloring with at most M(k) colors."""
+    k = 3
+    while c > (MAXIMAL_INTERSECTING[k - 1] if k <= 6 else 1 << (1 << (k - 1))):
+        k += 1
+    return k
+
+
+def cover_from_chi(g: Graph, chi: SolveResult, kind: str) -> SolveResult:
+    """sigma (kind 'orientation') or elb (kind 'elbow') of g read off the
+    chromatic result ``chi``, with no search of its own.
+
+    The closed forms come first (sigma <= 2, elb <= 1).  Past them, chi's
+    lower end, raised to 3, gives the lower end: a size-k cover yields a
+    proper coloring with at most M(k) colors (``sigma_lower_from_chi``),
+    or 2^(2^(k-1)) for elbows, which the elbow pullback meets, so elb is
+    exact whenever chi is.  The pullback of chi's coloring is the witness
+    and the upper end; the status is 'exact' only when the ends meet."""
+    invariant = "sigma" if kind == "orientation" else "elb"
+    for k in range(3 if invariant == "sigma" else 2):
+        witness = _closed_form_cover(g, k, kind)
         if witness is not None:
-            return SolveResult("elb", k, k, "exact", witness, chi.nodes)
-    witness = construct.elbow_cover_via_coloring(g, chi.witness)
-    lo = construct.pullback_size(max(chi.lo, 3), "elbow")
-    status = "exact" if lo == witness.k else chi.status
-    return SolveResult("elb", lo, witness.k, status, witness, chi.nodes)
+            return SolveResult(invariant, k, k, "exact", witness, chi.nodes)
+    c = max(chi.lo, 3)
+    lo = sigma_lower_from_chi(c) if invariant == "sigma" else construct.pullback_size(c, kind)
+    via = construct.cover_via_coloring if invariant == "sigma" else construct.elbow_cover_via_coloring
+    witness = via(g, chi.witness)
+    status = "exact" if lo == witness.k else "bounded" if chi.status == "exact" else chi.status
+    return SolveResult(invariant, lo, witness.k, status, witness, chi.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -825,8 +844,6 @@ def _greedy_matching_cover(g: Graph) -> EquivalenceCover:
 
 def _upper_witness(g: Graph, invariant: str):
     """Constructive certificate closing the interval from above."""
-    if invariant == "sigma":
-        return construct.cover_via_coloring(g, greedy_coloring(g))
     if invariant == "eq":
         return _greedy_matching_cover(g)
     if invariant == "eye":
@@ -839,7 +856,10 @@ def solve_invariant(
 ) -> SolveResult:
     """Minimize one invariant by deciding k = 0, 1, 2, ... in turn.
 
-    The values are tiny, so no binary search; 'elb' is read off 'chi'.
+    The values are tiny, so no binary search.  'sigma' and 'elb' are read
+    off chi (``cover_from_chi``), first off the clique and greedy ends,
+    which charge no node, then off the chromatic search if those leave
+    the interval open; sigma's word search then starts at its lower end.
     For 'eq' the graph is the host itself (pass a line graph to compute
     eq(L(G))).  Only the k below the constructive cover's size are
     decided: when all of them are unsatisfiable, that cover is the exact
@@ -848,22 +868,25 @@ def solve_invariant(
     """
     if invariant == "chi":
         return exact_chromatic(g, budget)
-    if invariant == "elb":
-        return elb_from_chi(g, exact_chromatic(g, budget))
-    upper = _upper_witness(g, invariant)  # ValueError for an unknown invariant
     budget = budget or Budget()
+    if invariant in ("sigma", "elb"):
+        kind = "orientation" if invariant == "sigma" else "elbow"
+        chi = exact_chromatic(g, Budget(0))  # the clique and greedy ends
+        res = cover_from_chi(g, chi, kind)
+        if res.lo < res.hi and chi.status != "exact":
+            chi = exact_chromatic(g, budget)
+            res = cover_from_chi(g, chi, kind)
+        if res.lo == res.hi or chi.status != "exact":
+            return replace(res, nodes=budget.nodes)
+        first, upper = res.lo, res.witness
+    else:
+        first, upper = 0, _upper_witness(g, invariant)  # ValueError for an unknown invariant
     decide = {"sigma": decide_sigma, "eq": decide_eq, "eye": decide_eyebrow}[invariant]
-    for k in range(upper.k):
+    for k in range(first, upper.k):
         res = decide(g, k, budget)
         if res.status == "sat":
             return SolveResult(invariant, k, k, "exact", res.witness, budget.nodes)
         if res.status == "timeout":
-            return SolveResult(
-                invariant,
-                k,
-                upper.k,
-                _timeout_status(budget.exhausted),
-                upper,
-                budget.nodes,
-            )
+            status = _timeout_status(budget.exhausted)
+            return SolveResult(invariant, k, upper.k, status, upper, budget.nodes)
     return SolveResult(invariant, upper.k, upper.k, "exact", upper, budget.nodes)

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
-from eqcover import Graph, decide_elb, generate_family
+from eqcover import Graph, decide_elb, decide_sigma, generate_family
 
 
 def build_corpus():
@@ -38,6 +38,16 @@ def least_elb_by_word_search(g):
     search, is sat: a reference that does not read elb off chi."""
     k = 0
     while decide_elb(g, k).status != "sat":
+        k += 1
+    return k
+
+
+def least_sigma_by_word_search(g):
+    """sigma(g) as the least k at which ``decide_sigma``, the per-edge word
+    search, is sat, counting from 0: a reference that does not read sigma's
+    lower end off chi."""
+    k = 0
+    while decide_sigma(g, k).status != "sat":
         k += 1
     return k
 

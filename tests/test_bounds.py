@@ -12,10 +12,10 @@ from eqcover import (
     verify_orientation_cover,
     line_graph,
 )
-from eqcover.bounds import sigma_lower_from_chi
 from eqcover.construct import pullback_size
+from eqcover.exact import sigma_lower_from_chi
 
-from conftest import least_elb_by_word_search
+from conftest import least_elb_by_word_search, least_sigma_by_word_search
 from cover_words import out_stars
 
 
@@ -183,7 +183,7 @@ def test_report_interval_consistency_over_corpus(corpus):
     for name in ("K3", "K4", "C4", "C5", "C7", "star3", "tri_pendant", "bull", "K23"):
         g = corpus[name]
         rep = bounds_report(g)
-        sigma = solve_invariant(g, "sigma").value
+        sigma = least_sigma_by_word_search(g)
         elb = least_elb_by_word_search(g)
         assert rep.sigma.lo <= sigma <= rep.sigma.hi
         assert rep.elb.lo <= elb <= rep.elb.hi
@@ -196,11 +196,7 @@ def test_report_consistent_on_random_graphs():
     import random
     from itertools import combinations
 
-    from eqcover import (
-        exact_chromatic,
-        solve_invariant,
-        verify_orientation_cover,
-    )
+    from eqcover import exact_chromatic, verify_orientation_cover
 
     rng = random.Random(99173)
     for _ in range(60):
@@ -209,7 +205,7 @@ def test_report_consistent_on_random_graphs():
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
         rep = bounds_report(g)
         assert rep.chi.lo <= exact_chromatic(g).value <= rep.chi.hi
-        assert rep.sigma.lo <= solve_invariant(g, "sigma").value <= rep.sigma.hi
+        assert rep.sigma.lo <= least_sigma_by_word_search(g) <= rep.sigma.hi
         assert rep.elb.lo <= least_elb_by_word_search(g) <= rep.elb.hi
         if "sigma" in rep.witnesses:
             assert verify_orientation_cover(g, rep.witnesses["sigma"]) is None
@@ -219,14 +215,12 @@ def test_report_truncated_budget_stays_sound():
     import random
     from itertools import combinations
 
-    from eqcover import solve_invariant
-
     rng = random.Random(5150)
     for _ in range(12):
         n = rng.randint(4, 7)
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.7])
         rep = bounds_report(g, Budget(max_nodes=rng.choice((1, 5, 20))))
-        assert rep.sigma.lo <= solve_invariant(g, "sigma").value <= rep.sigma.hi
+        assert rep.sigma.lo <= least_sigma_by_word_search(g) <= rep.sigma.hi
         assert rep.elb.lo <= least_elb_by_word_search(g) <= rep.elb.hi
 
 

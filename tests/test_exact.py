@@ -29,7 +29,7 @@ from eqcover import construct
 from eqcover.construct import pullback_size
 
 import oracles
-from conftest import least_elb_by_word_search
+from conftest import least_elb_by_word_search, least_sigma_by_word_search
 from cover_words import directions, ranking, ranking_cover, restrict
 
 
@@ -245,15 +245,38 @@ def test_solve_witnesses_verify(corpus):
 
 
 def test_budget_exhaustion_and_interval():
-    k5 = generate_family("complete", 5)
-    res = decide_sigma(k5, 3, Budget(max_nodes=50))
-    assert res.status == "timeout"
-    solved = solve_invariant(k5, "sigma", Budget(max_nodes=50))
+    # sigma is read off chi, and M5's chromatic search needs 932 nodes
+    m5 = generate_family("mycielski-iterate", 5)
+    assert exact_chromatic(m5, Budget(max_nodes=50)).status == "bounded"
+    solved = solve_invariant(m5, "sigma", Budget(max_nodes=50))
     assert solved.status == "bounded"
     assert solved.lo <= 4 <= solved.hi
     # the witness is a constructive certificate for the upper endpoint
     assert solved.witness.k == solved.hi
-    assert verify_orientation_cover(k5, solved.witness) is None
+    assert verify_orientation_cover(m5, solved.witness) is None
+
+
+@pytest.mark.parametrize(
+    "family, parameter, value, nodes",
+    [
+        ("complete", 5, 4, 30),
+        ("complete", 6, 4, 50),
+        ("complete", 7, 4, 77),
+        ("complete", 8, 4, 112),
+        ("complete", 9, 4, 1472),
+        # the paper's counterexample: chi = 5 > M(3) = 4 refutes sigma <= 3,
+        # so 932 chromatic nodes and 252 word-search nodes at k = 4
+        ("mycielski-iterate", 5, 4, 1184),
+        # clique 2 and greedy 3 both give sigma = 3, so no node is spent
+        ("petersen", 5, 3, 0),
+    ],
+)
+def test_sigma_read_off_chi_pins(family, parameter, value, nodes):
+    g = generate_family(family, parameter)
+    res = solve_invariant(g, "sigma")
+    assert (res.status, res.value, res.nodes) == ("exact", value, nodes)
+    assert res.witness.k == value
+    assert verify_orientation_cover(g, res.witness) is None
 
 
 def test_closed_interval_is_exact_without_deciding_the_upper_end():
@@ -414,16 +437,21 @@ def test_greedy_coloring_proper(corpus):
         assert coloring.check_proper(g) is None
 
 
-def test_elb_read_off_chi_matches_the_least_sat_word_search(corpus):
-    # solve_invariant reads elb off chi; decide_elb still searches words,
-    # so the least k it accepts is a reference that shares no rule with it
+def _corpus_and_random_graphs(corpus):
+    """The corpus and 80 seeded random graphs with n <= 9."""
     rng = random.Random(8128)
     graphs = list(corpus.values())
     for _ in range(80):
         n = rng.randint(2, 9)
         p = rng.choice((0.2, 0.4, 0.6, 0.8, 0.95))
         graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
-    for g in graphs:
+    return graphs
+
+
+def test_elb_read_off_chi_matches_the_least_sat_word_search(corpus):
+    # solve_invariant reads elb off chi; decide_elb still searches words,
+    # so the least k it accepts is a reference that shares no rule with it
+    for g in _corpus_and_random_graphs(corpus):
         want = least_elb_by_word_search(g)
         res = solve_invariant(g, "elb")
         assert (res.status, res.value, res.witness.k) == ("exact", want, want)
@@ -432,6 +460,22 @@ def test_elb_read_off_chi_matches_the_least_sat_word_search(corpus):
             res = solve_invariant(g, "elb", Budget(max_nodes=nodes))
             assert res.lo <= want <= res.hi == res.witness.k
             assert verify_elbow_cover(g, res.witness) is None
+
+
+def test_sigma_read_off_chi_matches_the_least_sat_word_search(corpus):
+    # solve_invariant takes sigma's lower end from chi and decides only
+    # the k it leaves open; decide_sigma from k = 0 is a reference that
+    # does not read chi
+    for g in _corpus_and_random_graphs(corpus):
+        want = least_sigma_by_word_search(g)
+        res = solve_invariant(g, "sigma")
+        assert (res.status, res.value, res.witness.k) == ("exact", want, want)
+        assert verify_orientation_cover(g, res.witness) is None
+        for nodes in (1, 5, 20):
+            res = solve_invariant(g, "sigma", Budget(max_nodes=nodes))
+            assert res.lo <= want <= res.hi == res.witness.k
+            assert res.status != "exact" or res.lo == res.hi
+            assert verify_orientation_cover(g, res.witness) is None
 
 
 def test_elb_homomorphism_bound(corpus):

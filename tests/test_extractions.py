@@ -43,7 +43,7 @@ from eqcover import (
     verify_orientation_cover,
     write_cover_for,
 )
-from eqcover.bounds import MAXIMAL_INTERSECTING
+from eqcover.exact import MAXIMAL_INTERSECTING
 from eqcover.construct import (
     coloring_from_elbow_cover,
     coloring_from_orientation_cover,
