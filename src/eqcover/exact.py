@@ -48,9 +48,9 @@ Both ends of k are closed forms that take no search nodes: the small k
 the cover of K_n, which restricted to the graph is a witness.  So the
 word search only meets k below that size, at most 11 orientations.
 The witnesses are built by the construct module, which never imports
-this one: the colorings its pullbacks take are chosen here.  The
-minimization reads sigma and elb off chi (``cover_from_chi``) and
-searches words only for the sigma values that chi leaves open.
+this one: the colorings its pullbacks take are chosen here.  One loop
+(``_interval``) minimizes every invariant, chi included; sigma and elb
+search colorings only at their color thresholds (``_colour_threshold``).
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import and_, xor
 from typing import List, Optional, Tuple
 
@@ -147,8 +147,22 @@ class SolveResult:
         return self.lo if self.status == "exact" else None
 
 
-def _timeout_status(reason: str) -> str:
-    return "timeout" if reason == "clock" else "bounded"
+def _interval(invariant: str, lo: int, upper, ask, budget: Budget) -> SolveResult:
+    """The one minimization loop: raise lo while ``ask(lo)`` finds no
+    witness of size lo (None), up to the size of ``upper``, a witness
+    closing the interval from above.  Exact at the first witness found
+    or at ``upper``; [lo, size of upper] when ``ask`` runs out of budget."""
+    hi = upper.palette_size if isinstance(upper, Coloring) else upper.k
+    try:
+        while lo < hi:
+            witness = ask(lo)
+            if witness is not None:
+                return SolveResult(invariant, lo, lo, "exact", witness, budget.nodes)
+            lo += 1
+    except _OutOfBudget:
+        status = "timeout" if budget.exhausted == "clock" else "bounded"
+        return SolveResult(invariant, lo, hi, status, upper, budget.nodes)
+    return SolveResult(invariant, hi, hi, "exact", upper, budget.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -754,32 +768,13 @@ def _k_colorable(g: Graph, k: int, budget: Budget) -> Optional[Coloring]:
 
 
 def exact_chromatic(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
-    """Chromatic number by increasing-k decision searches.
-
-    Lower bound from a greedy clique, upper bound (and fallback witness)
-    from a greedy coloring; status 'exact' with a proper coloring
-    witness unless the budget runs out first.
-    """
+    """Chromatic number by k-coloring searches (``_interval``) from the
+    greedy clique's size (at least 2) up to the greedy coloring's palette,
+    which is the witness if every k below it is refuted."""
     budget = budget or Budget()
-    if g.n == 0:
-        return SolveResult("chi", 0, 0, "exact", Coloring([]), budget.nodes)
-    if g.m == 0:
-        return SolveResult("chi", 1, 1, "exact", Coloring([0] * g.n), budget.nodes)
-    lb = max(2, len(greedy_clique(g)))
     greedy = greedy_coloring(g)
-    ub = greedy.palette_size
-    if lb >= ub:
-        return SolveResult("chi", ub, ub, "exact", greedy, budget.nodes)
-    for k in range(lb, ub):
-        try:
-            witness = _k_colorable(g, k, budget)
-        except _OutOfBudget:
-            return SolveResult(
-                "chi", k, ub, _timeout_status(budget.exhausted), greedy, budget.nodes
-            )
-        if witness is not None:
-            return SolveResult("chi", k, k, "exact", witness, budget.nodes)
-    return SolveResult("chi", ub, ub, "exact", greedy, budget.nodes)
+    lo = min(max(2, len(greedy_clique(g))), greedy.palette_size)
+    return _interval("chi", lo, greedy, lambda k: _k_colorable(g, k, budget), budget)
 
 
 # M(k), the number of maximal intersecting families on [k], for k = 1..6
@@ -787,32 +782,39 @@ def exact_chromatic(g: Graph, budget: Optional[Budget] = None) -> SolveResult:
 MAXIMAL_INTERSECTING = (1, 2, 4, 12, 81, 2646)
 
 
+def _colour_threshold(k: int, kind: str) -> int:
+    """The color threshold of sigma <= k (kind 'orientation', k >= 3) or
+    elb <= k (kind 'elbow', k >= 2), which holds exactly when chi is at
+    most M(k), or 2^(2^(k-1)) for elb; past k = 6 sigma's threshold is
+    2^(2^(k-1)) >= M(k), so only chi above it refutes sigma <= k."""
+    if kind == "orientation" and k <= len(MAXIMAL_INTERSECTING):
+        return MAXIMAL_INTERSECTING[k - 1]
+    return 1 << (1 << (k - 1))
+
+
+def _first_k(c: int, kind: str) -> int:
+    """Least k past the closed forms whose color threshold is >= c."""
+    first = 3 if kind == "orientation" else 2
+    return next(k for k in count(first) if _colour_threshold(k, kind) >= c)
+
+
 def sigma_lower_from_chi(c: int) -> int:
-    """Least k >= 3 with M(k) >= c (c >= 3): a size-k orientation
-    covering yields a proper coloring with at most M(k) colors."""
-    k = 3
-    while c > (MAXIMAL_INTERSECTING[k - 1] if k <= 6 else 1 << (1 << (k - 1))):
-        k += 1
-    return k
+    """Least k >= 3 with M(k) >= c (c >= 3)."""
+    return _first_k(c, "orientation")
 
 
 def cover_from_chi(g: Graph, chi: SolveResult, kind: str) -> SolveResult:
     """sigma (kind 'orientation') or elb (kind 'elbow') of g read off the
-    chromatic result ``chi``, with no search of its own.
-
-    The closed forms come first (sigma <= 2, elb <= 1).  Past them, chi's
-    lower end, raised to 3, gives the lower end: a size-k cover yields a
-    proper coloring with at most M(k) colors (``sigma_lower_from_chi``),
-    or 2^(2^(k-1)) for elbows, which the elbow pullback meets, so elb is
-    exact whenever chi is.  The pullback of chi's coloring is the witness
-    and the upper end; the status is 'exact' only when the ends meet."""
+    chromatic result ``chi``, with no search of its own: the closed forms
+    first (sigma <= 2, elb <= 1), then from the least k whose color
+    threshold meets chi's lower end raised to 3 up to the size of the
+    pullback of chi's coloring, the witness; 'exact' when the ends meet."""
     invariant = "sigma" if kind == "orientation" else "elb"
     for k in range(3 if invariant == "sigma" else 2):
         witness = _closed_form_cover(g, k, kind)
         if witness is not None:
             return SolveResult(invariant, k, k, "exact", witness, chi.nodes)
-    c = max(chi.lo, 3)
-    lo = sigma_lower_from_chi(c) if invariant == "sigma" else construct.pullback_size(c, kind)
+    lo = _first_k(max(chi.lo, 3), kind)
     via = construct.cover_via_coloring if invariant == "sigma" else construct.elbow_cover_via_coloring
     witness = via(g, chi.witness)
     status = "exact" if lo == witness.k else "bounded" if chi.status == "exact" else chi.status
@@ -820,25 +822,21 @@ def cover_from_chi(g: Graph, chi: SolveResult, kind: str) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# minimization loops
+# minimization
 # ---------------------------------------------------------------------------
 
 
 def _greedy_matching_cover(g: Graph) -> EquivalenceCover:
     """Greedy proper edge coloring; matchings are equivalence subgraphs."""
     label_at: List[set] = [set() for _ in range(g.n)]
-    labels = []
+    subgraphs: List[List[Tuple[int, int]]] = []
     for u, v in g.edges:
-        c = 0
-        while c in label_at[u] or c in label_at[v]:
-            c += 1
+        c = next(x for x in count() if x not in label_at[u] and x not in label_at[v])
         label_at[u].add(c)
         label_at[v].add(c)
-        labels.append(c)
-    k = max(labels) + 1 if labels else 0
-    subgraphs: List[List[Tuple[int, int]]] = [[] for _ in range(k)]
-    for e, c in enumerate(labels):
-        subgraphs[c].append(g.edges[e])
+        if c == len(subgraphs):  # labels below c are all in use
+            subgraphs.append([])
+        subgraphs[c].append((u, v))
     return EquivalenceCover(g.n, subgraphs)
 
 
@@ -851,42 +849,42 @@ def _upper_witness(g: Graph, invariant: str):
     raise ValueError(f"unknown invariant {invariant!r}")
 
 
-def solve_invariant(
-    g: Graph, invariant: str, budget: Optional[Budget] = None
-) -> SolveResult:
-    """Minimize one invariant by deciding k = 0, 1, 2, ... in turn.
-
-    The values are tiny, so no binary search.  'sigma' and 'elb' are read
-    off chi (``cover_from_chi``), first off the clique and greedy ends,
-    which charge no node, then off the chromatic search if those leave
-    the interval open; sigma's word search then starts at its lower end.
-    For 'eq' the graph is the host itself (pass a line graph to compute
-    eq(L(G))).  Only the k below the constructive cover's size are
-    decided: when all of them are unsatisfiable, that cover is the exact
-    witness.  When the budget runs out, the cover certifies the
-    interval's upper end and is returned as the witness.
-    """
+def solve_invariant(g: Graph, invariant: str, budget: Optional[Budget] = None) -> SolveResult:
+    """Minimize one invariant by asking k = 0, 1, 2, ... in turn (``_interval``)
+    below the size of a constructive cover, the upper end's witness.  'chi'
+    is ``exact_chromatic``; 'eq' (of the graph itself: pass a line graph
+    for eq(L(G))) and 'eye' decide each k.  Past sigma <= 2 and elb <= 1,
+    k holds exactly when chi is at most its color threshold: the clique
+    bound, or a coloring search run only when the fewest colors found so
+    far (the greedy coloring first) exceed the threshold, refutes it; the
+    witness is that coloring's pullback, or the word search's if larger."""
+    budget = budget or Budget()
     if invariant == "chi":
         return exact_chromatic(g, budget)
-    budget = budget or Budget()
     if invariant in ("sigma", "elb"):
-        kind = "orientation" if invariant == "sigma" else "elbow"
-        chi = exact_chromatic(g, Budget(0))  # the clique and greedy ends
-        res = cover_from_chi(g, chi, kind)
-        if res.lo < res.hi and chi.status != "exact":
-            chi = exact_chromatic(g, budget)
-            res = cover_from_chi(g, chi, kind)
-        if res.lo == res.hi or chi.status != "exact":
-            return replace(res, nodes=budget.nodes)
-        first, upper = res.lo, res.witness
+        kind, decide, via = "orientation", decide_sigma, construct.cover_via_coloring
+        if invariant == "elb":
+            kind, decide, via = "elbow", decide_elb, construct.elbow_cover_via_coloring
+        clique = len(greedy_clique(g))
+        best = greedy_coloring(g)
+        upper = via(g, best)
     else:
-        first, upper = 0, _upper_witness(g, invariant)  # ValueError for an unknown invariant
-    decide = {"sigma": decide_sigma, "eq": decide_eq, "eye": decide_eyebrow}[invariant]
-    for k in range(first, upper.k):
+        upper = _upper_witness(g, invariant)  # ValueError for an unknown invariant
+        decide = decide_eq if invariant == "eq" else decide_eyebrow
+
+    def ask(k: int):
+        nonlocal best
+        if invariant in ("sigma", "elb") and k > (2 if invariant == "sigma" else 1):
+            colors = _colour_threshold(k, kind)
+            if best.palette_size > colors >= clique:
+                best = _k_colorable(g, colors, budget) or best
+            if best.palette_size > colors:
+                return None  # the clique or the search shows chi > colors
+            if construct.pullback_size(best.palette_size, kind) <= k:
+                return via(g, best)
         res = decide(g, k, budget)
-        if res.status == "sat":
-            return SolveResult(invariant, k, k, "exact", res.witness, budget.nodes)
         if res.status == "timeout":
-            status = _timeout_status(budget.exhausted)
-            return SolveResult(invariant, k, upper.k, status, upper, budget.nodes)
-    return SolveResult(invariant, upper.k, upper.k, "exact", upper, budget.nodes)
+            raise _OutOfBudget
+        return res.witness
+
+    return _interval(invariant, 0, upper, ask, budget)

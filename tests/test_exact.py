@@ -245,7 +245,7 @@ def test_solve_witnesses_verify(corpus):
 
 
 def test_budget_exhaustion_and_interval():
-    # sigma is read off chi, and M5's chromatic search needs 932 nodes
+    # sigma(M5) needs 895 nodes to refute 4-colorability, at its threshold M(3)
     m5 = generate_family("mycielski-iterate", 5)
     assert exact_chromatic(m5, Budget(max_nodes=50)).status == "bounded"
     solved = solve_invariant(m5, "sigma", Budget(max_nodes=50))
@@ -265,8 +265,12 @@ def test_budget_exhaustion_and_interval():
         ("complete", 8, 4, 112),
         ("complete", 9, 4, 1472),
         # the paper's counterexample: chi = 5 > M(3) = 4 refutes sigma <= 3,
-        # so 932 chromatic nodes and 252 word-search nodes at k = 4
-        ("mycielski-iterate", 5, 4, 1184),
+        # so 895 nodes refuting 4-colorability and 252 word-search nodes at
+        # k = 4 (the greedy coloring has at most M(4) = 12 colors)
+        ("mycielski-iterate", 5, 4, 1147),
+        # 1,534 nodes refute 4-colorability and 1,018 decide k = 4; the
+        # 5-colorability that chi(M6) = 6 refutes is never asked
+        ("mycielski-iterate", 6, 4, 2552),
         # clique 2 and greedy 3 both give sigma = 3, so no node is spent
         ("petersen", 5, 3, 0),
     ],
@@ -277,6 +281,38 @@ def test_sigma_read_off_chi_pins(family, parameter, value, nodes):
     assert (res.status, res.value, res.nodes) == ("exact", value, nodes)
     assert res.witness.k == value
     assert verify_orientation_cover(g, res.witness) is None
+
+
+@pytest.mark.parametrize(
+    "parameter, value, nodes",
+    [
+        # chi <= 2^(2^1) = 4 is refuted, and the greedy coloring has at
+        # most 2^(2^2) = 16 colors, whose elbow pullback has size 3
+        (5, 3, 895),
+        (6, 3, 1534),
+    ],
+)
+def test_elb_read_off_the_color_thresholds_pins(parameter, value, nodes):
+    g = generate_family("mycielski-iterate", parameter)
+    res = solve_invariant(g, "elb")
+    assert (res.status, res.value, res.nodes) == ("exact", value, nodes)
+    assert res.witness.k == value
+    assert verify_elbow_cover(g, res.witness) is None
+
+
+def test_a_coloring_found_at_the_threshold_gives_the_witness():
+    # DSATUR colors this graph with 5 colors, so the greedy pullbacks have
+    # sizes 5 (sigma) and 3 (elb); the 4-coloring found at the common
+    # threshold M(3) = 2^(2^1) = 4 pulls back to the exact witnesses
+    g = Graph(9, [
+        (0, 2), (0, 3), (0, 5), (0, 7), (0, 8), (1, 2), (1, 3), (1, 6), (1, 7), (2, 3), (2, 4), (2, 6),
+        (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8),
+    ])
+    assert greedy_coloring(g).palette_size == 5
+    for invariant, value, verifier in (("sigma", 3, verify_orientation_cover), ("elb", 2, verify_elbow_cover)):
+        res = solve_invariant(g, invariant)
+        assert (res.status, res.value, res.nodes) == ("exact", value, 12)
+        assert res.witness.k == value and verifier(g, res.witness) is None
 
 
 def test_closed_interval_is_exact_without_deciding_the_upper_end():
@@ -762,6 +798,19 @@ def test_relabelling_keeps_every_decision():
         for (decide, _, _), s in zip(_KINDS, _COMPLETE_SIZES[min(n, 5)]):
             for k in range(s + 2):
                 assert decide(g, k).status == decide(h, k).status, (g.edges, perm, k)
+        for invariant, check in _SOLVE_CHECKS.items():
+            a, b = solve_invariant(g, invariant), solve_invariant(h, invariant)
+            assert (a.status, a.lo, a.hi) == (b.status, b.lo, b.hi), (g.edges, perm, invariant)
+            assert check(h, b.witness) is None, (g.edges, perm, invariant)
+
+
+_SOLVE_CHECKS = {
+    "chi": lambda g, coloring: coloring.check_proper(g),
+    "sigma": verify_orientation_cover,
+    "elb": verify_elbow_cover,
+    "eq": verify_equivalence_cover,
+    "eye": verify_eyebrow_cover,
+}
 
 
 def _eyebrow_base(g, k):
