@@ -14,8 +14,10 @@ Relations used (n = vertex count, c = chromatic number):
     side to the other directs every 2-edge path into or out of its
     middle vertex;
   - past that, elb <= k exactly when c <= 2^(2^(k-1)), so elb is read
-    off c by that integer rule (``exact.cover_from_chi``, which reads
-    sigma too), with c raised to 3 off bipartite graphs;
+    off c by that integer rule, through the reader ``solve`` uses for
+    sigma and elb (``exact._cover_interval``) given the chromatic
+    search's coloring and lower end and a zero budget, with c raised
+    to 3 off bipartite graphs;
   - sigma = 3 exactly when 3 <= c <= 4, sigma = 4 exactly when
     5 <= c <= 12 (the upper half of the second window is known
     non-constructively);
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
 
 from .construct import out_star_eq_cover
-from .exact import Budget, SolveResult, cover_from_chi, exact_chromatic, greedy_clique
+from .exact import Budget, SolveResult, _cover_interval, exact_chromatic, greedy_clique
 from .graphs import Coloring, Graph, find_triangle
 
 
@@ -177,9 +179,10 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
 
     Exact chromatic search runs within the shared budget; whatever it
     resolves cascades through the windows above.  Quantities the budget
-    leaves unresolved appear as intervals.  On a bipartite graph sigma
-    is decided in closed form, so the budget bounds only the chromatic
-    search.
+    leaves unresolved appear as intervals.  sigma and elb are asked
+    solve's colour-threshold questions with a zero budget, so any k that
+    would need a search ends their interval, and the budget bounds only
+    the chromatic search.
     """
     budget = budget or Budget()
     notes: List[str] = []
@@ -197,8 +200,8 @@ def bounds_report(g: Graph, budget: Optional[Budget] = None) -> BoundsReport:
         chi = BoundValue(chi_res.lo, chi_res.hi, lo_provenance, "greedy coloring")
         notes.append("chromatic search truncated by budget")
 
-    sigma_res = cover_from_chi(g, chi_res, "orientation")
-    elb_res = cover_from_chi(g, chi_res, "elbow")
+    sigma_res = _cover_interval(g, "orientation", chi_res.witness, chi_res.lo, Budget(0))
+    elb_res = _cover_interval(g, "elbow", chi_res.witness, chi_res.lo, Budget(0))
     pairs = g.has_incidence_pairs()
     if pairs:
         witnesses["sigma"] = sigma_res.witness

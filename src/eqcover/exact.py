@@ -49,8 +49,10 @@ the cover of K_n, which restricted to the graph is a witness.  So the
 word search only meets k below that size, at most 11 orientations.
 The witnesses are built by the construct module, which never imports
 this one: the colorings its pullbacks take are chosen here.  One loop
-(``_interval``) minimizes every invariant, chi included; sigma and elb
-search colorings only at their color thresholds (``_colour_threshold``).
+(``_interval``) minimizes every invariant, chi included.  sigma and elb
+have one reader (``_cover_interval``), which searches colorings only at
+their color thresholds (``_colour_threshold``); ``solve`` runs it on its
+budget from the greedy ends, ``bounds`` on a zero budget from chi's.
 """
 
 from __future__ import annotations
@@ -163,6 +165,13 @@ def _interval(invariant: str, lo: int, upper, ask, budget: Budget) -> SolveResul
         status = "timeout" if budget.exhausted == "clock" else "bounded"
         return SolveResult(invariant, lo, hi, status, upper, budget.nodes)
     return SolveResult(invariant, hi, hi, "exact", upper, budget.nodes)
+
+
+def _witness(res: DecideResult):
+    """The witness of a decision, None when unsat; a timeout ends ``_interval``."""
+    if res.status == "timeout":
+        raise _OutOfBudget
+    return res.witness
 
 
 # ---------------------------------------------------------------------------
@@ -792,33 +801,33 @@ def _colour_threshold(k: int, kind: str) -> int:
     return 1 << (1 << (k - 1))
 
 
-def _first_k(c: int, kind: str) -> int:
-    """Least k past the closed forms whose color threshold is >= c."""
-    first = 3 if kind == "orientation" else 2
-    return next(k for k in count(first) if _colour_threshold(k, kind) >= c)
+def _cover_interval(g: Graph, kind: str, best: Coloring, clique: int, budget: Budget) -> SolveResult:
+    """sigma (kind 'orientation') or elb (kind 'elbow') of g by ``_interval``
+    below the pullback of ``best``, a proper coloring of g.  The closed
+    forms decide sigma <= 2 and elb <= 1; past them k holds exactly when
+    chi is at most its color threshold, which ``clique`` (a lower bound on
+    chi) refutes with no search, or else one k-coloring search does, run
+    only when ``best`` has more colors than the threshold and keeping the
+    coloring it finds.  A threshold met gives the pullback of ``best`` as
+    the witness, or, where that pullback is larger than k, the word
+    search's.  With ``Budget(0)`` every search ends the interval at once."""
+    invariant, decide, via = "sigma", decide_sigma, construct.cover_via_coloring
+    if kind == "elbow":
+        invariant, decide, via = "elb", decide_elb, construct.elbow_cover_via_coloring
 
+    def ask(k: int):
+        nonlocal best
+        if k > (2 if kind == "orientation" else 1):
+            colors = _colour_threshold(k, kind)
+            if best.palette_size > colors >= clique:
+                best = _k_colorable(g, colors, budget) or best
+            if best.palette_size > colors:
+                return None  # the clique or the search shows chi > colors
+            if construct.pullback_size(best.palette_size, kind) <= k:
+                return via(g, best)
+        return _witness(decide(g, k, budget))
 
-def sigma_lower_from_chi(c: int) -> int:
-    """Least k >= 3 with M(k) >= c (c >= 3)."""
-    return _first_k(c, "orientation")
-
-
-def cover_from_chi(g: Graph, chi: SolveResult, kind: str) -> SolveResult:
-    """sigma (kind 'orientation') or elb (kind 'elbow') of g read off the
-    chromatic result ``chi``, with no search of its own: the closed forms
-    first (sigma <= 2, elb <= 1), then from the least k whose color
-    threshold meets chi's lower end raised to 3 up to the size of the
-    pullback of chi's coloring, the witness; 'exact' when the ends meet."""
-    invariant = "sigma" if kind == "orientation" else "elb"
-    for k in range(3 if invariant == "sigma" else 2):
-        witness = _closed_form_cover(g, k, kind)
-        if witness is not None:
-            return SolveResult(invariant, k, k, "exact", witness, chi.nodes)
-    lo = _first_k(max(chi.lo, 3), kind)
-    via = construct.cover_via_coloring if invariant == "sigma" else construct.elbow_cover_via_coloring
-    witness = via(g, chi.witness)
-    status = "exact" if lo == witness.k else "bounded" if chi.status == "exact" else chi.status
-    return SolveResult(invariant, lo, witness.k, status, witness, chi.nodes)
+    return _interval(invariant, 0, via(g, best), ask, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -853,38 +862,15 @@ def solve_invariant(g: Graph, invariant: str, budget: Optional[Budget] = None) -
     """Minimize one invariant by asking k = 0, 1, 2, ... in turn (``_interval``)
     below the size of a constructive cover, the upper end's witness.  'chi'
     is ``exact_chromatic``; 'eq' (of the graph itself: pass a line graph
-    for eq(L(G))) and 'eye' decide each k.  Past sigma <= 2 and elb <= 1,
-    k holds exactly when chi is at most its color threshold: the clique
-    bound, or a coloring search run only when the fewest colors found so
-    far (the greedy coloring first) exceed the threshold, refutes it; the
-    witness is that coloring's pullback, or the word search's if larger."""
+    for eq(L(G))) and 'eye' decide each k.  'sigma' and 'elb' are read by
+    ``_cover_interval`` from the greedy clique and coloring, whose colour
+    threshold searches this budget pays for."""
     budget = budget or Budget()
     if invariant == "chi":
         return exact_chromatic(g, budget)
     if invariant in ("sigma", "elb"):
-        kind, decide, via = "orientation", decide_sigma, construct.cover_via_coloring
-        if invariant == "elb":
-            kind, decide, via = "elbow", decide_elb, construct.elbow_cover_via_coloring
-        clique = len(greedy_clique(g))
-        best = greedy_coloring(g)
-        upper = via(g, best)
-    else:
-        upper = _upper_witness(g, invariant)  # ValueError for an unknown invariant
-        decide = decide_eq if invariant == "eq" else decide_eyebrow
-
-    def ask(k: int):
-        nonlocal best
-        if invariant in ("sigma", "elb") and k > (2 if invariant == "sigma" else 1):
-            colors = _colour_threshold(k, kind)
-            if best.palette_size > colors >= clique:
-                best = _k_colorable(g, colors, budget) or best
-            if best.palette_size > colors:
-                return None  # the clique or the search shows chi > colors
-            if construct.pullback_size(best.palette_size, kind) <= k:
-                return via(g, best)
-        res = decide(g, k, budget)
-        if res.status == "timeout":
-            raise _OutOfBudget
-        return res.witness
-
-    return _interval(invariant, 0, upper, ask, budget)
+        kind = "orientation" if invariant == "sigma" else "elbow"
+        return _cover_interval(g, kind, greedy_coloring(g), len(greedy_clique(g)), budget)
+    upper = _upper_witness(g, invariant)  # ValueError for an unknown invariant
+    decide = decide_eq if invariant == "eq" else decide_eyebrow
+    return _interval(invariant, 0, upper, lambda k: _witness(decide(g, k, budget)), budget)

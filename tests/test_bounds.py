@@ -1,4 +1,5 @@
 import math
+from itertools import count
 
 import pytest
 
@@ -13,7 +14,7 @@ from eqcover import (
     line_graph,
 )
 from eqcover.construct import pullback_size
-from eqcover.exact import sigma_lower_from_chi
+from eqcover.exact import _colour_threshold
 
 from conftest import least_elb_by_word_search, least_sigma_by_word_search
 from cover_words import out_stars
@@ -152,10 +153,15 @@ def test_truncated_chi_on_an_odd_cycle_is_raised_to_three():
     assert "note: chromatic search truncated by budget" in lines
 
 
+def _sigma_lower_from_chi(c):
+    """The least k >= 3 whose colour threshold M(k) is at least c."""
+    return next(k for k in count(3) if _colour_threshold(k, "orientation") >= c)
+
+
 def test_sigma_lower_bound_is_the_least_k_with_enough_maximal_families():
     # M(5) = 81 and M(6) = 2646; above k = 6 the bound 2^(2^(k-1)) stands in
     pins = {3: 3, 4: 3, 5: 4, 12: 4, 13: 5, 81: 5, 82: 6, 2646: 6, 2647: 7}
-    assert {c: sigma_lower_from_chi(c) for c in pins} == pins
+    assert {c: _sigma_lower_from_chi(c) for c in pins} == pins
     lines = bounds_report(generate_family("complete", 82)).lines()
     assert "sigma: 6..8 [lo: coloring bound for size-k coverings; hi: constructive pullback witness]" in lines
 
@@ -164,7 +170,54 @@ def test_sigma_lower_bound_is_never_below_elb():
     # M(k) <= 2^(2^(k-1)), so a chi that needs k orientations by the
     # coloring bound needs no more elbow ones
     for c in range(3, 70_000):
-        assert sigma_lower_from_chi(c) >= pullback_size(c, "elbow"), c
+        assert _sigma_lower_from_chi(c) >= pullback_size(c, "elbow"), c
+
+
+def test_report_lines_do_not_depend_on_vertex_labels():
+    # chi is exact with no budget, and every line reads off chi, so a
+    # relabelled copy gives the same lines, with witnesses valid on it
+    import random
+    from itertools import combinations
+
+    from eqcover import verify_elbow_cover
+
+    forest = Graph(9, [(0, 5), (5, 2), (2, 7), (1, 8), (8, 3), (8, 6), (4, 6)])
+    graphs = [
+        generate_family("complete", 5),
+        generate_family("complete", 9),
+        generate_family("mycielski-iterate", 4),
+        generate_family("mycielski-iterate", 5),
+        generate_family("petersen", 5),
+        generate_family("cycle", 7),
+        generate_family("star", 4),
+        generate_family("path", 6),
+        forest,
+    ]
+    rng = random.Random(3707)
+    for n in (6, 8, 10, 12):
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4]))
+    for i, g in enumerate(graphs):
+        perm = list(range(g.n))
+        random.Random(i).shuffle(perm)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        rep = bounds_report(h)
+        assert rep.lines() == bounds_report(g).lines(), g
+        w = rep.witnesses
+        assert w["chi"].check_proper(h) is None
+        if "sigma" in w:
+            assert verify_orientation_cover(h, w["sigma"]) is None
+            assert verify_elbow_cover(h, w["elb"]) is None
+            assert verify_equivalence_cover(line_graph(h).line, w["eq_line_graph"]) is None
+
+
+def test_report_charges_only_the_chromatic_search(corpus):
+    # sigma and elb are read with a zero budget of their own: K5's
+    # sigma <= 4 would take a word search on the report's budget
+    from eqcover import exact_chromatic
+
+    for name, g in corpus.items():
+        for b in (None, 1, 10, 300):
+            assert bounds_report(g, Budget(b)).nodes == exact_chromatic(g, Budget(b)).nodes, (name, b)
 
 
 def test_report_lines_and_dict_are_deterministic():
